@@ -14,6 +14,7 @@
 #include "core/pipeline.hh"
 #include "machine/configs.hh"
 #include "support/table.hh"
+#include "support/timer.hh"
 #include "workload/specfp.hh"
 
 using namespace gpsched;
@@ -54,14 +55,18 @@ main(int argc, char **argv)
         for (const Policy &p : policies) {
             LoopCompilerOptions compilerOptions;
             compilerOptions.repartition = p.policy;
+            // Whole-suite CPU time, measured the way
+            // table2_sched_time measures it.
+            CpuTimer timer;
+            timer.start();
             SuiteResult r = compileSuite(engine, suite, m,
                                          SchedulerKind::Gp,
                                          compilerOptions);
+            double seconds = timer.elapsedSeconds();
             table.addRow({m.name(), p.name,
                           TextTable::num(r.meanIpc),
-                          TextTable::num(r.schedSeconds, 3)});
-            metrics.addRow({m.name(), p.name},
-                           {r.meanIpc, r.schedSeconds});
+                          TextTable::num(seconds, 3)});
+            metrics.addRow({m.name(), p.name}, {r.meanIpc, seconds});
         }
     }
     table.print(std::cout,

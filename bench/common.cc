@@ -310,11 +310,6 @@ runPanel(Engine &engine, const std::vector<Program> &suite,
     avg.gp = gp.meanIpc;
     panel.rows.push_back(avg);
 
-    panel.unifiedSeconds = u.schedSeconds;
-    panel.uracamSeconds = ur.schedSeconds;
-    panel.fixedSeconds = fx.schedSeconds;
-    panel.gpSeconds = gp.schedSeconds;
-
     std::uint64_t skipped = u.failedLoops + ur.failedLoops +
                             fx.failedLoops + gp.failedLoops;
     if (skipped > 0) {
@@ -357,7 +352,7 @@ writePanelsJson(std::ostream &os, const std::string &benchName,
 {
     JsonWriter json(os);
     json.beginObject();
-    json.member("schemaVersion", 1);
+    json.member("schemaVersion", 2);
     json.member("bench", benchName);
     json.beginArray("panels");
     for (const FigurePanel &panel : panels) {
@@ -374,12 +369,6 @@ writePanelsJson(std::ostream &os, const std::string &benchName,
             json.endObject();
         }
         json.endArray();
-        json.beginObject("schedSeconds");
-        json.member("unified", panel.unifiedSeconds);
-        json.member("uracam", panel.uracamSeconds);
-        json.member("fixed", panel.fixedSeconds);
-        json.member("gp", panel.gpSeconds);
-        json.endObject();
         json.endObject();
     }
     json.endArray();

@@ -167,10 +167,6 @@ struct FigurePanel
 {
     std::string title;
     std::vector<FigureRow> rows; ///< per program + trailing average
-    double uracamSeconds = 0.0;  ///< scheduling CPU time totals
-    double fixedSeconds = 0.0;
-    double gpSeconds = 0.0;
-    double unifiedSeconds = 0.0;
 };
 
 /**

@@ -147,8 +147,9 @@ main(int argc, char **argv)
                 "(mean of " +
                     std::to_string(reps) + " runs)");
     std::cout
-        << "  Paper: URACAM is 2-7x slower than GP/Fixed. See\n"
-           "  EXPERIMENTS.md for the measured ratio and the\n"
-           "  discussion of where our implementation differs.\n";
+        << "  Paper: URACAM is 2-7x slower than GP/Fixed. The\n"
+           "  committed per-layer compile costs are in\n"
+           "  perfbench/baseline/; docs/ARCHITECTURE.md explains\n"
+           "  where the compile time goes.\n";
     return 0;
 }

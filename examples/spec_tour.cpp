@@ -59,9 +59,7 @@ main(int argc, char **argv)
         }
         table.print(std::cout,
                     toString(kind) + "  (program IPC " +
-                        TextTable::num(r.ipc) + ", sched " +
-                        TextTable::num(r.schedSeconds * 1e3, 1) +
-                        " ms)");
+                        TextTable::num(r.ipc) + ")");
         std::cout << "\n";
     }
     return 0;

@@ -9,7 +9,6 @@
 #include "support/arena.hh"
 #include "support/logging.hh"
 #include "support/telemetry.hh"
-#include "support/timer.hh"
 
 namespace gpsched
 {
@@ -87,9 +86,6 @@ LoopCompiler::compile(const Ddg &ddg) const
     out.loopName = ddg.name();
     out.ops = static_cast<std::int64_t>(ddg.numNodes()) *
               ddg.tripCount();
-
-    CpuTimer timer;
-    timer.start();
 
     int mii = 0;
     int max_ii = 0;
@@ -175,7 +171,6 @@ LoopCompiler::compile(const Ddg &ddg) const
                          out.scheduleLength;
             out.cycles = std::max<std::int64_t>(out.cycles, 1);
             out.ipc = static_cast<double>(out.ops) / out.cycles;
-            out.schedSeconds = timer.elapsedSeconds();
             return out;
         }
         ++ii;
@@ -212,7 +207,6 @@ LoopCompiler::compile(const Ddg &ddg) const
     out.cycles = std::max<std::int64_t>(
         ls.totalCycles(ddg.tripCount()), 1);
     out.ipc = static_cast<double>(out.ops) / out.cycles;
-    out.schedSeconds = timer.elapsedSeconds();
     return out;
 }
 

@@ -163,9 +163,6 @@ struct CompiledLoop
     /** Scheduling attempts (II bumps + 1). */
     int scheduleAttempts = 0;
 
-    /** Scheduling CPU time (Table 2 metric). */
-    double schedSeconds = 0.0;
-
     // --- the schedule itself (serialized by src/serialize/) ---------
 
     /**

@@ -35,7 +35,6 @@ aggregateProgram(const Program &program,
         CompiledLoop &compiled = item.loop;
         result.totalOps += compiled.ops;
         result.totalCycles += compiled.cycles;
-        result.schedSeconds += compiled.schedSeconds;
         if (!compiled.moduloScheduled)
             ++result.listScheduled;
         result.loops.push_back(std::move(compiled));
@@ -99,7 +98,6 @@ compileSuite(Engine &engine, const std::vector<Program> &suite,
         ProgramResult pr =
             aggregateProgram(program, std::move(loops));
         ipcs.push_back(pr.ipc);
-        result.schedSeconds += pr.schedSeconds;
         result.failedLoops += pr.failures.size();
         result.phases.merge(pr.phases);
         result.programs.push_back(std::move(pr));

@@ -68,9 +68,6 @@ struct ProgramResult
     /** totalOps / totalCycles. */
     double ipc = 0.0;
 
-    /** Scheduling CPU time summed over loops (Table 2 metric). */
-    double schedSeconds = 0.0;
-
     /** Loops that fell back to list scheduling. */
     int listScheduled = 0;
 
@@ -87,9 +84,6 @@ struct SuiteResult
 
     /** Arithmetic mean of program IPCs (the paper's average bar). */
     double meanIpc = 0.0;
-
-    /** Total scheduling CPU time. */
-    double schedSeconds = 0.0;
 
     /** Loops that failed across the whole suite (the per-program
      *  diagnostics live in ProgramResult::failures). */

@@ -13,8 +13,7 @@
  * Results are returned in submission order, and every per-loop
  * compilation is a pure function of its job description, so a batch
  * compiled with 1 job and with N jobs produces bit-identical
- * schedules (the scheduling fields; schedSeconds is wall-clock
- * bookkeeping and naturally varies).
+ * schedules.
  *
  * Failures are per-loop, never per-batch: a job whose input is
  * rejected (CompileError, support/compile_error.hh) yields a

@@ -26,9 +26,8 @@
  * recounts) or a recorded CompiledLoop (same structural checks on
  * the serialized placement/transfer/spill record).
  *
- * Grew up in tests/testing/ (PR 1); promoted into the library so the
- * CLI, benches, and the simulator's differential tests can all call
- * it. tests/testing/validate.hh remains as a source-compatible shim.
+ * Lives in the library so the CLI, benches, the fuzz harness and
+ * the tests all call the same oracle (see sim::verifyCompiled).
  */
 
 #ifndef GPSCHED_SCHED_VALIDATE_HH

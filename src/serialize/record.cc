@@ -61,7 +61,6 @@ encodeCompiledLoop(ByteWriter &out, const CompiledLoop &loop)
     out.i32(loop.stats.overheadMemOps);
     out.i32(loop.partitionRuns);
     out.i32(loop.scheduleAttempts);
-    out.f64(loop.schedSeconds);
 
     out.u32(static_cast<std::uint32_t>(loop.placements.size()));
     for (const OpPlacement &p : loop.placements) {
@@ -112,7 +111,6 @@ decodeCompiledLoop(ByteReader &in, CompiledLoop &loop)
     loop.stats.overheadMemOps = in.i32();
     loop.partitionRuns = in.i32();
     loop.scheduleAttempts = in.i32();
-    loop.schedSeconds = in.f64();
 
     std::uint32_t count = 0;
     if (!readCount(in, count))

@@ -45,8 +45,14 @@ namespace gpsched
 /** "GPSC" read as a little-endian u32. */
 constexpr std::uint32_t diskRecordMagic = 0x43535047u;
 
-/** Version of the record framing + CompiledLoop field encoding. */
-constexpr std::uint32_t recordFormatVersion = 1;
+/**
+ * Version of the record framing + CompiledLoop field encoding.
+ *
+ * v2: the per-loop CPU timer (an f64 after scheduleAttempts) left
+ * the record, so a record is a pure function of its key; v1 records
+ * are misses and get evicted.
+ */
+constexpr std::uint32_t recordFormatVersion = 2;
 
 /**
  * Version of the LoopKey canonical encoding (engine/loop_key.cc).

@@ -2,13 +2,19 @@
 
 #include <sstream>
 
-#include "sim/sim.hh"
+#include "sched/validate.hh"
 
 namespace gpsched::sim
 {
 
 namespace
 {
+
+std::string
+faultText(const SimResult &sim)
+{
+    return sim.fault ? sim.fault->toString() : std::string("ok");
+}
 
 void
 mismatch(ReplayReport &report, const std::string &program,
@@ -18,38 +24,18 @@ mismatch(ReplayReport &report, const std::string &program,
 }
 
 void
-replayOne(ReplayReport &report, const std::string &program_name,
-          const Ddg &ddg, const CompiledLoop &loop,
-          const MachineConfig &machine)
+verifyInto(ReplayReport &report, const std::string &program_name,
+           const Ddg &ddg, const CompiledLoop &loop,
+           const MachineConfig &machine)
 {
-    SimResult sim = simulate(ddg, machine, loop);
+    Verdict verdict = verifyCompiled(ddg, machine, loop);
     ++report.loopsChecked;
-    if (sim.replayed)
+    if (verdict.sim.replayed)
         ++report.loopsReplayed;
-    if (!sim.simOk) {
+    if (!verdict.ok())
         mismatch(report, program_name, loop.loopName,
-                 sim.fault ? sim.fault->toString()
-                           : std::string("replay failed"));
-        return;
-    }
-    std::ostringstream oss;
-    if (loop.moduloScheduled && sim.achievedII != loop.ii) {
-        oss << "achieved II " << sim.achievedII
-            << " != scheduled II " << loop.ii;
-        mismatch(report, program_name, loop.loopName, oss.str());
-        return;
-    }
-    if (sim.simCycles != loop.cycles) {
-        oss << "simulated " << sim.simCycles
-            << " cycles != estimated " << loop.cycles;
-        mismatch(report, program_name, loop.loopName, oss.str());
-        return;
-    }
-    if (sim.achievedIpc != loop.ipc) {
-        oss << "achieved IPC " << sim.achievedIpc
-            << " != reported IPC " << loop.ipc;
-        mismatch(report, program_name, loop.loopName, oss.str());
-    }
+                 std::string(toString(verdict.kind)) + ": " +
+                     verdict.detail);
 }
 
 void
@@ -68,13 +54,77 @@ replayInto(ReplayReport &report, const Program &program,
                      "compiled loop not found in the program's DDGs");
             continue;
         }
-        replayOne(report, program.name, program.loops[next], loop,
-                  machine);
+        verifyInto(report, program.name, program.loops[next], loop,
+                   machine);
         ++next;
     }
 }
 
 } // namespace
+
+const char *
+toString(VerdictKind kind)
+{
+    switch (kind) {
+      case VerdictKind::Pass:
+        return "pass";
+      case VerdictKind::OracleDisagree:
+        return "oracle-disagree";
+      case VerdictKind::ScheduleRejected:
+        return "schedule-rejected";
+      case VerdictKind::MetricMismatch:
+        return "metric-mismatch";
+      default:
+        return "?";
+    }
+}
+
+Verdict
+verifyCompiled(const Ddg &ddg, const MachineConfig &machine,
+               const CompiledLoop &loop)
+{
+    Verdict verdict;
+    verdict.sim = simulate(ddg, machine, loop);
+    const SimResult &s = verdict.sim;
+    auto fail = [&](VerdictKind kind, std::string detail) {
+        verdict.kind = kind;
+        verdict.detail = std::move(detail);
+        return verdict;
+    };
+
+    // The list-scheduling fallback records no placements, so only
+    // the simulator's recomputed cycle model can check it.
+    if (loop.moduloScheduled) {
+        ValidationResult v = validateSchedule(ddg, machine, loop);
+        if (v.valid != s.simOk)
+            return fail(VerdictKind::OracleDisagree,
+                        "validator says '" +
+                            (v.valid ? std::string("ok")
+                                     : v.message) +
+                            "', simulator says " + faultText(s));
+        if (!v.valid)
+            return fail(VerdictKind::ScheduleRejected,
+                        "validator: " + v.message +
+                            "; simulator: " + faultText(s));
+    } else if (!s.simOk) {
+        return fail(VerdictKind::ScheduleRejected,
+                    "simulator rejects list-scheduled record: " +
+                        faultText(s));
+    }
+
+    std::ostringstream mm;
+    if (loop.moduloScheduled && s.achievedII != loop.ii)
+        mm << " achievedII " << s.achievedII << " != ii " << loop.ii;
+    if (s.simCycles != loop.cycles)
+        mm << " simCycles " << s.simCycles << " != cycles "
+           << loop.cycles;
+    if (s.achievedIpc != loop.ipc)
+        mm << " achievedIpc " << s.achievedIpc << " != ipc "
+           << loop.ipc;
+    if (!mm.str().empty())
+        return fail(VerdictKind::MetricMismatch, mm.str().substr(1));
+    return verdict;
+}
 
 std::string
 ReplayReport::summary() const

@@ -1,12 +1,15 @@
 /**
  * @file
- * Suite-level replay gate: re-executes every successfully compiled
- * loop of a ProgramResult/SuiteResult through the cycle-accurate
- * simulator (sim/sim.hh) and cross-checks the execution against the
- * estimator's claims — achieved II must equal the scheduled II,
- * achieved IPC must equal the reported IPC exactly, and the replay
- * must finish without a SimFault. The benches run this behind
- * --replay; the nightly corpus sweep fails on any mismatch.
+ * The two-oracle contract, held once: verifyCompiled() checks one
+ * compiled record with the static validator (sched/validate.hh) and
+ * the cycle-accurate simulator (sim/sim.hh). The two must agree on
+ * whether the schedule is legal, and on a legal schedule the
+ * replayed II, cycles and IPC must equal the compiler's claims bit
+ * for bit. gpsched_cli --simulate, the benches' --replay gate, the
+ * fuzz harness and the property tests all call it.
+ *
+ * replayProgram()/replaySuite() apply it to every successfully
+ * compiled loop of a pipeline result (the --replay gate).
  */
 
 #ifndef GPSCHED_SIM_REPLAY_HH
@@ -18,9 +21,45 @@
 
 #include "core/pipeline.hh"
 #include "machine/machine.hh"
+#include "sim/sim.hh"
 
 namespace gpsched::sim
 {
+
+/** What the two oracles found on one compiled record. */
+enum class VerdictKind : std::uint8_t
+{
+    Pass,
+    OracleDisagree,   ///< validator and simulator verdicts differ
+    ScheduleRejected, ///< the oracles reject the schedule
+    MetricMismatch,   ///< replayed II/cycles/IPC != compiler's claim
+};
+
+/** Stable printable name ("pass", "oracle-disagree", ...). */
+const char *toString(VerdictKind kind);
+
+/** Outcome of verifyCompiled(). */
+struct Verdict
+{
+    VerdictKind kind = VerdictKind::Pass;
+
+    /** Why the record failed; empty on Pass. */
+    std::string detail;
+
+    /** The replay behind the verdict. */
+    SimResult sim;
+
+    bool ok() const { return kind == VerdictKind::Pass; }
+};
+
+/**
+ * Holds @p loop, compiled from @p ddg for @p machine, to the
+ * two-oracle contract. List-scheduled records carry no placements,
+ * so they get the simulator half only (its recomputed cycles and
+ * IPC must still match the record).
+ */
+Verdict verifyCompiled(const Ddg &ddg, const MachineConfig &machine,
+                       const CompiledLoop &loop);
 
 /** One loop whose replay disagreed with its compile record. */
 struct ReplayMismatch
@@ -30,10 +69,10 @@ struct ReplayMismatch
     std::string detail;
 };
 
-/** Outcome of replaying a program or suite. */
+/** Outcome of verifying a program or suite. */
 struct ReplayReport
 {
-    /** Loops replayed (list-scheduled loops count: their recomputed
+    /** Loops verified (list-scheduled loops count: their recomputed
      *  cycles are still cross-checked). */
     std::int64_t loopsChecked = 0;
 
@@ -49,10 +88,10 @@ struct ReplayReport
 };
 
 /**
- * Replays every compiled loop of @p result against @p machine.
- * Loops are matched back to @p program's DDGs by name (failures
- * recorded in result.failures are skipped, like the aggregates
- * skip them).
+ * Runs verifyCompiled() on every compiled loop of @p result against
+ * @p machine. Loops are matched back to @p program's DDGs by name
+ * (failures recorded in result.failures are skipped, like the
+ * aggregates skip them).
  */
 ReplayReport replayProgram(const Program &program,
                            const ProgramResult &result,

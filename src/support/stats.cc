@@ -9,95 +9,6 @@
 namespace gpsched
 {
 
-RunningStat::RunningStat(const RunningStat &other)
-{
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    count_ = other.count_;
-    sum_ = other.sum_;
-    sumSq_ = other.sumSq_;
-    min_ = other.min_;
-    max_ = other.max_;
-}
-
-RunningStat &
-RunningStat::operator=(const RunningStat &other)
-{
-    if (this == &other)
-        return *this;
-    // Consistent order via std::lock avoids lock-order inversion.
-    std::unique_lock<std::mutex> mine(mutex_, std::defer_lock);
-    std::unique_lock<std::mutex> theirs(other.mutex_,
-                                        std::defer_lock);
-    std::lock(mine, theirs);
-    count_ = other.count_;
-    sum_ = other.sum_;
-    sumSq_ = other.sumSq_;
-    min_ = other.min_;
-    max_ = other.max_;
-    return *this;
-}
-
-void
-RunningStat::add(double x)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    sum_ += x;
-    sumSq_ += x * x;
-}
-
-std::size_t
-RunningStat::count() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
-}
-
-double
-RunningStat::mean() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-RunningStat::variance() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ < 2)
-        return 0.0;
-    double n = static_cast<double>(count_);
-    double m = sum_ / n;
-    return std::max(0.0, sumSq_ / n - m * m);
-}
-
-double
-RunningStat::min() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_ ? min_ : 0.0;
-}
-
-double
-RunningStat::max() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_ ? max_ : 0.0;
-}
-
-double
-RunningStat::sum() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sum_;
-}
-
 Histogram::Histogram(double lowest, double growth, std::size_t buckets)
 {
     GPSCHED_ASSERT(lowest > 0.0, "Histogram needs lowest bound > 0");

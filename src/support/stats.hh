@@ -1,13 +1,8 @@
 /**
  * @file
- * Small summary-statistics helpers used by the benches and metrics
- * aggregation (arithmetic/geometric/harmonic means, running stats).
- *
- * RunningStat is safe to share between engine worker threads: add()
- * and every accessor take an internal mutex. Accumulation is a
- * handful of arithmetic operations, so a mutex (rather than
- * per-thread partials) keeps the type copyable and the totals exact
- * without measurable contention at gpsched's job granularity.
+ * Small summary-statistics helpers used by the benches, metrics
+ * aggregation and telemetry (arithmetic/geometric/harmonic means, a
+ * thread-safe latency histogram).
  */
 
 #ifndef GPSCHED_SUPPORT_STATS_HH
@@ -20,53 +15,16 @@
 namespace gpsched
 {
 
-/** Thread-safe streaming accumulator for count/mean/min/max/variance. */
-class RunningStat
-{
-  public:
-    RunningStat() = default;
-    RunningStat(const RunningStat &other);
-    RunningStat &operator=(const RunningStat &other);
-
-    /** Adds one sample. */
-    void add(double x);
-
-    /** Number of samples added. */
-    std::size_t count() const;
-
-    /** Arithmetic mean (0 when empty). */
-    double mean() const;
-
-    /** Population variance (0 when fewer than 2 samples). */
-    double variance() const;
-
-    /** Smallest sample (0 when empty). */
-    double min() const;
-
-    /** Largest sample (0 when empty). */
-    double max() const;
-
-    /** Sum of all samples. */
-    double sum() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::size_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /**
  * Thread-safe fixed-bucket histogram with log-spaced bucket bounds.
  *
- * Companion to RunningStat for when a mean hides the story (task wait
- * times, compile latencies): tracks count/sum/min/max exactly and
- * approximates percentiles from the bucket counts. Bucket bounds are
- * fixed at construction — bucket i covers values <= lowest*growth^i,
- * with a final catch-all bucket — so concurrent add() never
- * reallocates and the type stays copyable like RunningStat.
+ * For when a mean hides the story (task wait times, compile
+ * latencies): tracks count/sum/min/max exactly and approximates
+ * percentiles from the bucket counts. Bucket bounds are fixed at
+ * construction — bucket i covers values <= lowest*growth^i, with a
+ * final catch-all bucket — so concurrent add() never reallocates.
+ * Every accessor takes an internal mutex, so one histogram can be
+ * shared between engine worker threads; the type stays copyable.
  *
  * Percentile queries return the upper bound of the first bucket whose
  * cumulative count reaches the rank, clamped to the observed

@@ -9,8 +9,7 @@
 #include "graph/textio.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
-#include "sched/validate.hh"
-#include "sim/sim.hh"
+#include "sim/replay.hh"
 #include "support/compile_error.hh"
 #include "support/random.hh"
 #include "workload/loop_shapes.hh"
@@ -407,57 +406,20 @@ corruptLoop(CompiledLoop &loop, ScheduleCorruption corruption)
 namespace
 {
 
-/** Differential contract on one compiled (or corrupted) record. */
-void
-checkRecord(const Ddg &ddg, const MachineConfig &machine,
-            SchedulerKind scheme, const CompiledLoop &loop,
-            FuzzCaseResult &result)
+FuzzVerdict
+fuzzVerdict(sim::VerdictKind kind)
 {
-    auto fail = [&](FuzzVerdict kind, std::string detail) {
-        FuzzFailure f;
-        f.loopName = ddg.name();
-        f.machine = machine.name();
-        f.scheme = scheme;
-        f.kind = kind;
-        f.detail = std::move(detail);
-        result.failures.push_back(std::move(f));
-    };
-
-    sim::SimResult s = sim::simulate(ddg, machine, loop);
-    if (loop.moduloScheduled) {
-        ValidationResult v = validateSchedule(ddg, machine, loop);
-        if (v.valid != s.simOk) {
-            fail(FuzzVerdict::OracleDisagree,
-                 std::string("validator says '") +
-                     (v.valid ? "ok" : v.message) +
-                     "', simulator says " +
-                     (s.fault ? s.fault->toString() : "ok"));
-            return;
-        }
-        if (!v.valid) {
-            fail(FuzzVerdict::ScheduleRejected,
-                 "validator: " + v.message + "; simulator: " +
-                     (s.fault ? s.fault->toString() : ""));
-            return;
-        }
-    } else if (!s.simOk) {
-        fail(FuzzVerdict::ScheduleRejected,
-             "simulator rejects list-scheduled record: " +
-                 (s.fault ? s.fault->toString() : ""));
-        return;
+    switch (kind) {
+      case sim::VerdictKind::Pass:
+        return FuzzVerdict::Pass;
+      case sim::VerdictKind::OracleDisagree:
+        return FuzzVerdict::OracleDisagree;
+      case sim::VerdictKind::ScheduleRejected:
+        return FuzzVerdict::ScheduleRejected;
+      case sim::VerdictKind::MetricMismatch:
+        return FuzzVerdict::MetricMismatch;
     }
-
-    std::ostringstream mm;
-    if (loop.moduloScheduled && s.achievedII != loop.ii)
-        mm << " achievedII " << s.achievedII << " != ii " << loop.ii;
-    if (s.simCycles != loop.cycles)
-        mm << " simCycles " << s.simCycles << " != cycles "
-           << loop.cycles;
-    if (s.achievedIpc != loop.ipc)
-        mm << " achievedIpc " << s.achievedIpc << " != ipc "
-           << loop.ipc;
-    if (!mm.str().empty())
-        fail(FuzzVerdict::MetricMismatch, mm.str());
+    GPSCHED_PANIC("bad sim::VerdictKind");
 }
 
 } // namespace
@@ -471,24 +433,27 @@ runFuzzCase(const Ddg &ddg, const std::vector<MachineConfig> &machines,
         for (SchedulerKind scheme :
              {SchedulerKind::Uracam, SchedulerKind::FixedPartition,
               SchedulerKind::Gp}) {
+            auto fail = [&](FuzzVerdict kind, std::string detail) {
+                result.failures.push_back({ddg.name(), machine.name(),
+                                           scheme, kind,
+                                           std::move(detail)});
+            };
             CompiledLoop loop;
             try {
                 loop = LoopCompiler(machine, scheme).compile(ddg);
             } catch (const CompileError &err) {
-                FuzzFailure f;
-                f.loopName = ddg.name();
-                f.machine = machine.name();
-                f.scheme = scheme;
-                f.kind = FuzzVerdict::CompileRejected;
-                f.detail = err.diagnostic();
-                result.failures.push_back(std::move(f));
+                fail(FuzzVerdict::CompileRejected, err.diagnostic());
                 continue;
             }
             ++result.pairsCompiled;
             if (loop.moduloScheduled)
                 ++result.moduloScheduled;
             corruptLoop(loop, corruption);
-            checkRecord(ddg, machine, scheme, loop, result);
+            sim::Verdict verdict =
+                sim::verifyCompiled(ddg, machine, loop);
+            if (!verdict.ok())
+                fail(fuzzVerdict(verdict.kind),
+                     std::move(verdict.detail));
         }
     }
     return result;

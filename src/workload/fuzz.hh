@@ -15,11 +15,8 @@
  *
  *  - a differential harness (runFuzzCase) that compiles one loop
  *    under all three schemes on a machine list and holds every
- *    compiled record to the two-oracle contract: the static
- *    validator (sched/validate.hh) and the cycle-accurate replay
- *    simulator (sim/sim.hh) must agree verdict-for-verdict, and on
- *    accepted schedules the replayed achievedII/cycles/IPC must
- *    equal the compiler's claims bit-exactly;
+ *    compiled record to the two-oracle contract of
+ *    sim::verifyCompiled (sim/replay.hh);
  *
  *  - a greedy minimizer (minimizeDdg) that shrinks a failing loop by
  *    chunked node deletion and per-edge deletion, re-running the
@@ -128,13 +125,14 @@ std::vector<FuzzMachine> fuzzMachines(const std::string &machinesDir);
 std::vector<MachineConfig>
 fuzzConfigs(const std::vector<FuzzMachine> &machines);
 
-/** What a differential check found on one (machine, scheme) pair. */
+/** What a differential check found on one (machine, scheme) pair:
+ *  sim::VerdictKind plus the compile step in front of it. */
 enum class FuzzVerdict : std::uint8_t
 {
     Pass,
     CompileRejected,  ///< CompileError from a generated (valid) loop
     OracleDisagree,   ///< validator and simulator verdicts differ
-    ScheduleRejected, ///< both oracles reject a compiled schedule
+    ScheduleRejected, ///< the oracles reject a compiled schedule
     MetricMismatch,   ///< replayed II/cycles/IPC != compiler's claim
 };
 

@@ -28,9 +28,9 @@
 #include "engine/engine.hh"
 #include "engine/loop_key.hh"
 #include "machine/configs.hh"
+#include "sched/validate.hh"
 #include "serialize/record.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/specfp.hh"
 
 namespace fs = std::filesystem;
@@ -305,6 +305,64 @@ TEST(DiskCache, VersionBumpedRecordIsAMissAndEvicted)
             static_cast<std::streamoff>(recordVersionOffset));
         char next = static_cast<char>(recordFormatVersion + 1);
         io.write(&next, 1);
+    });
+}
+
+namespace
+{
+
+/**
+ * The record a format-v1 writer stored for (@p key, @p loop): the v2
+ * payload with the per-loop CPU timer (an f64 after
+ * scheduleAttempts) put back, correctly framed and checksummed.
+ */
+std::string
+v1Record(const LoopKey &key, const CompiledLoop &loop)
+{
+    ByteWriter fields;
+    encodeCompiledLoop(fields, loop);
+    std::string body = fields.take();
+    // loopName (u32 length + bytes), moduloScheduled (u8), mii, ii,
+    // scheduleLength (i32), cycles, ops (i64), ipc (f64), four stats
+    // counters, partitionRuns, scheduleAttempts (i32).
+    const std::size_t timerAt = 4 + loop.loopName.size() + 1 + 3 * 4 +
+                                2 * 8 + 8 + 6 * 4;
+    ByteWriter timer;
+    timer.f64(0.25);
+    body.insert(timerAt, timer.buffer());
+
+    ByteWriter payload;
+    encodeLoopKey(payload, key);
+    payload.raw(body.data(), body.size());
+    ByteWriter record;
+    record.u32(diskRecordMagic);
+    record.u32(1);
+    record.u32(keySchemaVersion);
+    record.u64(payload.buffer().size());
+    record.u64(fnv1a64(payload.buffer()));
+    record.raw(payload.buffer().data(), payload.buffer().size());
+    return record.take();
+}
+
+} // namespace
+
+TEST(DiskCache, FormatV1RecordIsAMissAndEvicted)
+{
+    corruptionScenario("v1", [](const fs::path &path) {
+        std::string bytes;
+        {
+            std::ifstream in(path, std::ios::binary);
+            std::ostringstream buffer;
+            buffer << in.rdbuf();
+            bytes = buffer.str();
+        }
+        LoopKey key;
+        CompiledLoop loop;
+        ASSERT_TRUE(decodeCacheRecord(bytes, key, loop));
+        std::string old = v1Record(key, loop);
+        ASSERT_EQ(old.size(), bytes.size() + 8);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(old.data(), static_cast<std::streamsize>(old.size()));
     });
 }
 

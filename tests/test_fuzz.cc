@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +19,8 @@
 #include "graph/textio.hh"
 #include "machine/op.hh"
 #include "machine/registry.hh"
+#include "sched/validate.hh"
+#include "sim/replay.hh"
 #include "workload/fuzz.hh"
 
 using namespace gpsched;
@@ -223,12 +226,49 @@ TEST(Fuzz, CorruptionCanariesAreCaught)
 
     FuzzCaseResult cycles =
         runFuzzCase(ddg, configs, ScheduleCorruption::CyclesOffByOne);
-    EXPECT_FALSE(cycles.ok())
+    EXPECT_EQ(cycles.failures.size(),
+              static_cast<std::size_t>(cycles.pairsCompiled))
         << "an off-by-one cycle claim slipped past the replay";
-    bool sawMetric = false;
-    for (const FuzzFailure &f : cycles.failures)
-        sawMetric |= f.kind == FuzzVerdict::MetricMismatch;
-    EXPECT_TRUE(sawMetric);
+    for (const FuzzFailure &f : cycles.failures) {
+        EXPECT_EQ(f.kind, FuzzVerdict::MetricMismatch) << f.toString();
+        EXPECT_STREQ(toString(f.kind), "metric-mismatch");
+    }
+}
+
+TEST(Fuzz, ListScheduledRecordsGetTheSimulatorHalfOnly)
+{
+    LatencyTable lat;
+    auto configs = fuzzConfigs(fuzzMachines(kMachinesDir));
+
+    // The first list-scheduling fallback in the pinned corpus.
+    std::optional<Ddg> ddg;
+    std::optional<MachineConfig> machine;
+    CompiledLoop loop;
+    for (int i = 0; i < 50 && !ddg; ++i) {
+        FuzzCase c = corpusCase(kSeed, i, lat);
+        for (const MachineConfig &m : configs) {
+            loop = LoopCompiler(m, SchedulerKind::Gp).compile(c.ddg);
+            if (!loop.moduloScheduled) {
+                ddg = c.ddg;
+                machine = m;
+                break;
+            }
+        }
+    }
+    ASSERT_TRUE(ddg.has_value()) << "no list-scheduled record found";
+
+    // No placements: the validator rejects the record on shape
+    // alone, so a contract that ran it would never pass a fallback.
+    EXPECT_FALSE(validateSchedule(*ddg, *machine, loop).valid);
+    sim::Verdict verdict = sim::verifyCompiled(*ddg, *machine, loop);
+    EXPECT_TRUE(verdict.ok()) << verdict.detail;
+    EXPECT_FALSE(verdict.sim.replayed);
+
+    // The simulator half still holds the record to its claims.
+    corruptLoop(loop, ScheduleCorruption::CyclesOffByOne);
+    verdict = sim::verifyCompiled(*ddg, *machine, loop);
+    EXPECT_EQ(verdict.kind, sim::VerdictKind::MetricMismatch)
+        << verdict.detail;
 }
 
 // ---------------------------------------------------------------------

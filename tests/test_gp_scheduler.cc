@@ -145,15 +145,6 @@ TEST(LoopCompiler, FixedPartitionNeverDeviates)
     EXPECT_LE(gp.ii, fx.ii);
 }
 
-TEST(LoopCompiler, SchedSecondsPopulated)
-{
-    LatencyTable lat;
-    Ddg g = wideBlockKernel("w", lat, 8, 4, 50);
-    MachineConfig m = fourClusterConfig(32, 1);
-    CompiledLoop r = LoopCompiler(m, SchedulerKind::Gp).compile(g);
-    EXPECT_GE(r.schedSeconds, 0.0);
-}
-
 TEST(LoopCompiler, DeterministicAcrossRuns)
 {
     LatencyTable lat;

@@ -15,8 +15,8 @@
 #include "machine/configs.hh"
 #include "partition/multilevel.hh"
 #include "sched/mii.hh"
+#include "sched/validate.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/loop_shapes.hh"
 #include "workload/specfp.hh"
 

@@ -20,9 +20,9 @@
 #include "machine/machine_desc.hh"
 #include "machine/registry.hh"
 #include "sched/mii.hh"
+#include "sched/validate.hh"
 #include "support/random.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/loop_shapes.hh"
 #include "workload/specfp.hh"
 

@@ -34,10 +34,10 @@
 #include "partition/multilevel.hh"
 #include "sched/fom.hh"
 #include "sched/mii.hh"
-#include "sim/sim.hh"
+#include "sched/validate.hh"
+#include "sim/replay.hh"
 #include "support/random.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/loop_shapes.hh"
 
 using namespace gpsched;
@@ -220,10 +220,9 @@ TEST(Property, EveryCompleteScheduleValidates)
 
 // ---------------------------------------------------------------------
 // Differential oracle property over the full driver: every loop any
-// scheme compiles on any machine replays to exactly the metrics the
-// compiler reported — achieved II == scheduled II, achieved IPC ==
-// reported IPC (bit-exact), cycles == estimated cycles — and the
-// simulator and validator agree on every compiled record.
+// scheme compiles on any machine passes sim::verifyCompiled — the
+// validator and simulator agree, and the replay reproduces the
+// compiler's II, cycles and IPC bit-exactly.
 // ---------------------------------------------------------------------
 
 TEST(Property, CompiledLoopsReplayToReportedMetrics)
@@ -248,27 +247,13 @@ TEST(Property, CompiledLoopsReplayToReportedMetrics)
                   SchedulerKind::Gp}) {
                 CompiledLoop loop =
                     LoopCompiler(m, kind).compile(g);
-                sim::SimResult s = sim::simulate(g, m, loop);
-                ASSERT_TRUE(s.simOk)
+                sim::Verdict v = sim::verifyCompiled(g, m, loop);
+                ASSERT_TRUE(v.ok())
                     << describe(seed, m) << " scheme "
-                    << toString(kind) << ": "
-                    << (s.fault ? s.fault->toString() : "");
-                EXPECT_EQ(s.simCycles, loop.cycles)
-                    << describe(seed, m) << " scheme "
-                    << toString(kind);
-                EXPECT_EQ(s.achievedIpc, loop.ipc)
-                    << describe(seed, m) << " scheme "
-                    << toString(kind);
-                if (loop.moduloScheduled) {
-                    EXPECT_EQ(s.achievedII, loop.ii)
-                        << describe(seed, m) << " scheme "
-                        << toString(kind);
-                    auto v = validateSchedule(g, m, loop);
-                    EXPECT_EQ(v.valid, s.simOk)
-                        << describe(seed, m) << " scheme "
-                        << toString(kind) << ": " << v.message;
+                    << toString(kind) << ": " << sim::toString(v.kind)
+                    << ": " << v.detail;
+                if (v.sim.replayed)
                     ++replayed;
-                }
             }
         }
     }

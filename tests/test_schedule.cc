@@ -10,8 +10,8 @@
 #include "graph/ddg_builder.hh"
 #include "machine/configs.hh"
 #include "sched/schedule.hh"
+#include "sched/validate.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 
 using namespace gpsched;
 using namespace gpsched::testing;

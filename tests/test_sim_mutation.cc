@@ -28,7 +28,7 @@
 #include "machine/configs.hh"
 #include "machine/registry.hh"
 #include "sched/validate.hh"
-#include "sim/sim.hh"
+#include "sim/replay.hh"
 #include "support/random.hh"
 #include "testing/fixtures.hh"
 #include "workload/loop_shapes.hh"
@@ -39,7 +39,7 @@ using namespace gpsched::testing;
 namespace
 {
 
-/** Compiles @p ddg with GP and asserts both oracles accept it. */
+/** Compiles @p ddg with GP and asserts the oracles accept it. */
 std::optional<CompiledLoop>
 goodLoop(const Ddg &ddg, const MachineConfig &machine)
 {
@@ -47,19 +47,16 @@ goodLoop(const Ddg &ddg, const MachineConfig &machine)
         LoopCompiler(machine, SchedulerKind::Gp).compile(ddg);
     if (!loop.moduloScheduled)
         return std::nullopt;
-    ValidationResult v = validateSchedule(ddg, machine, loop);
-    EXPECT_TRUE(v.valid) << ddg.name() << " on " << machine.name()
-                         << ": " << v.message;
-    sim::SimResult s = sim::simulate(ddg, machine, loop);
-    EXPECT_TRUE(s.simOk) << ddg.name() << " on " << machine.name()
-                         << ": "
-                         << (s.fault ? s.fault->toString() : "");
-    if (!v.valid || !s.simOk)
+    sim::Verdict verdict = sim::verifyCompiled(ddg, machine, loop);
+    EXPECT_TRUE(verdict.ok()) << ddg.name() << " on " << machine.name()
+                              << ": " << verdict.detail;
+    if (!verdict.ok())
         return std::nullopt;
     return loop;
 }
 
-/** Both oracles must reject @p mutant. */
+/** Both oracles must reject @p mutant, and the contract must say
+ *  so with one verdict. */
 void
 expectBothReject(const Ddg &ddg, const MachineConfig &machine,
                  const CompiledLoop &mutant, const std::string &what)
@@ -70,6 +67,10 @@ expectBothReject(const Ddg &ddg, const MachineConfig &machine,
     sim::SimResult s = sim::simulate(ddg, machine, mutant);
     EXPECT_FALSE(s.simOk)
         << what << ": the simulator accepted the mutant";
+    sim::Verdict verdict = sim::verifyCompiled(ddg, machine, mutant);
+    EXPECT_EQ(verdict.kind, sim::VerdictKind::ScheduleRejected)
+        << what << ": " << sim::toString(verdict.kind) << ": "
+        << verdict.detail;
 }
 
 /**

@@ -140,36 +140,6 @@ TEST(Rng, ForkIsIndependentOfParentUse)
         EXPECT_EQ(child2.next(), draws1[i]);
 }
 
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-    EXPECT_EQ(s.min(), 0.0);
-    EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStat, MeanMinMax)
-{
-    RunningStat s;
-    for (double x : {4.0, 2.0, 6.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 6.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 12.0);
-}
-
-TEST(RunningStat, Variance)
-{
-    RunningStat s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_NEAR(s.variance(), 4.0, 1e-9);
-}
-
 TEST(Means, Arithmetic)
 {
     EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 3.0}), 2.0);

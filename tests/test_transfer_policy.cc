@@ -34,8 +34,8 @@
 #include "machine/registry.hh"
 #include "partition/multilevel.hh"
 #include "sched/mii.hh"
+#include "sched/validate.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/specfp.hh"
 
 using namespace gpsched;

@@ -11,10 +11,9 @@
 #include "machine/configs.hh"
 #include "sched/schedule.hh"
 #include "sched/transforms.hh"
-#include "testing/validate.hh"
+#include "sched/validate.hh"
 
 using namespace gpsched;
-using namespace gpsched::testing;
 
 namespace
 {

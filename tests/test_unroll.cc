@@ -12,8 +12,8 @@
 #include "graph/unroll.hh"
 #include "machine/configs.hh"
 #include "sched/mii.hh"
+#include "sched/validate.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/loop_shapes.hh"
 
 using namespace gpsched;

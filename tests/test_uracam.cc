@@ -13,8 +13,8 @@
 #include "partition/multilevel.hh"
 #include "sched/mii.hh"
 #include "sched/uracam.hh"
+#include "sched/validate.hh"
 #include "testing/fixtures.hh"
-#include "testing/validate.hh"
 #include "workload/loop_shapes.hh"
 
 using namespace gpsched;

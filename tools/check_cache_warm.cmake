@@ -50,14 +50,12 @@ endif()
 
 # The per-loop reports must agree metric for metric. Strip the
 # engine-stats block and the per-run wall-clock / provenance fields
-# (schedSeconds, compileMs, source) before comparing. The engine
-# block is flat here: its nested phases array only appears under
-# --stats-json / --trace, which this test does not pass.
+# (compileMs, source) before comparing. The engine block is flat
+# here: its nested phases array only appears under --stats-json /
+# --trace, which this test does not pass.
 foreach(run cold warm)
   string(REGEX REPLACE "\"engine\": {[^}]*}" "" ${run}_trim
          "${${run}_out}")
-  string(REGEX REPLACE "\"schedSeconds\": [^,}\n]*" "" ${run}_trim
-         "${${run}_trim}")
   string(REGEX REPLACE "\"compileMs\": [^,}\n]*" "" ${run}_trim
          "${${run}_trim}")
   string(REGEX REPLACE "\"source\": \"[a-z]*\"" "" ${run}_trim

@@ -13,7 +13,7 @@ execute_process(
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report['schemaVersion'] == 1
+assert report['schemaVersion'] == 2
 assert report['machine']['clusters'] >= 1
 loops = report['loops']
 assert loops, 'no loops in report'

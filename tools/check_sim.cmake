@@ -1,11 +1,11 @@
 # The --simulate contract, end to end: (a) over a healthy batch the
-# CLI exits 0 and every loop row carries a sim verdict that agrees
-# with the compile record (simOk true, achievedII == ii for
-# modulo-scheduled loops, achievedIpc == ipc exactly); (b) over a
-# mixed good/bad batch with --keep-going the failed loops keep their
-# typed error objects untouched (no sim fields) while the good loops
-# still carry agreeing verdicts, and the run exits 1 because loops
-# failed to compile — not because any replay failed.
+# CLI exits 0 and every loop row carries "verdict": "pass" and sim
+# fields that agree with the compile record (simOk true, achievedII
+# == ii for modulo-scheduled loops, achievedIpc == ipc exactly); (b)
+# over a mixed good/bad batch with --keep-going the failed loops keep
+# their typed error objects untouched (no sim fields) while the good
+# loops still carry agreeing verdicts, and the run exits 1 because
+# loops failed to compile — not because any verdict failed.
 #
 # Variables:
 #   CLI     path to the gpsched_cli binary
@@ -42,6 +42,8 @@ assert loops, 'no loop rows'
 assert report['engine']['simulate'] is True, 'simulate not recorded'
 for row in loops:
     assert 'error' not in row, 'unexpected error row: %r' % row
+    assert row['verdict'] == 'pass', '%s: %s' % (
+        row['name'], row.get('verdictDetail'))
     assert row['simOk'] is True, 'replay rejected %s' % row['name']
     if row['moduloScheduled']:
         assert row['replayed'] is True, row['name']
@@ -86,13 +88,14 @@ for row in report['loops']:
         bad += 1
         # A failed loop has no schedule to replay: its error object
         # must ride alone, without sim fields.
-        for key in ('simOk', 'replayed', 'achievedII', 'achievedIpc',
-                    'simFault'):
+        for key in ('verdict', 'simOk', 'replayed', 'achievedII',
+                    'achievedIpc', 'simFault'):
             assert key not in row, '%s leaked into error row %s' % (
                 key, row['name'])
         assert set(row['error']) == {'kind', 'message', 'location'}
     else:
         good += 1
+        assert row['verdict'] == 'pass', row['name']
         assert row['simOk'] is True, 'replay rejected %s' % row['name']
         assert row['achievedIpc'] == row['ipc'], row['name']
 assert good >= 2 and bad >= 2, 'fixture shape changed: %d/%d' % (

@@ -26,11 +26,12 @@
  *                       rejected loop becomes an error object in the
  *                       report instead of aborting the run; exit
  *                       status is nonzero iff any loop failed
- *     --simulate        replay every compiled loop through the
- *                       cycle-accurate simulator (src/sim/) and add
+ *     --simulate        check every compiled loop with both oracles
+ *                       (sim::verifyCompiled) and add verdict/
  *                       replayed/simOk/achievedII/achievedIpc to each
  *                       loop row (simFault on a rejected replay);
- *                       exit status is nonzero iff a replay fails
+ *                       exit status is nonzero iff a verdict is not
+ *                       "pass"
  *     --json PATH       report path; '-' = stdout (default '-')
  *     --stats-json PATH unified metric-registry dump (engine/cache/
  *                       disk/pool/phase counters; see
@@ -57,7 +58,7 @@
 #include "graph/textio.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
-#include "sim/sim.hh"
+#include "sim/replay.hh"
 #include "support/compile_error.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -107,10 +108,10 @@ usage(const char *argv0, int status)
        << "  --keep-going     report per-loop failures as JSON error\n"
        << "                   objects instead of aborting; exit 1\n"
        << "                   iff any loop failed\n"
-       << "  --simulate       replay compiled loops through the\n"
-       << "                   cycle-accurate simulator; adds simOk/\n"
+       << "  --simulate       check compiled loops with the validator\n"
+       << "                   and the simulator; adds verdict/simOk/\n"
        << "                   achievedII/achievedIpc per loop, exit 1\n"
-       << "                   iff a replay fails\n"
+       << "                   iff a verdict is not pass\n"
        << "  --json PATH      JSON report path, '-' = stdout\n"
        << "  --stats-json PATH  write the unified metric registry\n"
        << "                   (engine/disk/pool/phase) as JSON\n"
@@ -355,13 +356,13 @@ writeReport(std::ostream &os, const CliOptions &options,
             const std::vector<SchedulerKind> &schemes,
             const std::vector<InputLoop> &inputs,
             const std::vector<CompileResult> &results,
-            const std::vector<std::optional<sim::SimResult>> &sims,
+            const std::vector<std::optional<sim::Verdict>> &verdicts,
             const Engine &engine)
 {
     EngineStats stats = engine.stats();
     JsonWriter json(os);
     json.beginObject();
-    json.member("schemaVersion", 1);
+    json.member("schemaVersion", 2);
     json.member("tool", "gpsched_cli");
     json.beginObject("machine");
     json.member("name", machine.name());
@@ -438,11 +439,14 @@ writeReport(std::ostream &os, const CliOptions &options,
             json.member("spills", loop.stats.spills);
             json.member("partitionRuns", loop.partitionRuns);
             json.member("scheduleAttempts", loop.scheduleAttempts);
-            json.member("schedSeconds", loop.schedSeconds);
-            // --simulate: the replay verdict rides on the row. next
+            // --simulate: the oracle verdict rides on the row. next
             // was already advanced past this result.
-            if (sims[next - 1].has_value()) {
-                const sim::SimResult &s = *sims[next - 1];
+            if (verdicts[next - 1].has_value()) {
+                const sim::Verdict &v = *verdicts[next - 1];
+                const sim::SimResult &s = v.sim;
+                json.member("verdict", sim::toString(v.kind));
+                if (!v.ok())
+                    json.member("verdictDetail", v.detail);
                 json.member("replayed", s.replayed);
                 json.member("simOk", s.simOk);
                 json.member("achievedII", s.achievedII);
@@ -533,29 +537,28 @@ run(int argc, char **argv)
     for (int r = 0; r < options.repeat; ++r)
         results = engine.compileBatch(batch);
 
-    // --simulate: replay every successfully compiled loop; the
+    // --simulate: verify every successfully compiled loop; the
     // verdicts ride on the report rows (parallel to results, error
     // rows keep their error object untouched).
-    std::vector<std::optional<sim::SimResult>> sims(results.size());
-    bool simFailed = false;
+    std::vector<std::optional<sim::Verdict>> verdicts(results.size());
+    bool verifyFailed = false;
     if (options.simulate) {
         for (std::size_t i = 0; i < results.size(); ++i) {
             if (!results[i].ok())
                 continue;
-            sims[i] = sim::simulate(*batch[i].loop, machine,
-                                    results[i].loop);
-            if (!sims[i]->simOk) {
-                simFailed = true;
-                GPSCHED_WARN("replay of loop '",
-                             results[i].loop.loopName, "' failed: ",
-                             sims[i]->fault
-                                 ? sims[i]->fault->toString()
-                                 : std::string("unknown fault"));
+            verdicts[i] = sim::verifyCompiled(*batch[i].loop, machine,
+                                              results[i].loop);
+            if (!verdicts[i]->ok()) {
+                verifyFailed = true;
+                GPSCHED_WARN("loop '", results[i].loop.loopName,
+                             "' failed verification: ",
+                             sim::toString(verdicts[i]->kind), ": ",
+                             verdicts[i]->detail);
             }
         }
     }
 
-    bool anyFailed = simFailed;
+    bool anyFailed = verifyFailed;
     for (const InputLoop &input : inputs)
         anyFailed |= !input.parsed();
     for (const CompileResult &result : results) {
@@ -570,14 +573,14 @@ run(int argc, char **argv)
 
     if (options.jsonPath == "-") {
         writeReport(std::cout, options, machine, schemes, inputs,
-                    results, sims, engine);
+                    results, verdicts, engine);
     } else {
         std::ofstream out(options.jsonPath);
         if (!out)
             GPSCHED_FATAL("cannot open JSON report path '",
                           options.jsonPath, "'");
         writeReport(out, options, machine, schemes, inputs, results,
-                    sims, engine);
+                    verdicts, engine);
     }
 
     if (!options.statsJsonPath.empty()) {
