@@ -11,6 +11,7 @@
 #include "machine/configs.hh"
 #include "machine/registry.hh"
 #include "sim/replay.hh"
+#include "support/args.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
@@ -32,29 +33,6 @@ BenchOptions::engineOptions() const
     options.collectPhases = true;
     return options;
 }
-
-namespace
-{
-
-/** Strict non-negative integer parse; exits 2 on any other text. */
-int
-parseCount(const char *argv0, const std::string &flag,
-           const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    long value = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' ||
-        value < 0 || value > 1 << 20) {
-        std::cerr << argv0 << ": " << flag
-                  << " needs a non-negative integer, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    return static_cast<int>(value);
-}
-
-} // namespace
 
 BenchOptions
 parseBenchArgs(int argc, char **argv)
@@ -214,42 +192,6 @@ benchSuiteWithFuzz(const LatencyTable &lat,
     return suite;
 }
 
-namespace
-{
-
-/** The engine/cache statistics block shared by both JSON schemas
- *  (cold/warm disk traffic included so the nightly trajectory can
- *  gate on warm-run hit rates). */
-void
-writeEngineStatsJson(JsonWriter &json, const Engine &engine)
-{
-    EngineStats stats = engine.stats();
-    json.beginObject("engine");
-    json.member("jobs", engine.jobs());
-    json.member("jobsSubmitted", stats.jobsSubmitted);
-    json.member("cacheHits", stats.cacheHits);
-    json.member("cacheMisses", stats.cacheMisses);
-    json.member("coalesced", stats.coalesced);
-    json.member("failed", stats.failed);
-    json.member("hitRate", stats.hitRate());
-    json.member("cacheDir", engine.diskCache()
-                                ? engine.diskCache()->dir()
-                                : std::string());
-    json.member("diskHits", stats.diskHits);
-    json.member("diskMisses", stats.diskMisses);
-    json.member("diskStores", stats.diskStores);
-    json.member("corruptEvicted", stats.corruptEvicted);
-    json.member("diskHitRate", stats.diskHitRate());
-    // Additive phase breakdown (empty when the engine did not
-    // collect phases, e.g. pre-telemetry consumers' replays).
-    CompileTrace phases = engine.phaseTotals();
-    if (!phases.empty())
-        writeCompileTracePhases(json, "phases", phases);
-    json.endObject();
-}
-
-} // namespace
-
 void
 replaySuiteOrDie(bool enabled, const std::vector<Program> &suite,
                  const SuiteResult &result,
@@ -372,7 +314,9 @@ writePanelsJson(std::ostream &os, const std::string &benchName,
         json.endObject();
     }
     json.endArray();
-    writeEngineStatsJson(json, engine);
+    json.beginObject("engine");
+    writeEngineJson(json, engine);
+    json.endObject();
     json.endObject();
 }
 
@@ -437,8 +381,11 @@ writeMetricTablesJson(std::ostream &os, const std::string &benchName,
         json.endObject();
     }
     json.endArray();
-    if (engine)
-        writeEngineStatsJson(json, *engine);
+    if (engine) {
+        json.beginObject("engine");
+        writeEngineJson(json, *engine);
+        json.endObject();
+    }
     json.endObject();
 }
 

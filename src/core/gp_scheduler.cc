@@ -27,6 +27,26 @@ toString(SchedulerKind kind)
     GPSCHED_PANIC("unknown scheduler kind");
 }
 
+const char *
+schemeFlag(SchedulerKind kind)
+{
+    for (const SchemeName &scheme : kSchemeNames) {
+        if (scheme.kind == kind)
+            return scheme.flag;
+    }
+    GPSCHED_PANIC("unknown scheduler kind");
+}
+
+std::optional<SchedulerKind>
+parseSchemeFlag(const std::string &flag)
+{
+    for (const SchemeName &scheme : kSchemeNames) {
+        if (flag == scheme.flag)
+            return scheme.kind;
+    }
+    return std::nullopt;
+}
+
 namespace
 {
 

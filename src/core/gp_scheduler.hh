@@ -29,6 +29,7 @@
 #define GPSCHED_CORE_GP_SCHEDULER_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,26 @@ enum class SchedulerKind
 
 /** Printable name ("URACAM", "Fixed", "GP"). */
 std::string toString(SchedulerKind kind);
+
+/** One scheme's command-line spelling. */
+struct SchemeName
+{
+    const char *flag;
+    SchedulerKind kind;
+};
+
+/** Every scheme's command-line spelling, in SchedulerKind order. */
+inline constexpr SchemeName kSchemeNames[] = {
+    {"uracam", SchedulerKind::Uracam},
+    {"fixed", SchedulerKind::FixedPartition},
+    {"gp", SchedulerKind::Gp},
+};
+
+/** Command-line spelling ("uracam", "fixed", "gp"). */
+const char *schemeFlag(SchedulerKind kind);
+
+/** The scheme spelled @p flag on the command line, if any. */
+std::optional<SchedulerKind> parseSchemeFlag(const std::string &flag);
 
 /**
  * When the GP driver recomputes the partition after a failed

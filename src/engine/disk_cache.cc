@@ -18,16 +18,6 @@ namespace fs = std::filesystem;
 namespace gpsched
 {
 
-double
-DiskCacheStats::hitRate() const
-{
-    const std::uint64_t lookups = hits + misses;
-    return lookups == 0
-               ? 0.0
-               : static_cast<double>(hits) /
-                     static_cast<double>(lookups);
-}
-
 namespace
 {
 
@@ -109,9 +99,21 @@ walkStore(const fs::path &root, std::vector<WalkEntry> &records,
 
 } // namespace
 
-DiskCache::DiskCache(std::string dir, std::uint64_t max_bytes)
-    : dir_(std::move(dir)), maxBytes_(max_bytes)
+DiskCache::DiskCache(std::string dir, std::uint64_t max_bytes,
+                     MetricRegistry *metrics)
+    : dir_(std::move(dir)), maxBytes_(max_bytes),
+      ownedMetrics_(metrics == nullptr
+                        ? std::make_unique<MetricRegistry>()
+                        : nullptr)
 {
+    MetricRegistry &registry =
+        metrics != nullptr ? *metrics : *ownedMetrics_;
+    hits_ = &registry.counter("disk.hits");
+    misses_ = &registry.counter("disk.misses");
+    stores_ = &registry.counter("disk.stores");
+    corruptEvicted_ = &registry.counter("disk.corruptEvicted");
+    compacted_ = &registry.counter("disk.compacted");
+
     GPSCHED_ASSERT(!dir_.empty(), "disk cache without a directory");
     std::error_code ec;
     fs::create_directories(dir_, ec);
@@ -163,7 +165,7 @@ DiskCache::lookup(const LoopKey &key, CompiledLoop &out)
     const fs::path path = recordPath(key);
     std::string bytes;
     if (!readFile(path, bytes)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_->add();
         return false;
     }
 
@@ -179,14 +181,14 @@ DiskCache::lookup(const LoopKey &key, CompiledLoop &out)
                 static_cast<std::int64_t>(bytes.size()),
                 std::memory_order_relaxed);
         }
-        corruptEvicted_.fetch_add(1, std::memory_order_relaxed);
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        corruptEvicted_->add();
+        misses_->add();
         return false;
     }
     if (storedKey.canonical != key.canonical) {
         // A full-digest collision: the record is valid, it is just
         // someone else's. Leave it in place.
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_->add();
         return false;
     }
 
@@ -195,7 +197,7 @@ DiskCache::lookup(const LoopKey &key, CompiledLoop &out)
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
 
     out = std::move(storedValue);
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_->add();
     return true;
 }
 
@@ -248,7 +250,7 @@ DiskCache::store(const LoopKey &key, const CompiledLoop &value)
         fs::remove(temp, ec);
         return;
     }
-    stores_.fetch_add(1, std::memory_order_relaxed);
+    stores_->add();
 
     const std::int64_t delta =
         static_cast<std::int64_t>(record.size()) -
@@ -299,7 +301,7 @@ DiskCache::compact()
             if (ec)
                 continue;
             total -= std::min(record.size, total);
-            compacted_.fetch_add(1, std::memory_order_relaxed);
+            compacted_->add();
         }
     }
     approxBytes_.store(static_cast<std::int64_t>(total),
@@ -316,19 +318,6 @@ DiskCache::residentBytes() const
     for (const WalkEntry &record : records)
         total += record.size;
     return total;
-}
-
-DiskCacheStats
-DiskCache::stats() const
-{
-    DiskCacheStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.stores = stores_.load(std::memory_order_relaxed);
-    stats.corruptEvicted =
-        corruptEvicted_.load(std::memory_order_relaxed);
-    stats.compacted = compacted_.load(std::memory_order_relaxed);
-    return stats;
 }
 
 } // namespace gpsched

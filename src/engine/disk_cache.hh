@@ -27,6 +27,11 @@
  * walks the store and unlinks records oldest-mtime-first until the
  * budget holds again. Hits touch their record's mtime, making the
  * policy LRU-by-mtime.
+ *
+ * Counters (kCounters) live in the MetricRegistry the cache is
+ * given: disk.hits, disk.misses, disk.stores, disk.corruptEvicted
+ * (records unlinked because they failed verification) and
+ * disk.compacted (records unlinked by budget compaction).
  */
 
 #ifndef GPSCHED_ENGINE_DISK_CACHE_HH
@@ -34,44 +39,37 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 
 #include "core/gp_scheduler.hh"
 #include "engine/loop_key.hh"
+#include "support/telemetry.hh"
 
 namespace gpsched
 {
-
-/** Aggregate disk-cache counters. */
-struct DiskCacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stores = 0;
-
-    /** Records unlinked because they failed verification. */
-    std::uint64_t corruptEvicted = 0;
-
-    /** Records unlinked by budget compaction. */
-    std::uint64_t compacted = 0;
-
-    /** hits / (hits + misses); 0 when no lookups happened. */
-    double hitRate() const;
-};
 
 /** Sharded on-disk record store keyed by LoopKey. */
 class DiskCache
 {
   public:
+    /** Every counter name the cache keeps in its registry. */
+    static constexpr const char *kCounters[] = {
+        "disk.hits", "disk.misses", "disk.stores",
+        "disk.corruptEvicted", "disk.compacted"};
+
     /**
      * Opens (creating if needed) the store rooted at @p dir.
      * Fatal — a user error, not a crash — when the directory cannot
      * be created or written.
      *
      * @param max_bytes resident-size budget; 0 = unlimited
+     * @param metrics counter store (must outlive the cache); null
+     *        counts into a registry the cache owns
      */
-    DiskCache(std::string dir, std::uint64_t max_bytes);
+    DiskCache(std::string dir, std::uint64_t max_bytes,
+              MetricRegistry *metrics = nullptr);
 
     DiskCache(const DiskCache &) = delete;
     DiskCache &operator=(const DiskCache &) = delete;
@@ -102,12 +100,6 @@ class DiskCache
     /** Root directory. */
     const std::string &dir() const { return dir_; }
 
-    /** Byte budget (0 = unlimited). */
-    std::uint64_t maxBytes() const { return maxBytes_; }
-
-    /** Lifetime counters. */
-    DiskCacheStats stats() const;
-
   private:
     std::string shardDir(const LoopKey &key) const;
     std::string recordPath(const LoopKey &key) const;
@@ -127,11 +119,15 @@ class DiskCache
      *  and this-pointer; see store()). */
     std::atomic<std::uint64_t> tempSeq_{0};
 
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> stores_{0};
-    std::atomic<std::uint64_t> corruptEvicted_{0};
-    std::atomic<std::uint64_t> compacted_{0};
+    /** Counter store when no registry was given. */
+    std::unique_ptr<MetricRegistry> ownedMetrics_;
+
+    /** Handles into the counter store, resolved at construction. */
+    MetricRegistry::Counter *hits_;
+    MetricRegistry::Counter *misses_;
+    MetricRegistry::Counter *stores_;
+    MetricRegistry::Counter *corruptEvicted_;
+    MetricRegistry::Counter *compacted_;
 };
 
 } // namespace gpsched

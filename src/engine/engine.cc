@@ -1,5 +1,8 @@
 #include "engine/engine.hh"
 
+#include <atomic>
+
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/timer.hh"
 
@@ -31,26 +34,26 @@ serialEngineOptions()
     return options;
 }
 
-double
-EngineStats::hitRate() const
-{
-    return jobsSubmitted == 0
-               ? 0.0
-               : static_cast<double>(cacheHits) /
-                     static_cast<double>(jobsSubmitted);
-}
-
-double
-EngineStats::diskHitRate() const
-{
-    const std::uint64_t probes = diskHits + diskMisses;
-    return probes == 0 ? 0.0
-                       : static_cast<double>(diskHits) /
-                             static_cast<double>(probes);
-}
-
 namespace
 {
+
+/** Result-cache entries and lock stripes. */
+constexpr std::size_t kCacheCapacity = 1 << 16;
+constexpr std::size_t kCacheShards = 16;
+
+/** The counters an Engine keeps in its registry. */
+constexpr const char *kEngineCounters[] = {
+    "engine.jobsSubmitted", "engine.cacheHits", "engine.cacheMisses",
+    "engine.coalesced", "engine.failed"};
+
+/** part / whole; 0 when whole is 0. */
+double
+ratio(std::uint64_t part, std::uint64_t whole)
+{
+    return whole == 0 ? 0.0
+                      : static_cast<double>(part) /
+                            static_cast<double>(whole);
+}
 
 int
 effectiveJobs(int requested)
@@ -76,11 +79,21 @@ Engine::Engine(EngineOptions options)
       // A 1-job engine runs inline on the submitting thread.
       pool_(jobs_ <= 1 ? 0 : jobs_,
             PoolTelemetry{options.metrics, options.trace, pid_}),
-      cache_(options.cacheCapacity, options.cacheShards)
+      cache_(kCacheCapacity, kCacheShards),
+      ownedMetrics_(options.metrics == nullptr
+                        ? std::make_unique<MetricRegistry>()
+                        : nullptr),
+      metrics_(options.metrics != nullptr ? options.metrics
+                                          : ownedMetrics_.get()),
+      jobsSubmitted_(&metrics_->counter("engine.jobsSubmitted")),
+      cacheHits_(&metrics_->counter("engine.cacheHits")),
+      cacheMisses_(&metrics_->counter("engine.cacheMisses")),
+      coalesced_(&metrics_->counter("engine.coalesced")),
+      failed_(&metrics_->counter("engine.failed"))
 {
     if (options_.cacheEnabled && !options_.cacheDir.empty()) {
-        disk_ = std::make_unique<DiskCache>(options_.cacheDir,
-                                            options_.cacheMaxBytes);
+        disk_ = std::make_unique<DiskCache>(
+            options_.cacheDir, options_.cacheMaxBytes, metrics_);
     }
     if (options_.trace != nullptr)
         options_.trace->metadata(
@@ -114,7 +127,7 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
 {
     GPSCHED_ASSERT(job.loop != nullptr && job.machine != nullptr,
                    "engine job without loop or machine");
-    jobsSubmitted_.fetch_add(1, std::memory_order_relaxed);
+    jobsSubmitted_->add();
 
     // Runs compiler.compile under the ambient telemetry context so
     // GPSCHED_PHASE_SPAN sites attribute into this job's trace, and
@@ -189,7 +202,7 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
     // re-labelled with the requesting loop's name (the error may
     // come from a structurally identical owner with another name).
     auto failWith = [&](CompileError error) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
+        failed_->add();
         error.setLoopName(job.loop->name());
         return CompileResult::failure(std::move(error));
     };
@@ -209,7 +222,7 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
     CompiledLoop result;
     if (probeSpan("cache-probe", "cache",
                   [&] { return cache_.lookup(key, result); })) {
-        cacheHits_.fetch_add(1, std::memory_order_relaxed);
+        cacheHits_->add();
         source = CompileSource::Memory;
         // Names are excluded from the fingerprint; report the
         // requesting loop's name, not the first-seen shape's.
@@ -228,7 +241,7 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
     {
         std::lock_guard<std::mutex> lock(inflightMutex_);
         if (cache_.lookup(key, result)) {
-            cacheHits_.fetch_add(1, std::memory_order_relaxed);
+            cacheHits_->add();
             source = CompileSource::Memory;
             result.loopName = job.loop->name();
             return CompileResult::success(std::move(result));
@@ -242,7 +255,7 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
         }
     }
     if (pending.valid()) {
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
+        coalesced_->add();
         source = CompileSource::Coalesced;
         // The shared future carries the owner's exception; a
         // duplicate awaiting a failed owner observes the same
@@ -279,7 +292,7 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
         result.loopName = job.loop->name();
         return CompileResult::success(std::move(result));
     }
-    cacheMisses_.fetch_add(1, std::memory_order_relaxed);
+    cacheMisses_->add();
 
     try {
         LoopCompiler compiler(*job.machine, job.kind, job.options);
@@ -332,26 +345,6 @@ Engine::compileBatch(const std::vector<EngineJob> &batch)
     return results;
 }
 
-EngineStats
-Engine::stats() const
-{
-    EngineStats stats;
-    stats.jobsSubmitted =
-        jobsSubmitted_.load(std::memory_order_relaxed);
-    stats.cacheHits = cacheHits_.load(std::memory_order_relaxed);
-    stats.cacheMisses = cacheMisses_.load(std::memory_order_relaxed);
-    stats.coalesced = coalesced_.load(std::memory_order_relaxed);
-    stats.failed = failed_.load(std::memory_order_relaxed);
-    if (disk_) {
-        DiskCacheStats disk = disk_->stats();
-        stats.diskHits = disk.hits;
-        stats.diskMisses = disk.misses;
-        stats.diskStores = disk.stores;
-        stats.corruptEvicted = disk.corruptEvicted;
-    }
-    return stats;
-}
-
 CompileTrace
 Engine::phaseTotals() const
 {
@@ -362,20 +355,18 @@ Engine::phaseTotals() const
 void
 Engine::exportStats(MetricRegistry &registry) const
 {
-    EngineStats s = stats();
-    registry.counter("engine.jobsSubmitted").set(s.jobsSubmitted);
-    registry.counter("engine.cacheHits").set(s.cacheHits);
-    registry.counter("engine.cacheMisses").set(s.cacheMisses);
-    registry.counter("engine.coalesced").set(s.coalesced);
-    registry.counter("engine.failed").set(s.failed);
+    if (&registry != metrics_) {
+        auto copy = [&](const char *name) {
+            registry.counter(name).set(metrics_->counterValue(name));
+        };
+        for (const char *name : kEngineCounters)
+            copy(name);
+        if (disk_)
+            for (const char *name : DiskCache::kCounters)
+                copy(name);
+    }
     registry.gauge("engine.cacheSize")
         .set(static_cast<std::int64_t>(cache_.size()));
-    if (disk_) {
-        registry.counter("disk.hits").set(s.diskHits);
-        registry.counter("disk.misses").set(s.diskMisses);
-        registry.counter("disk.stores").set(s.diskStores);
-        registry.counter("disk.corruptEvicted").set(s.corruptEvicted);
-    }
     CompileTrace totals = phaseTotals();
     if (totals.empty())
         return;
@@ -397,6 +388,37 @@ Engine::exportStats(MetricRegistry &registry) const
         registry.counter(prefix + ".cpuMicros")
             .set(phase.cpuNanos / 1000);
     }
+}
+
+void
+writeEngineJson(JsonWriter &json, const Engine &engine)
+{
+    const MetricRegistry &metrics = engine.metrics();
+    auto count = [&](const char *name) {
+        return metrics.counterValue(name);
+    };
+    const std::uint64_t jobsSubmitted = count("engine.jobsSubmitted");
+    const std::uint64_t cacheHits = count("engine.cacheHits");
+    const std::uint64_t diskHits = count("disk.hits");
+    const std::uint64_t diskMisses = count("disk.misses");
+    json.member("jobs", engine.jobs());
+    json.member("jobsSubmitted", jobsSubmitted);
+    json.member("cacheHits", cacheHits);
+    json.member("cacheMisses", count("engine.cacheMisses"));
+    json.member("coalesced", count("engine.coalesced"));
+    json.member("failed", count("engine.failed"));
+    json.member("hitRate", ratio(cacheHits, jobsSubmitted));
+    json.member("cacheDir", engine.diskCache()
+                                ? engine.diskCache()->dir()
+                                : std::string());
+    json.member("diskHits", diskHits);
+    json.member("diskMisses", diskMisses);
+    json.member("diskStores", count("disk.stores"));
+    json.member("corruptEvicted", count("disk.corruptEvicted"));
+    json.member("diskHitRate", ratio(diskHits, diskHits + diskMisses));
+    CompileTrace phases = engine.phaseTotals();
+    if (!phases.empty())
+        writeCompileTracePhases(json, "phases", phases);
 }
 
 } // namespace gpsched

@@ -28,7 +28,6 @@
 #ifndef GPSCHED_ENGINE_ENGINE_HH
 #define GPSCHED_ENGINE_ENGINE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -62,12 +61,6 @@ struct EngineOptions
     /** Memoize results keyed by loop fingerprint. */
     bool cacheEnabled = true;
 
-    /** Total result-cache entries. */
-    std::size_t cacheCapacity = 1 << 16;
-
-    /** Result-cache lock stripes. */
-    std::size_t cacheShards = 16;
-
     /**
      * Persistent cache directory (engine/disk_cache.hh), layered
      * under the in-memory cache so results survive across runs and
@@ -80,9 +73,11 @@ struct EngineOptions
     std::uint64_t cacheMaxBytes = 256ull << 20;
 
     /**
-     * Metric destination shared with the thread pool (queue depth,
-     * task wait/run, per-worker utilization) and exportStats().
-     * Null disables; must outlive the engine.
+     * The engine's counter store: the engine.* and disk.* counters
+     * count into it live, and the thread pool adds its telemetry
+     * (queue depth, task wait/run, per-worker utilization). Null
+     * keeps the counters in a registry the engine owns and leaves
+     * pool telemetry off. Must outlive the engine.
      */
     MetricRegistry *metrics = nullptr;
 
@@ -179,45 +174,19 @@ struct CompileResult
     }
 };
 
-/** Aggregate engine counters. */
-struct EngineStats
-{
-    std::uint64_t jobsSubmitted = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-
-    /** Jobs that awaited an identical in-flight compilation instead
-     *  of compiling (duplicates submitted concurrently). Every
-     *  unique key is compiled exactly once: cacheMisses counts the
-     *  actual compilations. */
-    std::uint64_t coalesced = 0;
-
-    /** In-memory misses served by the persistent cache. */
-    std::uint64_t diskHits = 0;
-
-    /** Disk probes that found no (valid) record. */
-    std::uint64_t diskMisses = 0;
-
-    /** Records published to the persistent cache. */
-    std::uint64_t diskStores = 0;
-
-    /** Malformed/stale on-disk records evicted during lookups. */
-    std::uint64_t corruptEvicted = 0;
-
-    /** Jobs that returned a diagnostic instead of a schedule
-     *  (counted per job: a coalesced duplicate observing its
-     *  owner's failure counts too). Failed compiles are never
-     *  cached, in memory or on disk. */
-    std::uint64_t failed = 0;
-
-    /** cacheHits / jobsSubmitted; 0 before any job ran. */
-    double hitRate() const;
-
-    /** diskHits / (diskHits + diskMisses); 0 before any probe. */
-    double diskHitRate() const;
-};
-
-/** Thread-pool batch scheduler with a fingerprint result cache. */
+/**
+ * Thread-pool batch scheduler with a fingerprint result cache.
+ *
+ * Lifetime counters live in metrics() only:
+ *  - engine.jobsSubmitted, engine.cacheHits, engine.cacheMisses
+ *    (actual compilations: every unique key compiles once);
+ *  - engine.coalesced: jobs that awaited an identical in-flight
+ *    compilation instead of compiling;
+ *  - engine.failed: jobs that returned a diagnostic (a coalesced
+ *    duplicate observing its owner's failure counts too; failures
+ *    are never cached, in memory or on disk);
+ *  - disk.* (DiskCache) when a cacheDir was given.
+ */
 class Engine
 {
   public:
@@ -241,8 +210,8 @@ class Engine
     /** Effective worker count (>= 1). */
     int jobs() const { return jobs_; }
 
-    /** Lifetime counters. */
-    EngineStats stats() const;
+    /** The counter store: options.metrics, or the engine's own. */
+    MetricRegistry &metrics() const { return *metrics_; }
 
     /**
      * Batch-aggregated phase breakdown (every compile this engine
@@ -252,25 +221,19 @@ class Engine
     CompileTrace phaseTotals() const;
 
     /**
-     * Snapshots the lifetime counters (and phase totals, when
-     * collected) into @p registry under engine.* / disk.* / phase.*
-     * — the MetricRegistry view of stats(). Counters are set, not
-     * added, so repeated exports stay idempotent.
+     * Copies the engine.* / disk.* counters into @p registry unless
+     * it is metrics(), which already holds them, and sets the
+     * engine.cacheSize gauge and (when collected) the phase.*
+     * totals. Everything is set, not added, so repeated exports
+     * stay idempotent.
      */
     void exportStats(MetricRegistry &registry) const;
 
     /** This engine's pid in emitted Chrome trace events. */
     std::uint32_t tracePid() const { return pid_; }
 
-    /** The result cache (for capacity/size introspection). */
-    const ResultCache &cache() const { return cache_; }
-
     /** The persistent cache; nullptr when no cacheDir was given. */
     const DiskCache *diskCache() const { return disk_.get(); }
-
-    /** Drops all in-memory cached results (counters and the
-     *  persistent store are kept). */
-    void clearCache() { cache_.clear(); }
 
   private:
     CompileResult runJob(const EngineJob &job);
@@ -299,12 +262,27 @@ class Engine
     mutable std::mutex totalsMutex_;
     CompileTrace totals_;
 
-    std::atomic<std::uint64_t> jobsSubmitted_{0};
-    std::atomic<std::uint64_t> cacheHits_{0};
-    std::atomic<std::uint64_t> cacheMisses_{0};
-    std::atomic<std::uint64_t> coalesced_{0};
-    std::atomic<std::uint64_t> failed_{0};
+    /** Counter store when options.metrics is null. */
+    std::unique_ptr<MetricRegistry> ownedMetrics_;
+    MetricRegistry *metrics_;
+
+    /** Handles into metrics_, resolved once at construction so the
+     *  per-job path never looks a name up. */
+    MetricRegistry::Counter *jobsSubmitted_;
+    MetricRegistry::Counter *cacheHits_;
+    MetricRegistry::Counter *cacheMisses_;
+    MetricRegistry::Counter *coalesced_;
+    MetricRegistry::Counter *failed_;
 };
+
+/**
+ * Writes the engine block's members into @p json's open object:
+ * jobs, the engine.* / disk.* counters read from engine.metrics(),
+ * hitRate (cacheHits / jobsSubmitted), cacheDir, diskHitRate
+ * (diskHits / (diskHits + diskMisses)) and, when collected, the
+ * phase breakdown. Every bench and CLI report embeds it.
+ */
+void writeEngineJson(JsonWriter &json, const Engine &engine);
 
 } // namespace gpsched
 

@@ -5,16 +5,6 @@
 namespace gpsched
 {
 
-double
-CacheStats::hitRate() const
-{
-    std::uint64_t lookups = hits + misses;
-    return lookups == 0
-               ? 0.0
-               : static_cast<double>(hits) /
-                     static_cast<double>(lookups);
-}
-
 ResultCache::ResultCache(std::size_t capacity, std::size_t num_shards)
 {
     GPSCHED_ASSERT(capacity >= 1, "cache capacity must be >= 1");
@@ -39,11 +29,8 @@ ResultCache::lookup(const LoopKey &key, CompiledLoop &out)
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        ++shard.stats.misses;
+    if (it == shard.index.end())
         return false;
-    }
-    ++shard.stats.hits;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     out = it->second->value;
     return true;
@@ -63,21 +50,9 @@ ResultCache::insert(const LoopKey &key, const CompiledLoop &value)
     if (shard.lru.size() >= capacityPerShard_) {
         shard.index.erase(shard.lru.back().key);
         shard.lru.pop_back();
-        ++shard.stats.evictions;
     }
     shard.lru.push_front(Entry{key, value});
     shard.index.emplace(key, shard.lru.begin());
-    ++shard.stats.insertions;
-}
-
-void
-ResultCache::clear()
-{
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->lru.clear();
-        shard->index.clear();
-    }
 }
 
 std::size_t
@@ -87,20 +62,6 @@ ResultCache::size() const
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard->mutex);
         total += shard->lru.size();
-    }
-    return total;
-}
-
-CacheStats
-ResultCache::stats() const
-{
-    CacheStats total;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total.hits += shard->stats.hits;
-        total.misses += shard->stats.misses;
-        total.insertions += shard->stats.insertions;
-        total.evictions += shard->stats.evictions;
     }
     return total;
 }

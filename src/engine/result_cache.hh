@@ -10,13 +10,14 @@
  * The cached CompiledLoop carries the loop *shape*'s result; the
  * engine patches the requesting loop's name onto a hit because names
  * are excluded from the fingerprint (see loop_key.hh).
+ *
+ * The cache keeps no counters; the engine counts its traffic.
  */
 
 #ifndef GPSCHED_ENGINE_RESULT_CACHE_HH
 #define GPSCHED_ENGINE_RESULT_CACHE_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -28,18 +29,6 @@
 
 namespace gpsched
 {
-
-/** Aggregate cache counters (summed over shards). */
-struct CacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-
-    /** hits / (hits + misses); 0 when no lookups happened. */
-    double hitRate() const;
-};
 
 /** N-way sharded LRU map from LoopKey to CompiledLoop. */
 class ResultCache
@@ -68,20 +57,8 @@ class ResultCache
      */
     void insert(const LoopKey &key, const CompiledLoop &value);
 
-    /** Drops every entry (stats are kept). */
-    void clear();
-
     /** Entries currently cached over all shards. */
     std::size_t size() const;
-
-    /** Total capacity over all shards. */
-    std::size_t capacity() const { return capacityPerShard_ * shards_.size(); }
-
-    /** Shard count. */
-    std::size_t numShards() const { return shards_.size(); }
-
-    /** Aggregated counters. */
-    CacheStats stats() const;
 
   private:
     struct Entry
@@ -96,7 +73,6 @@ class ResultCache
         mutable std::mutex mutex;
         std::list<Entry> lru; ///< front = most recently used
         std::unordered_map<LoopKey, std::list<Entry>::iterator> index;
-        CacheStats stats;
     };
 
     Shard &shardFor(const LoopKey &key);

@@ -122,4 +122,63 @@ readDdgText(std::istream &is)
     GPSCHED_PANIC("unreachable"); // fail() always throws
 }
 
+namespace
+{
+
+/** First word of @p line before any '#' comment ("" when none). */
+std::string
+firstWord(const std::string &line)
+{
+    std::istringstream ls(line.substr(0, line.find('#')));
+    std::string word;
+    ls >> word;
+    return word;
+}
+
+/**
+ * Leaves @p is before the next line whose first word is @p keyword,
+ * or any non-blank line when @p keyword is empty; false (at end of
+ * input) when there is none.
+ */
+bool
+seekLine(std::istream &is, const std::string &keyword)
+{
+    std::string line;
+    std::streampos before = is.tellg();
+    while (std::getline(is, line)) {
+        std::string word = firstWord(line);
+        if (!word.empty() && (keyword.empty() || word == keyword)) {
+            is.seekg(before);
+            return true;
+        }
+        before = is.tellg();
+    }
+    return false;
+}
+
+} // namespace
+
+void
+readDdgBlocks(std::istream &is,
+              const std::function<void(Ddg)> &onBlock,
+              const std::function<void(const CompileError &)> &onError)
+{
+    // Peek for content before each parse so trailing blank lines and
+    // comments don't read as a truncated block.
+    while (seekLine(is, "")) {
+        Ddg ddg;
+        try {
+            ddg = readDdgText(is);
+        } catch (const CompileError &error) {
+            if (!onError)
+                throw;
+            onError(error);
+            is.clear();
+            seekLine(is, "ddg");
+            continue;
+        }
+        onBlock(std::move(ddg));
+    }
+}
+
 } // namespace gpsched

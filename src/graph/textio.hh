@@ -9,16 +9,19 @@
  *   node <opcode> [label]
  *   edge <src> <dst> <latency> <distance> [flow|order]
  *   end
- * '#' starts a comment; blank lines are ignored.
+ * '#' starts a comment; blank lines are ignored. A file may hold
+ * several blocks (readDdgBlocks).
  */
 
 #ifndef GPSCHED_GRAPH_TEXTIO_HH
 #define GPSCHED_GRAPH_TEXTIO_HH
 
+#include <functional>
 #include <istream>
 #include <ostream>
 
 #include "graph/ddg.hh"
+#include "support/compile_error.hh"
 
 namespace gpsched
 {
@@ -33,6 +36,17 @@ void writeDdgText(std::ostream &os, const Ddg &ddg);
  * header line has been seen.
  */
 Ddg readDdgText(std::istream &is);
+
+/**
+ * Parses every `ddg ... end` block of @p is in order and hands each
+ * to @p onBlock; blank and comment lines between blocks are skipped.
+ * A malformed block throws its CompileError unless @p onError is
+ * set: then @p onError receives it and parsing resumes at the next
+ * `ddg` line, so one bad block cannot swallow the rest of the input.
+ */
+void readDdgBlocks(
+    std::istream &is, const std::function<void(Ddg)> &onBlock,
+    const std::function<void(const CompileError &)> &onError = {});
 
 } // namespace gpsched
 

@@ -115,6 +115,14 @@ MetricRegistry::counter(const std::string &name)
     return *slot;
 }
 
+std::uint64_t
+MetricRegistry::counterValue(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second->value();
+}
+
 MetricRegistry::Gauge &
 MetricRegistry::gauge(const std::string &name)
 {

@@ -17,8 +17,8 @@
  *    (CMake option GPSCHED_TELEMETRY=OFF), so the disabled build is
  *    bit-for-bit free of telemetry code in the hot path.
  *  - MetricRegistry: thread-safe named counters/gauges/histograms
- *    with a stable JSON dump; subsumes EngineStats and adds
- *    thread-pool visibility.
+ *    with a stable JSON dump; the only store of the engine, disk
+ *    cache and thread-pool counters.
  *
  * Telemetry never influences scheduling decisions: all of this is
  * observation-only, and schedules are bit-identical with it on, off,
@@ -226,6 +226,8 @@ class MetricRegistry
 
     /** Finds or creates; the reference stays valid for our lifetime. */
     Counter &counter(const std::string &name);
+    /** @p name's value, 0 when absent; never creates the counter. */
+    std::uint64_t counterValue(const std::string &name) const;
     Gauge &gauge(const std::string &name);
     /** Bucket shape is fixed by the first caller for a given name. */
     Histogram &histogram(const std::string &name, double lowest = 1.0,

@@ -135,18 +135,19 @@ TEST(DiskCache, StoreThenLookupRoundTrips)
     CompiledLoop compiled = compiler.compile(g);
     LoopKey key = makeLoopKey(g, m, SchedulerKind::Gp, {});
 
-    DiskCache cache(dir, 0);
+    MetricRegistry registry;
+    DiskCache cache(dir, 0, &registry);
     CompiledLoop out;
     EXPECT_FALSE(cache.lookup(key, out));
     cache.store(key, compiled);
     ASSERT_TRUE(cache.lookup(key, out));
     expectLoopsIdentical(compiled, out, "round trip");
 
-    DiskCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.stores, 1u);
-    EXPECT_EQ(stats.corruptEvicted, 0u);
+    EXPECT_EQ(registry.counter("disk.hits").value(), 1u);
+    EXPECT_EQ(registry.counter("disk.misses").value(), 1u);
+    EXPECT_EQ(registry.counter("disk.stores").value(), 1u);
+    EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 0u);
+    EXPECT_EQ(registry.counter("disk.compacted").value(), 0u);
 
     // A second cache object over the same directory — a new process
     // in miniature — sees the record.
@@ -174,9 +175,8 @@ TEST(DiskCache, WarmRerunHitsOverNinetyPercentBitIdentical)
         Engine engine(options);
         std::vector<EngineJob> batch = suiteBatch(suite, m);
         cold = unwrapAll(engine.compileBatch(batch));
-        EngineStats stats = engine.stats();
-        EXPECT_EQ(stats.diskHits, 0u);
-        EXPECT_GT(stats.diskStores, 0u);
+        EXPECT_EQ(engine.metrics().counterValue("disk.hits"), 0u);
+        EXPECT_GT(engine.metrics().counterValue("disk.stores"), 0u);
     }
 
     // A fresh engine (fresh in-memory cache): every unique shape
@@ -189,11 +189,16 @@ TEST(DiskCache, WarmRerunHitsOverNinetyPercentBitIdentical)
     std::vector<CompiledLoop> warm =
         unwrapAll(engine.compileBatch(batch));
 
-    EngineStats stats = engine.stats();
-    EXPECT_GE(stats.diskHitRate(), 0.9)
-        << "diskHits " << stats.diskHits << " diskMisses "
-        << stats.diskMisses;
-    EXPECT_EQ(stats.cacheMisses, 0u) << "nothing should recompile";
+    const std::uint64_t diskHits =
+        engine.metrics().counterValue("disk.hits");
+    const std::uint64_t diskMisses =
+        engine.metrics().counterValue("disk.misses");
+    EXPECT_GE(static_cast<double>(diskHits),
+              0.9 * static_cast<double>(diskHits + diskMisses))
+        << "diskHits " << diskHits << " diskMisses " << diskMisses;
+    EXPECT_GT(diskHits, 0u);
+    EXPECT_EQ(engine.metrics().counterValue("engine.cacheMisses"), 0u)
+        << "nothing should recompile";
 
     ASSERT_EQ(cold.size(), warm.size());
     for (std::size_t i = 0; i < cold.size(); ++i) {
@@ -256,10 +261,10 @@ corruptionScenario(const std::string &tag,
     // The corrupted record was a miss (and was evicted), the loop
     // was recompiled, and the recompiled schedule is bit-identical
     // to the never-cached reference.
-    EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.diskHits, 0u);
-    EXPECT_EQ(stats.corruptEvicted, 1u);
-    EXPECT_EQ(stats.cacheMisses, 1u);
+    const MetricRegistry &metrics = engine.metrics();
+    EXPECT_EQ(metrics.counterValue("disk.hits"), 0u);
+    EXPECT_EQ(metrics.counterValue("disk.corruptEvicted"), 1u);
+    EXPECT_EQ(metrics.counterValue("engine.cacheMisses"), 1u);
     expectLoopsIdentical(reference, recompiled, tag);
     fs::remove_all(dir);
 }
@@ -374,7 +379,8 @@ TEST(DiskCache, GarbageFileIsAMissAndEvicted)
     Ddg g = diamondLoop(lat);
     LoopKey key = makeLoopKey(g, m, SchedulerKind::Gp, {});
 
-    DiskCache cache(dir, 0);
+    MetricRegistry registry;
+    DiskCache cache(dir, 0, &registry);
     // Plant garbage exactly where this key's record would live.
     LoopCompiler compiler(m, SchedulerKind::Gp);
     cache.store(key, compiler.compile(g));
@@ -388,7 +394,9 @@ TEST(DiskCache, GarbageFileIsAMissAndEvicted)
 
     CompiledLoop out;
     EXPECT_FALSE(cache.lookup(key, out));
-    EXPECT_EQ(cache.stats().corruptEvicted, 1u);
+    // The eviction is counted in the registry the cache was given.
+    EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 1u);
+    EXPECT_EQ(registry.counter("disk.misses").value(), 1u);
     EXPECT_TRUE(recordFiles(dir).empty()) << "bad record not evicted";
     fs::remove_all(dir);
 }
@@ -397,7 +405,7 @@ TEST(DiskCache, GarbageFileIsAMissAndEvicted)
 
 /**
  * A failed compile must be invisible to both cache tiers: no .gpc
- * record on disk, no in-memory entry, stats().failed counts it, a
+ * record on disk, no in-memory entry, engine.failed counts it, a
  * rerun recompiles from scratch (no negative caching), and once the
  * input is fixed the same engine compiles, succeeds, and stores the
  * result exactly once.
@@ -425,20 +433,21 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     EXPECT_EQ(failed.error->kind(), CompileErrorKind::InvalidInput);
     EXPECT_EQ(failed.error->loopName(), "wounded");
 
-    EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.failed, 1u);
-    EXPECT_EQ(stats.diskStores, 0u);
+    auto count = [&](const char *name) {
+        return engine.metrics().counterValue(name);
+    };
+    EXPECT_EQ(count("engine.failed"), 1u);
+    EXPECT_EQ(count("disk.stores"), 0u);
     EXPECT_TRUE(recordFiles(dir).empty())
         << "a failed compile must never publish a record";
 
     // Retry: a fresh miss on both tiers, recompiled, same failure.
     CompileResult again = engine.compileOne(job);
     ASSERT_FALSE(again.ok());
-    EngineStats retried = engine.stats();
-    EXPECT_EQ(retried.failed, 2u);
-    EXPECT_EQ(retried.cacheHits, 0u);
-    EXPECT_EQ(retried.diskHits, 0u);
-    EXPECT_EQ(retried.cacheMisses, 2u);
+    EXPECT_EQ(count("engine.failed"), 2u);
+    EXPECT_EQ(count("engine.cacheHits"), 0u);
+    EXPECT_EQ(count("disk.hits"), 0u);
+    EXPECT_EQ(count("engine.cacheMisses"), 2u);
 
     // Fix the input (honest latency): the compile now succeeds and
     // publishes exactly one record through the same engine.
@@ -452,9 +461,8 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     CompiledLoop ok = unwrapOne(engine.compileOne(
         EngineJob{&fixed, &m, SchedulerKind::Gp, {}}));
     EXPECT_GT(ok.ipc, 0.0);
-    EngineStats healed = engine.stats();
-    EXPECT_EQ(healed.failed, 2u);
-    EXPECT_EQ(healed.diskStores, 1u);
+    EXPECT_EQ(count("engine.failed"), 2u);
+    EXPECT_EQ(count("disk.stores"), 1u);
     EXPECT_EQ(recordFiles(dir).size(), 1u);
     fs::remove_all(dir);
 }
@@ -476,7 +484,8 @@ TEST(DiskCache, CompactionEnforcesTheByteBudget)
         encodeCacheRecord(probeKey, compiled).size();
     const std::uint64_t budget = recordSize * 4;
 
-    DiskCache cache(dir, budget);
+    MetricRegistry registry;
+    DiskCache cache(dir, budget, &registry);
     for (int n = 4; n < 20; ++n) {
         Ddg g = chainLoop(n, lat); // distinct shapes, distinct keys
         LoopCompiler c(m, SchedulerKind::Gp);
@@ -486,7 +495,9 @@ TEST(DiskCache, CompactionEnforcesTheByteBudget)
     // Compaction kept the store within (about) the budget. Records
     // differ slightly in size, so allow one record of slack.
     EXPECT_LE(cache.residentBytes(), budget + recordSize);
-    EXPECT_GT(cache.stats().compacted, 0u);
+    // Compactions are counted in the registry the cache was given.
+    EXPECT_GT(registry.counter("disk.compacted").value(), 0u);
+    EXPECT_EQ(registry.counter("disk.stores").value(), 16u);
     EXPECT_FALSE(recordFiles(dir).empty());
     fs::remove_all(dir);
 }

@@ -275,12 +275,8 @@ TEST(ResultCache, LookupReturnsInsertedValue)
     ASSERT_TRUE(cache.lookup(keyOf("a"), out));
     EXPECT_EQ(out.ii, 3);
     EXPECT_FALSE(cache.lookup(keyOf("b"), out));
-
-    CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.insertions, 1u);
-    EXPECT_DOUBLE_EQ(stats.hitRate(), 0.5);
+    // One hit, one miss, and the miss inserted nothing.
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsedWithinAShard)
@@ -295,7 +291,7 @@ TEST(ResultCache, EvictsLeastRecentlyUsedWithinAShard)
     EXPECT_TRUE(cache.lookup(keyOf("a"), out));
     EXPECT_FALSE(cache.lookup(keyOf("b"), out));
     EXPECT_TRUE(cache.lookup(keyOf("c"), out));
-    EXPECT_EQ(cache.stats().evictions, 1u);
+    // Three insertions, two entries left: exactly one eviction.
     EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -320,20 +316,26 @@ TEST(ResultCache, ConcurrentMixedUseIsSafe)
 {
     ResultCache cache(64, 8);
     ThreadPool pool(4);
+    std::atomic<int> hits{0};
+    std::atomic<int> misses{0};
     for (int t = 0; t < 8; ++t) {
-        pool.submit([&cache, t] {
+        pool.submit([&] {
             for (int i = 0; i < 200; ++i) {
                 LoopKey key = keyOf("k" + std::to_string(i % 50));
                 CompiledLoop out;
-                if (!cache.lookup(key, out))
+                if (cache.lookup(key, out)) {
+                    ++hits;
+                } else {
+                    ++misses;
                     cache.insert(key, resultOf("k", i));
-                (void)t;
+                }
             }
         });
     }
     pool.wait();
-    CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.hits + stats.misses, 8u * 200u);
+    EXPECT_EQ(hits + misses, 8 * 200);
+    // Every key's first lookup misses.
+    EXPECT_GE(misses.load(), 50);
     EXPECT_LE(cache.size(), 64u);
 }
 
@@ -456,7 +458,7 @@ TEST(Engine, CacheHitPatchesTheRequestedLoopName)
     EXPECT_EQ(first.loopName, "alpha");
     EXPECT_EQ(second.loopName, "beta");
     EXPECT_EQ(second.ii, first.ii);
-    EXPECT_EQ(engine.stats().cacheHits, 1u);
+    EXPECT_EQ(engine.metrics().counterValue("engine.cacheHits"), 1u);
 }
 
 TEST(Engine, SerialOptionsDisableCacheAndThreads)
@@ -469,8 +471,9 @@ TEST(Engine, SerialOptionsDisableCacheAndThreads)
     EngineJob job{&loop, &m, SchedulerKind::Gp, {}};
     engine.compileOne(job);
     engine.compileOne(job);
-    EXPECT_EQ(engine.stats().cacheHits, 0u);
-    EXPECT_EQ(engine.stats().jobsSubmitted, 2u);
+    EXPECT_EQ(engine.metrics().counterValue("engine.cacheHits"), 0u);
+    EXPECT_EQ(engine.metrics().counterValue("engine.jobsSubmitted"),
+              2u);
 }
 
 /**
@@ -533,15 +536,19 @@ TEST(Engine, SuiteRerunExceedsNinetyPercentHitRate)
     EngineOptions options;
     options.jobs = 4;
     Engine engine(options);
+    MetricRegistry::Counter &jobs =
+        engine.metrics().counter("engine.jobsSubmitted");
+    MetricRegistry::Counter &hits =
+        engine.metrics().counter("engine.cacheHits");
     SuiteResult first =
         compileSuite(engine, suite, m, SchedulerKind::Gp);
-    EngineStats cold = engine.stats();
+    std::uint64_t coldJobs = jobs.value();
+    std::uint64_t coldHits = hits.value();
     SuiteResult second =
         compileSuite(engine, suite, m, SchedulerKind::Gp);
-    EngineStats warm = engine.stats();
 
-    std::uint64_t rerunJobs = warm.jobsSubmitted - cold.jobsSubmitted;
-    std::uint64_t rerunHits = warm.cacheHits - cold.cacheHits;
+    std::uint64_t rerunJobs = jobs.value() - coldJobs;
+    std::uint64_t rerunHits = hits.value() - coldHits;
     ASSERT_GT(rerunJobs, 0u);
     // Every job of the rerun is a hit; the acceptance bar is 90%.
     EXPECT_EQ(rerunHits, rerunJobs);
@@ -701,21 +708,23 @@ TEST(Engine, CoalescedDuplicatesObserveTheOwnersError)
                   std::string::npos);
     }
 
-    EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.failed, batch.size());
-    EXPECT_EQ(stats.cacheHits, 0u);
-    EXPECT_EQ(stats.coalesced + stats.cacheMisses,
-              stats.jobsSubmitted);
+    auto count = [&](const char *name) {
+        return engine.metrics().counterValue(name);
+    };
+    EXPECT_EQ(count("engine.failed"), batch.size());
+    EXPECT_EQ(count("engine.cacheHits"), 0u);
+    EXPECT_EQ(count("engine.coalesced") + count("engine.cacheMisses"),
+              count("engine.jobsSubmitted"));
 
     // No negative caching: resubmitting misses and recompiles —
     // never serves the failure (or a stale success) from cache.
+    const std::uint64_t misses = count("engine.cacheMisses");
     std::vector<CompileResult> retry = engine.compileBatch(batch);
     for (const CompileResult &result : retry)
         EXPECT_FALSE(result.ok());
-    EngineStats after = engine.stats();
-    EXPECT_EQ(after.cacheHits, 0u);
-    EXPECT_GT(after.cacheMisses, stats.cacheMisses);
-    EXPECT_EQ(after.failed, 2 * batch.size());
+    EXPECT_EQ(count("engine.cacheHits"), 0u);
+    EXPECT_GT(count("engine.cacheMisses"), misses);
+    EXPECT_EQ(count("engine.failed"), 2 * batch.size());
 }
 
 /** One bad loop must not poison the rest of a mixed batch. */
@@ -741,9 +750,72 @@ TEST(Engine, MixedBatchIsolatesTheFailure)
     ASSERT_FALSE(results[1].ok());
     EXPECT_EQ(results[1].error->loopName(), "bad");
     EXPECT_TRUE(results[2].ok());
-    EXPECT_EQ(engine.stats().failed, 1u);
+    EXPECT_EQ(engine.metrics().counterValue("engine.failed"), 1u);
 
     // Diagnostics carry a file:line location for triage.
     EXPECT_NE(results[1].error->location().find(".cc:"),
               std::string::npos);
+}
+
+// --- the engine's counter store -------------------------------------
+
+/** A caller's registry holds the live counters: no export needed. */
+TEST(EngineMetrics, CallerRegistrySeesCountersWithoutExport)
+{
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(64, 1);
+    Ddg diamond = gpsched::testing::diamondLoop(lat);
+    Ddg chain = gpsched::testing::chainLoop(6, lat);
+
+    MetricRegistry registry;
+    EngineOptions options;
+    options.jobs = 2;
+    options.metrics = &registry;
+    Engine engine(options);
+    EXPECT_EQ(&engine.metrics(), &registry);
+    std::vector<EngineJob> batch;
+    for (int i = 0; i < 4; ++i) {
+        batch.push_back(EngineJob{&diamond, &m, SchedulerKind::Gp, {}});
+        batch.push_back(EngineJob{&chain, &m, SchedulerKind::Gp, {}});
+    }
+    gpsched::testing::unwrapAll(engine.compileBatch(batch));
+
+    auto count = [&](const char *name) {
+        return registry.counter(name).value();
+    };
+    EXPECT_EQ(count("engine.jobsSubmitted"), batch.size());
+    EXPECT_EQ(count("engine.cacheMisses"), 2u);
+    EXPECT_EQ(count("engine.cacheHits") + count("engine.coalesced"),
+              batch.size() - 2);
+    EXPECT_EQ(count("engine.failed"), 0u);
+
+    // Exporting into the counting registry changes no counter.
+    engine.exportStats(registry);
+    engine.exportStats(registry);
+    EXPECT_EQ(count("engine.jobsSubmitted"), batch.size());
+    EXPECT_EQ(count("engine.cacheMisses"), 2u);
+}
+
+/** Without a caller registry the counters still count, into the
+ *  engine's own registry, and pool telemetry stays off. */
+TEST(EngineMetrics, OwnRegistryCountsWithoutPoolTelemetry)
+{
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(64, 1);
+    Ddg loop = gpsched::testing::diamondLoop(lat);
+
+    EngineOptions options;
+    options.jobs = 2;
+    Engine engine(options);
+    std::vector<EngineJob> batch(4, EngineJob{&loop, &m,
+                                              SchedulerKind::Gp, {}});
+    gpsched::testing::unwrapAll(engine.compileBatch(batch));
+
+    EXPECT_EQ(engine.metrics().counterValue("engine.jobsSubmitted"),
+              4u);
+    EXPECT_EQ(engine.metrics().counterValue("engine.cacheMisses"), 1u);
+    std::ostringstream dump;
+    engine.metrics().writeJson(dump);
+    EXPECT_EQ(dump.str().find("pool."), std::string::npos)
+        << dump.str();
 }

@@ -108,7 +108,7 @@ compileAt(int jobs, const std::vector<Ddg> &loops,
             EngineJob{&ddg, &machine, SchedulerKind::Gp, {}});
     std::vector<CompileResult> results = engine.compileBatch(batch);
     if (failed)
-        *failed = engine.stats().failed;
+        *failed = engine.metrics().counterValue("engine.failed");
     return results;
 }
 

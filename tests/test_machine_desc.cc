@@ -453,13 +453,16 @@ TEST(EngineCoalescing, ManyDuplicateJobsCompileOncePerUniqueKey)
         unwrapAll(engine.compileBatch(batch));
     ASSERT_EQ(results.size(), batch.size());
 
-    EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.jobsSubmitted, batch.size());
+    auto count = [&](const char *name) {
+        return engine.metrics().counterValue(name);
+    };
+    EXPECT_EQ(count("engine.jobsSubmitted"), batch.size());
     // One actual compilation per unique key; every other submission
     // was served by the cache or awaited the in-flight compile.
-    EXPECT_EQ(stats.cacheMisses, 2u);
-    EXPECT_EQ(stats.cacheHits + stats.coalesced + stats.cacheMisses,
-              stats.jobsSubmitted);
+    EXPECT_EQ(count("engine.cacheMisses"), 2u);
+    EXPECT_EQ(count("engine.cacheHits") + count("engine.coalesced") +
+                  count("engine.cacheMisses"),
+              count("engine.jobsSubmitted"));
 
     // Results are the duplicates' own names with identical schedules.
     for (std::size_t i = 0; i < batch.size(); ++i) {

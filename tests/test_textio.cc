@@ -4,13 +4,15 @@
  * Graphviz export: writing a DDG, reading it back and writing it
  * again must be a byte-for-byte fixed point, the parsed graph must
  * be structurally identical, and dot output must name every node
- * and edge of a fixture DDG.
+ * and edge of a fixture DDG. readDdgBlocks reads multi-block input
+ * and resyncs past a malformed block.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "graph/ddg.hh"
 #include "graph/ddg_builder.hh"
@@ -131,6 +133,45 @@ TEST(TextIoGolden, ReaderToleratesCommentsAndBlankLines)
     EXPECT_EQ(g.edge(0).kind, DepKind::Order);
     // Round-tripping the hand-written form is also a fixed point.
     EXPECT_EQ(toText(g), toText(fromText(toText(g))));
+}
+
+TEST(TextIoBlocks, ErrorCallbackResyncsToTheNextBlock)
+{
+    const std::string text = "# header comment\n"
+                             "ddg first 5\nnode ialu\nend\n\n"
+                             "ddg broken 5\nnode ialu\nedge 0 7 1 0\n"
+                             "node ialu\nend\n"
+                             "ddg second 5\nnode ialu\nend\n"
+                             "ddg truncated 5\nnode ialu\n"
+                             "# trailing comment\n\n";
+    std::vector<std::string> events;
+    std::istringstream in(text);
+    readDdgBlocks(
+        in, [&](Ddg ddg) { events.push_back(ddg.name()); },
+        [&](const CompileError &error) {
+            events.push_back("error:" + error.loopName());
+        });
+    EXPECT_EQ(events,
+              (std::vector<std::string>{"first", "error:broken",
+                                        "second",
+                                        "error:truncated"}));
+
+    // Without a callback the first malformed block throws.
+    std::istringstream again(text);
+    std::vector<std::string> parsed;
+    EXPECT_THROW(readDdgBlocks(again, [&](Ddg ddg) {
+                     parsed.push_back(ddg.name());
+                 }),
+                 CompileError);
+    EXPECT_EQ(parsed, std::vector<std::string>{"first"});
+}
+
+TEST(TextIoBlocks, TrailingCommentsAreNotATruncatedBlock)
+{
+    std::istringstream in("ddg only 5\nnode ialu\nend\n# done\n\n");
+    int blocks = 0;
+    readDdgBlocks(in, [&](Ddg) { ++blocks; });
+    EXPECT_EQ(blocks, 1);
 }
 
 TEST(DotGolden, NamesEveryNodeAndEdge)

@@ -10,9 +10,9 @@
 #
 # A fourth case pins the resync edge condition: when the *last*
 # block of a multi-DDG file is malformed (truncated before its
-# `end`), resyncToNextBlock runs off the end of the file — the good
-# blocks before it must still compile, the truncated block must get
-# its parse error object, and the exit status must be 1.
+# `end`), readDdgBlocks' resync runs off the end of the file — the
+# good blocks before it must still compile, the truncated block must
+# get its parse error object, and the exit status must be 1.
 #
 # Variables:
 #   CLI     path to the gpsched_cli binary

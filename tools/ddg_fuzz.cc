@@ -24,8 +24,9 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/thread_pool.hh"
@@ -117,28 +118,9 @@ envLoops(int fallback)
 SchedulerKind
 parseScheme(const std::string &text)
 {
-    if (text == "uracam")
-        return SchedulerKind::Uracam;
-    if (text == "fixed")
-        return SchedulerKind::FixedPartition;
-    if (text == "gp")
-        return SchedulerKind::Gp;
+    if (std::optional<SchedulerKind> kind = parseSchemeFlag(text))
+        return *kind;
     GPSCHED_FATAL("bad scheme '", text, "' (want uracam|fixed|gp)");
-}
-
-const char *
-schemeFlag(SchedulerKind kind)
-{
-    switch (kind) {
-      case SchedulerKind::Uracam:
-        return "uracam";
-      case SchedulerKind::FixedPartition:
-        return "fixed";
-      case SchedulerKind::Gp:
-        return "gp";
-      default:
-        GPSCHED_PANIC("bad SchedulerKind");
-    }
 }
 
 ScheduleCorruption
@@ -448,27 +430,7 @@ runRepro(int argc, char **argv)
     if (!in)
         GPSCHED_FATAL("cannot open DDG file '", ddgPath, "'");
     std::vector<Ddg> loops;
-    for (;;) {
-        // Peek for content so trailing blanks/comments don't read
-        // as a truncated block (same loop as gpsched_cli).
-        std::string line;
-        std::streampos before = in.tellg();
-        bool content = false;
-        while (std::getline(in, line)) {
-            auto hash = line.find('#');
-            if (hash != std::string::npos)
-                line.erase(hash);
-            if (line.find_first_not_of(" \t\r") != std::string::npos) {
-                content = true;
-                break;
-            }
-            before = in.tellg();
-        }
-        if (!content)
-            break;
-        in.seekg(before);
-        loops.push_back(readDdgText(in));
-    }
+    readDdgBlocks(in, [&](Ddg ddg) { loops.push_back(std::move(ddg)); });
     if (loops.empty())
         GPSCHED_FATAL("no DDGs found in '", ddgPath, "'");
 

@@ -44,12 +44,10 @@
  * fatal file:line diagnostic (the historical behavior).
  */
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +57,7 @@
 #include "machine/configs.hh"
 #include "machine/registry.hh"
 #include "sim/replay.hh"
+#include "support/args.hh"
 #include "support/compile_error.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -118,24 +117,6 @@ usage(const char *argv0, int status)
        << "  --trace PATH     write a Chrome trace-event file\n"
        << "                   (Perfetto-loadable)\n";
     std::exit(status);
-}
-
-/** Strict non-negative integer parse; exits 2 on any other text. */
-int
-parseCount(const char *argv0, const std::string &flag,
-           const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    long value = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' ||
-        value < 0 || value > 1 << 20) {
-        std::cerr << argv0 << ": " << flag
-                  << " needs a non-negative integer, got '" << text
-                  << "'\n";
-        std::exit(2);
-    }
-    return static_cast<int>(value);
 }
 
 CliOptions
@@ -234,15 +215,15 @@ machineFor(const CliOptions &options)
 std::vector<SchedulerKind>
 schemesFor(const CliOptions &options)
 {
-    if (options.scheme == "uracam")
-        return {SchedulerKind::Uracam};
-    if (options.scheme == "fixed")
-        return {SchedulerKind::FixedPartition};
-    if (options.scheme == "gp")
-        return {SchedulerKind::Gp};
-    if (options.scheme == "all")
-        return {SchedulerKind::Uracam, SchedulerKind::FixedPartition,
-                SchedulerKind::Gp};
+    if (options.scheme == "all") {
+        std::vector<SchedulerKind> all;
+        for (const SchemeName &scheme : kSchemeNames)
+            all.push_back(scheme.kind);
+        return all;
+    }
+    if (std::optional<SchedulerKind> kind =
+            parseSchemeFlag(options.scheme))
+        return {*kind};
     GPSCHED_FATAL("unknown scheme '", options.scheme,
                   "' (uracam|fixed|gp|all)");
 }
@@ -259,29 +240,6 @@ struct InputLoop
 };
 
 /**
- * Skips forward to the next top-level `ddg` line so one malformed
- * block cannot swallow the rest of its file in --keep-going mode.
- */
-void
-resyncToNextBlock(std::ifstream &in)
-{
-    std::string line;
-    std::streampos before = in.tellg();
-    while (std::getline(in, line)) {
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        std::string keyword;
-        if ((ls >> keyword) && keyword == "ddg") {
-            in.seekg(before);
-            return;
-        }
-        before = in.tellg();
-    }
-}
-
-/**
  * Reads every `ddg ... end` block of every input file. A block that
  * fails to parse throws its CompileError unless @p keepGoing, in
  * which case it is recorded as a failed InputLoop and parsing
@@ -295,45 +253,26 @@ readInputs(const std::vector<std::string> &files, bool keepGoing)
         std::ifstream in(path);
         if (!in)
             GPSCHED_FATAL("cannot open DDG file '", path, "'");
-        // Peek for content before each parse so trailing blank lines
-        // and comments don't read as a truncated DDG.
-        for (;;) {
-            std::string line;
-            std::streampos before = in.tellg();
-            bool content = false;
-            while (std::getline(in, line)) {
-                auto hash = line.find('#');
-                if (hash != std::string::npos)
-                    line.erase(hash);
-                if (line.find_first_not_of(" \t\r") !=
-                    std::string::npos) {
-                    content = true;
-                    break;
-                }
-                before = in.tellg();
-            }
-            if (!content)
-                break;
-            in.seekg(before);
-            try {
-                InputLoop input;
-                input.file = path;
-                input.ddg = readDdgText(in);
-                loops.push_back(std::move(input));
-            } catch (const CompileError &error) {
-                if (!keepGoing)
-                    throw;
-                GPSCHED_WARN("skipping malformed DDG block in '",
-                             path, "': ", error.what());
-                InputLoop bad;
-                bad.file = path;
-                bad.parseError = error;
-                loops.push_back(std::move(bad));
-                in.clear();
-                resyncToNextBlock(in);
-            }
-        }
-        if (loops.empty() || loops.back().file != path)
+        const std::size_t before = loops.size();
+        auto onBlock = [&](Ddg ddg) {
+            InputLoop input;
+            input.file = path;
+            input.ddg = std::move(ddg);
+            loops.push_back(std::move(input));
+        };
+        auto onError = [&](const CompileError &error) {
+            GPSCHED_WARN("skipping malformed DDG block in '", path,
+                         "': ", error.what());
+            InputLoop bad;
+            bad.file = path;
+            bad.parseError = error;
+            loops.push_back(std::move(bad));
+        };
+        if (keepGoing)
+            readDdgBlocks(in, onBlock, onError);
+        else
+            readDdgBlocks(in, onBlock);
+        if (loops.size() == before)
             GPSCHED_FATAL("no DDGs found in '", path, "'");
     }
     return loops;
@@ -359,7 +298,6 @@ writeReport(std::ostream &os, const CliOptions &options,
             const std::vector<std::optional<sim::Verdict>> &verdicts,
             const Engine &engine)
 {
-    EngineStats stats = engine.stats();
     JsonWriter json(os);
     json.beginObject();
     json.member("schemaVersion", 2);
@@ -468,27 +406,10 @@ writeReport(std::ostream &os, const CliOptions &options,
     }
     json.endArray();
     json.beginObject("engine");
-    json.member("jobs", engine.jobs());
     json.member("repeat", options.repeat);
     json.member("keepGoing", options.keepGoing);
     json.member("simulate", options.simulate);
-    json.member("jobsSubmitted", stats.jobsSubmitted);
-    json.member("cacheHits", stats.cacheHits);
-    json.member("cacheMisses", stats.cacheMisses);
-    json.member("coalesced", stats.coalesced);
-    json.member("failed", stats.failed);
-    json.member("hitRate", stats.hitRate());
-    json.member("cacheDir", options.cacheDir);
-    json.member("diskHits", stats.diskHits);
-    json.member("diskMisses", stats.diskMisses);
-    json.member("diskStores", stats.diskStores);
-    json.member("corruptEvicted", stats.corruptEvicted);
-    json.member("diskHitRate", stats.diskHitRate());
-    // Additive: phase breakdown only when the engine collected one,
-    // so pre-telemetry consumers of this block are unaffected.
-    CompileTrace phases = engine.phaseTotals();
-    if (!phases.empty())
-        writeCompileTracePhases(json, "phases", phases);
+    writeEngineJson(json, engine);
     json.endObject();
     json.endObject();
 }
