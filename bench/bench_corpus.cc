@@ -102,15 +102,12 @@ int
 main(int argc, char **argv)
 {
     bool gate_policy = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--gate-policy")
-            gate_policy = true;
-        else
-            args.push_back(argv[i]);
-    }
     BenchOptions options =
-        parseBenchArgs(static_cast<int>(args.size()), args.data());
+        parseBenchArgs(argc, argv, [&](ArgParser &parser) {
+            parser.flag("--gate-policy",
+                        "fail unless the slack-aware cost model wins",
+                        gate_policy);
+        });
     LatencyTable lat;
     auto suite = benchSuiteWithFuzz(lat, options);
     Engine engine(options.engineOptions());

@@ -1,10 +1,9 @@
 #include "common.hh"
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "core/metrics.hh"
@@ -35,90 +34,41 @@ BenchOptions::engineOptions() const
 }
 
 BenchOptions
-parseBenchArgs(int argc, char **argv)
+parseBenchArgs(int argc, char **argv,
+               const std::function<void(ArgParser &)> &declareExtra)
 {
+    constexpr int maxCount = 1 << 20;
     BenchOptions options;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--smoke") {
-            options.smoke = true;
-        } else if (arg == "--jobs") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --jobs needs a count\n";
-                std::exit(2);
-            }
-            options.jobs = parseCount(argv[0], "--jobs", argv[++i]);
-        } else if (arg == "--json") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --json needs a path\n";
-                std::exit(2);
-            }
-            options.jsonPath = argv[++i];
-        } else if (arg == "--machines") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0]
-                          << ": --machines needs a comma-separated "
-                             "list of names or .machine paths\n";
-                std::exit(2);
-            }
-            std::string list = argv[++i];
-            std::string entry;
-            for (char ch : list) {
-                if (ch == ',') {
-                    if (!entry.empty())
-                        options.machines.push_back(entry);
-                    entry.clear();
-                } else {
-                    entry += ch;
-                }
-            }
-            if (!entry.empty())
-                options.machines.push_back(entry);
-            if (options.machines.empty()) {
-                std::cerr << argv[0] << ": --machines got an empty "
-                                        "list\n";
-                std::exit(2);
-            }
-        } else if (arg == "--cache-dir") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0]
-                          << ": --cache-dir needs a path\n";
-                std::exit(2);
-            }
-            options.cacheDir = argv[++i];
-        } else if (arg == "--replay") {
-            options.replay = true;
-        } else if (arg == "--fuzz") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --fuzz needs a count\n";
-                std::exit(2);
-            }
-            options.fuzzLoops =
-                parseCount(argv[0], "--fuzz", argv[++i]);
-        } else if (arg == "--fuzz-seed") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --fuzz-seed needs a "
-                                        "seed\n";
-                std::exit(2);
-            }
-            std::string text = argv[++i];
-            char *end = nullptr;
-            errno = 0;
-            options.fuzzSeed = std::strtoull(text.c_str(), &end, 0);
-            if (errno != 0 || end == text.c_str() || *end != '\0') {
-                std::cerr << argv[0]
-                          << ": --fuzz-seed needs an integer, got '"
-                          << text << "'\n";
-                std::exit(2);
-            }
-        } else {
-            std::cerr << argv[0] << ": unknown argument '" << arg
-                      << "' (--smoke, --jobs N, --json PATH, "
-                         "--machines LIST, --cache-dir PATH, "
-                         "--replay, --fuzz N, --fuzz-seed S)\n";
-            std::exit(2);
-        }
-    }
+    ArgParser parser(argv[0]);
+    parser.flag("--smoke", "tiny workload for CTest", options.smoke)
+        .option("--jobs", "N", "engine workers, 0 = hardware (default 1)",
+                options.jobs, 0, maxCount)
+        .option("--json", "PATH", "JSON report, '-' = stdout",
+                options.jsonPath)
+        .option("--machines", "LIST",
+                "comma-separated registry names or .machine paths",
+                [&](const std::string &list) {
+                    std::istringstream entries(list);
+                    for (std::string entry;
+                         std::getline(entries, entry, ',');) {
+                        if (!entry.empty())
+                            options.machines.push_back(entry);
+                    }
+                    if (options.machines.empty())
+                        parser.fail("--machines got an empty list");
+                })
+        .option("--cache-dir", "PATH", "persistent compile cache",
+                options.cacheDir)
+        .flag("--replay", "check every compiled loop with both oracles",
+              options.replay)
+        .option("--fuzz", "N", "append N fuzz-corpus loops",
+                options.fuzzLoops, 0, maxCount)
+        .option("--fuzz-seed", "S",
+                "corpus seed for --fuzz (default 0xf022c0de5eed)",
+                options.fuzzSeed);
+    if (declareExtra)
+        declareExtra(parser);
+    parser.parse({argv + 1, argv + argc});
     return options;
 }
 

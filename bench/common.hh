@@ -27,6 +27,7 @@
 #include "core/pipeline.hh"
 #include "engine/engine.hh"
 #include "machine/machine.hh"
+#include "support/args.hh"
 
 namespace gpsched::bench
 {
@@ -98,10 +99,13 @@ struct BenchOptions
 };
 
 /**
- * Parses argv; recognizes --smoke/--jobs/--json/--machines/
- * --cache-dir/--replay; exits with status 2 on anything else.
+ * Parses argv: the flags above, plus any a driver declares through
+ * @p declareExtra. --help prints the usage and exits 0; anything
+ * else unknown exits 2 (support/args.hh).
  */
-BenchOptions parseBenchArgs(int argc, char **argv);
+BenchOptions parseBenchArgs(
+    int argc, char **argv,
+    const std::function<void(ArgParser &)> &declareExtra = nullptr);
 
 /**
  * The --replay gate on one suite result: replays every compiled

@@ -37,16 +37,6 @@ schemeFlag(SchedulerKind kind)
     GPSCHED_PANIC("unknown scheduler kind");
 }
 
-std::optional<SchedulerKind>
-parseSchemeFlag(const std::string &flag)
-{
-    for (const SchemeName &scheme : kSchemeNames) {
-        if (flag == scheme.flag)
-            return scheme.kind;
-    }
-    return std::nullopt;
-}
-
 namespace
 {
 

@@ -29,7 +29,6 @@
 #define GPSCHED_CORE_GP_SCHEDULER_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,9 +68,6 @@ inline constexpr SchemeName kSchemeNames[] = {
 
 /** Command-line spelling ("uracam", "fixed", "gp"). */
 const char *schemeFlag(SchedulerKind kind);
-
-/** The scheme spelled @p flag on the command line, if any. */
-std::optional<SchedulerKind> parseSchemeFlag(const std::string &flag);
 
 /**
  * When the GP driver recomputes the partition after a failed

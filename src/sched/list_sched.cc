@@ -193,7 +193,7 @@ listSchedule(const Ddg &ddg, const MachineConfig &machine)
                 if (edge.isFlow() && result.cluster[p] != c) {
                     auto it = arrivals.find({p, c});
                     if (it != arrivals.end()) {
-                        ready_at = it->second;
+                        ready_at = std::max(ready_at, it->second);
                     } else if (num_bus_classes == 0) {
                         infeasible = true;
                         break;
@@ -244,7 +244,9 @@ listSchedule(const Ddg &ddg, const MachineConfig &machine)
                     it = arrivals.emplace(key, arrival).first;
                     ++result.busTransfers;
                 }
-                ready_at = it->second;
+                // A reused transfer may have arrived before this
+                // edge's own latency elapsed.
+                ready_at = std::max(ready_at, it->second);
             }
             earliest = std::max(earliest, ready_at);
         }

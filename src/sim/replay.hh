@@ -5,8 +5,8 @@
  * the cycle-accurate simulator (sim/sim.hh). The two must agree on
  * whether the schedule is legal, and on a legal schedule the
  * replayed II, cycles and IPC must equal the compiler's claims bit
- * for bit. gpsched_cli --simulate, the benches' --replay gate, the
- * fuzz harness and the property tests all call it.
+ * for bit. `gpsched compile --simulate`, the benches' --replay gate,
+ * the fuzz harness and the property tests all call it.
  *
  * replayProgram()/replaySuite() apply it to every successfully
  * compiled loop of a pipeline result (the --replay gate).

@@ -322,7 +322,7 @@ void
 writeCorpus(std::ostream &os, std::uint64_t corpusSeed, int count,
             const LatencyTable &lat)
 {
-    os << "# ddg_fuzz corpus: seed " << corpusSeed << ", " << count
+    os << "# gpsched fuzz corpus: seed " << corpusSeed << ", " << count
        << " loops\n";
     for (int i = 0; i < count; ++i) {
         FuzzCase c = corpusCase(corpusSeed, i, lat);

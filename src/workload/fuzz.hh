@@ -2,7 +2,7 @@
  * @file
  * Corpus-scale differential fuzzing of the whole compile pipeline.
  *
- * Three pieces, shared by tools/ddg_fuzz, the regression tests and
+ * Three pieces, shared by `gpsched fuzz`, the regression tests and
  * the nightly sweep:
  *
  *  - a seeded, shape-parameterized corpus generator that promotes
@@ -97,7 +97,8 @@ std::vector<std::uint64_t> corpusSeeds(std::uint64_t corpusSeed,
 
 /**
  * Writes cases [0, count) of the corpus as a multi-DDG `.ddg` stream
- * (graph/textio.hh blocks), loadable by gpsched_cli and ddg_fuzz.
+ * (graph/textio.hh blocks), loadable by `gpsched compile` and
+ * `gpsched fuzz repro`.
  */
 void writeCorpus(std::ostream &os, std::uint64_t corpusSeed,
                  int count, const LatencyTable &lat);

@@ -179,8 +179,8 @@ TEST(FaultIsolation, HundredLoopBatchSurvivesItsBadLoops)
 /**
  * The parse stage is the other failure source of a real batch: a
  * front-end reads blocks with readDdgText, records Parse-kind
- * CompileErrors for the malformed ones (as gpsched_cli --keep-going
- * does), and hands only the parsed loops to the engine.
+ * CompileErrors for the malformed ones (as `gpsched compile
+ * --keep-going` does), and hands only the parsed loops to the engine.
  */
 TEST(FaultIsolation, ParseStageFailuresAreRecoverableTyped)
 {

@@ -11,6 +11,7 @@
 #include "machine/configs.hh"
 #include "sched/list_sched.hh"
 #include "testing/fixtures.hh"
+#include "workload/fuzz.hh"
 #include "workload/loop_shapes.hh"
 
 using namespace gpsched;
@@ -58,6 +59,26 @@ expectPrecedenceRespected(const Ddg &g, const ListScheduleResult &r,
         EXPECT_GE(r.cycle[edge.dst], r.cycle[edge.src] + min_delay)
             << "edge " << e;
     }
+}
+
+/**
+ * Counts distance-0 edges that break the validator's rule,
+ * cycle[dst] >= cycle[src] + latency. Unlike
+ * expectPrecedenceRespected it adds no bus latency: a consumer
+ * served by a transfer already sent to its cluster may legitimately
+ * issue sooner than a fresh transfer would allow.
+ */
+int
+distanceZeroViolations(const Ddg &g, const ListScheduleResult &r)
+{
+    int violations = 0;
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const DdgEdge &edge = g.edge(e);
+        if (edge.distance == 0 && edge.src != edge.dst &&
+            r.cycle[edge.dst] < r.cycle[edge.src] + edge.latency)
+            ++violations;
+    }
+    return violations;
 }
 
 } // namespace
@@ -179,6 +200,29 @@ TEST_P(ListSchedSweep, RandomLoopsRespectAllConstraints)
     expectPrecedenceRespected(g, r, m);
     expectResourcesRespected(g, m, r);
     EXPECT_GT(r.scheduleLength, 0);
+}
+
+// The pinned fuzz corpus (200 loops) on the 13-machine fuzz list,
+// sharded over the sweep's parameters: seed k takes the cases
+// i % 5 == k - 1, machine index m the machines j % 3 == m. Its
+// latency-inflated edges catch a consumer that reuses an earlier
+// transfer yet issues before its own edge latency has elapsed.
+TEST_P(ListSchedSweep, FuzzCorpusRespectsDistanceZeroEdges)
+{
+    auto [seed, machine] = GetParam();
+    LatencyTable lat;
+    std::vector<fuzz::FuzzMachine> machines =
+        fuzz::fuzzMachines(GPSCHED_SOURCE_DIR "/examples/machines");
+    for (int i = static_cast<int>(seed) - 1; i < 200; i += 5) {
+        Ddg g = fuzz::corpusCase(0xf022c0de5eedULL, i, lat).ddg;
+        for (std::size_t j = static_cast<std::size_t>(machine);
+             j < machines.size(); j += 3) {
+            ListScheduleResult r =
+                listSchedule(g, machines[j].config);
+            EXPECT_EQ(distanceZeroViolations(g, r), 0)
+                << "corpus case " << i << " on " << machines[j].spec;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

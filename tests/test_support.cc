@@ -1,19 +1,22 @@
 /**
  * @file
  * Unit tests for the support substrate: deterministic RNG, summary
- * statistics (running stats and histograms), table rendering, and
- * the CPU/wall timers.
+ * statistics (running stats and histograms), table rendering, the
+ * CPU/wall timers, and the command-line flag parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "support/args.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -339,4 +342,128 @@ TEST(Histogram, ConcurrentAddsLoseNothing)
               static_cast<std::size_t>(threads) * perThread);
     EXPECT_DOUBLE_EQ(h.min(), 1.0);
     EXPECT_DOUBLE_EQ(h.max(), static_cast<double>(threads));
+}
+
+TEST(ArgParser, IntegersParseInBaseZero)
+{
+    ArgParser parser("toy");
+    EXPECT_EQ(parser.integer("--n", "42", 0, 100), 42u);
+    EXPECT_EQ(parser.integer("--n", "0x10", 0, 100), 16u);
+    EXPECT_EQ(parser.integer("--n", "3", 1, 3), 3u);
+    EXPECT_EQ(parser.integer("--n", "18446744073709551615", 0,
+                             18446744073709551615ULL),
+              18446744073709551615ULL);
+}
+
+TEST(ArgParserDeathTest, IntegersRejectAnythingElse)
+{
+    ArgParser parser("toy");
+    for (const char *bad : {"", " 1", "+1", "-1", "1x", "0x", "09", "0",
+                            "4", "18446744073709551616"})
+        EXPECT_EXIT(parser.integer("--n", bad, 1, 3),
+                    ::testing::ExitedWithCode(2),
+                    "toy: --n needs an integer in \\[1, 3\\]")
+            << bad;
+}
+
+namespace
+{
+
+/** A small declared flag set, as a subcommand would build it. */
+struct ToyFlags
+{
+    bool verbose = false;
+    int jobs = 1;
+    std::uint64_t seed = 0;
+    std::string out = "-";
+    int mode = 0;
+    std::vector<std::string> operands;
+};
+
+ToyFlags
+parseToy(const std::vector<std::string> &args)
+{
+    ToyFlags flags;
+    ArgParser parser("toy run", "<file>...");
+    parser.flag("--verbose", "talk more", flags.verbose)
+        .option("--jobs", "N", "workers", flags.jobs, 1, 8)
+        .option("--seed", "S", "corpus seed", flags.seed)
+        .option("--out", "PATH", "output path", flags.out)
+        .choice("--mode", "how to run", flags.mode,
+                std::vector<std::pair<std::string, int>>{{"fast", 1},
+                                                         {"slow", 2}});
+    flags.operands = parser.parse(args);
+    return flags;
+}
+
+} // namespace
+
+TEST(ArgParser, AppliesDeclaredFlagsAndOperands)
+{
+    ToyFlags flags =
+        parseToy({"a.ddg", "--verbose", "--jobs", "3", "--seed",
+                  "0xf022c0de5eed", "--out", "-", "--mode", "slow",
+                  "-", "--jobs", "4"});
+    EXPECT_TRUE(flags.verbose);
+    EXPECT_EQ(flags.jobs, 4); // the later occurrence wins
+    EXPECT_EQ(flags.seed, 0xf022c0de5eedULL);
+    EXPECT_EQ(flags.out, "-");
+    EXPECT_EQ(flags.mode, 2);
+    EXPECT_EQ(flags.operands,
+              (std::vector<std::string>{"a.ddg", "-"}));
+}
+
+TEST(ArgParser, UsageNamesEveryDeclaredFlag)
+{
+    ToyFlags flags;
+    ArgParser parser("toy run");
+    parser.flag("--verbose", "talk more", flags.verbose)
+        .option("--jobs", "N", "workers", flags.jobs, 1, 8)
+        .option("--seed", "S", "corpus seed", flags.seed);
+    std::ostringstream os;
+    parser.printUsage(os);
+    for (const char *name :
+         {"usage: toy run", "--verbose", "--jobs N", "--seed S",
+          "--help", "workers"})
+        EXPECT_NE(os.str().find(name), std::string::npos) << name;
+}
+
+TEST(ArgParserDeathTest, HelpExitsZero)
+{
+    EXPECT_EXIT(parseToy({"--help"}), ::testing::ExitedWithCode(0),
+                "");
+    EXPECT_EXIT(parseToy({"a.ddg", "-h"}),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ArgParserDeathTest, UsageErrorsExitTwo)
+{
+    EXPECT_EXIT(parseToy({"--bogus"}), ::testing::ExitedWithCode(2),
+                "toy run: unknown option '--bogus'");
+    EXPECT_EXIT(parseToy({"--out"}), ::testing::ExitedWithCode(2),
+                "toy run: --out needs a value");
+    EXPECT_EXIT(parseToy({"--jobs", "9"}), ::testing::ExitedWithCode(2),
+                "--jobs needs an integer in \\[1, 8\\], got '9'");
+    EXPECT_EXIT(parseToy({"--seed", "-1"}),
+                ::testing::ExitedWithCode(2),
+                "--seed needs an integer in \\[0, 18446744073709551615\\], "
+                "got '-1'");
+    EXPECT_EXIT(parseToy({"--mode", "medium"}),
+                ::testing::ExitedWithCode(2),
+                "--mode wants fast[|]slow, got 'medium'");
+    // The usage rides along on stderr.
+    EXPECT_EXIT(parseToy({"--bogus"}), ::testing::ExitedWithCode(2),
+                "usage: toy run \\[options\\] <file>\\.\\.\\.");
+}
+
+TEST(ArgParserDeathTest, OperandsOnlyWhereDeclared)
+{
+    auto parse = [] {
+        bool on = false;
+        ArgParser parser("toy gen");
+        parser.flag("--on", "switch", on);
+        parser.parse({"stray"});
+    };
+    EXPECT_EXIT(parse(), ::testing::ExitedWithCode(2),
+                "toy gen: unexpected argument 'stray'");
 }

@@ -1,20 +1,20 @@
-# Cold-then-warm gpsched_cli run over one --cache-dir: the warm run
+# Cold-then-warm `gpsched compile` run over one --cache-dir: the warm run
 # uses a fresh engine (fresh process, fresh in-memory cache), so
 # every unique loop shape must be served by the persistent layer —
 # diskHits > 0 and cacheMisses (compilations) == 0 — and the per-loop
 # metrics must be identical to the cold run's.
 #
-# Variables: CLI (gpsched_cli path), DDG (input file), CACHE (dir).
+# Variables: GPSCHED (gpsched path), DDG (input file), CACHE (dir).
 
-if(NOT DEFINED CLI OR NOT DEFINED DDG OR NOT DEFINED CACHE)
-  message(FATAL_ERROR "need -DCLI=... -DDDG=... -DCACHE=...")
+if(NOT DEFINED GPSCHED OR NOT DEFINED DDG OR NOT DEFINED CACHE)
+  message(FATAL_ERROR "need -DGPSCHED=... -DDDG=... -DCACHE=...")
 endif()
 
 file(REMOVE_RECURSE "${CACHE}")
 
 foreach(run cold warm)
   execute_process(
-    COMMAND ${CLI} --scheme all --jobs 2 --cache-dir ${CACHE}
+    COMMAND ${GPSCHED} compile --scheme all --jobs 2 --cache-dir ${CACHE}
             --json - ${DDG}
     RESULT_VARIABLE status
     OUTPUT_VARIABLE ${run}_out

@@ -10,14 +10,14 @@
 #   (c) the canary's failures are minimized to <= 25% of the original
 #       node count, with .min.ddg/.orig.ddg/.repro artifacts;
 #   (d) the emitted reproducer command line, run verbatim, reproduces
-#       the recorded failure (exit 0 from `ddg_fuzz repro`);
+#       the recorded failure (exit 0 from `gpsched fuzz repro`);
 #   (e) the metric-mismatch canary (--corrupt cycles) is caught too.
 #
 # Variables:
-#   FUZZ  path to the ddg_fuzz binary
+#   GPSCHED  path to the gpsched binary
 #   OUT   scratch directory
 
-foreach(var FUZZ OUT)
+foreach(var GPSCHED OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_fuzz.cmake needs -D${var}=...")
   endif()
@@ -28,7 +28,7 @@ file(MAKE_DIRECTORY ${OUT})
 
 # --- (a) clean smoke sweep ----------------------------------------
 execute_process(
-  COMMAND ${FUZZ} sweep --smoke --seed 0xf022c0de5eed
+  COMMAND ${GPSCHED} fuzz sweep --smoke --seed 0xf022c0de5eed
           --failures ${OUT}/clean --out ${OUT}/corpus.ddg
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
@@ -58,7 +58,7 @@ endif()
 
 # --- (b)+(c) schedule-corruption canary ---------------------------
 execute_process(
-  COMMAND ${FUZZ} sweep --count 6 --seed 0xf022c0de5eed
+  COMMAND ${GPSCHED} fuzz sweep --count 6 --seed 0xf022c0de5eed
           --corrupt cluster --failures ${OUT}/canary
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
@@ -111,7 +111,7 @@ endif()
 
 # --- (e) estimator-mismatch canary --------------------------------
 execute_process(
-  COMMAND ${FUZZ} sweep --count 4 --seed 0xf022c0de5eed
+  COMMAND ${GPSCHED} fuzz sweep --count 4 --seed 0xf022c0de5eed
           --corrupt cycles --failures ${OUT}/cycles
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out

@@ -1,19 +1,18 @@
 # The import pipeline, end to end:
 #   (a) a healthy JSON dump converts to .ddg text and the result
-#       compiles through gpsched_cli;
+#       compiles through `gpsched compile`;
 #   (b) a malformed dump (NaN latency) dies with a diagnostic whose
 #       message carries the *input* file:line;
 #   (c) --keep-going over bad+good files exits 1 but still emits the
 #       good loops.
 #
 # Variables:
-#   IMPORT  path to the ddg_import binary
-#   CLI     path to the gpsched_cli binary
+#   GPSCHED path to the gpsched binary
 #   GOOD    healthy fixture (sample_import.json)
 #   BAD     malformed fixture (bad_import.json)
 #   OUT     scratch path prefix
 
-foreach(var IMPORT CLI GOOD BAD OUT)
+foreach(var GPSCHED GOOD BAD OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_import.cmake needs -D${var}=...")
   endif()
@@ -21,7 +20,7 @@ endforeach()
 
 # --- (a) good dump: convert, then compile --------------------------
 execute_process(
-  COMMAND ${IMPORT} --out ${OUT}.ddg ${GOOD}
+  COMMAND ${GPSCHED} import --out ${OUT}.ddg ${GOOD}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
@@ -37,7 +36,7 @@ if(NOT nloops EQUAL 2)
 endif()
 
 execute_process(
-  COMMAND ${CLI} --scheme all --json - ${OUT}.ddg
+  COMMAND ${GPSCHED} compile --scheme all --json - ${OUT}.ddg
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
@@ -52,7 +51,7 @@ endif()
 
 # --- (b) bad dump: input file:line diagnostic ----------------------
 execute_process(
-  COMMAND ${IMPORT} ${BAD}
+  COMMAND ${GPSCHED} import ${BAD}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
@@ -62,7 +61,7 @@ if(status STREQUAL "0")
 endif()
 if(NOT status MATCHES "^[0-9]+$")
   message(FATAL_ERROR
-    "ddg_import died abnormally (${status})\nstderr: ${err}")
+    "gpsched import died abnormally (${status})\nstderr: ${err}")
 endif()
 if(NOT err MATCHES "bad_import\\.json:[0-9]+.*NaN")
   message(FATAL_ERROR
@@ -71,7 +70,7 @@ endif()
 
 # --- (c) keep-going: bad file skipped, good loops emitted ----------
 execute_process(
-  COMMAND ${IMPORT} --keep-going --out ${OUT}.keep.ddg ${BAD} ${GOOD}
+  COMMAND ${GPSCHED} import --keep-going --out ${OUT}.keep.ddg ${BAD} ${GOOD}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err

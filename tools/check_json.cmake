@@ -1,11 +1,11 @@
-# CTest helper: run gpsched_cli on a DDG file, then strictly parse
+# CTest helper: run `gpsched compile` on a DDG file, then strictly parse
 # the JSON report and assert the fields the bench trajectory and
-# downstream tooling rely on. Variables: CLI, DDG, PYTHON, OUT.
+# downstream tooling rely on. Variables: GPSCHED, DDG, PYTHON, OUT.
 execute_process(
-  COMMAND ${CLI} --scheme all --jobs 2 --repeat 2 --json ${OUT} ${DDG}
+  COMMAND ${GPSCHED} compile --scheme all --jobs 2 --repeat 2 --json ${OUT} ${DDG}
   RESULT_VARIABLE cli_result)
 if(NOT cli_result EQUAL 0)
-  message(FATAL_ERROR "gpsched_cli failed with status ${cli_result}")
+  message(FATAL_ERROR "gpsched compile failed with status ${cli_result}")
 endif()
 
 execute_process(

@@ -15,13 +15,13 @@
 # get its parse error object, and the exit status must be 1.
 #
 # Variables:
-#   CLI     path to the gpsched_cli binary
+#   GPSCHED path to the gpsched binary
 #   MIXED   the mixed good/bad fixture (mixed_loops.ddg)
 #   CLEAN   an all-good fixture (sample_loop.ddg)
 #   TRUNC   fixture whose last block is truncated (truncated_last.ddg)
 #   OUT     scratch path for the JSON report
 
-foreach(var CLI MIXED CLEAN TRUNC OUT)
+foreach(var GPSCHED MIXED CLEAN TRUNC OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_keep_going.cmake needs -D${var}=...")
   endif()
@@ -29,7 +29,7 @@ endforeach()
 
 # --- keep-going over the mixed file: exit 1, full report ----------
 execute_process(
-  COMMAND ${CLI} --keep-going --jobs 2 --json ${OUT} ${MIXED}
+  COMMAND ${GPSCHED} compile --keep-going --jobs 2 --json ${OUT} ${MIXED}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
@@ -79,7 +79,7 @@ endif()
 
 # --- keep-going over a clean file: exit 0 --------------------------
 execute_process(
-  COMMAND ${CLI} --keep-going --json ${OUT}.clean ${CLEAN}
+  COMMAND ${GPSCHED} compile --keep-going --json ${OUT}.clean ${CLEAN}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
@@ -92,7 +92,7 @@ endif()
 
 # --- keep-going with a truncated *last* block ----------------------
 execute_process(
-  COMMAND ${CLI} --keep-going --json ${OUT}.trunc ${TRUNC}
+  COMMAND ${GPSCHED} compile --keep-going --json ${OUT}.trunc ${TRUNC}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err
@@ -121,7 +121,7 @@ endif()
 
 # --- without --keep-going: first error is fatal --------------------
 execute_process(
-  COMMAND ${CLI} ${MIXED}
+  COMMAND ${GPSCHED} compile ${MIXED}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err

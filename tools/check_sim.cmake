@@ -8,13 +8,13 @@
 # loops failed to compile — not because any verdict failed.
 #
 # Variables:
-#   CLI     path to the gpsched_cli binary
+#   GPSCHED path to the gpsched binary
 #   CLEAN   an all-good fixture (sample_loop.ddg)
 #   MIXED   the mixed good/bad fixture (mixed_loops.ddg)
 #   PYTHON  python3 interpreter for the strict JSON checks
 #   OUT     scratch path prefix for the JSON reports
 
-foreach(var CLI CLEAN MIXED PYTHON OUT)
+foreach(var GPSCHED CLEAN MIXED PYTHON OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_sim.cmake needs -D${var}=...")
   endif()
@@ -22,7 +22,7 @@ endforeach()
 
 # --- healthy batch: exit 0, every row sim-verified -----------------
 execute_process(
-  COMMAND ${CLI} --simulate --scheme all --json ${OUT}.clean.json
+  COMMAND ${GPSCHED} compile --simulate --scheme all --json ${OUT}.clean.json
           ${CLEAN}
   RESULT_VARIABLE status
   ERROR_VARIABLE err
@@ -67,7 +67,7 @@ endif()
 
 # --- mixed batch with --keep-going: error rows untouched -----------
 execute_process(
-  COMMAND ${CLI} --simulate --keep-going --json ${OUT}.mixed.json
+  COMMAND ${GPSCHED} compile --simulate --keep-going --json ${OUT}.mixed.json
           ${MIXED}
   RESULT_VARIABLE status
   ERROR_VARIABLE err

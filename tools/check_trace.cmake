@@ -1,18 +1,18 @@
-# Drive gpsched_cli with --trace and validate the emitted Chrome
+# Drive `gpsched compile` with --trace and validate the emitted Chrome
 # trace-event files with check_trace.py (after running the validator's
 # own self-test, so a broken checker cannot vacuously pass). Uses
 # --jobs 4 to get genuinely concurrent compile spans across worker
 # tids, plus a --cache-dir so cache-probe/disk-IO spans appear too.
 #
-# Variables: CLI (gpsched_cli path), DDG (input file), PYTHON
+# Variables: GPSCHED (gpsched path), DDG (input file), PYTHON
 # (interpreter), CHECK (check_trace.py path), OUT (trace output path
 # prefix), CACHE (scratch cache dir), PHASES (the GPSCHED_TELEMETRY
 # option — phase spans only exist when they are compiled in).
 
-if(NOT DEFINED CLI OR NOT DEFINED DDG OR NOT DEFINED PYTHON OR
+if(NOT DEFINED GPSCHED OR NOT DEFINED DDG OR NOT DEFINED PYTHON OR
    NOT DEFINED CHECK OR NOT DEFINED OUT OR NOT DEFINED CACHE)
   message(FATAL_ERROR
-    "need -DCLI=... -DDDG=... -DPYTHON=... -DCHECK=... -DOUT=... "
+    "need -DGPSCHED=... -DDDG=... -DPYTHON=... -DCHECK=... -DOUT=... "
     "-DCACHE=...")
 endif()
 
@@ -35,7 +35,7 @@ foreach(run cold warm)
   set(trace_file "${OUT}.${run}.json")
   file(REMOVE "${trace_file}")
   execute_process(
-    COMMAND ${CLI} --scheme all --jobs 4 --repeat 2
+    COMMAND ${GPSCHED} compile --scheme all --jobs 4 --repeat 2
             --cache-dir ${CACHE} --trace ${trace_file} --json -
             ${DDG}
     RESULT_VARIABLE status
