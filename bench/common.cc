@@ -1,7 +1,6 @@
 #include "common.hh"
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -13,6 +12,7 @@
 #include "support/args.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/output.hh"
 #include "support/table.hh"
 #include "workload/fuzz.hh"
 #include "workload/specfp.hh"
@@ -90,17 +90,8 @@ void
 withJsonStream(const BenchOptions &options,
                const std::function<void(std::ostream &)> &emit)
 {
-    if (options.jsonPath.empty())
-        return;
-    if (options.jsonPath == "-") {
-        emit(std::cout);
-        return;
-    }
-    std::ofstream out(options.jsonPath);
-    if (!out)
-        GPSCHED_FATAL("cannot open JSON report path '",
-                      options.jsonPath, "'");
-    emit(out);
+    if (!options.jsonPath.empty())
+        writeOutput(options.jsonPath, emit);
 }
 
 std::vector<Program>

@@ -131,9 +131,9 @@ benchMachines(const BenchOptions &options,
               const std::vector<MachineConfig> &fallback);
 
 /**
- * Runs @p emit against the --json destination: a file stream for a
- * path, std::cout for "-", not at all when --json was absent. Fatal
- * when the file cannot be opened.
+ * Runs @p emit against the --json destination through writeOutput
+ * (support/output.hh): std::cout for "-", the file for a path (fatal
+ * when it cannot be written), not at all when --json was absent.
  */
 void withJsonStream(const BenchOptions &options,
                     const std::function<void(std::ostream &)> &emit);

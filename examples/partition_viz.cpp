@@ -10,13 +10,13 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "graph/dot.hh"
 #include "machine/configs.hh"
 #include "partition/multilevel.hh"
 #include "sched/mii.hh"
+#include "support/output.hh"
 #include "workload/loop_shapes.hh"
 
 using namespace gpsched;
@@ -36,14 +36,10 @@ main(int argc, char **argv)
 
     std::string plain_path = prefix + "_plain.dot";
     std::string part_path = prefix + "_partitioned.dot";
-    {
-        std::ofstream os(plain_path);
-        writeDot(os, loop);
-    }
-    {
-        std::ofstream os(part_path);
+    writeOutput(plain_path, [&](std::ostream &os) { writeDot(os, loop); });
+    writeOutput(part_path, [&](std::ostream &os) {
         writeDot(os, loop, &result.partition.raw());
-    }
+    });
 
     std::printf("loop %s: %d ops, %d deps, MII %d\n",
                 loop.name().c_str(), loop.numNodes(), loop.numEdges(),

@@ -1,16 +1,20 @@
 #include "workload/fuzz.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
+#include "engine/thread_pool.hh"
 #include "graph/ddg_builder.hh"
 #include "graph/textio.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
 #include "sim/replay.hh"
 #include "support/compile_error.hh"
+#include "support/output.hh"
 #include "support/random.hh"
 #include "workload/loop_shapes.hh"
 
@@ -55,6 +59,20 @@ toString(FuzzVerdict verdict)
       default:
         return "?";
     }
+}
+
+const char *
+toString(ScheduleCorruption corruption)
+{
+    switch (corruption) {
+      case ScheduleCorruption::None:
+        return "none";
+      case ScheduleCorruption::ClusterOutOfRange:
+        return "cluster";
+      case ScheduleCorruption::CyclesOffByOne:
+        return "cycles";
+    }
+    GPSCHED_PANIC("bad ScheduleCorruption");
 }
 
 namespace
@@ -583,6 +601,129 @@ minimizeDdg(const Ddg &ddg,
     st.nodesAfter = cur.numNodes();
     st.edgesAfter = cur.numEdges();
     return cur;
+}
+
+namespace
+{
+
+/** Case-insensitive-filesystem-safe artifact stem. */
+std::string
+artifactStem(const SweepFailure &f)
+{
+    std::string stem = f.fuzzCase.ddg.name() + "__" + f.first().machine +
+                       "__" + schemeFlag(f.first().scheme);
+    for (char &c : stem) {
+        if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+              c == '-'))
+            c = '_';
+    }
+    return stem;
+}
+
+/** Shrinks @p f on its failing machine and writes its artifacts. */
+void
+minimizeAndRecord(SweepFailure &f, const FuzzMachine &fm,
+                  const SweepOptions &options)
+{
+    auto stillFails = [&](const Ddg &g) {
+        FuzzCaseResult r = runFuzzCase(g, {fm.config}, options.corruption);
+        for (const FuzzFailure &rf : r.failures) {
+            if (rf.scheme == f.first().scheme && rf.kind == f.first().kind)
+                return true;
+        }
+        return false;
+    };
+    Ddg reduced = minimizeDdg(f.fuzzCase.ddg, stillFails, &f.stats, 4000);
+
+    namespace fs = std::filesystem;
+    const std::string stem = artifactStem(f);
+    const fs::path dir(options.failuresDir);
+    f.minPath = (dir / (stem + ".min.ddg")).string();
+    f.origPath = (dir / (stem + ".orig.ddg")).string();
+    f.reproPath = (dir / (stem + ".repro")).string();
+    const char *corruption = toString(options.corruption);
+    auto header = [&](std::ostream &os) {
+        os << "# " << f.first().toString() << "\n"
+           << "# case " << f.fuzzCase.index << " seed " << f.fuzzCase.seed
+           << " shape " << toString(f.fuzzCase.shape) << " corruption "
+           << corruption << "\n";
+    };
+    writeOutput(f.origPath, [&](std::ostream &os) {
+        header(os);
+        writeDdgText(os, f.fuzzCase.ddg);
+    });
+    writeOutput(f.minPath, [&](std::ostream &os) {
+        header(os);
+        os << "# minimized " << f.stats.nodesBefore << " -> "
+           << f.stats.nodesAfter << " nodes, " << f.stats.edgesBefore
+           << " -> " << f.stats.edgesAfter << " edges in "
+           << f.stats.probes << " probes\n";
+        writeDdgText(os, reduced);
+    });
+    writeOutput(f.reproPath, [&](std::ostream &os) {
+        os << fs::absolute(options.tool).string() << " fuzz repro --ddg "
+           << fs::absolute(f.minPath).string() << " --machine " << fm.spec
+           << " --scheme " << schemeFlag(f.first().scheme) << " --corrupt "
+           << corruption << " --expect " << toString(f.first().kind)
+           << "\n";
+    });
+}
+
+} // namespace
+
+SweepSummary
+runSweep(const std::vector<FuzzMachine> &machines,
+         const SweepOptions &options)
+{
+    const LatencyTable lat;
+    const std::vector<MachineConfig> configs = fuzzConfigs(machines);
+    SweepSummary summary;
+    std::mutex mu;
+    {
+        ThreadPool pool(options.jobs);
+        for (int i = 0; i < options.count; ++i) {
+            pool.submit([&, i] {
+                FuzzCase c = corpusCase(options.seed, i, lat);
+                FuzzCaseResult r =
+                    runFuzzCase(c.ddg, configs, options.corruption);
+                std::lock_guard<std::mutex> lock(mu);
+                summary.pairsCompiled += r.pairsCompiled;
+                summary.moduloScheduled += r.moduloScheduled;
+                if (!r.ok()) {
+                    SweepFailure f;
+                    f.fuzzCase = std::move(c);
+                    f.failures = std::move(r.failures);
+                    summary.failures.push_back(std::move(f));
+                }
+            });
+        }
+        pool.wait();
+    }
+    std::sort(summary.failures.begin(), summary.failures.end(),
+              [](const SweepFailure &a, const SweepFailure &b) {
+                  return a.fuzzCase.index < b.fuzzCase.index;
+              });
+    if (summary.failures.empty())
+        return summary;
+
+    std::error_code ec;
+    std::filesystem::create_directories(options.failuresDir, ec);
+    if (ec)
+        GPSCHED_FATAL("cannot create failures directory '",
+                      options.failuresDir, "': ", ec.message());
+    for (std::size_t i = 0;
+         i < std::min(summary.failures.size(), kMaxMinimized); ++i) {
+        SweepFailure &f = summary.failures[i];
+        auto fm = std::find_if(machines.begin(), machines.end(),
+                               [&](const FuzzMachine &m) {
+                                   return m.config.name() ==
+                                          f.first().machine;
+                               });
+        GPSCHED_ASSERT(fm != machines.end(),
+                       "failure names unknown machine ", f.first().machine);
+        minimizeAndRecord(f, *fm, options);
+    }
+    return summary;
 }
 
 } // namespace gpsched::fuzz

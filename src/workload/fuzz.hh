@@ -21,7 +21,11 @@
  *  - a greedy minimizer (minimizeDdg) that shrinks a failing loop by
  *    chunked node deletion and per-edge deletion, re-running the
  *    caller's failure predicate after every candidate cut, so a
- *    corpus-sized failure becomes a pinnable few-node reproducer.
+ *    corpus-sized failure becomes a pinnable few-node reproducer;
+ *
+ *  - the corpus sweep (runSweep) behind `gpsched fuzz sweep`: every
+ *    case through runFuzzCase in parallel, then each failing case
+ *    minimized and written as .orig.ddg/.min.ddg/.repro artifacts.
  *
  * Corruption injection (ScheduleCorruption) deliberately damages a
  * compiled record between the compiler and the oracles; it exists so
@@ -33,6 +37,7 @@
 #ifndef GPSCHED_WORKLOAD_FUZZ_HH
 #define GPSCHED_WORKLOAD_FUZZ_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -157,6 +162,9 @@ enum class ScheduleCorruption : std::uint8_t
     CyclesOffByOne,
 };
 
+/** Stable flag name ("none", "cluster", "cycles"). */
+const char *toString(ScheduleCorruption corruption);
+
 /** One two-oracle violation. */
 struct FuzzFailure
 {
@@ -227,6 +235,68 @@ Ddg minimizeDdg(const Ddg &ddg,
                 const std::function<bool(const Ddg &)> &stillFails,
                 MinimizeStats *stats = nullptr,
                 int maxProbes = 20000);
+
+/** Failing cases a sweep minimizes; the rest are only counted, so
+ *  one systemic failure cannot turn a sweep into hours of
+ *  minimization. */
+constexpr std::size_t kMaxMinimized = 10;
+
+/** What runSweep sweeps and where it records failures. */
+struct SweepOptions
+{
+    std::uint64_t seed = 0;
+    int count = 0;
+    int jobs = 1;
+    ScheduleCorruption corruption = ScheduleCorruption::None;
+
+    /** Artifact directory, created on the first failure. */
+    std::string failuresDir = "fuzz-failures";
+
+    /** The executable a `.repro` line runs; made absolute. */
+    std::string tool = "gpsched";
+};
+
+/** One failing corpus case. */
+struct SweepFailure
+{
+    FuzzCase fuzzCase;
+    std::vector<FuzzFailure> failures; ///< every failing pair
+
+    /** The pair minimization keeps failing. */
+    const FuzzFailure &first() const { return failures.front(); }
+
+    /** Set for the minimized cases only. */
+    MinimizeStats stats;
+    std::string minPath;   ///< <failuresDir>/<stem>.min.ddg
+    std::string origPath;  ///< <failuresDir>/<stem>.orig.ddg
+    std::string reproPath; ///< <failuresDir>/<stem>.repro
+};
+
+/** What a sweep found. */
+struct SweepSummary
+{
+    long pairsCompiled = 0;
+    long moduloScheduled = 0;
+
+    /** Failing cases in corpus order; the first kMaxMinimized of
+     *  them were minimized and have artifacts. */
+    std::vector<SweepFailure> failures;
+
+    bool ok() const { return failures.empty(); }
+};
+
+/**
+ * Sweeps cases [0, count) of the corpus keyed by options.seed across
+ * @p machines x the three schemes with runFuzzCase on options.jobs
+ * workers. Each of the first kMaxMinimized failing cases is shrunk
+ * with minimizeDdg (on its failing machine, keeping its first
+ * failure's scheme and verdict) and written to options.failuresDir:
+ * the original and minimized loops as `.orig.ddg`/`.min.ddg` and a
+ * `.repro` line running `<tool> fuzz repro` on the minimized loop.
+ * Fatal when the directory or an artifact cannot be written.
+ */
+SweepSummary runSweep(const std::vector<FuzzMachine> &machines,
+                      const SweepOptions &options);
 
 } // namespace gpsched::fuzz
 

@@ -7,7 +7,9 @@
  * diagnostic to exactly the bad loops, and produce bit-identical
  * schedules for every good loop whether compiled at jobs=1, jobs=8,
  * or in a clean batch that never contained the bad loops at all.
- * Run under TSan in the nightly sweep.
+ * The `gpsched compile` front end's half, parse-stage failures and
+ * the report rows, is pinned through engine/report.hh. Run under
+ * TSan in the nightly sweep.
  */
 
 #include <cstddef>
@@ -19,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.hh"
-#include "graph/textio.hh"
+#include "engine/report.hh"
 #include "machine/configs.hh"
 #include "support/compile_error.hh"
 #include "testing/fixtures.hh"
@@ -176,44 +178,94 @@ TEST(FaultIsolation, HundredLoopBatchSurvivesItsBadLoops)
     }
 }
 
-/**
- * The parse stage is the other failure source of a real batch: a
- * front-end reads blocks with readDdgText, records Parse-kind
- * CompileErrors for the malformed ones (as `gpsched compile
- * --keep-going` does), and hands only the parsed loops to the engine.
- */
-TEST(FaultIsolation, ParseStageFailuresAreRecoverableTyped)
-{
-    const char *blocks[] = {
-        "ddg good_a 10\nnode ialu x\nend\n",
-        "ddg broken_b 10\nnode ialu x\nedge 0 7 1 0\nend\n",
-        "ddg good_c 10\nnode fadd y\nend\n",
-        "ddg broken_d 10\nnode frobnicate z\nend\n",
-    };
-    std::vector<Ddg> parsed;
-    std::vector<CompileError> rejected;
-    for (const char *text : blocks) {
-        std::istringstream iss(text);
-        try {
-            parsed.push_back(readDdgText(iss));
-        } catch (const CompileError &error) {
-            EXPECT_EQ(error.kind(), CompileErrorKind::Parse);
-            rejected.push_back(error);
-        }
-    }
-    ASSERT_EQ(parsed.size(), 2u);
-    ASSERT_EQ(rejected.size(), 2u);
-    EXPECT_EQ(parsed[0].name(), "good_a");
-    EXPECT_EQ(parsed[1].name(), "good_c");
-    EXPECT_EQ(rejected[0].loopName(), "broken_b");
-    EXPECT_EQ(rejected[1].loopName(), "broken_d");
+// ---------------------------------------------------------------------
+// The parse stage and the report: `gpsched compile` through the
+// library (engine/report.hh) — parse failures become typed error rows,
+// the surviving loops compile and carry their verdicts.
+// ---------------------------------------------------------------------
 
-    // The surviving loops compile normally.
-    MachineConfig m = fourClusterConfig(32, 1);
-    std::uint64_t failed = 0;
-    std::vector<CompileResult> results =
-        compileAt(2, parsed, m, &failed);
-    EXPECT_EQ(failed, 0u);
-    for (const CompileResult &result : results)
-        EXPECT_TRUE(result.ok());
+namespace
+{
+
+const std::string kSample = GPSCHED_SOURCE_DIR "/tools/sample_loop.ddg";
+const std::string kMixed = GPSCHED_SOURCE_DIR "/tools/mixed_loops.ddg";
+
+/** Occurrences of @p needle in @p text. */
+int
+occurrences(const std::string &text, const std::string &needle)
+{
+    int n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/** A simulated all-scheme batch of @p file on the CLI's default
+ *  machine. */
+CompileReport
+simulatedReport(const std::string &file, bool keepGoing)
+{
+    CompileReport report(fourClusterConfig(64));
+    report.schemes = {SchedulerKind::Uracam, SchedulerKind::FixedPartition,
+                      SchedulerKind::Gp};
+    report.inputs = readCompileInputs({file}, keepGoing);
+    report.keepGoing = keepGoing;
+    report.simulate = true;
+    return report;
+}
+
+} // namespace
+
+TEST(CompileReport, EveryCompiledRowCarriesItsVerdict)
+{
+    CompileReport report = simulatedReport(kSample, false);
+    report.repeat = 2;
+    Engine engine(serialEngineOptions());
+    compileAll(engine, report);
+    ASSERT_EQ(report.results.size(), 6u); // 2 loops x 3 schemes
+    EXPECT_FALSE(report.failed());
+
+    std::ostringstream json;
+    writeCompileReport(json, report, engine);
+    EXPECT_EQ(occurrences(json.str(), "\"schemaVersion\": 2"), 1);
+    EXPECT_EQ(occurrences(json.str(), "\"file\": "), 6);
+    EXPECT_EQ(occurrences(json.str(), "\"verdict\": \"pass\""), 6);
+    EXPECT_EQ(occurrences(json.str(), "\"simOk\": true"), 6);
+    EXPECT_EQ(occurrences(json.str(), "\"repeat\": 2"), 1);
+    EXPECT_EQ(occurrences(json.str(), "\"error\""), 0);
+}
+
+TEST(CompileReport, ParseAndCompileFailuresBecomeErrorRows)
+{
+    CompileReport report = simulatedReport(kMixed, true);
+    ASSERT_EQ(report.inputs.size(), 4u);
+    const CompileInput &broken = report.inputs[1];
+    ASSERT_FALSE(broken.parsed());
+    EXPECT_EQ(broken.parseError->kind(), CompileErrorKind::Parse);
+    EXPECT_EQ(broken.parseError->loopName(), "broken_parse");
+    Engine engine(serialEngineOptions());
+    compileAll(engine, report);
+    EXPECT_TRUE(report.failed());
+
+    // Per scheme: good_one and good_two compile and pass both oracles,
+    // broken_parse fails to parse, the engine rejects stale_latency.
+    std::ostringstream json;
+    writeCompileReport(json, report, engine);
+    EXPECT_EQ(occurrences(json.str(), "\"file\": "), 12);
+    EXPECT_EQ(occurrences(json.str(), "\"error\": {"), 6);
+    EXPECT_EQ(occurrences(json.str(), "\"kind\": \"parse\""), 3);
+    EXPECT_EQ(occurrences(json.str(), "\"kind\": \"invalid-input\""), 3);
+    EXPECT_EQ(occurrences(json.str(), "\"verdict\": "), 6);
+    EXPECT_EQ(occurrences(json.str(), "\"verdict\": \"pass\""), 6);
+    EXPECT_EQ(occurrences(json.str(), "\"keepGoing\": true"), 1);
+}
+
+TEST(CompileReport, WithoutKeepGoingTheFirstCompileFailureThrows)
+{
+    CompileReport report = simulatedReport(kMixed, true);
+    report.inputs.erase(report.inputs.begin() + 1); // the parse failure
+    report.keepGoing = false;
+    Engine engine(serialEngineOptions());
+    EXPECT_THROW(compileAll(engine, report), CompileError);
 }

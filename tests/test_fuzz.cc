@@ -4,12 +4,19 @@
  * (workload/fuzz.hh): generator determinism and corpus prefix
  * stability, structural validity of every shape family, the
  * two-oracle harness on a clean corpus, corruption-canary detection,
- * and the greedy minimizer's contract (shrinks while the predicate
- * holds, refuses non-failing input, honors the probe cap).
+ * the greedy minimizer's contract (shrinks while the predicate
+ * holds, refuses non-failing input, honors the probe cap), and the
+ * corpus sweep (canaries caught, failures minimized to at most a
+ * quarter of their nodes and recorded as reproducible artifacts).
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -39,6 +46,44 @@ render(const Ddg &ddg)
     std::ostringstream os;
     writeDdgText(os, ddg);
     return os.str();
+}
+
+namespace fs = std::filesystem;
+
+/** A sweep of the first @p count corpus cases with @p corruption,
+ *  recording into a fresh directory unique to this process. */
+SweepOptions
+sweepOptions(int count, ScheduleCorruption corruption)
+{
+    SweepOptions options;
+    options.seed = kSeed;
+    options.count = count;
+    options.jobs = 2;
+    options.corruption = corruption;
+    options.failuresDir = (fs::temp_directory_path() /
+                           ("gpsched_sweep_" + std::to_string(::getpid())))
+                              .string();
+    options.tool = "gpsched";
+    fs::remove_all(options.failuresDir);
+    return options;
+}
+
+/** Lines of @p path starting with "node ". */
+int
+countNodes(const std::string &path)
+{
+    std::ifstream in(path);
+    int n = 0;
+    for (std::string line; std::getline(in, line);)
+        n += line.rfind("node ", 0) == 0;
+    return n;
+}
+
+std::size_t
+countFiles(const std::string &dir)
+{
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator(dir), fs::directory_iterator()));
 }
 
 } // namespace
@@ -181,7 +226,8 @@ TEST(Fuzz, MachineListCoversPresetsAndCorpus)
 }
 
 // ---------------------------------------------------------------------
-// The differential harness: clean corpus passes, canaries are caught.
+// The differential harness: a clean corpus passes (the canaries are
+// the FuzzSweep cases below).
 // ---------------------------------------------------------------------
 
 TEST(Fuzz, CleanCorpusPassesTheTwoOracleContract)
@@ -198,41 +244,6 @@ TEST(Fuzz, CleanCorpusPassesTheTwoOracleContract)
         pairs += r.pairsCompiled;
     }
     EXPECT_GT(pairs, 0);
-}
-
-TEST(Fuzz, CorruptionCanariesAreCaught)
-{
-    LatencyTable lat;
-    auto configs = fuzzConfigs(fuzzMachines(""));
-
-    // Find a case with at least one modulo-scheduled record so the
-    // cluster canary has a placement to damage.
-    int chosen = -1;
-    for (int i = 0; i < 20 && chosen < 0; ++i) {
-        FuzzCase c = corpusCase(kSeed, i, lat);
-        if (runFuzzCase(c.ddg, configs).moduloScheduled > 0)
-            chosen = i;
-    }
-    ASSERT_GE(chosen, 0);
-    Ddg ddg = corpusCase(kSeed, chosen, lat).ddg;
-
-    FuzzCaseResult cluster =
-        runFuzzCase(ddg, configs, ScheduleCorruption::ClusterOutOfRange);
-    EXPECT_FALSE(cluster.ok())
-        << "an out-of-range cluster slipped past both oracles";
-    for (const FuzzFailure &f : cluster.failures)
-        EXPECT_EQ(f.kind, FuzzVerdict::ScheduleRejected)
-            << f.toString();
-
-    FuzzCaseResult cycles =
-        runFuzzCase(ddg, configs, ScheduleCorruption::CyclesOffByOne);
-    EXPECT_EQ(cycles.failures.size(),
-              static_cast<std::size_t>(cycles.pairsCompiled))
-        << "an off-by-one cycle claim slipped past the replay";
-    for (const FuzzFailure &f : cycles.failures) {
-        EXPECT_EQ(f.kind, FuzzVerdict::MetricMismatch) << f.toString();
-        EXPECT_STREQ(toString(f.kind), "metric-mismatch");
-    }
 }
 
 TEST(Fuzz, ListScheduledRecordsGetTheSimulatorHalfOnly)
@@ -335,4 +346,77 @@ TEST(Fuzz, MinimizerHonorsTheProbeCap)
         ddg, [](const Ddg &) { return true; }, &stats,
         /*maxProbes=*/3);
     EXPECT_LE(stats.probes, 3);
+}
+
+// ---------------------------------------------------------------------
+// The corpus sweep behind `gpsched fuzz sweep`.
+// ---------------------------------------------------------------------
+
+TEST(FuzzSweep, CanariesAreCaughtMinimizedAndRecorded)
+{
+    const std::vector<FuzzMachine> machines = fuzzMachines(kMachinesDir);
+    for (auto [corruption, verdict] :
+         {std::pair{ScheduleCorruption::ClusterOutOfRange,
+                    FuzzVerdict::ScheduleRejected},
+          std::pair{ScheduleCorruption::CyclesOffByOne,
+                    FuzzVerdict::MetricMismatch}}) {
+        SCOPED_TRACE(toString(corruption));
+        SweepOptions options = sweepOptions(6, corruption);
+        SweepSummary summary = runSweep(machines, options);
+        ASSERT_FALSE(summary.ok()) << "the canary slipped past both oracles";
+        ASSERT_LE(summary.failures.size(), kMaxMinimized);
+        EXPECT_EQ(countFiles(options.failuresDir), 3 * summary.failures.size())
+            << "one .orig.ddg, .min.ddg and .repro per minimized case";
+
+        long caught = 0;
+        for (const SweepFailure &f : summary.failures) {
+            SCOPED_TRACE(f.first().toString());
+            for (const FuzzFailure &pair : f.failures)
+                EXPECT_EQ(pair.kind, verdict) << pair.toString();
+            caught += static_cast<long>(f.failures.size());
+            // Both loops are on disk, the minimized one at most a
+            // quarter of the original's nodes.
+            const int orig = countNodes(f.origPath);
+            EXPECT_EQ(orig, f.fuzzCase.ddg.numNodes());
+            EXPECT_EQ(countNodes(f.minPath), f.stats.nodesAfter);
+            EXPECT_GE(f.stats.nodesAfter, 1);
+            EXPECT_LE(f.stats.nodesAfter, orig / 4);
+
+            // The .repro line re-runs the minimized loop on the failing
+            // machine and scheme, expecting the same verdict.
+            auto m = std::find_if(machines.begin(), machines.end(),
+                                  [&](const FuzzMachine &fm) {
+                                      return fm.config.name() ==
+                                             f.first().machine;
+                                  });
+            ASSERT_NE(m, machines.end());
+            std::ifstream in(f.reproPath);
+            std::string repro;
+            std::getline(in, repro);
+            EXPECT_EQ(repro, fs::absolute("gpsched").string() +
+                                 " fuzz repro --ddg " +
+                                 fs::absolute(f.minPath).string() +
+                                 " --machine " + m->spec + " --scheme " +
+                                 schemeFlag(f.first().scheme) + " --corrupt " +
+                                 toString(corruption) + " --expect " +
+                                 toString(verdict));
+        }
+        // Every record carries a cycle claim, so the off-by-one one
+        // must fail every compiled pair.
+        if (corruption == ScheduleCorruption::CyclesOffByOne) {
+            EXPECT_EQ(caught, summary.pairsCompiled);
+        }
+        fs::remove_all(options.failuresDir);
+    }
+}
+
+TEST(FuzzSweep, MinimizationIsCapped)
+{
+    SweepOptions options =
+        sweepOptions(14, ScheduleCorruption::ClusterOutOfRange);
+    SweepSummary summary = runSweep(fuzzMachines(""), options);
+    ASSERT_GT(summary.failures.size(), kMaxMinimized);
+    EXPECT_EQ(countFiles(options.failuresDir), 3 * kMaxMinimized);
+    EXPECT_TRUE(summary.failures[kMaxMinimized].minPath.empty());
+    fs::remove_all(options.failuresDir);
 }

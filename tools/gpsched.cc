@@ -18,29 +18,23 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/pipeline.hh"
-#include "engine/engine.hh"
+#include "engine/report.hh"
 #include "engine/thread_pool.hh"
 #include "graph/textio.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
-#include "sim/replay.hh"
 #include "support/args.hh"
 #include "support/compile_error.hh"
-#include "support/json.hh"
 #include "support/logging.hh"
+#include "support/output.hh"
 #include "workload/fuzz.hh"
 #include "workload/import.hh"
 
@@ -173,200 +167,16 @@ machineFor(const CliOptions &options)
     return MachineRegistry::builtin().resolve(options.machine);
 }
 
-/** One input block and where it came from; either a parsed DDG or a
- *  parse diagnostic (--keep-going records the latter and goes on). */
-struct InputLoop
-{
-    std::string file;
-    Ddg ddg;
-    std::optional<CompileError> parseError;
-
-    bool parsed() const { return !parseError.has_value(); }
-};
-
-/**
- * Reads every `ddg ... end` block of every input file. A block that
- * fails to parse throws its CompileError unless @p keepGoing, in
- * which case it is recorded as a failed InputLoop and parsing
- * resumes at the next block.
- */
-std::vector<InputLoop>
-readInputs(const std::vector<std::string> &files, bool keepGoing)
-{
-    std::vector<InputLoop> loops;
-    for (const std::string &path : files) {
-        std::ifstream in(path);
-        if (!in)
-            GPSCHED_FATAL("cannot open DDG file '", path, "'");
-        const std::size_t before = loops.size();
-        auto onBlock = [&](Ddg ddg) {
-            InputLoop input;
-            input.file = path;
-            input.ddg = std::move(ddg);
-            loops.push_back(std::move(input));
-        };
-        auto onError = [&](const CompileError &error) {
-            GPSCHED_WARN("skipping malformed DDG block in '", path,
-                         "': ", error.what());
-            InputLoop bad;
-            bad.file = path;
-            bad.parseError = error;
-            loops.push_back(std::move(bad));
-        };
-        if (keepGoing)
-            readDdgBlocks(in, onBlock, onError);
-        else
-            readDdgBlocks(in, onBlock);
-        if (loops.size() == before)
-            GPSCHED_FATAL("no DDGs found in '", path, "'");
-    }
-    return loops;
-}
-
-/** The report's error-object schema: kind, message, location. */
-void
-writeErrorObject(JsonWriter &json, const CompileError &error)
-{
-    json.beginObject("error");
-    json.member("kind", toString(error.kind()));
-    json.member("message", error.what());
-    json.member("location", error.location());
-    json.endObject();
-}
-
-void
-writeReport(std::ostream &os, const CliOptions &options,
-            const MachineConfig &machine,
-            const std::vector<SchedulerKind> &schemes,
-            const std::vector<InputLoop> &inputs,
-            const std::vector<CompileResult> &results,
-            const std::vector<std::optional<sim::Verdict>> &verdicts,
-            const Engine &engine)
-{
-    JsonWriter json(os);
-    json.beginObject();
-    json.member("schemaVersion", 2);
-    json.member("tool", "gpsched");
-    json.beginObject("machine");
-    json.member("name", machine.name());
-    json.member("clusters", machine.numClusters());
-    json.member("homogeneous", machine.homogeneous());
-    json.member("totalIssueWidth", machine.totalIssueWidth());
-    json.member("totalRegs", machine.totalRegs());
-    json.member("buses", machine.numBuses());
-    json.beginArray("clusterConfigs");
-    for (int c = 0; c < machine.numClusters(); ++c) {
-        const ClusterDesc &cluster = machine.cluster(c);
-        json.beginObject();
-        json.member("name", cluster.name);
-        json.member("int",
-                    machine.fuInCluster(c, FuClass::Int));
-        json.member("fp", machine.fuInCluster(c, FuClass::Fp));
-        json.member("mem",
-                    machine.fuInCluster(c, FuClass::Mem));
-        json.member("regs", cluster.regs);
-        json.endObject();
-    }
-    json.endArray();
-    json.beginArray("busClasses");
-    for (int i = 0; i < machine.numBusClasses(); ++i) {
-        json.beginObject();
-        json.member("count", machine.busClass(i).count);
-        json.member("latency", machine.busClass(i).latency);
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    json.beginArray("loops");
-    // Engine results cover the parsed inputs only, scheme-major in
-    // the same order the batch was built.
-    std::size_t next = 0;
-    for (const SchedulerKind kind : schemes) {
-        for (const InputLoop &input : inputs) {
-            json.beginObject();
-            json.member("file", input.file);
-            if (!input.parsed()) {
-                json.member("name", input.parseError->loopName());
-                json.member("scheme", toString(kind));
-                writeErrorObject(json, *input.parseError);
-                json.endObject();
-                continue;
-            }
-            const CompileResult &result = results[next++];
-            json.member("name", result.ok()
-                                    ? result.loop.loopName
-                                    : result.error->loopName());
-            json.member("scheme", toString(kind));
-            json.member("nodes", input.ddg.numNodes());
-            json.member("edges", input.ddg.numEdges());
-            json.member("tripCount", input.ddg.tripCount());
-            // Per-row warm/cold inspectability: how this row was
-            // obtained and how long the engine spent on it.
-            json.member("source", compileSourceName(result.source));
-            json.member("compileMs", result.compileMs);
-            if (!result.ok()) {
-                writeErrorObject(json, *result.error);
-                json.endObject();
-                continue;
-            }
-            const CompiledLoop &loop = result.loop;
-            json.member("moduloScheduled", loop.moduloScheduled);
-            json.member("mii", loop.mii);
-            json.member("ii", loop.ii);
-            json.member("scheduleLength", loop.scheduleLength);
-            json.member("cycles", loop.cycles);
-            json.member("ops", loop.ops);
-            json.member("ipc", loop.ipc);
-            json.member("busTransfers", loop.stats.busTransfers);
-            json.member("memTransfers", loop.stats.memTransfers);
-            json.member("spills", loop.stats.spills);
-            json.member("partitionRuns", loop.partitionRuns);
-            json.member("scheduleAttempts", loop.scheduleAttempts);
-            // --simulate: the oracle verdict rides on the row. next
-            // was already advanced past this result.
-            if (verdicts[next - 1].has_value()) {
-                const sim::Verdict &v = *verdicts[next - 1];
-                const sim::SimResult &s = v.sim;
-                json.member("verdict", sim::toString(v.kind));
-                if (!v.ok())
-                    json.member("verdictDetail", v.detail);
-                json.member("replayed", s.replayed);
-                json.member("simOk", s.simOk);
-                json.member("achievedII", s.achievedII);
-                json.member("simCycles", s.simCycles);
-                json.member("achievedIpc", s.achievedIpc);
-                if (s.fault.has_value()) {
-                    json.beginObject("simFault");
-                    json.member("kind",
-                                sim::toString(s.fault->kind));
-                    json.member("cycle", s.fault->cycle);
-                    json.member("node",
-                                static_cast<int>(s.fault->node));
-                    json.member("detail", s.fault->detail);
-                    json.endObject();
-                }
-            }
-            json.endObject();
-        }
-    }
-    json.endArray();
-    json.beginObject("engine");
-    json.member("repeat", options.repeat);
-    json.member("keepGoing", options.keepGoing);
-    json.member("simulate", options.simulate);
-    writeEngineJson(json, engine);
-    json.endObject();
-    json.endObject();
-}
-
 int
 runCompile(const CommandLine &cmd)
 {
     CliOptions options = parseArgs(cmd);
-    MachineConfig machine = machineFor(options);
-    const std::vector<SchedulerKind> &schemes = options.schemes;
-    std::vector<InputLoop> inputs =
-        readInputs(options.files, options.keepGoing);
+    CompileReport report(machineFor(options));
+    report.schemes = options.schemes;
+    report.inputs = readCompileInputs(options.files, options.keepGoing);
+    report.repeat = options.repeat;
+    report.keepGoing = options.keepGoing;
+    report.simulate = options.simulate;
 
     // Telemetry destinations outlive the engine (required: worker
     // threads write into them until the engine is destroyed).
@@ -384,87 +194,20 @@ runCompile(const CommandLine &cmd)
         engineOptions.collectPhases = true;
     }
     Engine engine(engineOptions);
+    compileAll(engine, report);
 
-    std::vector<EngineJob> batch;
-    batch.reserve(schemes.size() * inputs.size());
-    for (const SchedulerKind kind : schemes) {
-        for (const InputLoop &input : inputs) {
-            if (!input.parsed())
-                continue;
-            EngineJob job;
-            job.loop = &input.ddg;
-            job.machine = &machine;
-            job.kind = kind;
-            batch.push_back(job);
-        }
-    }
-
-    std::vector<CompileResult> results;
-    for (int r = 0; r < options.repeat; ++r)
-        results = engine.compileBatch(batch);
-
-    // --simulate: verify every successfully compiled loop; the
-    // verdicts ride on the report rows (parallel to results, error
-    // rows keep their error object untouched).
-    std::vector<std::optional<sim::Verdict>> verdicts(results.size());
-    bool verifyFailed = false;
-    if (options.simulate) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].ok())
-                continue;
-            verdicts[i] = sim::verifyCompiled(*batch[i].loop, machine,
-                                              results[i].loop);
-            if (!verdicts[i]->ok()) {
-                verifyFailed = true;
-                GPSCHED_WARN("loop '", results[i].loop.loopName,
-                             "' failed verification: ",
-                             sim::toString(verdicts[i]->kind), ": ",
-                             verdicts[i]->detail);
-            }
-        }
-    }
-
-    bool anyFailed = verifyFailed;
-    for (const InputLoop &input : inputs)
-        anyFailed |= !input.parsed();
-    for (const CompileResult &result : results) {
-        if (!result.ok()) {
-            anyFailed = true;
-            // Without --keep-going the first compile failure ends
-            // the run exactly like the historical fatal did.
-            if (!options.keepGoing)
-                throw *result.error;
-        }
-    }
-
-    if (options.jsonPath == "-") {
-        writeReport(std::cout, options, machine, schemes, inputs,
-                    results, verdicts, engine);
-    } else {
-        std::ofstream out(options.jsonPath);
-        if (!out)
-            GPSCHED_FATAL("cannot open JSON report path '",
-                          options.jsonPath, "'");
-        writeReport(out, options, machine, schemes, inputs, results,
-                    verdicts, engine);
-    }
-
+    writeOutput(options.jsonPath, [&](std::ostream &os) {
+        writeCompileReport(os, report, engine);
+    });
     if (!options.statsJsonPath.empty()) {
         engine.exportStats(registry);
-        std::ofstream out(options.statsJsonPath);
-        if (!out)
-            GPSCHED_FATAL("cannot open stats path '",
-                          options.statsJsonPath, "'");
-        registry.writeJson(out);
+        writeOutput(options.statsJsonPath,
+                    [&](std::ostream &os) { registry.writeJson(os); });
     }
-    if (!options.tracePath.empty()) {
-        std::ofstream out(options.tracePath);
-        if (!out)
-            GPSCHED_FATAL("cannot open trace path '",
-                          options.tracePath, "'");
-        trace.writeJson(out);
-    }
-    return anyFailed ? 1 : 0;
+    if (!options.tracePath.empty())
+        writeOutput(options.tracePath,
+                    [&](std::ostream &os) { trace.writeJson(os); });
+    return report.failed() ? 1 : 0;
 }
 
 // ---------------------------------------------------------------
@@ -484,39 +227,34 @@ runImport(const CommandLine &cmd)
     if (files.empty())
         parser.fail("no input files");
 
-    std::ofstream fileOut;
-    if (out != "-") {
-        fileOut.open(out);
-        if (!fileOut)
-            GPSCHED_FATAL("cannot write '", out, "'");
-    }
-    std::ostream &os = out == "-" ? std::cout : fileOut;
-
     LatencyTable lat;
     int imported = 0;
     int failed = 0;
-    for (const std::string &path : files) {
-        std::ifstream in(path);
-        if (!in)
-            GPSCHED_FATAL("cannot open '", path, "'");
-        try {
-            std::vector<Ddg> loops = importDdgJson(in, path, lat);
-            for (const Ddg &g : loops) {
-                os << "# imported from " << path << "\n";
-                writeDdgText(os, g);
-                ++imported;
+    writeOutput(out, [&](std::ostream &os) {
+        for (const std::string &path : files) {
+            std::ifstream in(path);
+            if (!in)
+                GPSCHED_FATAL("cannot open '", path, "'");
+            try {
+                for (const Ddg &g : importDdgJson(in, path, lat)) {
+                    os << "# imported from " << path << "\n";
+                    writeDdgText(os, g);
+                    ++imported;
+                }
+            } catch (const CompileError &error) {
+                ++failed;
+                if (!keepGoing) {
+                    std::cerr << cmd.prog << ": " << error.diagnostic()
+                              << "\n";
+                    return;
+                }
+                std::cerr << cmd.prog << ": skipping '" << path
+                          << "': " << error.diagnostic() << "\n";
             }
-        } catch (const CompileError &error) {
-            ++failed;
-            if (!keepGoing) {
-                std::cerr << cmd.prog << ": " << error.diagnostic()
-                          << "\n";
-                return 1;
-            }
-            std::cerr << cmd.prog << ": skipping '" << path
-                      << "': " << error.diagnostic() << "\n";
         }
-    }
+    });
+    if (failed > 0 && !keepGoing)
+        return 1; // stopped at the first bad file, already reported
     std::cerr << cmd.prog << ": imported " << imported << " loop(s), "
               << failed << " file(s) failed\n";
     return failed > 0 ? 1 : 0;
@@ -544,24 +282,15 @@ declareCorpus(ArgParser &parser, std::uint64_t &seed, int &count)
 }
 
 /** --corrupt's values: the injected schedule corruptions. */
-const std::vector<std::pair<std::string, ScheduleCorruption>> &
+std::vector<std::pair<std::string, ScheduleCorruption>>
 corruptions()
 {
-    static const std::vector<std::pair<std::string, ScheduleCorruption>>
-        table = {{"none", ScheduleCorruption::None},
-                 {"cluster", ScheduleCorruption::ClusterOutOfRange},
-                 {"cycles", ScheduleCorruption::CyclesOffByOne}};
+    std::vector<std::pair<std::string, ScheduleCorruption>> table;
+    for (ScheduleCorruption c :
+         {ScheduleCorruption::None, ScheduleCorruption::ClusterOutOfRange,
+          ScheduleCorruption::CyclesOffByOne})
+        table.push_back({toString(c), c});
     return table;
-}
-
-const char *
-corruptFlag(ScheduleCorruption corruption)
-{
-    for (const auto &[flag, value] : corruptions()) {
-        if (value == corruption)
-            return flag.c_str();
-    }
-    GPSCHED_PANIC("bad ScheduleCorruption");
 }
 
 // ---------------------------------------------------------------
@@ -579,16 +308,12 @@ runFuzzGen(const CommandLine &cmd)
     parser.option("--out", "PATH", "'-' = stdout (default)", out);
     parser.parse(cmd.args);
     LatencyTable lat;
-    if (out == "-") {
-        writeCorpus(std::cout, seed, count, lat);
-        return 0;
-    }
-    std::ofstream os(out);
-    if (!os)
-        GPSCHED_FATAL("cannot write corpus to '", out, "'");
-    writeCorpus(os, seed, count, lat);
-    std::cerr << "wrote " << count << " loops (seed " << seed
-              << ") to " << out << "\n";
+    writeOutput(out, [&](std::ostream &os) {
+        writeCorpus(os, seed, count, lat);
+    });
+    if (out != "-")
+        std::cerr << "wrote " << count << " loops (seed " << seed
+                  << ") to " << out << "\n";
     return 0;
 }
 
@@ -596,188 +321,65 @@ runFuzzGen(const CommandLine &cmd)
 // fuzz sweep
 // ---------------------------------------------------------------
 
-/** One failing case carried from the parallel sweep to the
- *  sequential minimization pass. */
-struct SweepFailure
-{
-    FuzzCase fuzzCase;
-    FuzzFailure first;
-    std::size_t totalFailures = 0;
-};
-
-/** Case-insensitive-filesystem-safe artifact stem. */
-std::string
-artifactStem(const SweepFailure &f)
-{
-    std::string stem = f.fuzzCase.ddg.name() + "__" +
-                       f.first.machine + "__" +
-                       schemeFlag(f.first.scheme);
-    for (char &c : stem) {
-        if (!(std::isalnum(static_cast<unsigned char>(c)) ||
-              c == '_' || c == '-'))
-            c = '_';
-    }
-    return stem;
-}
-
 int
 runFuzzSweep(const CommandLine &cmd)
 {
     ArgParser parser(cmd.prog);
-    std::uint64_t seed = 0;
-    int count = 0;
-    int jobs = ThreadPool::hardwareConcurrency();
+    SweepOptions options;
+    options.jobs = ThreadPool::hardwareConcurrency();
+    options.tool = cmd.argv0;
     std::string machinesDir = GPSCHED_FUZZ_MACHINES_DIR;
-    std::string failuresDir = "fuzz-failures";
     std::string corpusOut;
-    ScheduleCorruption corruption = ScheduleCorruption::None;
-    declareCorpus(parser, seed, count);
+    declareCorpus(parser, options.seed, options.count);
     parser
         .option("--smoke", "", "50 loops",
-                [&count](const std::string &) { count = 50; })
-        .option("--jobs", "J", "workers (default: hardware)", jobs, 1,
-                kMaxCount)
+                [&options](const std::string &) { options.count = 50; })
+        .option("--jobs", "J", "workers (default: hardware)", options.jobs,
+                1, kMaxCount)
         .option("--machines", "DIR",
                 "the machine corpus (default: examples/machines)",
                 machinesDir)
         .option("--failures", "DIR",
                 "minimized failures and .repro lines (default "
                 "fuzz-failures)",
-                failuresDir)
+                options.failuresDir)
         .option("--out", "PATH", "also write the corpus here", corpusOut)
         .choice("--corrupt", "corrupt each schedule (default none)",
-                corruption, corruptions());
+                options.corruption, corruptions());
     parser.parse(cmd.args);
 
-    LatencyTable lat;
     std::vector<FuzzMachine> machines = fuzzMachines(machinesDir);
-    std::vector<MachineConfig> configs = fuzzConfigs(machines);
-
     if (!corpusOut.empty()) {
-        std::ofstream os(corpusOut);
-        if (!os)
-            GPSCHED_FATAL("cannot write corpus to '", corpusOut, "'");
-        writeCorpus(os, seed, count, lat);
+        LatencyTable lat;
+        writeOutput(corpusOut, [&](std::ostream &os) {
+            writeCorpus(os, options.seed, options.count, lat);
+        });
     }
+    SweepSummary summary = runSweep(machines, options);
 
-    std::mutex mu;
-    long pairsCompiled = 0;
-    long moduloScheduled = 0;
-    std::vector<SweepFailure> failing;
-    {
-        ThreadPool pool(jobs);
-        for (int i = 0; i < count; ++i) {
-            pool.submit([&, i] {
-                FuzzCase c = corpusCase(seed, i, lat);
-                FuzzCaseResult r =
-                    runFuzzCase(c.ddg, configs, corruption);
-                std::lock_guard<std::mutex> lock(mu);
-                pairsCompiled += r.pairsCompiled;
-                moduloScheduled += r.moduloScheduled;
-                if (!r.ok()) {
-                    failing.push_back({std::move(c),
-                                       r.failures.front(),
-                                       r.failures.size()});
-                }
-            });
-        }
-        pool.wait();
+    std::cout << "gpsched fuzz sweep: seed " << options.seed << ", "
+              << options.count << " loops x " << machines.size()
+              << " machines x 3 schemes (corruption "
+              << toString(options.corruption) << ")\n"
+              << "  pairs compiled: " << summary.pairsCompiled << " ("
+              << summary.moduloScheduled << " modulo-scheduled)\n"
+              << "  failing cases:  " << summary.failures.size() << "\n";
+    const std::size_t minimized =
+        std::min(summary.failures.size(), kMaxMinimized);
+    for (std::size_t i = 0; i < minimized; ++i) {
+        const SweepFailure &f = summary.failures[i];
+        std::cout << "  FAIL " << f.first().toString() << "\n"
+                  << "       (" << f.failures.size()
+                  << " failing pair(s); minimized " << f.stats.nodesBefore
+                  << " -> " << f.stats.nodesAfter
+                  << " nodes; artifacts: " << f.minPath << ", "
+                  << f.reproPath << ")\n";
     }
-    std::sort(failing.begin(), failing.end(),
-              [](const SweepFailure &a, const SweepFailure &b) {
-                  return a.fuzzCase.index < b.fuzzCase.index;
-              });
-
-    std::cout << "gpsched fuzz sweep: seed " << seed << ", " << count
-              << " loops x " << machines.size() << " machines x 3 "
-              << "schemes (corruption " << corruptFlag(corruption)
-              << ")\n"
-              << "  pairs compiled: " << pairsCompiled << " ("
-              << moduloScheduled << " modulo-scheduled)\n"
-              << "  failing cases:  " << failing.size() << "\n";
-    if (failing.empty())
-        return 0;
-
-    // Minimize and record. Cap the minimized set so one systemic
-    // failure cannot turn the nightly sweep into an hours-long
-    // minimization marathon; the cap is logged, never silent.
-    const std::size_t maxMinimized = 10;
-    namespace fs = std::filesystem;
-    fs::create_directories(failuresDir);
-    std::string tool = fs::absolute(cmd.argv0).string();
-    std::size_t minimized = 0;
-    for (const SweepFailure &f : failing) {
-        if (minimized >= maxMinimized) {
-            std::cout << "  (minimization capped at " << maxMinimized
-                      << " cases; " << failing.size() - minimized
-                      << " more recorded unminimized)\n";
-            break;
-        }
-        ++minimized;
-        const FuzzMachine *fm = nullptr;
-        for (const FuzzMachine &m : machines) {
-            if (m.config.name() == f.first.machine)
-                fm = &m;
-        }
-        GPSCHED_ASSERT(fm, "failure names unknown machine ",
-                       f.first.machine);
-        auto stillFails = [&](const Ddg &g) {
-            FuzzCaseResult r =
-                runFuzzCase(g, {fm->config}, corruption);
-            for (const FuzzFailure &rf : r.failures) {
-                if (rf.scheme == f.first.scheme &&
-                    rf.kind == f.first.kind)
-                    return true;
-            }
-            return false;
-        };
-        MinimizeStats stats;
-        Ddg reduced =
-            minimizeDdg(f.fuzzCase.ddg, stillFails, &stats, 4000);
-
-        std::string stem = artifactStem(f);
-        fs::path minPath = fs::path(failuresDir) / (stem + ".min.ddg");
-        fs::path origPath =
-            fs::path(failuresDir) / (stem + ".orig.ddg");
-        fs::path reproPath = fs::path(failuresDir) / (stem + ".repro");
-        auto header = [&](std::ostream &os) {
-            os << "# " << f.first.toString() << "\n"
-               << "# case " << f.fuzzCase.index << " seed "
-               << f.fuzzCase.seed << " shape "
-               << toString(f.fuzzCase.shape) << " corruption "
-               << corruptFlag(corruption) << "\n";
-        };
-        {
-            std::ofstream os(origPath);
-            header(os);
-            writeDdgText(os, f.fuzzCase.ddg);
-        }
-        {
-            std::ofstream os(minPath);
-            header(os);
-            os << "# minimized " << stats.nodesBefore << " -> "
-               << stats.nodesAfter << " nodes, " << stats.edgesBefore
-               << " -> " << stats.edgesAfter << " edges in "
-               << stats.probes << " probes\n";
-            writeDdgText(os, reduced);
-        }
-        {
-            std::ofstream os(reproPath);
-            os << tool << " fuzz repro --ddg "
-               << fs::absolute(minPath).string() << " --machine "
-               << fm->spec << " --scheme "
-               << schemeFlag(f.first.scheme) << " --corrupt "
-               << corruptFlag(corruption) << " --expect "
-               << toString(f.first.kind) << "\n";
-        }
-        std::cout << "  FAIL " << f.first.toString() << "\n"
-                  << "       (" << f.totalFailures
-                  << " failing pair(s); minimized "
-                  << stats.nodesBefore << " -> " << stats.nodesAfter
-                  << " nodes; artifacts: " << minPath.string()
-                  << ", " << reproPath.string() << ")\n";
-    }
-    return 1;
+    if (minimized < summary.failures.size())
+        std::cout << "  (minimization capped at " << kMaxMinimized
+                  << " cases; " << summary.failures.size() - minimized
+                  << " more recorded unminimized)\n";
+    return summary.ok() ? 0 : 1;
 }
 
 // ---------------------------------------------------------------
@@ -818,17 +420,9 @@ runFuzzRepro(const CommandLine &cmd)
     MachineConfig machine =
         MachineRegistry::builtin().resolve(machineSpec);
 
-    std::ifstream in(ddgPath);
-    if (!in)
-        GPSCHED_FATAL("cannot open DDG file '", ddgPath, "'");
-    std::vector<Ddg> loops;
-    readDdgBlocks(in, [&](Ddg ddg) { loops.push_back(std::move(ddg)); });
-    if (loops.empty())
-        GPSCHED_FATAL("no DDGs found in '", ddgPath, "'");
-
     bool reproduced = false;
-    for (const Ddg &g : loops) {
-        FuzzCaseResult r = runFuzzCase(g, {machine}, corruption);
+    for (const CompileInput &input : readCompileInputs({ddgPath}, false)) {
+        FuzzCaseResult r = runFuzzCase(input.ddg, {machine}, corruption);
         for (const FuzzFailure &f : r.failures) {
             if (f.scheme != scheme)
                 continue;
