@@ -77,7 +77,7 @@ sweep(Engine &engine, const std::vector<Program> &suite,
       const MachineConfig &m, TransferCostPolicy policy, bool replay)
 {
     LoopCompilerOptions options;
-    options.transfer.costModel = policy;
+    options.transferCost = policy;
     SchemeMeans means;
     SuiteResult ur = compileSuite(engine, suite, m,
                                   SchedulerKind::Uracam, options);
@@ -109,7 +109,7 @@ main(int argc, char **argv)
                         gate_policy);
         });
     LatencyTable lat;
-    auto suite = benchSuiteWithFuzz(lat, options);
+    auto suite = benchSuite(lat, options);
     Engine engine(options.engineOptions());
 
     std::vector<MachineConfig> machines =

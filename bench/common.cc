@@ -14,7 +14,6 @@
 #include "support/logging.hh"
 #include "support/output.hh"
 #include "support/table.hh"
-#include "workload/fuzz.hh"
 #include "workload/specfp.hh"
 
 namespace gpsched::bench
@@ -60,12 +59,7 @@ parseBenchArgs(int argc, char **argv,
         .option("--cache-dir", "PATH", "persistent compile cache",
                 options.cacheDir)
         .flag("--replay", "check every compiled loop with both oracles",
-              options.replay)
-        .option("--fuzz", "N", "append N fuzz-corpus loops",
-                options.fuzzLoops, 0, maxCount)
-        .option("--fuzz-seed", "S",
-                "corpus seed for --fuzz (default 0xf022c0de5eed)",
-                options.fuzzSeed);
+              options.replay);
     if (declareExtra)
         declareExtra(parser);
     parser.parse({argv + 1, argv + argc});
@@ -110,26 +104,6 @@ benchSuite(const LatencyTable &lat, const BenchOptions &options)
         if (prog.loops.size() > maxLoops)
             prog.loops.resize(maxLoops);
     }
-    return suite;
-}
-
-std::vector<Program>
-benchSuiteWithFuzz(const LatencyTable &lat,
-                   const BenchOptions &options)
-{
-    std::vector<Program> suite = benchSuite(lat, options);
-    if (options.fuzzLoops <= 0)
-        return suite;
-    // Smoke mode shrinks the rider like it shrinks the suite.
-    int count = options.smoke ? std::min(options.fuzzLoops, 2)
-                              : options.fuzzLoops;
-    Program prog;
-    prog.name = "fuzz";
-    prog.loops.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        prog.loops.push_back(
-            fuzz::corpusCase(options.fuzzSeed, i, lat).ddg);
-    suite.push_back(std::move(prog));
     return suite;
 }
 

@@ -74,19 +74,6 @@ struct BenchOptions
      */
     bool replay = false;
 
-    /**
-     * Fuzz-corpus rider (--fuzz N): append one extra "fuzz" program
-     * of N generated loops (workload/fuzz.hh, seeded by --fuzz-seed)
-     * to the suite. Off by default so the published figures and the
-     * nightly bench_delta gates keep their hand-built workload; with
-     * --replay this turns any figure driver into a corpus sweep
-     * whose every compiled loop is backed by a simulated execution.
-     */
-    int fuzzLoops = 0;
-
-    /** Corpus seed for --fuzz (--fuzz-seed S, decimal or 0x-hex). */
-    std::uint64_t fuzzSeed = 0xf022c0de5eedULL;
-
     /** Iteration counts for repeated-measurement benches. */
     int
     reps(int full) const
@@ -145,16 +132,6 @@ void withJsonStream(const BenchOptions &options,
  */
 std::vector<Program> benchSuite(const LatencyTable &lat,
                                 const BenchOptions &options);
-
-/**
- * benchSuite plus the --fuzz rider: when options.fuzzLoops > 0, one
- * extra "fuzz" program of generated corpus loops (workload/fuzz.hh)
- * joins the suite, so a figure driver can be pointed at workloads
- * nobody hand-tuned for. A no-op (the plain suite) by default.
- */
-std::vector<Program>
-benchSuiteWithFuzz(const LatencyTable &lat,
-                   const BenchOptions &options);
 
 /** Per-program IPC of the four evaluated bars. */
 struct FigureRow

@@ -7,6 +7,7 @@
 #include "sched/list_sched.hh"
 #include "sched/mii.hh"
 #include "support/arena.hh"
+#include "support/compile_error.hh"
 #include "support/logging.hh"
 #include "support/telemetry.hh"
 
@@ -39,6 +40,38 @@ schemeFlag(SchedulerKind kind)
 
 namespace
 {
+
+/**
+ * List-scheduling fallback margin: modulo scheduling is abandoned
+ * once II exceeds the flat schedule length at MII plus this slack.
+ */
+constexpr int kMaxIiSlack = 2;
+
+/** Absolute cap on the initiation interval (safety net). */
+constexpr int kMaxIiHardCap = 1024;
+
+/**
+ * @p per_iteration * @p trip + @p extra, or an invalid-input
+ * CompileError naming @p ddg when the @p what count does not fit in
+ * 64 bits (signed overflow would be undefined behaviour, and a
+ * wrapped count would reach both oracles as a plausible value).
+ */
+std::int64_t
+checkedCount(const Ddg &ddg, const char *what,
+             std::int64_t per_iteration, std::int64_t trip,
+             std::int64_t extra = 0)
+{
+    std::int64_t product = 0;
+    std::int64_t total = 0;
+    if (__builtin_mul_overflow(per_iteration, trip, &product) ||
+        __builtin_add_overflow(product, extra, &total)) {
+        GPSCHED_COMPILE_ERROR(CompileErrorKind::InvalidInput,
+                              ddg.name(), what, " of ",
+                              ddg.tripCount(),
+                              " iterations overflow a 64-bit count");
+    }
+    return total;
+}
 
 /** Per-cluster occupancy of original memory ops under a partition
  *  (the Section-3.3.4 planned-memory extension). */
@@ -94,8 +127,8 @@ LoopCompiler::compile(const Ddg &ddg) const
 {
     CompiledLoop out;
     out.loopName = ddg.name();
-    out.ops = static_cast<std::int64_t>(ddg.numNodes()) *
-              ddg.tripCount();
+    out.ops = checkedCount(ddg, "operations", ddg.numNodes(),
+                           ddg.tripCount());
 
     int mii = 0;
     int max_ii = 0;
@@ -109,9 +142,9 @@ LoopCompiler::compile(const Ddg &ddg) const
         DdgAnalysis base(ddg, machine_.latencies(), mii);
         GPSCHED_ASSERT(base.feasible(), "MII analysis infeasible");
         max_ii =
-            std::min(options_.maxIiHardCap,
+            std::min(kMaxIiHardCap,
                      std::max(mii, base.scheduleLength() +
-                                       options_.maxIiSlack));
+                                       kMaxIiSlack));
     }
 
     const bool partitioned = kind_ != SchedulerKind::Uracam &&
@@ -137,8 +170,7 @@ LoopCompiler::compile(const Ddg &ddg) const
     else if (kind_ == SchedulerKind::Gp)
         policy = ClusterPolicy::PreferAssigned;
 
-    ModuloScheduler scheduler(ddg, machine_,
-                              {options_.fomThreshold});
+    ModuloScheduler scheduler(ddg, machine_);
 
     int ii = mii;
     while (ii <= max_ii) {
@@ -152,8 +184,7 @@ LoopCompiler::compile(const Ddg &ddg) const
                                ? plannedMemOps(ddg, machine_,
                                                part.partition)
                                : std::vector<int>{},
-                           options_.fomThreshold,
-                           options_.transfer, &arena);
+                           options_.transferCost, &arena);
         const Partition *assignment =
             partitioned ? &part.partition : nullptr;
         ClusterPolicy attempt_policy =
@@ -176,10 +207,10 @@ LoopCompiler::compile(const Ddg &ddg) const
                     out.partition[v] =
                         part.partition.clusterOf(v);
             }
-            out.cycles = (ddg.tripCount() - 1) *
-                             static_cast<std::int64_t>(ii) +
-                         out.scheduleLength;
-            out.cycles = std::max<std::int64_t>(out.cycles, 1);
+            out.cycles = std::max<std::int64_t>(
+                checkedCount(ddg, "cycles", ii, ddg.tripCount() - 1,
+                             out.scheduleLength),
+                1);
             out.ipc = static_cast<double>(out.ops) / out.cycles;
             return out;
         }
@@ -215,7 +246,9 @@ LoopCompiler::compile(const Ddg &ddg) const
     out.stats = ScheduleStats{};
     out.stats.busTransfers = ls.busTransfers;
     out.cycles = std::max<std::int64_t>(
-        ls.totalCycles(ddg.tripCount()), 1);
+        checkedCount(ddg, "cycles", ls.scheduleLength,
+                     ddg.tripCount()),
+        1);
     out.ipc = static_cast<double>(out.ops) / out.cycles;
     return out;
 }

@@ -81,7 +81,11 @@ enum class RepartitionPolicy
     Always,    ///< recompute on every II bump
 };
 
-/** Driver configuration. */
+/**
+ * Driver configuration: only the inputs a bench driver varies (see
+ * docs/ARCHITECTURE.md, "Compiler options"). Every other tuning
+ * value is a constant beside its one reader.
+ */
 struct LoopCompilerOptions
 {
     /** Partitioner knobs (GP / FixedPartition only). */
@@ -92,30 +96,11 @@ struct LoopCompilerOptions
 
     /**
      * Bus-class transfer cost model (sched/schedule.hh): slack-aware
-     * by default, TransferCostPolicy::FastestFirst restores the
-     * pre-cost-model *transfer selection* (the partitioner's
-     * cut-edge cost input changed unconditionally to the expected
-     * bus latency — see GpPartitionerOptions::assignment — so this
-     * knob alone is not a full pre-PR baseline on multi-class
-     * machines whose expectation rounds above the fastest class).
-     * Irrelevant on single-bus-class machines, where both policies
-     * coincide. Keyed into the engine's LoopKey alongside the
-     * partitioner's AssignmentPolicy.
+     * by default; TransferCostPolicy::FastestFirst restores the
+     * pre-cost-model transfer selection. Irrelevant on
+     * single-bus-class machines, where both policies coincide.
      */
-    TransferPolicyOptions transfer;
-
-    /** Figure-of-merit comparison threshold. */
-    double fomThreshold = 10.0;
-
-    /**
-     * List-scheduling fallback margin: modulo scheduling is abandoned
-     * once II exceeds the flat schedule length at MII plus this
-     * slack.
-     */
-    int maxIiSlack = 2;
-
-    /** Absolute cap on the initiation interval (safety net). */
-    int maxIiHardCap = 1024;
+    TransferCostPolicy transferCost = TransferCostPolicy::SlackAware;
 };
 
 /** Final placement of one program operation. */

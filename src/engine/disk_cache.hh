@@ -87,13 +87,6 @@ class DiskCache
      */
     void store(const LoopKey &key, const CompiledLoop &value);
 
-    /**
-     * Unlinks records oldest-mtime-first until the resident size is
-     * within budget. Runs automatically when stores cross the
-     * budget; exposed for tests and tools.
-     */
-    void compact();
-
     /** Bytes currently resident (walks the store). */
     std::uint64_t residentBytes() const;
 
@@ -101,6 +94,12 @@ class DiskCache
     const std::string &dir() const { return dir_; }
 
   private:
+    /**
+     * Unlinks records oldest-mtime-first until the resident size is
+     * within budget. Runs when stores cross the budget.
+     */
+    void compact();
+
     std::string shardDir(const LoopKey &key) const;
     std::string recordPath(const LoopKey &key) const;
 

@@ -229,9 +229,6 @@ class Engine
      */
     void exportStats(MetricRegistry &registry) const;
 
-    /** This engine's pid in emitted Chrome trace events. */
-    std::uint32_t tracePid() const { return pid_; }
-
     /** The persistent cache; nullptr when no cacheDir was given. */
     const DiskCache *diskCache() const { return disk_.get(); }
 

@@ -1,6 +1,5 @@
 #include "engine/loop_key.hh"
 
-#include <cstring>
 #include <type_traits>
 
 namespace gpsched
@@ -12,8 +11,7 @@ namespace
 /**
  * Compact canonical encoder. Integers are rendered in decimal with a
  * one-character tag and a separator, so no two distinct field
- * sequences can collide; doubles are encoded via their IEEE-754 bit
- * pattern to stay exact.
+ * sequences can collide.
  */
 class Encoder
 {
@@ -25,19 +23,6 @@ class Encoder
     {
         out_ += tag;
         out_ += std::to_string(value);
-        out_ += ';';
-        return *this;
-    }
-
-    Encoder &
-    field(char tag, double value)
-    {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(value),
-                      "double is not 64-bit");
-        std::memcpy(&bits, &value, sizeof(bits));
-        out_ += tag;
-        out_ += std::to_string(bits);
         out_ += ';';
         return *this;
     }
@@ -104,25 +89,13 @@ encodeOptions(Encoder &enc, SchedulerKind kind,
 {
     enc.field('K', static_cast<int>(kind));
     enc.field('r', static_cast<int>(options.repartition));
-    enc.field('T', static_cast<int>(options.transfer.costModel));
-    enc.field('z', options.transfer.slackMargin);
-    enc.field('f', options.fomThreshold);
-    enc.field('m', options.maxIiSlack);
-    enc.field('h', options.maxIiHardCap);
+    enc.field('T', static_cast<int>(options.transferCost));
 
     const GpPartitionerOptions &part = options.partitioner;
     enc.field('M', static_cast<int>(part.matching));
-    enc.field('A', static_cast<int>(part.assignment));
     enc.field('w', part.edgeWeights.useDelayTerm ? 1 : 0);
     enc.field('W', part.edgeWeights.useSlackTerm ? 1 : 0);
-    enc.field('b', part.refine.balancePass ? 1 : 0);
-    enc.field('E', part.refine.edgeImpactPass ? 1 : 0);
-    enc.field('g', part.refine.registerAware ? 1 : 0);
-    enc.field('p', part.refine.prescanTopK);
-    enc.field('c', part.refine.maxChangesPerLevel);
-    enc.field('x', part.refineEnabled ? 1 : 0);
     enc.field('G', part.registerAware ? 1 : 0);
-    enc.field('S', static_cast<std::int64_t>(part.seed));
 }
 
 } // namespace

@@ -32,6 +32,16 @@ using EdgeId = std::int32_t;
 /** Sentinel for "no node". */
 constexpr NodeId invalidNode = -1;
 
+/**
+ * Bounds on loops read from outside the program, shared by the text
+ * reader (graph/textio.hh) and the JSON importer (workload/import.hh):
+ * trip counts lie in [1, maxTripCount], latencies and distances in
+ * [0, maxEdgeLatency] and [0, maxEdgeDistance].
+ */
+constexpr std::int64_t maxTripCount = std::int64_t{1} << 40;
+constexpr int maxEdgeLatency = 1 << 20;
+constexpr int maxEdgeDistance = 1 << 20;
+
 /** One operation of the loop body. */
 struct DdgNode
 {

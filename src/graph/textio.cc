@@ -54,12 +54,15 @@ readDdgText(std::istream &is)
         if (keyword == "ddg") {
             std::string name;
             std::int64_t trips = 0;
-            if (!(ls >> name >> trips) || trips < 1)
+            if (!(ls >> name >> trips))
                 fail(buildMessage("malformed ddg header: '", line,
                                   "'"));
             ddg = Ddg(name);
-            ddg.setTripCount(trips);
             headerSeen = true;
+            if (trips < 1 || trips > maxTripCount)
+                fail(buildMessage("trip count outside [1, ",
+                                  maxTripCount, "]: '", line, "'"));
+            ddg.setTripCount(trips);
         } else if (keyword == "node") {
             if (!headerSeen)
                 fail("node before ddg header");
@@ -88,9 +91,11 @@ readDdgText(std::istream &is)
                 dst >= ddg.numNodes())
                 fail(buildMessage("edge references unknown node: '",
                                   line, "'"));
-            if (lat < 0 || dist < 0)
+            if (lat < 0 || lat > maxEdgeLatency || dist < 0 ||
+                dist > maxEdgeDistance)
                 fail(buildMessage(
-                    "negative edge latency/distance: '", line, "'"));
+                    "edge latency/distance out of range: '", line,
+                    "'"));
             if (src == dst && dist < 1)
                 fail(buildMessage(
                     "self edge must be loop-carried: '", line, "'"));

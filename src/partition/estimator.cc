@@ -12,6 +12,28 @@
 namespace gpsched
 {
 
+namespace
+{
+
+/**
+ * @p a * @p b + @p c for non-negative operands, clamped to the int64
+ * maximum: an estimate past 64 bits ranks last instead of wrapping
+ * (signed overflow is undefined behaviour). The compile driver
+ * rejects loops whose actual counts do not fit.
+ */
+std::int64_t
+saturatingMulAdd(std::int64_t a, std::int64_t b, std::int64_t c)
+{
+    std::int64_t product = 0;
+    std::int64_t sum = 0;
+    if (__builtin_mul_overflow(a, b, &product) ||
+        __builtin_add_overflow(product, c, &sum))
+        return std::numeric_limits<std::int64_t>::max();
+    return sum;
+}
+
+} // namespace
+
 PartitionEstimator::PartitionEstimator(const Ddg &ddg,
                                        const MachineConfig &machine,
                                        int ii, bool register_aware,
@@ -182,13 +204,13 @@ PartitionEstimator::evaluate(const Partition &partition) const
 
     est.iiEff = iiFeas;
     est.pathLength = analysis.scheduleLength();
-    est.execTime = static_cast<std::int64_t>(ddg_.tripCount() - 1) *
-                       est.iiEff +
-                   est.pathLength;
+    est.execTime = saturatingMulAdd(ddg_.tripCount() - 1, est.iiEff,
+                                    est.pathLength);
     if (!est.resourcesOk) {
         // Overloaded partitions are never acceptable; rank them last
         // but keep relative order so the balance pass can compare.
-        est.execTime += 1000000000000LL;
+        est.execTime =
+            saturatingMulAdd(1, est.execTime, 1000000000000LL);
     }
 
     for (EdgeId e = 0; e < ddg_.numEdges(); ++e) {
@@ -236,9 +258,10 @@ PartitionEstimator::evaluate(const Partition &partition) const
             overflow += std::max(0, est.regPressure[c] -
                                         machine_.regsInCluster(c));
         }
-        est.execTime +=
-            overflow * std::max<std::int64_t>(
-                           1, (ddg_.tripCount() - 1) / 2);
+        est.execTime = saturatingMulAdd(
+            overflow,
+            std::max<std::int64_t>(1, (ddg_.tripCount() - 1) / 2),
+            est.execTime);
     }
     return est;
 }

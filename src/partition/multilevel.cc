@@ -1,16 +1,27 @@
 #include "partition/multilevel.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <optional>
 
+#include "partition/refine.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/telemetry.hh"
 
 namespace gpsched
 {
+
+namespace
+{
+
+/** Seed of the coarsening matcher's random stream (only
+ *  MatchingPolicy::RandomMaximal draws from it). */
+constexpr std::uint64_t kCoarsenSeed = 0xc0ffee;
+
+} // namespace
 
 GpPartitioner::GpPartitioner(const MachineConfig &machine,
                              GpPartitionerOptions options)
@@ -125,7 +136,7 @@ GpPartitioner::run(const Ddg &ddg, int ii, CompileArena *arena) const
                            options_.edgeWeights, &sccs);
 
     // --- 2. coarsen ---------------------------------------------------
-    Rng rng(options_.seed);
+    Rng rng(kCoarsenSeed);
     std::optional<CoarseningHierarchy> hierarchyStorage;
     {
         GPSCHED_PHASE_SPAN(Coarsen);
@@ -134,7 +145,7 @@ GpPartitioner::run(const Ddg &ddg, int ii, CompileArena *arena) const
     }
     const CoarseningHierarchy &hierarchy = *hierarchyStorage;
 
-    // --- 3. initial assignment (AssignmentPolicy) ---------------------
+    // --- 3. initial assignment ----------------------------------------
     const CoarseLevel &coarsest = hierarchy.coarsest();
     Partition partition(ddg.numNodes(), clusters);
     {
@@ -149,17 +160,16 @@ GpPartitioner::run(const Ddg &ddg, int ii, CompileArena *arena) const
             return x < y;
         });
         // Homogeneous machines take the legacy round-robin path
-        // regardless of the configured policy: capacity balancing
-        // has nothing to balance when every cluster is identical,
-        // and forcing the branch — rather than trusting the greedy
-        // rule to tie-break the same way — is what *enforces* the
-        // bit-identical Table-1 parity guarantee (pinned by
-        // tests/test_transfer_policy.cc). Do not remove this
-        // short-circuit as "redundant": the greedy rule can
-        // legitimately stack disjoint-class macro-nodes where
-        // round-robin would separate them.
-        if (options_.assignment == AssignmentPolicy::WidestClusterFirst ||
-            machine_.homogeneous()) {
+        // (heaviest macro-nodes first, clusters in descending
+        // issue-width order): capacity balancing has nothing to
+        // balance when every cluster is identical, and forcing the
+        // branch — rather than trusting the greedy rule to tie-break
+        // the same way — is what *enforces* the bit-identical
+        // Table-1 parity guarantee. Do not remove this short-circuit
+        // as "redundant": the greedy rule can legitimately stack
+        // disjoint-class macro-nodes where round-robin would
+        // separate them.
+        if (machine_.homogeneous()) {
             std::vector<int> cluster_order(clusters);
             std::iota(cluster_order.begin(), cluster_order.end(), 0);
             std::stable_sort(
@@ -179,12 +189,10 @@ GpPartitioner::run(const Ddg &ddg, int ii, CompileArena *arena) const
     }
 
     // --- 4. refine coarsest -> finest ---------------------------------
-    if (options_.refineEnabled) {
+    {
         GPSCHED_PHASE_SPAN(Refine);
-        RefineOptions refine_options = options_.refine;
-        refine_options.registerAware |= options_.registerAware;
         PartitionRefiner refiner(ddg, machine_, ii, weights,
-                                 refine_options, arena, &sccs);
+                                 options_.registerAware, arena, &sccs);
         const auto &levels = hierarchy.levels();
         for (auto it = levels.rbegin(); it != levels.rend(); ++it)
             refiner.refineLevel(*it, partition);

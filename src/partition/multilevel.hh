@@ -8,9 +8,9 @@
  *      mean over its bus classes — as the cut penalty,
  *   2. coarsen by maximum-weight matching until as many macro-nodes
  *      remain as the machine has clusters,
- *   3. assign each coarsest macro-node to a cluster under the
- *      configured AssignmentPolicy (capacity-balanced by default;
- *      see below),
+ *   3. assign each coarsest macro-node to a cluster: round-robin
+ *      over the widest clusters on homogeneous machines, by
+ *      per-FU-class capacity shares on every other machine,
  *   4. refine every level from coarsest to finest with the balance
  *      and edge-impact passes (Section 3.2.2); on heterogeneous
  *      machines the refiner additionally tie-breaks on per-cluster
@@ -24,53 +24,15 @@
 #ifndef GPSCHED_PARTITION_MULTILEVEL_HH
 #define GPSCHED_PARTITION_MULTILEVEL_HH
 
-#include <cstdint>
-
 #include "graph/ddg.hh"
 #include "machine/machine.hh"
 #include "partition/coarsen.hh"
 #include "partition/edge_weights.hh"
 #include "partition/estimator.hh"
 #include "partition/partition.hh"
-#include "partition/refine.hh"
 
 namespace gpsched
 {
-
-/**
- * How the coarsest macro-nodes are seeded onto clusters before
- * refinement (step 3 of the pipeline above).
- *
- * On homogeneous machines the partitioner takes the legacy
- * round-robin path no matter which policy is configured (the
- * capacity-balanced greedy rule is *not* mathematically equivalent
- * to round-robin there — the short-circuit is what enforces
- * parity), so Table-1 presets schedule bit-identically under either
- * setting — pinned by tests/test_transfer_policy.cc.
- */
-enum class AssignmentPolicy
-{
-    /**
-     * Legacy rule: heaviest macro-nodes first, clusters visited
-     * round-robin in descending issue-width order. Ignores *which*
-     * functional-unit classes a cluster actually owns.
-     */
-    WidestClusterFirst,
-
-    /**
-     * Heterogeneity-aware rule (the default): heaviest macro-nodes
-     * first, each placed on the cluster that minimizes the peak
-     * per-FU-class pressure after placement — the cluster's
-     * post-placement occupancy of each class divided by its capacity
-     * of that class, i.e. its share of the machine-wide capacity. A
-     * cluster with 0 units of a class the placement would load is
-     * infinitely pressured and never seeded with it (the 0-FU guards
-     * of the estimator are thereby preserved at seeding time). Ties
-     * prefer the wider cluster, then the lower index, keeping the
-     * policy deterministic.
-     */
-    CapacityBalanced,
-};
 
 /** Partitioner configuration (defaults reproduce the paper on
  *  homogeneous machines and add heterogeneity awareness beyond it). */
@@ -78,30 +40,10 @@ struct GpPartitionerOptions
 {
     MatchingPolicy matching = MatchingPolicy::GreedyHeavy;
     EdgeWeightOptions edgeWeights;
-    RefineOptions refine;
-    bool refineEnabled = true;
-
-    /**
-     * Initial-assignment rule for the coarsest level. The default,
-     * AssignmentPolicy::CapacityBalanced, seeds by per-FU-class
-     * capacity shares; AssignmentPolicy::WidestClusterFirst restores
-     * the pre-heterogeneity seeding rule (useful for ablations).
-     * Note that the cut-edge cost input changed *unconditionally*
-     * from the fastest-bus latency to the machine's expected bus
-     * latency, so on multi-bus-class machines whose expectation
-     * rounds above the minimum this knob alone does not reproduce
-     * pre-cost-model partitions; on homogeneous single-class
-     * machines (all Table-1 presets) it does, exactly. Both values
-     * are encoded into the engine's LoopKey, so compiled-loop caches
-     * never alias across policies.
-     */
-    AssignmentPolicy assignment = AssignmentPolicy::CapacityBalanced;
 
     /** Steer refinement away from register-overflowing partitions
      *  (the paper's Section-4.2 future-work heuristic). */
     bool registerAware = false;
-
-    std::uint64_t seed = 0xc0ffee;
 };
 
 /** Result of one partitioning run. */
@@ -136,10 +78,16 @@ class GpPartitioner
     GpPartitionerOptions options_;
 
     /**
-     * AssignmentPolicy::CapacityBalanced seeding: places the coarsest
-     * macro-nodes (visited in @p order, heaviest first) one by one on
-     * the cluster whose peak per-FU-class pressure after the
-     * placement is smallest.
+     * Capacity-balanced seeding of heterogeneous machines: places
+     * the coarsest macro-nodes (visited in @p order, heaviest first)
+     * one by one on the cluster whose peak per-FU-class pressure
+     * after the placement is smallest — the cluster's occupancy of
+     * each class divided by its capacity of that class. A cluster
+     * with 0 units of a class the placement would load is infinitely
+     * pressured and never seeded with it (the 0-FU guards of the
+     * estimator are thereby preserved at seeding time). Ties prefer
+     * the wider cluster, then the lower index, keeping the rule
+     * deterministic.
      */
     void assignCapacityBalanced(const Ddg &ddg,
                                 const CoarseLevel &coarsest,

@@ -10,6 +10,10 @@ namespace gpsched
 namespace
 {
 
+/** Exact estimator evaluations per edge-impact round: the static
+ *  gain proxy pre-ranks candidates, and only this many are costed. */
+constexpr int kPrescanTopK = 3;
+
 /** A candidate refinement change: a single move or a pair swap. */
 struct Change
 {
@@ -25,11 +29,11 @@ struct Change
 PartitionRefiner::PartitionRefiner(
     const Ddg &ddg, const MachineConfig &machine, int ii,
     const std::vector<std::int64_t> &static_weights,
-    RefineOptions options, CompileArena *arena,
+    bool register_aware, CompileArena *arena,
     const SccDecomposition *sccs)
     : ddg_(ddg), machine_(machine), ii_(ii),
-      staticWeights_(static_weights), options_(options),
-      estimator_(ddg, machine, ii, options.registerAware, sccs),
+      staticWeights_(static_weights),
+      estimator_(ddg, machine, ii, register_aware, sccs),
       macroOcc_(arena), clusterOcc_(arena)
 {
     GPSCHED_ASSERT(static_cast<int>(static_weights.size()) ==
@@ -370,9 +374,8 @@ PartitionRefiner::runEdgeImpactPass(const CoarseLevel &level,
                           return x.macroA < y.macroA;
                       return x.macroB < y.macroB;
                   });
-        int topK = std::max(1, options_.prescanTopK);
-        if (static_cast<int>(candidates.size()) > topK)
-            candidates.resize(topK);
+        if (static_cast<int>(candidates.size()) > kPrescanTopK)
+            candidates.resize(kPrescanTopK);
 
         bool haveBest = false;
         Change bestChange;
@@ -448,13 +451,10 @@ PartitionRefiner::refineLevel(const CoarseLevel &level,
         }
     }
     computeMacroOccupancy(level);
-    int budget = options_.maxChangesPerLevel > 0
-                     ? options_.maxChangesPerLevel
-                     : 2 * level.numNodes() + 8;
-    if (options_.balancePass)
-        runBalancePass(level, partition, budget);
-    if (options_.edgeImpactPass)
-        runEdgeImpactPass(level, partition, budget);
+    // Cap on applied changes per level, shared by both passes.
+    int budget = 2 * level.numNodes() + 8;
+    runBalancePass(level, partition, budget);
+    runEdgeImpactPass(level, partition, budget);
 }
 
 } // namespace gpsched

@@ -45,23 +45,6 @@
 namespace gpsched
 {
 
-/** Refinement knobs (defaults reproduce the paper's scheme). */
-struct RefineOptions
-{
-    bool balancePass = true;
-    bool edgeImpactPass = true;
-
-    /** Enable the register-pressure term of the estimator (paper
-     *  Section 4.2 future work; off reproduces the paper). */
-    bool registerAware = false;
-
-    /** Exact estimator evaluations per edge-impact round. */
-    int prescanTopK = 3;
-
-    /** Cap on applied changes per level (0 = 2 * nodes + 8). */
-    int maxChangesPerLevel = 0;
-};
-
 /** Refines partitions at macro-node granularity. */
 class PartitionRefiner
 {
@@ -70,6 +53,9 @@ class PartitionRefiner
      * @param static_weights per-original-edge Section-3.2.1 weights
      *        (the cheap gain proxy); references must outlive the
      *        refiner.
+     * @param register_aware enables the register-pressure term of
+     *        the estimator (paper Section 4.2 future work; off
+     *        reproduces the paper).
      * @param arena optional per-compile arena for the refiner's
      *        scratch tables; must outlive the refiner (null = heap).
      * @param sccs optional precomputed SCC decomposition of @p ddg,
@@ -79,7 +65,7 @@ class PartitionRefiner
     PartitionRefiner(const Ddg &ddg, const MachineConfig &machine,
                      int ii,
                      const std::vector<std::int64_t> &static_weights,
-                     RefineOptions options = {},
+                     bool register_aware = false,
                      CompileArena *arena = nullptr,
                      const SccDecomposition *sccs = nullptr);
 
@@ -95,7 +81,6 @@ class PartitionRefiner
     const MachineConfig &machine_;
     int ii_;
     const std::vector<std::int64_t> &staticWeights_;
-    RefineOptions options_;
     PartitionEstimator estimator_;
 
     /**

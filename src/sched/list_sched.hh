@@ -18,7 +18,6 @@
 #ifndef GPSCHED_SCHED_LIST_SCHED_HH
 #define GPSCHED_SCHED_LIST_SCHED_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "graph/ddg.hh"
@@ -41,12 +40,6 @@ struct ListScheduleResult
 
     /** Inter-cluster transfers allocated. */
     int busTransfers = 0;
-
-    /** Total cycles for @p niter non-overlapped iterations. */
-    std::int64_t totalCycles(std::int64_t niter) const
-    {
-        return niter * scheduleLength;
-    }
 };
 
 /** List-schedules one iteration of @p ddg on @p machine. */

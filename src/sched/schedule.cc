@@ -14,6 +14,14 @@ namespace gpsched
 namespace
 {
 
+/**
+ * Free cycles a transfer's window must retain beyond a slower bus
+ * class's latency before the SlackAware policy steers it there.
+ * Larger margins keep more traffic on fast buses; 0 steers any
+ * transfer that merely fits.
+ */
+constexpr int kSlackMargin = 2;
+
 /** Clamped percentage of @p free consumed by @p delta. */
 double
 consumedPct(int delta, int free)
@@ -49,11 +57,10 @@ totalLength(const std::vector<LiveSegment> &segs)
 PartialSchedule::PartialSchedule(const Ddg &ddg,
                                  const MachineConfig &machine, int ii,
                                  std::vector<int> planned_mem_per_cluster,
-                                 double fom_threshold,
-                                 TransferPolicyOptions transfer,
+                                 TransferCostPolicy transfer_cost,
                                  CompileArena *arena)
     : ddg_(ddg), machine_(machine), ii_(ii),
-      fomThreshold_(fom_threshold), transfer_(transfer),
+      transferCost_(transfer_cost),
       plannedMemOps_(std::move(planned_mem_per_cluster))
 {
     GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
@@ -395,7 +402,7 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
     // Bus first, classes probed in cost-model order (within a class
     // the earliest read slot keeps the home lifetime shortest).
     // Under SlackAware, classes the ready->use window absorbs with
-    // slackMargin cycles to spare are probed first — slowest of them
+    // kSlackMargin cycles to spare are probed first — slowest of them
     // first, parking slack-rich transfers on slow buses so the fast
     // classes stay free for tight (critical-recurrence) windows.
     // The remaining classes — the complete set under FastestFirst,
@@ -420,9 +427,9 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
         return false;
     };
     auto steered_slow = [&](int bc) {
-        return transfer_.costModel == TransferCostPolicy::SlackAware &&
+        return transferCost_ == TransferCostPolicy::SlackAware &&
                num_bus_classes > 1 &&
-               machine_.busLatencyOf(bc) + transfer_.slackMargin <=
+               machine_.busLatencyOf(bc) + kSlackMargin <=
                    use - ready;
     };
     for (int bc = num_bus_classes - 1; bc >= 0; --bc) {

@@ -69,8 +69,8 @@ enum class TransferCostPolicy
 
     /**
      * Slack-aware cost model (the default): a transfer whose
-     * ready-to-use window fits a slower class with at least
-     * TransferPolicyOptions::slackMargin cycles to spare is steered
+     * ready-to-use window fits a slower class with at least two
+     * cycles to spare is steered
      * to the slowest such class first, preserving the fast classes
      * for transfers on or near the critical recurrence (whose tight
      * windows keep probing fastest-first). Feasibility never
@@ -79,26 +79,6 @@ enum class TransferCostPolicy
      * fastest-first, exactly like the legacy rule.
      */
     SlackAware,
-};
-
-/** Knobs of the bus-class transfer cost model. */
-struct TransferPolicyOptions
-{
-    TransferCostPolicy costModel = TransferCostPolicy::SlackAware;
-
-    /**
-     * Free cycles a transfer's window must retain beyond a slower
-     * class's latency before the SlackAware policy steers it there.
-     * Larger margins keep more traffic on fast buses; 0 steers any
-     * transfer that merely fits. Keyed into the engine's LoopKey.
-     */
-    int slackMargin = 2;
-
-    bool operator==(const TransferPolicyOptions &other) const
-    {
-        return costModel == other.costModel &&
-               slackMargin == other.slackMargin;
-    }
 };
 
 /** One inter-cluster communication of a value. */
@@ -216,10 +196,8 @@ class PartialSchedule
      *        per cluster (from the graph partition; Section 3.3.4
      *        extension). Empty for URACAM/unified scheduling, which
      *        uses the global remaining-memory component instead.
-     * @param fom_threshold significant-difference threshold for
-     *        figure-of-merit comparisons (percentage points)
-     * @param transfer bus-class transfer cost model (defaults to the
-     *        slack-aware policy; irrelevant on single-bus-class
+     * @param transfer_cost bus-class transfer cost model (defaults
+     *        to the slack-aware policy; irrelevant on single-bus-class
      *        machines, where both policies coincide)
      * @param arena optional per-compile arena backing the reservation
      *        tables and lifetime trackers; must outlive the schedule
@@ -228,8 +206,8 @@ class PartialSchedule
     PartialSchedule(const Ddg &ddg, const MachineConfig &machine,
                     int ii,
                     std::vector<int> planned_mem_per_cluster = {},
-                    double fom_threshold = 10.0,
-                    TransferPolicyOptions transfer = {},
+                    TransferCostPolicy transfer_cost =
+                        TransferCostPolicy::SlackAware,
                     CompileArena *arena = nullptr);
 
     /** Initiation interval. */
@@ -276,9 +254,6 @@ class PartialSchedule
      * per-cluster MaxLive) used to steer transformations.
      */
     FigureOfMerit globalFom() const;
-
-    /** Comparison threshold configured at construction. */
-    double fomThreshold() const { return fomThreshold_; }
 
     // --- transformations (Section 3.3.2; defined in transforms.cc) ---
 
@@ -374,8 +349,7 @@ class PartialSchedule
     const Ddg &ddg_;
     const MachineConfig &machine_;
     int ii_;
-    double fomThreshold_;
-    TransferPolicyOptions transfer_;
+    TransferCostPolicy transferCost_;
 
     /**
      * planTransfer() scratch (mutable: the method is a const
@@ -464,7 +438,7 @@ class PartialSchedule
      * Bus classes are probed in the order the TransferCostPolicy
      * dictates — ascending latency under FastestFirst; under
      * SlackAware, classes the ready->use window absorbs with
-     * slackMargin cycles to spare come first (slowest first),
+     * kSlackMargin cycles to spare come first (slowest first),
      * followed by the remaining classes fastest-first — and memory
      * communication is the fallback. Returns false when impossible.
      */

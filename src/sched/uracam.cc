@@ -9,10 +9,18 @@
 namespace gpsched
 {
 
+namespace
+{
+
+/** Significant-difference threshold for figure-of-merit comparisons
+ *  between candidate clusters (percentage points). */
+constexpr double kFomThreshold = 10.0;
+
+} // namespace
+
 ModuloScheduler::ModuloScheduler(const Ddg &ddg,
-                                 const MachineConfig &machine,
-                                 ModuloSchedulerOptions options)
-    : ddg_(ddg), machine_(machine), options_(options)
+                                 const MachineConfig &machine)
+    : ddg_(ddg), machine_(machine)
 {
 }
 
@@ -120,7 +128,7 @@ ModuloScheduler::placeNode(PartialSchedule &ps, NodeId v,
         }
         FigureOfMerit fom = ps.insertionFom(plan);
         if (!have_best ||
-            FigureOfMerit::better(fom, best_fom, ps.fomThreshold())) {
+            FigureOfMerit::better(fom, best_fom, kFomThreshold)) {
             best = std::move(plan);
             best_fom = std::move(fom);
             have_best = true;

@@ -52,21 +52,12 @@ enum class ClusterPolicy
     AssignedOnly,   ///< Fixed Partition: never deviate
 };
 
-/** Tuning knobs of the modulo scheduler. */
-struct ModuloSchedulerOptions
-{
-    /** Significant-difference threshold for figure-of-merit
-     *  comparisons (percentage points). */
-    double fomThreshold = 10.0;
-};
-
 /** Integrated modulo scheduler over a PartialSchedule. */
 class ModuloScheduler
 {
   public:
     /** References must outlive the scheduler. */
-    ModuloScheduler(const Ddg &ddg, const MachineConfig &machine,
-                    ModuloSchedulerOptions options = {});
+    ModuloScheduler(const Ddg &ddg, const MachineConfig &machine);
 
     /**
      * Attempts a complete schedule into the fresh schedule @p ps
@@ -83,7 +74,6 @@ class ModuloScheduler
   private:
     const Ddg &ddg_;
     const MachineConfig &machine_;
-    ModuloSchedulerOptions options_;
 
     // The DDG is fixed for the scheduler's lifetime while the driver
     // probes many IIs, so the II-independent per-graph work (SCC

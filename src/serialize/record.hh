@@ -60,11 +60,15 @@ constexpr std::uint32_t recordFormatVersion = 2;
  * option, so bumping this constant when that encoding changes
  * invalidates every on-disk record written under the old scheme.
  *
- * v2: AssignmentPolicy ('A') and the transfer cost model ('T'/'z')
- * joined the option encoding — and changed scheduling defaults on
- * heterogeneous machines — so v1 records are stale.
+ * v2: the initial-assignment rule ('A') and the transfer cost
+ * model ('T'/'z') joined the option encoding — and changed
+ * scheduling defaults on heterogeneous machines — so v1 records are
+ * stale.
+ * v3: the option encoding shrank to the scheme kind plus the six
+ * options a bench varies; the tuning values that no driver set
+ * became constants and left the key.
  */
-constexpr std::uint32_t keySchemaVersion = 2;
+constexpr std::uint32_t keySchemaVersion = 3;
 
 /** Byte offsets of the header fields (for tests and tooling). */
 constexpr std::size_t recordMagicOffset = 0;

@@ -141,15 +141,6 @@ ReplayReport::summary() const
 }
 
 ReplayReport
-replayProgram(const Program &program, const ProgramResult &result,
-              const MachineConfig &machine)
-{
-    ReplayReport report;
-    replayInto(report, program, result, machine);
-    return report;
-}
-
-ReplayReport
 replaySuite(const std::vector<Program> &suite,
             const SuiteResult &result, const MachineConfig &machine)
 {

@@ -8,8 +8,8 @@
  * for bit. `gpsched compile --simulate`, the benches' --replay gate,
  * the fuzz harness and the property tests all call it.
  *
- * replayProgram()/replaySuite() apply it to every successfully
- * compiled loop of a pipeline result (the --replay gate).
+ * replaySuite() applies it to every successfully compiled loop of a
+ * pipeline result (the --replay gate).
  */
 
 #ifndef GPSCHED_SIM_REPLAY_HH
@@ -89,15 +89,10 @@ struct ReplayReport
 
 /**
  * Runs verifyCompiled() on every compiled loop of @p result against
- * @p machine. Loops are matched back to @p program's DDGs by name
- * (failures recorded in result.failures are skipped, like the
- * aggregates skip them).
+ * @p machine; aggregates into one report. Loops are matched back to
+ * @p suite's DDGs by program and loop name (failures recorded in a
+ * program's failures are skipped, like the aggregates skip them).
  */
-ReplayReport replayProgram(const Program &program,
-                           const ProgramResult &result,
-                           const MachineConfig &machine);
-
-/** Replays every program of a suite; aggregates into one report. */
 ReplayReport replaySuite(const std::vector<Program> &suite,
                          const SuiteResult &result,
                          const MachineConfig &machine);

@@ -397,8 +397,7 @@ importLoop(JsonParser &p, const JsonValue &loopObj,
     }
     p.setLoopName(name);
     Ddg g(name);
-    g.setTripCount(intField(p, loopObj, "trip", 100, 1,
-                            std::int64_t(1) << 40));
+    g.setTripCount(intField(p, loopObj, "trip", 100, 1, maxTripCount));
 
     const JsonValue &nodes =
         require(p, loopObj, "nodes", JsonValue::Type::Array);
@@ -429,7 +428,7 @@ importLoop(JsonParser &p, const JsonValue &loopObj,
         g.addNode(op, label);
         nodeLatency.push_back(static_cast<int>(
             intField(p, nodeObj, "latency", lat.latency(op), 0,
-                     1 << 20)));
+                     maxEdgeLatency)));
     }
 
     const JsonValue *edges = loopObj.find("edges");
@@ -472,9 +471,9 @@ importLoop(JsonParser &p, const JsonValue &loopObj,
             int latency = static_cast<int>(intField(
                 p, edgeObj, "latency",
                 nodeLatency[static_cast<std::size_t>(src)], 0,
-                1 << 20));
-            int distance = static_cast<int>(
-                intField(p, edgeObj, "distance", 0, 0, 1 << 20));
+                maxEdgeLatency));
+            int distance = static_cast<int>(intField(
+                p, edgeObj, "distance", 0, 0, maxEdgeDistance));
             if (kind == DepKind::Flow &&
                 !definesValue(g.node(src).opcode))
                 p.fail(edgeObj.line,

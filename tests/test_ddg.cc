@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/ddg.hh"
 #include "graph/ddg_builder.hh"
@@ -271,6 +273,34 @@ TEST(TextIoErrors, BadOpcodeAndBadEdgeShapesThrow)
         std::istringstream iss(text);
         EXPECT_THROW(readDdgText(iss), CompileError) << text;
     }
+}
+
+TEST(TextIoErrors, ValuesBeyondTheImporterBoundsThrow)
+{
+    // The text reader shares the JSON importer's bounds: trip counts
+    // in [1, 2^40], latencies and distances in [0, 2^20].
+    const std::string nodes = "node ialu a\nnode ialu b\n";
+    for (const std::string &text : std::vector<std::string>{
+             "ddg big 9223372036854775807\n" + nodes + "end\n",
+             "ddg big 1099511627777\n" + nodes + "end\n",
+             "ddg big 1\n" + nodes + "edge 0 1 1048577 0\nend\n",
+             "ddg big 1\n" + nodes + "edge 0 1 1 1048577\nend\n"}) {
+        std::istringstream iss(text);
+        try {
+            readDdgText(iss);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const CompileError &error) {
+            EXPECT_EQ(error.kind(), CompileErrorKind::Parse) << text;
+            EXPECT_EQ(error.loopName(), "big") << text;
+        }
+    }
+
+    std::istringstream at_bounds("ddg big 1099511627776\n" + nodes +
+                                 "edge 0 1 1048576 1048576\nend\n");
+    Ddg g = readDdgText(at_bounds);
+    EXPECT_EQ(g.tripCount(), maxTripCount);
+    EXPECT_EQ(g.edge(0).latency, maxEdgeLatency);
+    EXPECT_EQ(g.edge(0).distance, maxEdgeDistance);
 }
 
 TEST(Dot, PlainExportMentionsEveryNode)

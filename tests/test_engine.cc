@@ -197,9 +197,52 @@ TEST(LoopKey, EverySchedulingInputChangesTheKey)
     LoopKey reference =
         makeLoopKey(base, m, SchedulerKind::Gp, defaultOptions());
 
-    // Scheduler kind.
-    EXPECT_NE(reference, makeLoopKey(base, m, SchedulerKind::Uracam,
-                                     defaultOptions()));
+    // The scheme kind and every option field, one row each: flipping
+    // one value away from the default must change the key, and no
+    // two rows may share one.
+    struct Row
+    {
+        const char *input;
+        SchedulerKind kind;
+        void (*flip)(LoopCompilerOptions &);
+    };
+    const Row rows[] = {
+        {"scheme kind", SchedulerKind::Uracam,
+         [](LoopCompilerOptions &) {}},
+        {"repartition", SchedulerKind::Gp,
+         [](LoopCompilerOptions &o) {
+             o.repartition = RepartitionPolicy::Always;
+         }},
+        {"transferCost", SchedulerKind::Gp,
+         [](LoopCompilerOptions &o) {
+             o.transferCost = TransferCostPolicy::FastestFirst;
+         }},
+        {"partitioner.matching", SchedulerKind::Gp,
+         [](LoopCompilerOptions &o) {
+             o.partitioner.matching = MatchingPolicy::RandomMaximal;
+         }},
+        {"partitioner.edgeWeights.useDelayTerm", SchedulerKind::Gp,
+         [](LoopCompilerOptions &o) {
+             o.partitioner.edgeWeights.useDelayTerm = false;
+         }},
+        {"partitioner.edgeWeights.useSlackTerm", SchedulerKind::Gp,
+         [](LoopCompilerOptions &o) {
+             o.partitioner.edgeWeights.useSlackTerm = false;
+         }},
+        {"partitioner.registerAware", SchedulerKind::Gp,
+         [](LoopCompilerOptions &o) {
+             o.partitioner.registerAware = true;
+         }},
+    };
+    std::set<std::string> canonical{reference.canonical};
+    for (const Row &row : rows) {
+        LoopCompilerOptions options = defaultOptions();
+        row.flip(options);
+        LoopKey key = makeLoopKey(base, m, row.kind, options);
+        EXPECT_NE(reference.canonical, key.canonical) << row.input;
+        EXPECT_TRUE(canonical.insert(key.canonical).second)
+            << row.input << " aliases another row";
+    }
 
     // Trip count.
     Ddg retripped = gpsched::testing::diamondLoop(lat);
@@ -220,20 +263,6 @@ TEST(LoopKey, EverySchedulingInputChangesTheKey)
     slowMul.latencies().setTiming(Opcode::FMul, t);
     EXPECT_NE(reference, makeLoopKey(base, slowMul, SchedulerKind::Gp,
                                      defaultOptions()));
-
-    // Options: repartition policy, partitioner seed, fom threshold.
-    LoopCompilerOptions repart = defaultOptions();
-    repart.repartition = RepartitionPolicy::Always;
-    EXPECT_NE(reference,
-              makeLoopKey(base, m, SchedulerKind::Gp, repart));
-    LoopCompilerOptions seeded = defaultOptions();
-    seeded.partitioner.seed ^= 1;
-    EXPECT_NE(reference,
-              makeLoopKey(base, m, SchedulerKind::Gp, seeded));
-    LoopCompilerOptions fom = defaultOptions();
-    fom.fomThreshold += 0.5;
-    EXPECT_NE(reference,
-              makeLoopKey(base, m, SchedulerKind::Gp, fom));
 
     // Edge structure: extra edge, different latency.
     Ddg extraEdge = gpsched::testing::diamondLoop(lat);

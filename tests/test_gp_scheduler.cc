@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/gp_scheduler.hh"
 #include "core/metrics.hh"
 #include "graph/ddg_builder.hh"
@@ -126,6 +129,50 @@ TEST(LoopCompiler, ListFallbackWhenModuloCannotWork)
         EXPECT_EQ(r.ii, 0);
         EXPECT_EQ(r.cycles,
                   listLoopCycles(r.scheduleLength, g.tripCount()));
+    }
+}
+
+TEST(LoopCompiler, CountOverflowIsATypedInvalidInputError)
+{
+    // Operations: two nodes of 2^63 - 1 iterations.
+    Ddg ops("ops_overflow");
+    ops.addNode(Opcode::Load, "a");
+    ops.addNode(Opcode::Store, "b");
+    ops.addEdge(0, 1, 2, 0, DepKind::Flow);
+    ops.setTripCount(std::numeric_limits<std::int64_t>::max());
+
+    // Modulo cycles: one node of 2^62 + 1 iterations at II 2.
+    Ddg modulo("modulo_overflow");
+    modulo.addNode(Opcode::IAlu, "i");
+    modulo.addEdge(0, 0, 2, 1, DepKind::Flow);
+    modulo.setTripCount((std::int64_t{1} << 62) + 1);
+
+    // Fallback cycles: a recurrence whose RecMII exceeds the II cap
+    // forces the list schedule; 2^40 iterations of ~9.4M cycles.
+    Ddg fallback("fallback_overflow");
+    for (int i = 0; i < 10; ++i)
+        fallback.addNode(Opcode::FAdd, "");
+    for (int i = 0; i < 10; ++i)
+        fallback.addEdge(i, (i + 1) % 10, maxEdgeLatency, i == 9 ? 1 : 0,
+                         DepKind::Flow);
+    fallback.setTripCount(maxTripCount);
+
+    MachineConfig m = twoClusterConfig(32, 1);
+    for (const Ddg &g : {ops, modulo, fallback}) {
+        for (SchedulerKind kind :
+             {SchedulerKind::Uracam, SchedulerKind::FixedPartition,
+              SchedulerKind::Gp}) {
+            try {
+                CompiledLoop r = LoopCompiler(m, kind).compile(g);
+                ADD_FAILURE() << g.name() << " " << toString(kind)
+                              << ": cycles " << r.cycles << ", ops "
+                              << r.ops;
+            } catch (const CompileError &error) {
+                EXPECT_EQ(error.kind(), CompileErrorKind::InvalidInput)
+                    << g.name();
+                EXPECT_EQ(error.loopName(), g.name());
+            }
+        }
     }
 }
 

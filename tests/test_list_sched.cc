@@ -116,15 +116,6 @@ TEST(ListSched, CrossClusterDependenceAddsBusDelay)
     expectResourcesRespected(g, m, r);
 }
 
-TEST(ListSched, TotalCyclesScaleWithTripCount)
-{
-    LatencyTable lat;
-    Ddg g = chainLoop(4, lat);
-    MachineConfig m = unifiedConfig(32);
-    ListScheduleResult r = listSchedule(g, m);
-    EXPECT_EQ(r.totalCycles(10), 10 * r.scheduleLength);
-}
-
 TEST(ListSched, LoopCarriedEdgesDoNotConstrainWithinIteration)
 {
     LatencyTable lat;
@@ -141,7 +132,6 @@ TEST(ListSched, EmptyGraph)
     MachineConfig m = unifiedConfig(32);
     ListScheduleResult r = listSchedule(g, m);
     EXPECT_EQ(r.scheduleLength, 0);
-    EXPECT_EQ(r.totalCycles(100), 0);
 }
 
 TEST(ListSched, TransfersCounted)

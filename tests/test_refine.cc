@@ -132,39 +132,3 @@ TEST(Refine, MacroNodesMoveAtomically)
                 << "macro-node " << mn << " straddles clusters";
     }
 }
-
-TEST(Refine, DisablingPassesDisablesChanges)
-{
-    LatencyTable lat;
-    Ddg g = chainLoop(4, lat);
-    MachineConfig m = twoClusterConfig(32, 1);
-    std::vector<std::int64_t> weights(g.numEdges(), 1);
-    RefineOptions off;
-    off.balancePass = false;
-    off.edgeImpactPass = false;
-    PartitionRefiner refiner(g, m, 1, weights, off);
-    Partition p(g.numNodes(), 2, 0);
-    p.assign(1, 1);
-    Partition before = p;
-    refiner.refineLevel(identityLevel(g), p);
-    EXPECT_EQ(p.raw(), before.raw());
-}
-
-TEST(Refine, BudgetBoundsChanges)
-{
-    LatencyTable lat;
-    Ddg g = chainLoop(8, lat);
-    MachineConfig m = twoClusterConfig(32, 1);
-    std::vector<std::int64_t> weights(g.numEdges(), 1);
-    RefineOptions tight;
-    tight.maxChangesPerLevel = 1;
-    PartitionRefiner refiner(g, m, 1, weights, tight);
-    Partition p(g.numNodes(), 2, 0);
-    for (int i = 0; i < 8; i += 2)
-        p.assign(i, 1);
-    int cut_before = numCutEdges(g, p);
-    refiner.refineLevel(identityLevel(g), p);
-    // At most one applied change: the cut cannot collapse to zero.
-    EXPECT_GE(numCutEdges(g, p), cut_before - 4);
-    EXPECT_GT(numCutEdges(g, p), 0);
-}

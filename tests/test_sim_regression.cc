@@ -1,152 +1,48 @@
 /**
  * @file
- * Sim-backed regression pin for the slack-aware transfer policy's
- * known small losses. The transfer-policy PR documented that
- * slackMargin=2 (the default) trails slackMargin=0 slightly on the
- * skewed-FU and three-tier-bus corpus machines, where an eager
- * steer to slow buses frees the fast class for the critical
- * recurrence. The estimator-side numbers were pinned then; this
- * file re-derives them from *simulated* achieved IPC — every loop
- * of both configurations is replayed through the cycle-accurate
- * simulator (sim/sim.hh), which must accept it and reproduce the
- * reported IPC exactly — so the pinned relation rests on an
- * independent oracle, not on the estimator double-counting its own
- * claims.
+ * Sim-backed regression pin for the slack-aware transfer policy on
+ * the skewed-FU and three-tier-bus corpus machines, where the policy
+ * steers slack-rich transfers to slow buses. Every GP-compiled loop
+ * of the SPECfp95 suite is held to the two-oracle contract
+ * (sim::replaySuite): the validator and the cycle-accurate simulator
+ * must accept it, and the replayed II, cycles and IPC must equal the
+ * compiler's claims exactly, so the policy's schedules rest on
+ * independent oracles, not on the estimator's own claims.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hh"
 #include "machine/registry.hh"
-#include "sim/sim.hh"
+#include "sim/replay.hh"
 #include "workload/specfp.hh"
 
 using namespace gpsched;
 
-namespace
-{
-
-MachineConfig
-corpusMachine(const std::string &file)
-{
-    return MachineRegistry::builtin().resolve(
-        GPSCHED_SOURCE_DIR "/examples/machines/" + file);
-}
-
-/**
- * Compiles the suite with GP at @p margin and recomputes the
- * suite-mean IPC from simulated executions: each compiled loop is
- * replayed, must pass, and must reproduce the reported IPC exactly;
- * the per-program aggregation then mirrors compileSuite's
- * (totalOps / totalCycles per program, arithmetic mean across
- * programs) with the simulator's cycle counts.
- */
-double
-simMeanIpc(const std::vector<Program> &suite, const MachineConfig &m,
-           int margin)
-{
-    LoopCompilerOptions options;
-    options.transfer.slackMargin = margin;
-    SuiteResult result =
-        compileSuite(suite, m, SchedulerKind::Gp, options);
-    EXPECT_EQ(result.failedLoops, 0u) << m.name();
-
-    double mean = 0.0;
-    int programs = 0;
-    for (const ProgramResult &pr : result.programs) {
-        const Program *program = nullptr;
-        for (const Program &p : suite) {
-            if (p.name == pr.name)
-                program = &p;
-        }
-        if (program == nullptr) {
-            ADD_FAILURE() << "program " << pr.name << " missing";
-            continue;
-        }
-        std::int64_t ops = 0;
-        std::int64_t cycles = 0;
-        std::size_t next = 0;
-        for (const CompiledLoop &loop : pr.loops) {
-            while (next < program->loops.size() &&
-                   program->loops[next].name() != loop.loopName)
-                ++next;
-            if (next == program->loops.size()) {
-                ADD_FAILURE() << pr.name << "/" << loop.loopName
-                              << " missing from the program";
-                break;
-            }
-            sim::SimResult s =
-                sim::simulate(program->loops[next], m, loop);
-            EXPECT_TRUE(s.simOk)
-                << pr.name << "/" << loop.loopName << " on "
-                << m.name() << ": "
-                << (s.fault ? s.fault->toString() : "");
-            EXPECT_EQ(s.achievedIpc, loop.ipc)
-                << pr.name << "/" << loop.loopName << " on "
-                << m.name();
-            ops += loop.ops;
-            cycles += s.simCycles;
-            ++next;
-        }
-        if (cycles > 0) {
-            mean += static_cast<double>(ops) /
-                    static_cast<double>(cycles);
-            ++programs;
-        }
-    }
-    EXPECT_GT(programs, 0) << m.name();
-    return programs > 0 ? mean / programs : 0.0;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// The documented small losses of the default margin, re-measured on
-// simulated executions. Pinned from measurement: margin 2 trails
-// margin 0 on skewed_fu_2c and threetier_bus_4c — where hoarding
-// fast-bus slots starves nothing, so the eager steer's extra fast
-// slots occasionally shave an II — but the loss stays tiny (< 0.1%
-// of the eager mean), while on skewed_fu_4c margin 2 wins outright
-// (its reserved fast slots serve the critical recurrence). Both
-// sides of every comparison are sim-verified, so a future estimator
-// bug cannot silently shift this pin.
-// ---------------------------------------------------------------------
-
-TEST(SimRegression, SlackMarginLossesPinnedBySimulation)
+TEST(SimRegression, CorpusMachinesReplayExactly)
 {
     LatencyTable lat;
     std::vector<Program> suite = specFp95Suite(lat);
+    std::size_t loops = 0;
+    for (const Program &program : suite)
+        loops += program.loops.size();
 
-    struct Pin
-    {
-        const char *file;
-        bool marginLoses; // margin 2 trails margin 0
-    };
-    for (const Pin &pin :
-         {Pin{"skewed_fu_2c.machine", true},
-          Pin{"skewed_fu_4c.machine", false},
-          Pin{"threetier_bus_4c.machine", true}}) {
-        MachineConfig m = corpusMachine(pin.file);
-        double eager = simMeanIpc(suite, m, 0);
-        double deflt = simMeanIpc(suite, m, 2);
-        RecordProperty(m.name() + "_margin0", std::to_string(eager));
-        RecordProperty(m.name() + "_margin2", std::to_string(deflt));
-        std::printf("[sim-regression] %-18s margin0=%.6f "
-                    "margin2=%.6f delta=%+.6f\n",
-                    m.name().c_str(), eager, deflt, deflt - eager);
-        EXPECT_GT(eager, 0.0) << pin.file;
-        EXPECT_GT(deflt, 0.0) << pin.file;
-        if (pin.marginLoses) {
-            EXPECT_LT(deflt, eager) << pin.file;
-            EXPECT_GE(deflt, eager * 0.999)
-                << pin.file << ": the pinned loss was tiny";
-        } else {
-            EXPECT_GT(deflt, eager) << pin.file;
-        }
+    for (const char *file :
+         {"skewed_fu_2c.machine", "skewed_fu_4c.machine",
+          "threetier_bus_4c.machine"}) {
+        MachineConfig m = MachineRegistry::builtin().resolve(
+            std::string(GPSCHED_SOURCE_DIR "/examples/machines/") +
+            file);
+        SuiteResult result = compileSuite(suite, m, SchedulerKind::Gp);
+        EXPECT_EQ(result.failedLoops, 0u) << file;
+        sim::ReplayReport report = sim::replaySuite(suite, result, m);
+        EXPECT_TRUE(report.ok()) << file << ": " << report.summary();
+        EXPECT_EQ(report.loopsChecked,
+                  static_cast<std::int64_t>(loops))
+            << file;
     }
 }

@@ -4,13 +4,13 @@
  * initial assignment (partition/multilevel.hh) and the slack-aware
  * bus-class transfer cost model (sched/schedule.hh).
  *
- * Pins the two acceptance properties of the cost-model PR:
+ * Pins the two acceptance properties of the cost model:
  *
- *  1. *Homogeneous parity* — on Table-1 machines the new defaults
- *     (CapacityBalanced + SlackAware) produce bit-identical compiled
- *     loops to the legacy policies (WidestClusterFirst +
- *     FastestFirst), over a fig2/fig3-style workload slice: same II,
- *     same cycles, same placements, transfers, spills and partition.
+ *  1. *Homogeneous parity* — on Table-1 machines the slack-aware
+ *     default produces bit-identical compiled loops to the legacy
+ *     FastestFirst policy, over a fig2/fig3-style workload slice:
+ *     same II, same cycles, same placements, transfers, spills and
+ *     partition.
  *
  *  2. *Heterogeneous wins* — on the shipped scenario corpus the
  *     slack-aware policy never trails fastest-first on the pinned
@@ -18,8 +18,7 @@
  *
  * Plus unit-level checks that the policy does what its name says
  * (slack-rich transfers ride slow classes, tight ones ride fast
- * ones), that capacity-balanced seeding respects 0-FU clusters, and
- * that both knobs are keyed into the engine's LoopKey.
+ * ones) and that capacity-balanced seeding respects 0-FU clusters.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "core/pipeline.hh"
-#include "engine/loop_key.hh"
 #include "graph/ddg_builder.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
@@ -44,14 +42,12 @@ using namespace gpsched::testing;
 namespace
 {
 
-/** Legacy policies: the exact pre-cost-model behaviour. */
+/** Legacy policy: the exact pre-cost-model transfer selection. */
 LoopCompilerOptions
 legacyOptions()
 {
     LoopCompilerOptions options;
-    options.partitioner.assignment =
-        AssignmentPolicy::WidestClusterFirst;
-    options.transfer.costModel = TransferCostPolicy::FastestFirst;
+    options.transferCost = TransferCostPolicy::FastestFirst;
     return options;
 }
 
@@ -93,9 +89,9 @@ sameCompiledLoop(const CompiledLoop &a, const CompiledLoop &b)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Acceptance: homogeneous parity. Table-1 machines have identical
-// clusters and a single bus class, so both new policies must
-// degenerate to the legacy behaviour bit-for-bit.
+// Acceptance: homogeneous parity. Table-1 machines have a single bus
+// class, so the slack-aware policy must degenerate to the legacy
+// behaviour bit-for-bit.
 // ---------------------------------------------------------------------
 
 TEST(TransferPolicy, HomogeneousParityOnTable1Machines)
@@ -142,9 +138,9 @@ TEST(TransferPolicy, SlackAwareBeatsFastestFirstOnCorpusMachines)
     std::vector<Program> suite = specFp95Suite(lat);
 
     LoopCompilerOptions fastest;
-    fastest.transfer.costModel = TransferCostPolicy::FastestFirst;
+    fastest.transferCost = TransferCostPolicy::FastestFirst;
     LoopCompilerOptions slack;
-    slack.transfer.costModel = TransferCostPolicy::SlackAware;
+    slack.transferCost = TransferCostPolicy::SlackAware;
 
     double strict_machine_gain = 0.0;
     for (const char *file :
@@ -192,7 +188,7 @@ twoTierMachine()
  *  later; returns the bus class the planned transfer rides. */
 int
 transferClassAtGap(const MachineConfig &m, int gap,
-                   TransferPolicyOptions transfer)
+                   TransferCostPolicy transfer_cost)
 {
     LatencyTable lat;
     DdgBuilder b("xfer", lat);
@@ -201,7 +197,7 @@ transferClassAtGap(const MachineConfig &m, int gap,
     b.flow(p, c);
     Ddg g = b.tripCount(4).build();
 
-    PartialSchedule ps(g, m, /*ii=*/8, {}, 10.0, transfer);
+    PartialSchedule ps(g, m, /*ii=*/8, {}, transfer_cost);
     PlacementPlan first = ps.planPlacement(p, 0, 0);
     EXPECT_TRUE(first.feasible);
     ps.apply(first);
@@ -219,36 +215,27 @@ transferClassAtGap(const MachineConfig &m, int gap,
 TEST(TransferPolicy, SlackRichTransfersRideTheSlowClass)
 {
     MachineConfig m = twoTierMachine();
-    TransferPolicyOptions slack; // defaults: SlackAware, margin 2
+    const TransferCostPolicy slack = TransferCostPolicy::SlackAware;
 
     // Window = gap - producer latency (1). The slow class (lat 3)
-    // needs window >= 3 + margin = 5, i.e. gap >= 6.
+    // needs window >= 3 + margin 2 = 5, i.e. gap >= 6.
     EXPECT_EQ(transferClassAtGap(m, 7, slack), 1);
+    EXPECT_EQ(transferClassAtGap(m, 6, slack), 1);
+    EXPECT_EQ(transferClassAtGap(m, 5, slack), 0);
     EXPECT_EQ(transferClassAtGap(m, 3, slack), 0);
 
-    TransferPolicyOptions fastest;
-    fastest.costModel = TransferCostPolicy::FastestFirst;
+    const TransferCostPolicy fastest = TransferCostPolicy::FastestFirst;
     EXPECT_EQ(transferClassAtGap(m, 7, fastest), 0);
     EXPECT_EQ(transferClassAtGap(m, 3, fastest), 0);
-}
-
-TEST(TransferPolicy, SlackMarginZeroSteersAnyFittingTransfer)
-{
-    MachineConfig m = twoTierMachine();
-    TransferPolicyOptions eager;
-    eager.slackMargin = 0;
-    // Window of exactly the slow latency: gap 4 -> window 3.
-    EXPECT_EQ(transferClassAtGap(m, 4, eager), 1);
 }
 
 // ---------------------------------------------------------------------
 // Unit: capacity-balanced seeding. On a machine whose wide cluster
 // owns no FP units, an FP-heavy loop must not end up with FP ops on
 // the FP-less cluster, and the partition must schedule and validate.
-// On homogeneous machines both assignment policies are identical.
 // ---------------------------------------------------------------------
 
-TEST(AssignmentPolicy, CapacityBalancedRespectsZeroFuClusters)
+TEST(InitialAssignment, CapacityBalancedRespectsZeroFuClusters)
 {
     LatencyTable lat;
     std::vector<ClusterDesc> clusters(2);
@@ -267,9 +254,7 @@ TEST(AssignmentPolicy, CapacityBalancedRespectsZeroFuClusters)
 
     Ddg g = diamondLoop(lat); // loads + FMul/FAdd + store
 
-    GpPartitionerOptions options;
-    options.assignment = AssignmentPolicy::CapacityBalanced;
-    GpPartitioner partitioner(m, options);
+    GpPartitioner partitioner(m);
     GpPartitionResult result =
         partitioner.run(g, computeMii(g, m));
 
@@ -286,65 +271,6 @@ TEST(AssignmentPolicy, CapacityBalancedRespectsZeroFuClusters)
     ASSERT_TRUE(ps.has_value());
     auto v = validateSchedule(g, m, *ps);
     EXPECT_TRUE(v) << v.message;
-}
-
-// The assignment option must be inert on homogeneous machines: the
-// partitioner short-circuits to the legacy round-robin path whatever
-// the policy says (the greedy rule is not mathematically equivalent
-// to round-robin, so parity is enforced, not emergent). This pins
-// the short-circuit cheaply; the schedule-level guarantee is the
-// HomogeneousParityOnTable1Machines test above.
-TEST(AssignmentPolicy, OptionInertOnHomogeneousMachines)
-{
-    LatencyTable lat;
-    MachineConfig m = fourClusterConfig(64, 2);
-    Ddg g = memHeavyLoop(8, lat);
-    int mii = computeMii(g, m);
-
-    GpPartitionerOptions widest;
-    widest.assignment = AssignmentPolicy::WidestClusterFirst;
-    GpPartitionerOptions balanced;
-    balanced.assignment = AssignmentPolicy::CapacityBalanced;
-
-    GpPartitionResult a = GpPartitioner(m, widest).run(g, mii);
-    GpPartitionResult b = GpPartitioner(m, balanced).run(g, mii);
-    for (NodeId v = 0; v < g.numNodes(); ++v)
-        EXPECT_EQ(a.partition.clusterOf(v), b.partition.clusterOf(v));
-    EXPECT_EQ(a.iiBus, b.iiBus);
-    EXPECT_EQ(a.estimate.execTime, b.estimate.execTime);
-}
-
-// ---------------------------------------------------------------------
-// Unit: both knobs are keyed into the engine fingerprint, so cached
-// compiled loops can never alias across policies.
-// ---------------------------------------------------------------------
-
-TEST(TransferPolicy, PolicyOptionsAreKeyedIntoLoopKey)
-{
-    LatencyTable lat;
-    Ddg g = chainLoop(4, lat);
-    MachineConfig m = twoClusterConfig(32, 1);
-
-    LoopKey base = makeLoopKey(g, m, SchedulerKind::Gp, {});
-
-    LoopCompilerOptions legacy_assignment;
-    legacy_assignment.partitioner.assignment =
-        AssignmentPolicy::WidestClusterFirst;
-    EXPECT_NE(base.canonical,
-              makeLoopKey(g, m, SchedulerKind::Gp, legacy_assignment)
-                  .canonical);
-
-    LoopCompilerOptions legacy_transfer;
-    legacy_transfer.transfer.costModel =
-        TransferCostPolicy::FastestFirst;
-    EXPECT_NE(base.canonical,
-              makeLoopKey(g, m, SchedulerKind::Gp, legacy_transfer)
-                  .canonical);
-
-    LoopCompilerOptions margin;
-    margin.transfer.slackMargin = 3;
-    EXPECT_NE(base.canonical,
-              makeLoopKey(g, m, SchedulerKind::Gp, margin).canonical);
 }
 
 // ---------------------------------------------------------------------

@@ -115,14 +115,14 @@ memHeavyLoop(int loads, const LatencyTable &lat)
 std::optional<PartialSchedule>
 scheduleLoop(const Ddg &ddg, const MachineConfig &machine,
              ClusterPolicy policy, const Partition *assignment,
-             int max_ii_slack, TransferPolicyOptions transfer)
+             int max_ii_slack)
 {
     int mii = computeMii(ddg, machine);
     DdgAnalysis base(ddg, machine.latencies(), mii);
     int max_ii = std::max(mii, base.scheduleLength() + max_ii_slack);
     ModuloScheduler scheduler(ddg, machine);
     for (int ii = mii; ii <= max_ii; ++ii) {
-        PartialSchedule ps(ddg, machine, ii, {}, 10.0, transfer);
+        PartialSchedule ps(ddg, machine, ii);
         if (scheduler.schedule(ps, policy, assignment))
             return ps;
     }

@@ -49,14 +49,12 @@ Ddg memHeavyLoop(int loads, const LatencyTable &lat);
  * Schedules @p ddg completely with the given policy, raising the II
  * from MII until one attempt succeeds (up to @p max_ii_slack above
  * the flat length). Returns std::nullopt when every II fails.
- * @p transfer selects the bus-class cost model of every attempt.
  */
 std::optional<PartialSchedule>
 scheduleLoop(const Ddg &ddg, const MachineConfig &machine,
              ClusterPolicy policy = ClusterPolicy::FreeChoice,
              const Partition *assignment = nullptr,
-             int max_ii_slack = 4,
-             TransferPolicyOptions transfer = {});
+             int max_ii_slack = 4);
 
 } // namespace gpsched::testing
 
