@@ -3,18 +3,19 @@
  * Ablation B (DESIGN.md): the Figure-1 re-partition decision. The
  * paper concludes that selectively recomputing the partition (only
  * when IIbus > II) is the most effective scheme; this harness
- * compares Never / Selective / Always on suite IPC and scheduling
- * time.
+ * compares Never / Selective / Always on suite IPC and on the work
+ * each policy does: partitioner runs and II attempts summed over
+ * the suite (deterministic, unlike a timer).
  */
 
 #include <iostream>
+#include <string>
 
 #include "common.hh"
 
 #include "core/pipeline.hh"
 #include "machine/configs.hh"
 #include "support/table.hh"
-#include "support/timer.hh"
 #include "workload/specfp.hh"
 
 using namespace gpsched;
@@ -29,11 +30,12 @@ main(int argc, char **argv)
     Engine engine(options.engineOptions());
 
     TextTable table({"configuration", "policy", "mean IPC",
-                     "sched (s)"});
+                     "partition runs", "II attempts"});
     MetricTable metrics;
     metrics.title = "Ablation B: GP re-partition policy";
     metrics.labelColumns = {"configuration", "policy"};
-    metrics.valueColumns = {"meanIpc", "schedSeconds"};
+    metrics.valueColumns = {"meanIpc", "partitionRuns",
+                            "scheduleAttempts"};
     std::vector<MachineConfig> machines = benchMachines(
         options, {twoClusterConfig(32, 1), fourClusterConfig(32, 1),
                   fourClusterConfig(32, 2)});
@@ -55,18 +57,24 @@ main(int argc, char **argv)
         for (const Policy &p : policies) {
             LoopCompilerOptions compilerOptions;
             compilerOptions.repartition = p.policy;
-            // Whole-suite CPU time, measured the way
-            // table2_sched_time measures it.
-            CpuTimer timer;
-            timer.start();
             SuiteResult r = compileSuite(engine, suite, m,
                                          SchedulerKind::Gp,
                                          compilerOptions);
-            double seconds = timer.elapsedSeconds();
+            long runs = 0;
+            long attempts = 0;
+            for (const ProgramResult &program : r.programs) {
+                for (const CompiledLoop &loop : program.loops) {
+                    runs += loop.partitionRuns;
+                    attempts += loop.scheduleAttempts;
+                }
+            }
             table.addRow({m.name(), p.name,
                           TextTable::num(r.meanIpc),
-                          TextTable::num(seconds, 3)});
-            metrics.addRow({m.name(), p.name}, {r.meanIpc, seconds});
+                          std::to_string(runs),
+                          std::to_string(attempts)});
+            metrics.addRow({m.name(), p.name},
+                           {r.meanIpc, static_cast<double>(runs),
+                            static_cast<double>(attempts)});
         }
     }
     table.print(std::cout,

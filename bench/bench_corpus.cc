@@ -4,9 +4,9 @@
  * examples/machines/ (or an explicit --machines list) is compiled
  * with the synthetic SPECfp95 suite under all three schemes, twice —
  * once with the legacy fastest-first bus selection and once with the
- * slack-aware transfer cost model — so the nightly trajectory and
- * tools/bench_delta.py gate cover heterogeneous machines per machine,
- * not just the Table-1 presets.
+ * slack-aware transfer cost model — so the golden report
+ * (tests/golden/bench_corpus.json) pins heterogeneous machines per
+ * machine, not just the Table-1 presets.
  *
  * Tables emitted (text and, with --json, MetricTable records):
  *
@@ -25,10 +25,9 @@
  * asserted machine-by-machine in tests/test_transfer_policy.cc).
  * Note the contract precisely: this gate bounds nothing on the
  * remaining machines — the policy is a heuristic and may lose there
- * (empirically well under 0.1% on the shipped corpus). Per-machine
- * losses are instead caught by the nightly bench_delta.py run,
- * which gates every per-machine row of the JSON report against the
- * previous trajectory.
+ * (empirically well under 0.1% on the shipped corpus). Any change to
+ * a per-machine row is instead caught by the golden_bench_corpus
+ * case, which compares the whole JSON report with its golden.
  */
 
 #include <iostream>

@@ -8,6 +8,7 @@
 #include "core/metrics.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
+#include "serialize/record.hh"
 #include "sim/replay.hh"
 #include "support/args.hh"
 #include "support/json.hh"
@@ -25,9 +26,9 @@ BenchOptions::engineOptions() const
     EngineOptions options;
     options.jobs = jobs;
     options.cacheDir = cacheDir;
-    // Every bench report carries a phase-breakdown block, giving the
-    // nightly trajectory per-phase resolution. Observation-only:
-    // schedules are unaffected (pinned by test_telemetry).
+    // Every bench report carries a phase-breakdown block, so a run
+    // shows where compile time goes. Observation-only: schedules are
+    // unaffected (pinned by test_telemetry).
     options.collectPhases = true;
     return options;
 }
@@ -166,6 +167,10 @@ runPanel(Engine &engine, const std::vector<Program> &suite,
     avg.fixed = fx.meanIpc;
     avg.gp = gp.meanIpc;
     panel.rows.push_back(avg);
+    panel.digests = {{"unified", scheduleDigest(u)},
+                     {"uracam", scheduleDigest(ur)},
+                     {"fixed", scheduleDigest(fx)},
+                     {"gp", scheduleDigest(gp)}};
 
     std::uint64_t skipped = u.failedLoops + ur.failedLoops +
                             fx.failedLoops + gp.failedLoops;
@@ -226,6 +231,10 @@ writePanelsJson(std::ostream &os, const std::string &benchName,
             json.endObject();
         }
         json.endArray();
+        json.beginObject("digests");
+        for (const auto &[scheme, digest] : panel.digests)
+            json.member(scheme, hexDigest(digest));
+        json.endObject();
         json.endObject();
     }
     json.endArray();

@@ -19,9 +19,11 @@
 #ifndef GPSCHED_BENCH_COMMON_HH
 #define GPSCHED_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -68,9 +70,10 @@ struct BenchOptions
      * Replay gate (--replay): every compiled loop of every suite run
      * is re-executed through the cycle-accurate simulator
      * (sim/replay.hh) and the run dies if any execution disagrees
-     * with the estimator's claimed II/cycles/IPC. The nightly corpus
-     * sweep runs with this on, so the published figures are backed
-     * by simulated executions, not just the estimator's arithmetic.
+     * with the estimator's claimed II/cycles/IPC. The golden figure
+     * and corpus runs have this on, so the published figures are
+     * backed by simulated executions, not just the estimator's
+     * arithmetic.
      */
     bool replay = false;
 
@@ -148,6 +151,11 @@ struct FigurePanel
 {
     std::string title;
     std::vector<FigureRow> rows; ///< per program + trailing average
+
+    /** Per scheme ("unified", "uracam", "fixed", "gp"): every
+     *  compiled loop of the suite folded through scheduleDigest
+     *  (serialize/record.hh) in suite order. */
+    std::vector<std::pair<std::string, std::uint64_t>> digests;
 };
 
 /**
@@ -168,8 +176,8 @@ FigurePanel runPanel(Engine &engine,
 void printPanel(const FigurePanel &panel);
 
 /**
- * Writes @p panels as a JSON report (schemaVersion, per-panel rows,
- * engine/cache statistics) to @p os.
+ * Writes @p panels as a JSON report (schemaVersion, per-panel rows
+ * and schedule digests, engine/cache statistics) to @p os.
  */
 void writePanelsJson(std::ostream &os, const std::string &benchName,
                      const std::vector<FigurePanel> &panels,
@@ -187,13 +195,11 @@ void emitPanelsJson(const BenchOptions &options,
 /**
  * Generic machine-readable mirror of a bench's printed table: rows
  * of string labels plus numeric values, so every driver (figures and
- * ablations alike) can join the nightly JSON trajectory and
- * tools/bench_delta.py can diff runs without per-bench schemas.
- * The emitted JSON shape — and the engine/cache statistics block
- * appended to every report — is documented field by field in
- * docs/ARCHITECTURE.md ("Benches and the JSON report schemas");
- * value columns whose name contains "ipc" are regression-gated
- * per row by the nightly bench_delta.py run.
+ * ablations alike) writes one JSON shape. The shape — and the
+ * engine/cache statistics block appended to every report — is
+ * documented field by field in docs/ARCHITECTURE.md ("Benches and
+ * the JSON report schemas"); tier-1 compares each deterministic
+ * report with its committed golden under tests/golden/.
  */
 struct MetricRow
 {

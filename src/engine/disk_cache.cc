@@ -24,18 +24,6 @@ namespace
 constexpr const char *recordExtension = ".gpc";
 constexpr const char *tempPrefix = ".tmp-";
 
-std::string
-hexDigest(std::uint64_t digest, int digits)
-{
-    static const char table[] = "0123456789abcdef";
-    std::string out(digits, '0');
-    for (int i = digits - 1; i >= 0; --i) {
-        out[i] = table[digest & 0xf];
-        digest >>= 4;
-    }
-    return out;
-}
-
 /** Reads a whole file; false when it cannot be opened or read. */
 bool
 readFile(const fs::path &path, std::string &out)

@@ -117,6 +117,18 @@ fnv1a64(const std::string &bytes)
     return fnv1a64(bytes.data(), bytes.size());
 }
 
+std::string
+hexDigest(std::uint64_t digest, int digits)
+{
+    static const char table[] = "0123456789abcdef";
+    std::string out(digits, '0');
+    for (int i = digits - 1; i >= 0; --i) {
+        out[i] = table[digest & 0xf];
+        digest >>= 4;
+    }
+    return out;
+}
+
 LoopKey
 makeLoopKey(const Ddg &ddg, const MachineConfig &machine,
             SchedulerKind kind, const LoopCompilerOptions &options)

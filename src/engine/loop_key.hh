@@ -60,6 +60,9 @@ std::uint64_t fnv1a64(const char *data, std::size_t size);
 /** FNV-1a over @p bytes (exposed for tests). */
 std::uint64_t fnv1a64(const std::string &bytes);
 
+/** The low @p digits hex digits of @p digest, zero-padded. */
+std::string hexDigest(std::uint64_t digest, int digits = 16);
+
 } // namespace gpsched
 
 namespace std

@@ -1,6 +1,7 @@
 #include "partition/edge_weights.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/ddg_analysis.hh"
 #include "support/logging.hh"
@@ -93,20 +94,26 @@ computeEdgeWeights(const Ddg &ddg, const LatencyTable &latencies,
     GPSCHED_ASSERT(base.feasible(),
                    "edge weights requested at infeasible II ", ii);
 
+    // Coarsening, matching and refinement add up the weights of many
+    // edges (a swap gain adds two such sums), so each weight is held
+    // to a quarter of the int64 range shared among the edges. Only a
+    // delay that grows with an extreme trip count comes near it.
+    const std::int64_t cap = std::numeric_limits<std::int64_t>::max() /
+                             4 / std::max(ddg.numEdges(), 1);
     const std::int64_t maxsl = base.maxSlack();
     std::vector<std::int64_t> weights(ddg.numEdges(), 1);
     std::vector<int> extra(ddg.numEdges(), 0);
     for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
         std::int64_t weight = 1;
         if (options.useDelayTerm) {
-            weight += edgeDelayWithBase(ddg, latencies, e, ii,
-                                        bus_latency, base, sccs,
-                                        extra) *
-                      (maxsl + 1);
+            std::int64_t delay = edgeDelayWithBase(
+                ddg, latencies, e, ii, bus_latency, base, sccs, extra);
+            weight += delay > cap / (maxsl + 1) ? cap
+                                                : delay * (maxsl + 1);
         }
         if (options.useSlackTerm)
             weight += maxsl - base.slack(e);
-        weights[e] = std::max<std::int64_t>(1, weight);
+        weights[e] = std::clamp<std::int64_t>(weight, 1, cap);
     }
     return weights;
 }

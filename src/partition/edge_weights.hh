@@ -17,7 +17,9 @@
  * slack(e) the scheduling freedom of the edge. The lexicographic
  * scaling by (maxsl + 1) makes any difference in delay dominate any
  * difference in slack, and the trailing +1 keeps every weight
- * nonzero so zero-impact edges can still enter the matching.
+ * nonzero so zero-impact edges can still enter the matching. Each
+ * weight is capped at a quarter of the int64 range divided by the
+ * edge count, so no sum of weights overflows.
  */
 
 #ifndef GPSCHED_PARTITION_EDGE_WEIGHTS_HH

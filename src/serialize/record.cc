@@ -154,6 +154,26 @@ decodeCompiledLoop(ByteReader &in, CompiledLoop &loop)
     return in.ok();
 }
 
+std::uint64_t
+scheduleDigest(const CompiledLoop &loop, std::uint64_t seed)
+{
+    ByteWriter out;
+    out.u64(seed);
+    encodeCompiledLoop(out, loop);
+    return fnv1a64(out.buffer());
+}
+
+std::uint64_t
+scheduleDigest(const SuiteResult &suite)
+{
+    std::uint64_t digest = 0;
+    for (const ProgramResult &program : suite.programs) {
+        for (const CompiledLoop &loop : program.loops)
+            digest = scheduleDigest(loop, digest);
+    }
+    return digest;
+}
+
 // --- record framing ------------------------------------------------
 
 std::string

@@ -36,6 +36,7 @@
 #include <string>
 
 #include "core/gp_scheduler.hh"
+#include "core/pipeline.hh"
 #include "engine/loop_key.hh"
 #include "serialize/bytes.hh"
 
@@ -87,6 +88,19 @@ void encodeCompiledLoop(ByteWriter &out, const CompiledLoop &loop);
 
 /** False on malformed bytes; @p loop is unspecified then. */
 bool decodeCompiledLoop(ByteReader &in, CompiledLoop &loop);
+
+/**
+ * The identity of one compiled schedule: FNV-1a (fnv1a64) over
+ * @p seed followed by encodeCompiledLoop's bytes, so every metric,
+ * placement, transfer, spill and partition entry counts. Folding a
+ * sequence in order (d = scheduleDigest(loop, d)) digests the whole
+ * sequence; the golden results pin such folds.
+ */
+std::uint64_t scheduleDigest(const CompiledLoop &loop,
+                             std::uint64_t seed = 0);
+
+/** Every compiled loop of @p suite folded in suite order. */
+std::uint64_t scheduleDigest(const SuiteResult &suite);
 
 // --- record framing ------------------------------------------------
 

@@ -12,6 +12,7 @@
 #include "graph/textio.hh"
 #include "machine/configs.hh"
 #include "machine/registry.hh"
+#include "serialize/record.hh"
 #include "sim/replay.hh"
 #include "support/compile_error.hh"
 #include "support/output.hh"
@@ -424,6 +425,11 @@ corruptLoop(CompiledLoop &loop, ScheduleCorruption corruption)
 namespace
 {
 
+/** The schemes every pair sweeps, in digest order. */
+constexpr SchedulerKind kSchemes[] = {SchedulerKind::Uracam,
+                                      SchedulerKind::FixedPartition,
+                                      SchedulerKind::Gp};
+
 FuzzVerdict
 fuzzVerdict(sim::VerdictKind kind)
 {
@@ -448,9 +454,7 @@ runFuzzCase(const Ddg &ddg, const std::vector<MachineConfig> &machines,
 {
     FuzzCaseResult result;
     for (const MachineConfig &machine : machines) {
-        for (SchedulerKind scheme :
-             {SchedulerKind::Uracam, SchedulerKind::FixedPartition,
-              SchedulerKind::Gp}) {
+        for (SchedulerKind scheme : kSchemes) {
             auto fail = [&](FuzzVerdict kind, std::string detail) {
                 result.failures.push_back({ddg.name(), machine.name(),
                                            scheme, kind,
@@ -460,9 +464,11 @@ runFuzzCase(const Ddg &ddg, const std::vector<MachineConfig> &machines,
             try {
                 loop = LoopCompiler(machine, scheme).compile(ddg);
             } catch (const CompileError &err) {
+                result.digests.push_back(0);
                 fail(FuzzVerdict::CompileRejected, err.diagnostic());
                 continue;
             }
+            result.digests.push_back(scheduleDigest(loop));
             ++result.pairsCompiled;
             if (loop.moduloScheduled)
                 ++result.moduloScheduled;
@@ -678,6 +684,8 @@ runSweep(const std::vector<FuzzMachine> &machines,
     const LatencyTable lat;
     const std::vector<MachineConfig> configs = fuzzConfigs(machines);
     SweepSummary summary;
+    std::vector<std::vector<std::uint64_t>> caseDigests(
+        static_cast<std::size_t>(options.count));
     std::mutex mu;
     {
         ThreadPool pool(options.jobs);
@@ -687,6 +695,8 @@ runSweep(const std::vector<FuzzMachine> &machines,
                 FuzzCaseResult r =
                     runFuzzCase(c.ddg, configs, options.corruption);
                 std::lock_guard<std::mutex> lock(mu);
+                caseDigests[static_cast<std::size_t>(i)] =
+                    std::move(r.digests);
                 summary.pairsCompiled += r.pairsCompiled;
                 summary.moduloScheduled += r.moduloScheduled;
                 if (!r.ok()) {
@@ -703,6 +713,17 @@ runSweep(const std::vector<FuzzMachine> &machines,
               [](const SweepFailure &a, const SweepFailure &b) {
                   return a.fuzzCase.index < b.fuzzCase.index;
               });
+    std::size_t pair = 0;
+    for (const MachineConfig &machine : configs) {
+        for (SchedulerKind scheme : kSchemes) {
+            ByteWriter fold;
+            for (const std::vector<std::uint64_t> &digests : caseDigests)
+                fold.u64(digests[pair]);
+            summary.digests.push_back(
+                {machine.name(), scheme, fnv1a64(fold.buffer())});
+            ++pair;
+        }
+    }
     if (summary.failures.empty())
         return summary;
 

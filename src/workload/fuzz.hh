@@ -30,8 +30,7 @@
  * Corruption injection (ScheduleCorruption) deliberately damages a
  * compiled record between the compiler and the oracles; it exists so
  * the harness can prove — in CTest and nightly CI — that a corrupt
- * schedule is caught, minimized and reproduced end to end (the
- * fuzzing analogue of the bench_delta gate canary).
+ * schedule is caught, minimized and reproduced end to end.
  */
 
 #ifndef GPSCHED_WORKLOAD_FUZZ_HH
@@ -188,6 +187,11 @@ struct FuzzCaseResult
      *  the rest replayed the list-scheduled cycle model only). */
     int moduloScheduled = 0;
 
+    /** scheduleDigest of each pair's record before any corruption,
+     *  machine-major in the order of the machine list, then URACAM,
+     *  Fixed, GP; 0 for a pair whose compile was rejected. */
+    std::vector<std::uint64_t> digests;
+
     std::vector<FuzzFailure> failures;
 
     bool ok() const { return failures.empty(); }
@@ -272,11 +276,25 @@ struct SweepFailure
     std::string reproPath; ///< <failuresDir>/<stem>.repro
 };
 
+/** The schedules one (machine, scheme) pair produced over a corpus. */
+struct PairDigest
+{
+    std::string machine; ///< MachineConfig::name()
+    SchedulerKind scheme = SchedulerKind::Gp;
+
+    /** The pair's per-case digests folded by FNV-1a in corpus
+     *  order, so it does not depend on the worker count. */
+    std::uint64_t digest = 0;
+};
+
 /** What a sweep found. */
 struct SweepSummary
 {
     long pairsCompiled = 0;
     long moduloScheduled = 0;
+
+    /** One per (machine, scheme) pair, in runFuzzCase's order. */
+    std::vector<PairDigest> digests;
 
     /** Failing cases in corpus order; the first kMaxMinimized of
      *  them were minimized and have artifacts. */
@@ -288,9 +306,10 @@ struct SweepSummary
 /**
  * Sweeps cases [0, count) of the corpus keyed by options.seed across
  * @p machines x the three schemes with runFuzzCase on options.jobs
- * workers. Each of the first kMaxMinimized failing cases is shrunk
- * with minimizeDdg (on its failing machine, keeping its first
- * failure's scheme and verdict) and written to options.failuresDir:
+ * workers, and digests each pair's schedules. Each of the first
+ * kMaxMinimized failing cases is shrunk with minimizeDdg (on its
+ * failing machine, keeping its first failure's scheme and verdict)
+ * and written to options.failuresDir:
  * the original and minimized loops as `.orig.ddg`/`.min.ddg` and a
  * `.repro` line running `<tool> fuzz repro` on the minimized loop.
  * Fatal when the directory or an artifact cannot be written.

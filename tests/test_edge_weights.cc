@@ -133,3 +133,39 @@ TEST(EdgeWeights, LexicographicDominanceOfDelay)
     // d (slack = 0):
     EXPECT_GT((1) * delay_unit + 0 + 1, 0 * delay_unit + maxsl + 1 - 1);
 }
+
+TEST(EdgeWeights, ExtremeTripCountSaturatesInsteadOfWrapping)
+{
+    // At the readers' bounds delay(e) * (maxsl + 1) leaves int64: a
+    // 2^40-trip recurrence whose edges delay every iteration, beside
+    // a chain of latency-2^20 order edges that makes maxsl about
+    // 9 * 2^20. The recurrence edges must still outweigh the chain
+    // (a wrapped product ranks them lowest), and all weights must sum
+    // without overflow, as coarsening and refinement sum them.
+    LatencyTable lat;
+    Ddg g("edgew");
+    g.setTripCount(maxTripCount);
+    NodeId a = g.addNode(Opcode::IAlu);
+    NodeId b = g.addNode(Opcode::IAlu);
+    EdgeId forward = g.addEdge(a, b, 4);
+    EdgeId back = g.addEdge(b, a, 4, 1);
+    std::vector<EdgeId> chain;
+    NodeId prev = g.addNode(Opcode::FAdd);
+    for (int i = 1; i < 10; ++i) {
+        NodeId next = g.addNode(Opcode::FAdd);
+        chain.push_back(
+            g.addEdge(prev, next, maxEdgeLatency, 0, DepKind::Order));
+        prev = next;
+    }
+
+    auto weights = computeEdgeWeights(g, lat, recMii(g), 1);
+    std::int64_t total = 0;
+    for (std::int64_t w : weights) {
+        EXPECT_GE(w, 1);
+        ASSERT_FALSE(__builtin_add_overflow(total, w, &total));
+    }
+    for (EdgeId e : chain) {
+        EXPECT_GT(weights[forward], weights[e]);
+        EXPECT_GT(weights[back], weights[e]);
+    }
+}

@@ -25,6 +25,7 @@
 #include "engine/result_cache.hh"
 #include "engine/thread_pool.hh"
 #include "machine/configs.hh"
+#include "serialize/record.hh"
 #include "support/json.hh"
 #include "support/telemetry.hh"
 #include "testing/fixtures.hh"
@@ -409,40 +410,6 @@ TEST(JsonWriter, NonFiniteNumbersBecomeNull)
 
 // --- engine facade -------------------------------------------------
 
-namespace
-{
-
-/**
- * Everything of a SuiteResult except wall-clock bookkeeping
- * (schedSeconds varies run to run by nature). Equality of this
- * projection is the determinism contract.
- */
-std::string
-scheduleFingerprint(const SuiteResult &suite)
-{
-    std::ostringstream os;
-    os << suite.meanIpc << "|";
-    for (const ProgramResult &program : suite.programs) {
-        os << program.name << ":" << program.totalOps << ":"
-           << program.totalCycles << ":" << program.ipc << ":"
-           << program.listScheduled << "{";
-        for (const CompiledLoop &loop : program.loops) {
-            os << loop.loopName << "," << loop.moduloScheduled << ","
-               << loop.mii << "," << loop.ii << ","
-               << loop.scheduleLength << "," << loop.cycles << ","
-               << loop.ops << "," << loop.ipc << ","
-               << loop.stats.busTransfers << ","
-               << loop.stats.memTransfers << "," << loop.stats.spills
-               << "," << loop.partitionRuns << ","
-               << loop.scheduleAttempts << ";";
-        }
-        os << "}";
-    }
-    return os.str();
-}
-
-} // namespace
-
 TEST(Engine, BatchPreservesSubmissionOrder)
 {
     LatencyTable lat;
@@ -506,9 +473,10 @@ TEST(Engine, SerialOptionsDisableCacheAndThreads)
 }
 
 /**
- * The PR's determinism regression: the full synthetic SPECfp95 suite
+ * The determinism regression: the full synthetic SPECfp95 suite
  * compiled with jobs=1 and jobs=8 must produce bit-identical
- * SuiteResults (IPC, II, cycle counts) under all three schemes.
+ * compiled records (scheduleDigest: metrics, placements, transfers)
+ * under all three schemes.
  */
 TEST(Engine, SuiteResultsAreIdenticalAcrossWorkerCounts)
 {
@@ -530,8 +498,7 @@ TEST(Engine, SuiteResultsAreIdenticalAcrossWorkerCounts)
         SuiteResult eight =
             compileSuite(engineParallel, suite, m, kind);
 
-        EXPECT_EQ(scheduleFingerprint(one),
-                  scheduleFingerprint(eight))
+        EXPECT_EQ(scheduleDigest(one), scheduleDigest(eight))
             << "scheme " << toString(kind);
     }
 }
@@ -551,8 +518,7 @@ TEST(Engine, MatchesLegacySerialPipeline)
     Engine engine(options);
     SuiteResult batched =
         compileSuite(engine, suite, m, SchedulerKind::Gp);
-    EXPECT_EQ(scheduleFingerprint(legacy),
-              scheduleFingerprint(batched));
+    EXPECT_EQ(scheduleDigest(legacy), scheduleDigest(batched));
 }
 
 /** Recompiling the same suite must be served almost fully by cache. */
@@ -584,8 +550,7 @@ TEST(Engine, SuiteRerunExceedsNinetyPercentHitRate)
     EXPECT_GT(static_cast<double>(rerunHits) /
                   static_cast<double>(rerunJobs),
               0.9);
-    EXPECT_EQ(scheduleFingerprint(first),
-              scheduleFingerprint(second));
+    EXPECT_EQ(scheduleDigest(first), scheduleDigest(second));
 }
 
 /**

@@ -420,3 +420,25 @@ TEST(FuzzSweep, MinimizationIsCapped)
     EXPECT_TRUE(summary.failures[kMaxMinimized].minPath.empty());
     fs::remove_all(options.failuresDir);
 }
+
+TEST(FuzzSweep, DigestsIgnoreWorkerCountButNotTheCorpus)
+{
+    // One digest per (machine, scheme), folded in corpus order: the
+    // worker count cannot change it, a different corpus must.
+    const std::vector<FuzzMachine> machines = fuzzMachines("");
+    SweepOptions options = sweepOptions(8, ScheduleCorruption::None);
+    options.jobs = 1;
+    SweepSummary serial = runSweep(machines, options);
+    options.jobs = 3;
+    SweepSummary parallel = runSweep(machines, options);
+    options.count = 7;
+    SweepSummary shorter = runSweep(machines, options);
+
+    ASSERT_EQ(serial.digests.size(), machines.size() * 3);
+    for (std::size_t i = 0; i < serial.digests.size(); ++i) {
+        EXPECT_EQ(serial.digests[i].machine, parallel.digests[i].machine);
+        EXPECT_EQ(serial.digests[i].scheme, parallel.digests[i].scheme);
+        EXPECT_EQ(serial.digests[i].digest, parallel.digests[i].digest);
+        EXPECT_NE(serial.digests[i].digest, shorter.digests[i].digest);
+    }
+}

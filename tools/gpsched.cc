@@ -9,7 +9,8 @@
  *   fuzz gen    a seeded corpus as multi-DDG text
  *   fuzz sweep  every corpus loop x scheme x machine held to the
  *               two-oracle contract; failures minimized to .ddg plus
- *               a reproducer line; exit 0 iff the corpus passed
+ *               a reproducer line; one schedule digest per (machine,
+ *               scheme); exit 0 iff the corpus passed
  *   fuzz repro  re-run one reproducer; exit 0 iff it still fails
  *
  * `gpsched <command> --help` lists a command's flags. Without
@@ -26,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/loop_key.hh"
 #include "engine/report.hh"
 #include "engine/thread_pool.hh"
 #include "graph/textio.hh"
@@ -364,6 +366,9 @@ runFuzzSweep(const CommandLine &cmd)
               << "  pairs compiled: " << summary.pairsCompiled << " ("
               << summary.moduloScheduled << " modulo-scheduled)\n"
               << "  failing cases:  " << summary.failures.size() << "\n";
+    for (const PairDigest &d : summary.digests)
+        std::cout << "  digest " << d.machine << " " << schemeFlag(d.scheme)
+                  << " " << hexDigest(d.digest) << "\n";
     const std::size_t minimized =
         std::min(summary.failures.size(), kMaxMinimized);
     for (std::size_t i = 0; i < minimized; ++i) {
