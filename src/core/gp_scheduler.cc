@@ -113,6 +113,38 @@ recordSchedule(const Ddg &ddg, const PartialSchedule &ps,
     }
 }
 
+/**
+ * An invalid-input CompileError naming @p ddg when @p loop records a
+ * cycle beyond maxCycleMagnitude: the schedule may be legal, but the
+ * simulator refuses such a record as garbage.
+ */
+void
+checkRecordedCycles(const Ddg &ddg, const CompiledLoop &loop)
+{
+    auto check = [&](int cycle) {
+        if (cycle < -maxCycleMagnitude || cycle > maxCycleMagnitude) {
+            GPSCHED_COMPILE_ERROR(CompileErrorKind::InvalidInput,
+                                  ddg.name(), "schedule cycle ", cycle,
+                                  " lies beyond the recorded-cycle "
+                                  "bound of ",
+                                  maxCycleMagnitude);
+        }
+    };
+    for (const OpPlacement &placement : loop.placements)
+        check(placement.cycle);
+    for (const Transfer &t : loop.transfers) {
+        check(t.busCycle);
+        check(t.stCycle);
+        check(t.ldCycle);
+        check(t.readCycle);
+        check(t.arrivalCycle);
+    }
+    for (const SpillRecord &spill : loop.spills) {
+        check(spill.storeCycle);
+        check(spill.loadCycle);
+    }
+}
+
 } // namespace
 
 LoopCompiler::LoopCompiler(const MachineConfig &machine,
@@ -201,6 +233,7 @@ LoopCompiler::compile(const Ddg &ddg) const
             out.scheduleLength = ps.scheduleLength();
             out.stats = ps.stats();
             recordSchedule(ddg, ps, out);
+            checkRecordedCycles(ddg, out);
             if (partitioned) {
                 out.partition.resize(ddg.numNodes());
                 for (NodeId v = 0; v < ddg.numNodes(); ++v)

@@ -42,6 +42,15 @@ constexpr std::int64_t maxTripCount = std::int64_t{1} << 40;
 constexpr int maxEdgeLatency = 1 << 20;
 constexpr int maxEdgeDistance = 1 << 20;
 
+/**
+ * Bound on the cycles a compiled schedule records: flat issue, bus,
+ * store, load, read and arrival cycles lie in [-maxCycleMagnitude,
+ * maxCycleMagnitude]. The compiler rejects a loop whose schedule
+ * goes beyond it (a chain of long-latency edges can), and the
+ * simulator refuses such a record as garbage.
+ */
+constexpr int maxCycleMagnitude = 1 << 20;
+
 /** One operation of the loop body. */
 struct DdgNode
 {

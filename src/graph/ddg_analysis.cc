@@ -14,11 +14,20 @@ DdgAnalysis::DdgAnalysis(const Ddg &ddg, const LatencyTable &latencies,
     : ddg_(ddg), latencies_(latencies), ii_(ii),
       extra_(extra_edge_latency), sccs_(sccs)
 {
-    GPSCHED_ASSERT(ii >= 1, "II must be >= 1, got ", ii);
     GPSCHED_ASSERT(!extra_ ||
                        static_cast<int>(extra_->size()) ==
                            ddg.numEdges(),
                    "extra latency vector size mismatch");
+    recompute(ii);
+}
+
+void
+DdgAnalysis::recompute(int ii)
+{
+    GPSCHED_ASSERT(ii >= 1, "II must be >= 1, got ", ii);
+    ii_ = ii;
+    feasible_ = true;
+    scheduleLength_ = 0;
     if (sccs_) {
         compute(*sccs_);
     } else {
@@ -154,19 +163,6 @@ DdgAnalysis::maxSlack() const
     return best;
 }
 
-namespace
-{
-
-/** Cheap feasibility probe at a given II. */
-bool
-feasibleAt(const Ddg &ddg, const LatencyTable &latencies, int ii,
-           const std::vector<int> *extra, const SccDecomposition &sccs)
-{
-    return DdgAnalysis(ddg, latencies, ii, extra, &sccs).feasible();
-}
-
-} // namespace
-
 int
 recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency)
 {
@@ -182,12 +178,12 @@ recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency)
     }
     int lo = 1;
     int hi = static_cast<int>(std::min<long>(total, 1 << 24));
-    GPSCHED_ASSERT(
-        feasibleAt(ddg, latencies, hi, extra_edge_latency, sccs),
-        "no feasible II below upper bound");
+    DdgAnalysis probe(ddg, latencies, hi, extra_edge_latency, &sccs);
+    GPSCHED_ASSERT(probe.feasible(), "no feasible II below upper bound");
     while (lo < hi) {
         int mid = lo + (hi - lo) / 2;
-        if (feasibleAt(ddg, latencies, mid, extra_edge_latency, sccs))
+        probe.recompute(mid);
+        if (probe.feasible())
             hi = mid;
         else
             lo = mid + 1;
@@ -206,8 +202,11 @@ recMiiWithEdgeDelay(const Ddg &ddg, EdgeId e, int delta, int base_mii)
     extra[e] = delta;
     // Adding delta to one edge can raise RecMII by at most delta
     // (every cycle's distance sum is >= 1).
+    DdgAnalysis probe(ddg, latencies, base_mii, &extra, &sccs);
     for (int ii = base_mii; ii <= base_mii + delta; ++ii) {
-        if (feasibleAt(ddg, latencies, ii, &extra, sccs))
+        if (ii > base_mii)
+            probe.recompute(ii);
+        if (probe.feasible())
             return ii;
     }
     GPSCHED_PANIC("recMiiWithEdgeDelay: no feasible II in bound");

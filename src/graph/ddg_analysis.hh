@@ -50,6 +50,13 @@ class DdgAnalysis
                 const std::vector<int> *extra_edge_latency = nullptr,
                 const SccDecomposition *sccs = nullptr);
 
+    /**
+     * Reruns the analysis at @p ii, reusing its arrays. The extra
+     * latency vector, when given, is read again, so a caller may
+     * change its contents between runs.
+     */
+    void recompute(int ii);
+
     /** False when a positive-latency cycle exists at this II. */
     bool feasible() const { return feasible_; }
 

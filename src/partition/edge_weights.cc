@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "graph/ddg_analysis.hh"
 #include "support/logging.hh"
@@ -14,13 +15,16 @@ namespace
 
 /**
  * delay(e) given a precomputed base analysis and SCC decomposition;
- * @p extra is an all-zero scratch vector restored before returning.
+ * @p extra is an all-zero scratch vector restored before returning,
+ * and @p probe the analysis over @p extra, built on first use and
+ * recomputed in place by later calls.
  */
 std::int64_t
 edgeDelayWithBase(const Ddg &ddg, const LatencyTable &latencies,
                   EdgeId e, int ii, int bus_latency,
                   const DdgAnalysis &base, const SccDecomposition &sccs,
-                  std::vector<int> &extra)
+                  std::vector<int> &extra,
+                  std::optional<DdgAnalysis> &probe)
 {
     const auto &edge = ddg.edge(e);
     const bool same_scc = sccs.componentOf[edge.src] ==
@@ -46,10 +50,13 @@ edgeDelayWithBase(const Ddg &ddg, const LatencyTable &latencies,
         for (;; ++new_ii) {
             GPSCHED_ASSERT(new_ii <= ii + bus_latency,
                            "augmented RecMII above bound");
-            DdgAnalysis probe(ddg, latencies, new_ii, &extra, &sccs);
-            if (probe.feasible()) {
+            if (probe)
+                probe->recompute(new_ii);
+            else
+                probe.emplace(ddg, latencies, new_ii, &extra, &sccs);
+            if (probe->feasible()) {
                 path_growth =
-                    probe.scheduleLength() - base.scheduleLength();
+                    probe->scheduleLength() - base.scheduleLength();
                 break;
             }
         }
@@ -74,8 +81,9 @@ edgeDelay(const Ddg &ddg, const LatencyTable &latencies, EdgeId e,
     DdgAnalysis base(ddg, latencies, ii, nullptr, &sccs);
     GPSCHED_ASSERT(base.feasible(), "edgeDelay at infeasible II ", ii);
     std::vector<int> extra(ddg.numEdges(), 0);
+    std::optional<DdgAnalysis> probe;
     return edgeDelayWithBase(ddg, latencies, e, ii, bus_latency, base,
-                             sccs, extra);
+                             sccs, extra, probe);
 }
 
 std::vector<std::int64_t>
@@ -103,11 +111,13 @@ computeEdgeWeights(const Ddg &ddg, const LatencyTable &latencies,
     const std::int64_t maxsl = base.maxSlack();
     std::vector<std::int64_t> weights(ddg.numEdges(), 1);
     std::vector<int> extra(ddg.numEdges(), 0);
+    std::optional<DdgAnalysis> probe;
     for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
         std::int64_t weight = 1;
         if (options.useDelayTerm) {
-            std::int64_t delay = edgeDelayWithBase(
-                ddg, latencies, e, ii, bus_latency, base, sccs, extra);
+            std::int64_t delay =
+                edgeDelayWithBase(ddg, latencies, e, ii, bus_latency,
+                                  base, sccs, extra, probe);
             weight += delay > cap / (maxsl + 1) ? cap
                                                 : delay * (maxsl + 1);
         }

@@ -186,20 +186,25 @@ PartitionEstimator::evaluate(const Partition &partition) const
     // The successful probe *is* the final analysis — rebuilding it at
     // iiFeas would redo identical work (this path is the refinement
     // hot loop's unit cost).
-    std::optional<DdgAnalysis> analysisStorage;
+    auto analyze = [&](int ii) {
+        if (analysis_)
+            analysis_->recompute(ii);
+        else
+            analysis_.emplace(ddg_, lat, ii, &extra, sccs_);
+    };
     int iiFeas = -1;
     for (int ii = start; ii <= start + 4; ++ii) {
-        analysisStorage.emplace(ddg_, lat, ii, &extra, sccs_);
-        if (analysisStorage->feasible()) {
+        analyze(ii);
+        if (analysis_->feasible()) {
             iiFeas = ii;
             break;
         }
     }
     if (iiFeas == -1) {
         iiFeas = std::max(start, recMii(ddg_, &extra));
-        analysisStorage.emplace(ddg_, lat, iiFeas, &extra, sccs_);
+        analyze(iiFeas);
     }
-    const DdgAnalysis &analysis = *analysisStorage;
+    const DdgAnalysis &analysis = *analysis_;
     GPSCHED_ASSERT(analysis.feasible(), "estimator analysis infeasible");
 
     est.iiEff = iiFeas;

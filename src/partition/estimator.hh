@@ -24,9 +24,11 @@
 #define GPSCHED_PARTITION_ESTIMATOR_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/ddg.hh"
+#include "graph/ddg_analysis.hh"
 #include "graph/scc.hh"
 #include "machine/machine.hh"
 #include "partition/partition.hh"
@@ -99,6 +101,10 @@ class PartitionEstimator
                        int ii, bool register_aware = false,
                        const SccDecomposition *sccs = nullptr);
 
+    // sccs_ and the cached analysis point into the estimator itself.
+    PartitionEstimator(const PartitionEstimator &) = delete;
+    PartitionEstimator &operator=(const PartitionEstimator &) = delete;
+
     /** Full estimate of @p partition. */
     PartitionEstimate evaluate(const Partition &partition) const;
 
@@ -132,6 +138,9 @@ class PartitionEstimator
 
     /** Scratch per-edge communication delays, reused per evaluate. */
     mutable std::vector<int> extraScratch_;
+
+    /** Analysis over extraScratch_, recomputed in place per probe. */
+    mutable std::optional<DdgAnalysis> analysis_;
 
     /** Scratch (cluster, FU class) occupancy, reused per evaluate. */
     mutable std::vector<int> occScratch_;

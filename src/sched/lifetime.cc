@@ -1,12 +1,62 @@
 #include "sched/lifetime.hh"
 
 #include <algorithm>
+#include <climits>
 
 #include "sched/mrt.hh"
 #include "support/logging.hh"
 
 namespace gpsched
 {
+
+void
+ReadEvents::insert(int time)
+{
+    if (overflow_.empty() && size_ < kInline) {
+        int *pos = std::upper_bound(inline_, inline_ + size_, time);
+        std::copy_backward(pos, inline_ + size_, inline_ + size_ + 1);
+        *pos = time;
+    } else {
+        if (overflow_.empty())
+            overflow_.assign(inline_, inline_ + size_);
+        overflow_.insert(std::upper_bound(overflow_.begin(),
+                                          overflow_.end(), time),
+                         time);
+    }
+    ++size_;
+}
+
+void
+ReadEvents::erase(int time)
+{
+    const int *first = data();
+    const int *pos = std::lower_bound(first, first + size_, time);
+    GPSCHED_ASSERT(pos != first + size_ && *pos == time,
+                   "erase of unknown read time ", time);
+    if (overflow_.empty()) {
+        int *at = inline_ + (pos - first);
+        std::copy(at + 1, inline_ + size_, at);
+    } else {
+        overflow_.erase(overflow_.begin() + (pos - first));
+    }
+    --size_;
+}
+
+int
+ReadEvents::lastAfterMove(int from, int to) const
+{
+    const int *first = data();
+    GPSCHED_ASSERT(std::binary_search(first, first + size_, from),
+                   "move of unknown read time ", from);
+    // Dropping one read at `from` leaves the latest read unless that
+    // read was the latest, when the one below it takes over.
+    int rest = INT_MIN;
+    if (back() != from)
+        rest = back();
+    else if (size_ >= 2)
+        rest = first[size_ - 2];
+    return std::max(rest, to);
+}
 
 LifetimeTracker::LifetimeTracker(int num_regs, int ii,
                                  CompileArena *arena)
@@ -67,16 +117,8 @@ LifetimeTracker::remove(const LiveSegment &seg)
 }
 
 bool
-LifetimeTracker::fitsWithDiff(
-    const std::vector<LiveSegment> &removed,
-    const std::vector<LiveSegment> &added) const
+LifetimeTracker::countsFit(const int *counts) const
 {
-    scratch_.assign(live_.data(), live_.size());
-    int *counts = scratch_.data();
-    for (const auto &seg : removed)
-        cover(seg, counts, ii_, -1);
-    for (const auto &seg : added)
-        cover(seg, counts, ii_, 1);
     for (int s = 0; s < ii_; ++s) {
         GPSCHED_ASSERT(counts[s] >= 0, "diff removes unknown coverage");
         if (counts[s] > numRegs_)

@@ -42,16 +42,6 @@ usedPct(int used, int total)
     return 100.0 * used / total;
 }
 
-/** Total lifetime length of a segment list. */
-int
-totalLength(const std::vector<LiveSegment> &segs)
-{
-    int total = 0;
-    for (const auto &seg : segs)
-        total += seg.length();
-    return total;
-}
-
 } // namespace
 
 PartialSchedule::PartialSchedule(const Ddg &ddg,
@@ -60,7 +50,10 @@ PartialSchedule::PartialSchedule(const Ddg &ddg,
                                  TransferCostPolicy transfer_cost,
                                  CompileArena *arena)
     : ddg_(ddg), machine_(machine), ii_(ii),
-      transferCost_(transfer_cost),
+      transferCost_(transfer_cost), crossInScratch_(arena),
+      crossOutScratch_(arena), ownEventsScratch_(arena),
+      touchedScratch_(arena), removedScratch_(arena),
+      addedScratch_(arena), actionScratch_(arena),
       plannedMemOps_(std::move(planned_mem_per_cluster))
 {
     GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
@@ -72,6 +65,8 @@ PartialSchedule::PartialSchedule(const Ddg &ddg,
 
     placed_.resize(ddg_.numNodes());
     values_.resize(ddg_.numNodes());
+    valueInCluster_.resize(static_cast<std::size_t>(ddg_.numNodes()) *
+                           num_clusters);
     claimedBusScratch_.resize(machine_.numBusClasses());
     busMrts_.reserve(machine_.numBusClasses());
     for (int i = 0; i < machine_.numBusClasses(); ++i)
@@ -192,13 +187,33 @@ PartialSchedule::homeReadTimeValid(const ValueState &vs, int time) const
     return time <= vs.spillSt || time >= reload;
 }
 
-std::vector<LiveSegment>
+PartialSchedule::ReadRanges
+PartialSchedule::homeReadRanges(const ValueState &vs, int lo,
+                                int hi) const
+{
+    ReadRanges ranges;
+    if (lo > hi)
+        return ranges;
+    if (!vs.spilled) {
+        ranges.r[ranges.n++] = {lo, hi};
+        return ranges;
+    }
+    int reload =
+        vs.spillLd + machine_.latencies().latency(Opcode::SpillLd);
+    if (lo <= std::min(hi, vs.spillSt))
+        ranges.r[ranges.n++] = {lo, std::min(hi, vs.spillSt)};
+    if (std::max(lo, reload) <= hi)
+        ranges.r[ranges.n++] = {std::max(lo, reload), hi};
+    return ranges;
+}
+
+SegmentList
 PartialSchedule::segmentsFromState(int write_cycle, bool has_events,
                                    int last_event, bool home,
                                    int arrival, bool spilled,
                                    int spill_st, int spill_ld) const
 {
-    std::vector<LiveSegment> segs;
+    SegmentList segs;
     if (home) {
         if (!spilled) {
             int last = write_cycle;
@@ -222,27 +237,22 @@ PartialSchedule::segmentsFromState(int write_cycle, bool has_events,
     return segs;
 }
 
-std::vector<LiveSegment>
+SegmentList
 PartialSchedule::segmentsFromState(int write_cycle,
-                                   const std::multiset<int> &events,
-                                   bool home, int arrival, bool spilled,
+                                   const ReadEvents &events, bool home,
+                                   int arrival, bool spilled,
                                    int spill_st, int spill_ld) const
 {
     return segmentsFromState(write_cycle, !events.empty(),
-                             events.empty() ? INT_MIN
-                                            : *events.rbegin(),
+                             events.empty() ? INT_MIN : events.back(),
                              home, arrival, spilled, spill_st,
                              spill_ld);
 }
 
-std::vector<LiveSegment>
+SegmentList
 PartialSchedule::currentSegments(NodeId p, int cluster) const
 {
     const ValueState &vs = values_[p];
-    auto ev_it = vs.events.find(cluster);
-    static const std::multiset<int> no_events;
-    const std::multiset<int> &events =
-        ev_it == vs.events.end() ? no_events : ev_it->second;
     bool home = placed_[p].cluster == cluster;
     int arrival = 0;
     if (!home) {
@@ -251,28 +261,22 @@ PartialSchedule::currentSegments(NodeId p, int cluster) const
             return {};
         arrival = t_it->second.arrivalCycle;
     }
-    return segmentsFromState(writeCycleOf(p), events, home, arrival,
-                             vs.spilled, vs.spillSt, vs.spillLd);
+    return segmentsFromState(writeCycleOf(p),
+                             inCluster(p, cluster).events, home,
+                             arrival, vs.spilled, vs.spillSt,
+                             vs.spillLd);
 }
 
 void
 PartialSchedule::setRegistered(NodeId p, int cluster,
-                               std::vector<LiveSegment> segs)
+                               const SegmentList &segs)
 {
-    ValueState &vs = values_[p];
-    auto it = vs.registered.find(cluster);
-    if (it != vs.registered.end()) {
-        for (const auto &seg : it->second)
-            regs_[cluster].remove(seg);
-    }
-    for (const auto &seg : segs)
+    SegmentList &registered = inCluster(p, cluster).registered;
+    for (const LiveSegment &seg : registered)
+        regs_[cluster].remove(seg);
+    for (const LiveSegment &seg : segs)
         regs_[cluster].add(seg);
-    if (segs.empty()) {
-        if (it != vs.registered.end())
-            vs.registered.erase(it);
-    } else {
-        vs.registered[cluster] = std::move(segs);
-    }
+    registered = segs;
 }
 
 int
@@ -375,30 +379,6 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
         }
     }
 
-    // The producer's spill split (if any) restricts home read times to
-    // at most two intervals, so a fixed-size result avoids a heap
-    // allocation per probe.
-    struct ReadRanges
-    {
-        std::pair<int, int> r[2];
-        int n = 0;
-    };
-    auto valid_ranges = [&](int lo, int hi) {
-        ReadRanges ranges;
-        if (lo > hi)
-            return ranges;
-        if (!vs.spilled || producer == plan.node) {
-            ranges.r[ranges.n++] = {lo, hi};
-            return ranges;
-        }
-        int reload = vs.spillLd + lat.latency(Opcode::SpillLd);
-        if (lo <= std::min(hi, vs.spillSt))
-            ranges.r[ranges.n++] = {lo, std::min(hi, vs.spillSt)};
-        if (std::max(lo, reload) <= hi)
-            ranges.r[ranges.n++] = {std::max(lo, reload), hi};
-        return ranges;
-    };
-
     // Bus first, classes probed in cost-model order (within a class
     // the earliest read slot keeps the home lifetime shortest).
     // Under SlackAware, classes the ready->use window absorbs with
@@ -410,7 +390,10 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
     // fastest-first (ascending latency), the legacy greedy rule.
     auto probe_class = [&](int bc) {
         const int lat_bus = machine_.busLatencyOf(bc);
-        const ReadRanges ranges = valid_ranges(ready, use - lat_bus);
+        // A spill split restricts home reads to at most two ranges (a
+        // producer this plan places is unscheduled, so never spilled).
+        const ReadRanges ranges =
+            homeReadRanges(vs, ready, use - lat_bus);
         for (int i = 0; i < ranges.n; ++i) {
             const auto [lo, hi] = ranges.r[i];
             int b = findSlot(busMrts_[bc], lo, hi, lat_bus,
@@ -446,7 +429,7 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
     const ModuloReservationTable &dest_mem =
         fu(dest_cluster, FuClass::Mem);
     const ReadRanges mem_ranges =
-        valid_ranges(ready, use - lat_ld - lat_st);
+        homeReadRanges(vs, ready, use - lat_ld - lat_st);
     for (int i = 0; i < mem_ranges.n; ++i) {
         const auto [lo, hi] = mem_ranges.r[i];
         int st = lo;
@@ -470,18 +453,24 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
     return false;
 }
 
-PlacementPlan
-PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
+bool
+PartialSchedule::planPlacement(NodeId v, int cluster, int cycle,
+                               PlacementPlan &plan) const
 {
     GPSCHED_ASSERT(!isScheduled(v), "node ", v, " already scheduled");
     GPSCHED_ASSERT(cluster >= 0 && cluster < machine_.numClusters(),
                    "cluster out of range");
     const int num_clusters = machine_.numClusters();
 
-    PlacementPlan plan;
+    plan.feasible = false;
     plan.node = v;
     plan.cluster = cluster;
     plan.cycle = cycle;
+    plan.transfers.clear();
+    plan.eventAdds.clear();
+    plan.eventMoves.clear();
+    plan.pairChanges.clear();
+    plan.busSlotsDelta = 0;
 
     const Opcode op = ddg_.node(v).opcode;
     const LatencyTable &lat = machine_.latencies();
@@ -492,38 +481,34 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         if (e.src == v) {
             // Self edge: start(v) >= start(v) + lat - II*dist.
             if (effLat(eid) > 0)
-                return plan;
+                return false;
             continue;
         }
         if (!isScheduled(e.src))
             continue;
         if (cycle < placed_[e.src].cycle + effLat(eid))
-            return plan;
+            return false;
     }
     for (EdgeId eid : ddg_.outEdges(v)) {
         const DdgEdge &e = ddg_.edge(eid);
         if (e.dst == v || !isScheduled(e.dst))
             continue;
         if (cycle > placed_[e.dst].cycle - effLat(eid))
-            return plan;
+            return false;
     }
 
     // --- 2. functional unit ------------------------------------------
     const FuClass cls = fuClassOf(op);
     const int occ = lat.occupancy(op);
     if (!fu(cluster, cls).canReserve(cycle, occ))
-        return plan;
+        return false;
 
-    // Deltas are only read off feasible plans; allocating them after
-    // the precedence/FU early-outs keeps rejected probes free of
-    // heap traffic (the window scans reject far more than they keep).
     plan.memSlotsDelta.assign(num_clusters, 0);
     plan.overheadMemDelta.assign(num_clusters, 0);
     plan.regCyclesDelta.assign(num_clusters, 0);
 
-    // Every plan vector is bounded by the node degree, so one exact
-    // reservation here replaces the doubling reallocations that used
-    // to dominate the surviving probes' allocation profile.
+    // Every plan vector is bounded by the node degree; once the plan
+    // is warm these reservations are no-ops.
     const std::size_t n_in = ddg_.inEdges(v).size();
     const std::size_t n_out = ddg_.outEdges(v).size();
     plan.eventAdds.reserve(n_in + n_out + 1);
@@ -561,15 +546,13 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
     };
 
     // --- 3. incoming values -------------------------------------------
-    // Cross-cluster producers, grouped by producer in ascending node
-    // order. A flat (producer, edge) list sorted stably replaces the
-    // former std::map<NodeId, std::vector<EdgeId>>: the iteration
-    // order (sorted keys, insertion order within a key) is identical
-    // and the placement probe loop stops allocating tree nodes.
-    std::vector<std::pair<NodeId, EdgeId>> cross_in;
-    cross_in.reserve(n_in);
-    std::vector<int> own_events; // reads of v's value in its cluster
-    own_events.reserve(n_in + n_out);
+    // Cross-cluster edges keyed by producer, grouped in
+    // ascending node order. inEdges lists ascending edge ids, so
+    // sorting the pairs keeps the edge order within a producer.
+    ArenaVector<KeyedEdge> &cross_in = crossInScratch_;
+    ArenaVector<int> &own_events = ownEventsScratch_; // reads of v
+    cross_in.clear();
+    own_events.clear();
     for (EdgeId eid : ddg_.inEdges(v)) {
         const DdgEdge &e = ddg_.edge(eid);
         if (!e.isFlow())
@@ -584,27 +567,23 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         int use = cycle + ii_ * e.distance;
         if (placed_[e.src].cluster == cluster) {
             if (!homeReadTimeValid(values_[e.src], use))
-                return plan;
+                return false;
             plan.eventAdds.push_back({e.src, cluster, use});
         } else {
-            cross_in.emplace_back(e.src, eid);
+            cross_in.push_back({e.src, eid});
         }
     }
-    std::stable_sort(cross_in.begin(), cross_in.end(),
-                     [](const std::pair<NodeId, EdgeId> &a,
-                        const std::pair<NodeId, EdgeId> &b) {
-                         return a.first < b.first;
-                     });
+    std::sort(cross_in.begin(), cross_in.end());
     for (std::size_t gi = 0; gi < cross_in.size();) {
-        const NodeId p = cross_in[gi].first;
+        const NodeId p = cross_in[gi].key;
         std::size_t ge = gi;
-        while (ge < cross_in.size() && cross_in[ge].first == p)
+        while (ge < cross_in.size() && cross_in[ge].key == p)
             ++ge;
         int use_min = INT_MAX;
         for (std::size_t k = gi; k < ge; ++k)
             use_min = std::min(
                 use_min,
-                cycle + ii_ * ddg_.edge(cross_in[k].second).distance);
+                cycle + ii_ * ddg_.edge(cross_in[k].edge).distance);
         const ValueState &vs = values_[p];
         auto t_it = vs.transfers.find(cluster);
         bool reuse = t_it != vs.transfers.end() &&
@@ -613,7 +592,7 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
             TransferPlan tp;
             if (!planTransfer(p, cluster, writeCycleOf(p), use_min,
                               plan, tp)) {
-                return plan;
+                return false;
             }
             tp.replaces = t_it != vs.transfers.end();
             int home = placed_[p].cluster;
@@ -631,48 +610,48 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         for (std::size_t k = gi; k < ge; ++k) {
             plan.eventAdds.push_back(
                 {p, cluster,
-                 cycle + ii_ * ddg_.edge(cross_in[k].second).distance});
+                 cycle + ii_ * ddg_.edge(cross_in[k].edge).distance});
         }
         gi = ge;
     }
 
     // --- 4. outgoing values to already-scheduled consumers -------------
-    // (dest cluster, use) pairs, grouped like cross_in above.
-    std::vector<std::pair<int, int>> cross_out;
-    cross_out.reserve(n_out);
+    // Edges keyed by destination cluster, grouped like cross_in above.
+    ArenaVector<KeyedEdge> &cross_out = crossOutScratch_;
+    cross_out.clear();
+    auto use_of = [&](EdgeId eid) {
+        const DdgEdge &e = ddg_.edge(eid);
+        return placed_[e.dst].cycle + ii_ * e.distance;
+    };
     for (EdgeId eid : ddg_.outEdges(v)) {
         const DdgEdge &e = ddg_.edge(eid);
         if (!e.isFlow() || e.dst == v || !isScheduled(e.dst))
             continue;
-        int use = placed_[e.dst].cycle + ii_ * e.distance;
         if (placed_[e.dst].cluster == cluster)
-            own_events.push_back(use);
+            own_events.push_back(use_of(eid));
         else
-            cross_out.emplace_back(placed_[e.dst].cluster, use);
+            cross_out.push_back({placed_[e.dst].cluster, eid});
     }
-    std::stable_sort(cross_out.begin(), cross_out.end(),
-                     [](const std::pair<int, int> &a,
-                        const std::pair<int, int> &b) {
-                         return a.first < b.first;
-                     });
+    std::sort(cross_out.begin(), cross_out.end());
     for (std::size_t gi = 0; gi < cross_out.size();) {
-        const int dest = cross_out[gi].first;
+        const int dest = cross_out[gi].key;
         std::size_t ge = gi;
         int use_min = INT_MAX;
-        while (ge < cross_out.size() && cross_out[ge].first == dest) {
-            use_min = std::min(use_min, cross_out[ge].second);
+        while (ge < cross_out.size() && cross_out[ge].key == dest) {
+            use_min = std::min(use_min, use_of(cross_out[ge].edge));
             ++ge;
         }
         TransferPlan tp;
         if (!planTransfer(v, dest, cycle + latencyOf(v), use_min, plan,
                           tp)) {
-            return plan;
+            return false;
         }
         add_transfer_deltas(tp, cluster);
         plan.transfers.push_back(tp);
         own_events.push_back(tp.transfer.readCycle);
         for (std::size_t k = gi; k < ge; ++k)
-            plan.eventAdds.push_back({v, dest, cross_out[k].second});
+            plan.eventAdds.push_back(
+                {v, dest, use_of(cross_out[k].edge)});
         gi = ge;
     }
     if (definesValue(op)) {
@@ -684,86 +663,73 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
     }
 
     // --- 5. lifetime changes -------------------------------------------
-    struct PairDelta
-    {
-        std::vector<int> adds;
-        std::vector<std::pair<int, int>> moves;
-        const TransferPlan *newTransfer = nullptr;
-    };
     // Flat (value, cluster) -> delta table: the handful of touched
     // pairs per plan makes a linear probe plus one final sort cheaper
-    // than a std::map, and the sorted-key iteration below stays
-    // byte-identical to the map it replaced.
-    std::vector<std::pair<std::pair<NodeId, int>, PairDelta>> touched;
-    touched.reserve(plan.eventAdds.size() + plan.eventMoves.size() +
-                    plan.transfers.size() + 1);
+    // than a std::map, with the same sorted-key iteration.
+    ArenaVector<PairDelta> &touched = touchedScratch_;
+    touched.clear();
     auto touch = [&](NodeId val, int cl) -> PairDelta & {
-        for (auto &entry : touched) {
-            if (entry.first.first == val && entry.first.second == cl)
-                return entry.second;
+        for (PairDelta &delta : touched) {
+            if (delta.value == val && delta.cluster == cl)
+                return delta;
         }
-        touched.emplace_back(std::make_pair(val, cl), PairDelta{});
-        return touched.back().second;
+        PairDelta delta;
+        delta.value = val;
+        delta.cluster = cl;
+        touched.push_back(delta);
+        return touched.back();
     };
-    for (const auto &ea : plan.eventAdds)
-        touch(ea.value, ea.cluster).adds.push_back(ea.time);
-    for (const auto &em : plan.eventMoves) {
-        touch(em.value, em.cluster)
-            .moves.push_back({em.oldTime, em.newTime});
+    for (const auto &ea : plan.eventAdds) {
+        PairDelta &delta = touch(ea.value, ea.cluster);
+        delta.lastAdd =
+            delta.hasAdds ? std::max(delta.lastAdd, ea.time) : ea.time;
+        delta.hasAdds = true;
     }
-    for (const auto &tp : plan.transfers) {
-        touch(tp.transfer.producer, tp.transfer.destCluster)
-            .newTransfer = &tp;
+    // A producer's group in step 3 moves its one home read at most
+    // once, so a pair carries at most one move.
+    for (const auto &em : plan.eventMoves) {
+        PairDelta &delta = touch(em.value, em.cluster);
+        GPSCHED_ASSERT(!delta.hasMove, "two moves of one pair");
+        delta.hasMove = true;
+        delta.moveFrom = em.oldTime;
+        delta.moveTo = em.newTime;
+    }
+    for (std::size_t i = 0; i < plan.transfers.size(); ++i) {
+        const Transfer &t = plan.transfers[i].transfer;
+        touch(t.producer, t.destCluster).newTransfer =
+            static_cast<int>(i);
     }
     if (definesValue(op))
         touch(v, cluster); // the definition itself occupies a reg
     std::sort(touched.begin(), touched.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
+              [](const PairDelta &a, const PairDelta &b) {
+                  return std::make_pair(a.value, a.cluster) <
+                         std::make_pair(b.value, b.cluster);
               });
 
     plan.pairChanges.reserve(touched.size());
-    for (const auto &[key, delta] : touched) {
-        const auto [val, cl] = key;
+    for (const PairDelta &delta : touched) {
+        const NodeId val = delta.value;
+        const int cl = delta.cluster;
         PairChange pc;
         pc.value = val;
         pc.cluster = cl;
         const ValueState &vs = values_[val];
-        auto reg_it = vs.registered.find(cl);
-        if (reg_it != vs.registered.end())
-            pc.before = reg_it->second;
+        const ValueInCluster &state = inCluster(val, cl);
+        pc.before = state.registered;
 
         // segmentsFromState only needs the presence and maximum of
-        // the read events, so the common no-move case derives both
-        // without copying the multiset; event moves can lower the
-        // maximum, so they fall back to a working copy.
-        auto ev_it = vs.events.find(cl);
-        bool has_events = false;
-        int last_event = INT_MIN;
-        if (delta.moves.empty()) {
-            if (ev_it != vs.events.end() && !ev_it->second.empty()) {
-                has_events = true;
-                last_event = *ev_it->second.rbegin();
-            }
-        } else {
-            std::multiset<int> events;
-            if (ev_it != vs.events.end())
-                events = ev_it->second;
-            for (const auto &[from, to] : delta.moves) {
-                auto pos = events.find(from);
-                GPSCHED_ASSERT(pos != events.end(),
-                               "event move of unknown time");
-                events.erase(pos);
-                events.insert(to);
-            }
-            if (!events.empty()) {
-                has_events = true;
-                last_event = *events.rbegin();
-            }
-        }
-        for (int t : delta.adds) {
+        // the read events.
+        bool has_events = !state.events.empty();
+        int last_event = has_events ? state.events.back() : INT_MIN;
+        if (delta.hasMove) {
             has_events = true;
-            last_event = std::max(last_event, t);
+            last_event =
+                state.events.lastAfterMove(delta.moveFrom, delta.moveTo);
+        }
+        if (delta.hasAdds) {
+            has_events = true;
+            last_event = std::max(last_event, delta.lastAdd);
         }
 
         bool home = val == v ? cl == cluster
@@ -771,8 +737,9 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
         int write = val == v ? cycle + latencyOf(v) : writeCycleOf(val);
         int arrival = 0;
         if (!home) {
-            if (delta.newTransfer)
-                arrival = delta.newTransfer->transfer.arrivalCycle;
+            if (delta.newTransfer >= 0)
+                arrival = plan.transfers[delta.newTransfer]
+                              .transfer.arrivalCycle;
             else
                 arrival = vs.transfers.at(cl).arrivalCycle;
         }
@@ -781,35 +748,37 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle) const
                                      home, arrival, spilled,
                                      vs.spillSt, vs.spillLd);
         plan.regCyclesDelta[cl] +=
-            totalLength(pc.after) - totalLength(pc.before);
-        plan.pairChanges.push_back(std::move(pc));
+            pc.after.totalLength() - pc.before.totalLength();
+        plan.pairChanges.push_back(pc);
     }
 
     // --- 6. register feasibility per cluster ---------------------------
-    std::vector<LiveSegment> removed, added;
+    ArenaVector<LiveSegment> &removed = removedScratch_;
+    ArenaVector<LiveSegment> &added = addedScratch_;
     for (int c = 0; c < num_clusters; ++c) {
         removed.clear();
         added.clear();
         for (const auto &pc : plan.pairChanges) {
             if (pc.cluster != c)
                 continue;
-            removed.insert(removed.end(), pc.before.begin(),
-                           pc.before.end());
-            added.insert(added.end(), pc.after.begin(), pc.after.end());
+            for (const LiveSegment &seg : pc.before)
+                removed.push_back(seg);
+            for (const LiveSegment &seg : pc.after)
+                added.push_back(seg);
         }
         if (removed.empty() && added.empty())
             continue;
         if (!regs_[c].fitsWithDiff(removed, added))
-            return plan;
+            return false;
     }
 
     plan.feasible = true;
-    return plan;
+    return true;
 }
 
-PlacementPlan
-PartialSchedule::planInWindow(NodeId v, int cluster, int from,
-                              int to) const
+bool
+PartialSchedule::planInWindow(NodeId v, int cluster, int from, int to,
+                              PlacementPlan &plan) const
 {
     const ModuloReservationTable &unit =
         fu(cluster, fuClassOf(ddg_.node(v).opcode));
@@ -822,17 +791,17 @@ PartialSchedule::planInWindow(NodeId v, int cluster, int from,
         cycle = unit.firstFit(cycle, to, occ);
         if (cycle == INT_MIN)
             break;
-        PlacementPlan plan = planPlacement(v, cluster, cycle);
-        if (plan.feasible)
-            return plan;
+        if (planPlacement(v, cluster, cycle, plan))
+            return true;
         if (cycle == to)
             break;
         cycle += step;
     }
-    PlacementPlan fail;
-    fail.node = v;
-    fail.cluster = cluster;
-    return fail;
+    plan.feasible = false;
+    plan.node = v;
+    plan.cluster = cluster;
+    plan.cycle = 0;
+    return false;
 }
 
 void
@@ -894,14 +863,12 @@ PartialSchedule::apply(const PlacementPlan &plan)
     ++numScheduled_;
 
     for (const auto &em : plan.eventMoves) {
-        auto &events = values_[em.value].events[em.cluster];
-        auto pos = events.find(em.oldTime);
-        GPSCHED_ASSERT(pos != events.end(), "stale event move");
-        events.erase(pos);
+        ReadEvents &events = inCluster(em.value, em.cluster).events;
+        events.erase(em.oldTime);
         events.insert(em.newTime);
     }
     for (const auto &ea : plan.eventAdds)
-        values_[ea.value].events[ea.cluster].insert(ea.time);
+        inCluster(ea.value, ea.cluster).events.insert(ea.time);
 
     for (const auto &tp : plan.transfers) {
         ValueState &vs = values_[tp.transfer.producer];

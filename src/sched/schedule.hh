@@ -25,19 +25,23 @@
  *    before the late uses).
  *
  * Placement is two-phase: planPlacement() is a pure feasibility
- * check that returns a PlacementPlan describing every reservation
- * and lifetime change the insertion would make; apply() commits a
- * plan atomically. Figures of merit are computed from plans without
+ * check that fills a PlacementPlan describing every reservation and
+ * lifetime change the insertion would make; apply() commits a plan
+ * atomically. Figures of merit are computed from plans without
  * mutating anything, which is how URACAM compares per-cluster
  * alternatives cheaply. Only spill and communication ops are ever
  * unscheduled (by the transformation engine in transforms.cc).
+ *
+ * Probes are allocation-free once warm: the caller owns the plan and
+ * reuses it (a probe clears it but never shrinks it), and the probe's
+ * own groupings live in scratch owned by the schedule.
  */
 
 #ifndef GPSCHED_SCHED_SCHEDULE_HH
 #define GPSCHED_SCHED_SCHEDULE_HH
 
 #include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "graph/ddg.hh"
@@ -119,8 +123,8 @@ struct PairChange
 {
     NodeId value = invalidNode;
     int cluster = -1;
-    std::vector<LiveSegment> before; ///< currently registered
-    std::vector<LiveSegment> after;  ///< segments once applied
+    SegmentList before; ///< currently registered
+    SegmentList after;  ///< segments once applied
 };
 
 /** Planned register-read event insertion. */
@@ -140,7 +144,10 @@ struct EventMove
     int newTime = 0;
 };
 
-/** Atomic description of one op insertion. */
+/**
+ * Atomic description of one op insertion. A plan is valid until the
+ * next probe into it; probing clears it but keeps its storage.
+ */
 struct PlacementPlan
 {
     bool feasible = false;
@@ -227,17 +234,19 @@ class PartialSchedule
 
     /**
      * Pure feasibility probe: can @p v issue at (@p cluster,
-     * @p cycle)? Returns a plan with feasible=false when not.
+     * @p cycle)? Fills @p plan (plan.feasible=false when not) and
+     * returns plan.feasible.
      */
-    PlacementPlan planPlacement(NodeId v, int cluster,
-                                int cycle) const;
+    bool planPlacement(NodeId v, int cluster, int cycle,
+                       PlacementPlan &plan) const;
 
     /**
      * Scans cycles from @p from towards @p to (either direction,
-     * inclusive) and returns the first feasible plan.
+     * inclusive) and fills @p plan with the first feasible placement;
+     * returns plan.feasible.
      */
-    PlacementPlan planInWindow(NodeId v, int cluster, int from,
-                               int to) const;
+    bool planInWindow(NodeId v, int cluster, int from, int to,
+                      PlacementPlan &plan) const;
 
     /** Commits a feasible plan. State must be unchanged since plan. */
     void apply(const PlacementPlan &plan);
@@ -328,22 +337,71 @@ class PartialSchedule
         int cycle = 0;
     };
 
-    /** Logical register state of one value (producer node). */
+    /** Logical state of one value (producer node). */
     struct ValueState
     {
-        /** Register-read events per cluster (home: local consumer
-         *  reads and transfer reads; dest: consumer reads). */
-        std::map<int, std::multiset<int>> events;
-
         /** Communications keyed by destination cluster. */
         std::map<int, Transfer> transfers;
 
         bool spilled = false;
         int spillSt = 0;
         int spillLd = 0;
+    };
 
-        /** Segments currently registered with the trackers. */
-        std::map<int, std::vector<LiveSegment>> registered;
+    /** Register state of one value in one cluster. */
+    struct ValueInCluster
+    {
+        /** Register-read events (home: local consumer reads and
+         *  transfer reads; dest: consumer reads). */
+        ReadEvents events;
+
+        /** Segments currently registered with the tracker. */
+        SegmentList registered;
+    };
+
+    /** Up to two read windows: a spill split removes its gap. */
+    struct ReadRanges
+    {
+        std::pair<int, int> r[2];
+        int n = 0;
+    };
+
+    /**
+     * A flow edge in planPlacement's groupings, keyed by producer
+     * (incoming) or destination cluster (outgoing).
+     */
+    struct KeyedEdge
+    {
+        int key = 0;
+        EdgeId edge = 0;
+
+        bool
+        operator<(const KeyedEdge &other) const
+        {
+            return key != other.key ? key < other.key
+                                    : edge < other.edge;
+        }
+    };
+
+    /** A (value, cluster) pair's pending change in planPlacement. */
+    struct PairDelta
+    {
+        NodeId value = invalidNode;
+        int cluster = -1;
+        bool hasAdds = false;
+        int lastAdd = 0;   ///< latest added read (hasAdds)
+        bool hasMove = false;
+        int moveFrom = 0;  ///< moved read (hasMove)
+        int moveTo = 0;
+        int newTransfer = -1; ///< index into plan.transfers, or -1
+    };
+
+    /** A transformation ranked by TransformEngine::run. */
+    struct TransformAction
+    {
+        double saturation = 0.0;
+        int kind = 0; ///< 0 spill, 1 bus->mem, 2 mem->bus, 3 unspill
+        int cluster = 0;
     };
 
     const Ddg &ddg_;
@@ -352,15 +410,23 @@ class PartialSchedule
     TransferCostPolicy transferCost_;
 
     /**
-     * planTransfer() scratch (mutable: the method is a const
-     * feasibility probe). Cleared, never shrunk, on each call so the
-     * steady state allocates nothing. Safe because a PartialSchedule
-     * is only ever driven from one thread.
+     * Probe scratch (mutable: planPlacement() and planTransfer() are
+     * const feasibility probes). Cleared, never shrunk, on each call,
+     * so the steady state allocates nothing; arena-backed when the
+     * schedule has an arena. Safe because a PartialSchedule is only
+     * ever driven from one thread.
      */
     mutable std::vector<std::vector<std::pair<int, int>>>
         claimedBusScratch_;
     mutable std::vector<std::pair<int, int>> claimedHomeMemScratch_;
     mutable std::vector<std::pair<int, int>> claimedDestMemScratch_;
+    mutable ArenaVector<KeyedEdge> crossInScratch_;
+    mutable ArenaVector<KeyedEdge> crossOutScratch_;
+    mutable ArenaVector<int> ownEventsScratch_;
+    mutable ArenaVector<PairDelta> touchedScratch_;
+    mutable ArenaVector<LiveSegment> removedScratch_;
+    mutable ArenaVector<LiveSegment> addedScratch_;
+    ArenaVector<TransformAction> actionScratch_;
 
     std::vector<PlacedOp> placed_;
     int numScheduled_ = 0;
@@ -368,6 +434,7 @@ class PartialSchedule
     std::vector<ModuloReservationTable> busMrts_; ///< per bus class
     std::vector<LifetimeTracker> regs_;
     std::vector<ValueState> values_;
+    std::vector<ValueInCluster> valueInCluster_; ///< value-major
 
     std::vector<int> plannedMemOps_; ///< per cluster; empty = global
     int origMemOpsTotal_ = 0;
@@ -389,6 +456,18 @@ class PartialSchedule
     /** Effective latency of edge e at this II. */
     int effLat(EdgeId e) const;
 
+    /** Register state of value @p p in @p cluster. */
+    ValueInCluster &
+    inCluster(NodeId p, int cluster)
+    {
+        return valueInCluster_[p * machine_.numClusters() + cluster];
+    }
+    const ValueInCluster &
+    inCluster(NodeId p, int cluster) const
+    {
+        return valueInCluster_[p * machine_.numClusters() + cluster];
+    }
+
     /**
      * True when a register read of value @p p at @p time in the home
      * cluster is compatible with an existing spill split.
@@ -396,29 +475,35 @@ class PartialSchedule
     bool homeReadTimeValid(const ValueState &vs, int time) const;
 
     /**
+     * The parts of [@p lo, @p hi] where the home register of a value
+     * with state @p vs can be read: all of it, or the parts outside
+     * the spill gap.
+     */
+    ReadRanges homeReadRanges(const ValueState &vs, int lo,
+                              int hi) const;
+
+    /**
      * Lifetime segments of (value, cluster) given explicit logical
      * state (pure; used for both current and hypothetical states).
      * Only the presence and the maximum of the read events matter,
-     * so the primary overload takes exactly those; the multiset
+     * so the primary overload takes exactly those; the ReadEvents
      * overload is a convenience wrapper for callers that already
      * hold an event set (transforms.cc).
      */
-    std::vector<LiveSegment>
-    segmentsFromState(int write_cycle, bool has_events, int last_event,
-                      bool home, int arrival, bool spilled,
-                      int spill_st, int spill_ld) const;
-    std::vector<LiveSegment>
-    segmentsFromState(int write_cycle, const std::multiset<int> &events,
-                      bool home, int arrival, bool spilled,
-                      int spill_st, int spill_ld) const;
+    SegmentList segmentsFromState(int write_cycle, bool has_events,
+                                  int last_event, bool home,
+                                  int arrival, bool spilled,
+                                  int spill_st, int spill_ld) const;
+    SegmentList segmentsFromState(int write_cycle,
+                                  const ReadEvents &events, bool home,
+                                  int arrival, bool spilled,
+                                  int spill_st, int spill_ld) const;
 
     /** Current segments of (value, cluster) from logical state. */
-    std::vector<LiveSegment> currentSegments(NodeId p,
-                                             int cluster) const;
+    SegmentList currentSegments(NodeId p, int cluster) const;
 
     /** Re-registers (value, cluster) segments to match @p segs. */
-    void setRegistered(NodeId p, int cluster,
-                       std::vector<LiveSegment> segs);
+    void setRegistered(NodeId p, int cluster, const SegmentList &segs);
 
     /**
      * Finds the first free slot for @p occupancy units in @p mrt

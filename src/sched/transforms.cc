@@ -2,37 +2,11 @@
 
 #include <algorithm>
 #include <climits>
-#include <vector>
 
 #include "support/logging.hh"
 
 namespace gpsched
 {
-
-namespace
-{
-
-/** Valid home-register read windows of a (possibly spilled) value. */
-std::vector<std::pair<int, int>>
-validReadRanges(const PartialSchedule &ps, bool spilled, int spill_st,
-                int reload, int lo, int hi)
-{
-    (void)ps;
-    std::vector<std::pair<int, int>> ranges;
-    if (lo > hi)
-        return ranges;
-    if (!spilled) {
-        ranges.push_back({lo, hi});
-        return ranges;
-    }
-    if (lo <= std::min(hi, spill_st))
-        ranges.push_back({lo, std::min(hi, spill_st)});
-    if (std::max(lo, reload) <= hi)
-        ranges.push_back({std::max(lo, reload), hi});
-    return ranges;
-}
-
-} // namespace
 
 bool
 TransformEngine::trySpill(PartialSchedule &ps, int cluster)
@@ -61,24 +35,24 @@ TransformEngine::trySpill(PartialSchedule &ps, int cluster)
         const auto &vs = ps.values_[p];
         if (vs.spilled)
             continue;
-        auto ev_it = vs.events.find(cluster);
-        if (ev_it == vs.events.end() || ev_it->second.empty())
+        const ReadEvents &events = ps.inCluster(p, cluster).events;
+        if (events.empty())
             continue;
-        std::vector<int> points{ps.writeCycleOf(p)};
-        points.insert(points.end(), ev_it->second.begin(),
-                      ev_it->second.end());
-        for (std::size_t i = 0; i + 1 < points.size(); ++i) {
-            int g0 = points[i];
-            int g1 = points[i + 1];
-            if (g1 - g0 <= lat_st + lat_ld)
+        // Gaps between consecutive points: the write, then the reads.
+        int g0 = ps.writeCycleOf(p);
+        for (int g1 : events) {
+            const int gap_start = g0;
+            g0 = g1;
+            if (g1 - gap_start <= lat_st + lat_ld)
                 continue;
-            int st = PartialSchedule::findSlot(
-                mem, g0, g1 - lat_ld - lat_st, occ_st, {}, INT_MIN, 0);
+            int st = mem.firstFit(gap_start, g1 - lat_ld - lat_st,
+                                  occ_st);
             if (st == INT_MIN)
                 continue;
-            int ld = PartialSchedule::findSlot(
-                mem, g1 - lat_ld, st + lat_st, occ_ld, {{st, occ_st}},
-                INT_MIN, 0);
+            // The load is placed with the store's slot claimed.
+            mem.reserve(st, occ_st);
+            int ld = mem.firstFit(g1 - lat_ld, st + lat_st, occ_ld);
+            mem.release(st, occ_st);
             if (ld == INT_MIN)
                 continue;
             int saving = ld + lat_ld - st - 1;
@@ -91,10 +65,9 @@ TransformEngine::trySpill(PartialSchedule &ps, int cluster)
 
     FigureOfMerit before = ps.globalFom();
     auto &vs = ps.values_[best.p];
-    std::vector<LiveSegment> old_segs;
-    auto reg_it = vs.registered.find(cluster);
-    if (reg_it != vs.registered.end())
-        old_segs = reg_it->second;
+    const SegmentList old_segs =
+        ps.inCluster(best.p, cluster).registered;
+    const int old_st = vs.spillSt, old_ld = vs.spillLd;
 
     vs.spilled = true;
     vs.spillSt = best.st;
@@ -117,6 +90,8 @@ TransformEngine::trySpill(PartialSchedule &ps, int cluster)
     ps.overheadMemTotal_ -= occ_st + occ_ld;
     --ps.numSpills_;
     vs.spilled = false;
+    vs.spillSt = old_st;
+    vs.spillLd = old_ld;
     return false;
 }
 
@@ -135,16 +110,11 @@ TransformEngine::tryUnspill(PartialSchedule &ps, int cluster)
         auto &vs = ps.values_[p];
         if (!vs.spilled)
             continue;
-        static const std::multiset<int> no_events;
-        auto ev_it = vs.events.find(cluster);
-        const std::multiset<int> &events =
-            ev_it == vs.events.end() ? no_events : ev_it->second;
-        std::vector<LiveSegment> merged = ps.segmentsFromState(
-            ps.writeCycleOf(p), events, true, 0, false, 0, 0);
-        std::vector<LiveSegment> old_segs;
-        auto reg_it = vs.registered.find(cluster);
-        if (reg_it != vs.registered.end())
-            old_segs = reg_it->second;
+        const PartialSchedule::ValueInCluster &state =
+            ps.inCluster(p, cluster);
+        const SegmentList merged = ps.segmentsFromState(
+            ps.writeCycleOf(p), state.events, true, 0, false, 0, 0);
+        const SegmentList old_segs = state.registered;
         if (!ps.regs_[cluster].fitsWithDiff(old_segs, merged))
             continue;
 
@@ -175,6 +145,54 @@ TransformEngine::tryUnspill(PartialSchedule &ps, int cluster)
 }
 
 bool
+TransformEngine::replaceTransfer(PartialSchedule &ps, NodeId p,
+                                 Transfer &t, const Transfer &repl)
+{
+    const auto &vs = ps.values_[p];
+    const int home = ps.placed_[p].cluster;
+    const int dest = t.destCluster;
+    GPSCHED_ASSERT(home != dest, "transfer with home == dest");
+    ReadEvents &home_events = ps.inCluster(p, home).events;
+    const int write = ps.writeCycleOf(p);
+
+    // Register feasibility with the moved read and arrival.
+    const SegmentList home_after = ps.segmentsFromState(
+        write, true, home_events.lastAfterMove(t.readCycle, repl.readCycle),
+        true, 0, vs.spilled, vs.spillSt, vs.spillLd);
+    const SegmentList dest_after =
+        ps.segmentsFromState(write, ps.inCluster(p, dest).events, false,
+                             repl.arrivalCycle, false, 0, 0);
+    const SegmentList home_before = ps.inCluster(p, home).registered;
+    const SegmentList dest_before = ps.inCluster(p, dest).registered;
+    if (!ps.regs_[home].fitsWithDiff(home_before, home_after))
+        return false;
+    if (!ps.regs_[dest].fitsWithDiff(dest_before, dest_after))
+        return false;
+
+    FigureOfMerit before = ps.globalFom();
+    const Transfer old = t;
+    ps.releaseTransfer(old);
+    t = repl;
+    ps.reserveTransfer(repl);
+    home_events.erase(old.readCycle);
+    home_events.insert(repl.readCycle);
+    ps.setRegistered(p, home, home_after);
+    ps.setRegistered(p, dest, dest_after);
+
+    if (FigureOfMerit::better(ps.globalFom(), before, 0.0))
+        return true;
+
+    ps.setRegistered(p, home, home_before);
+    ps.setRegistered(p, dest, dest_before);
+    home_events.erase(repl.readCycle);
+    home_events.insert(old.readCycle);
+    ps.releaseTransfer(repl);
+    t = old;
+    ps.reserveTransfer(old);
+    return false;
+}
+
+bool
 TransformEngine::tryBusToMem(PartialSchedule &ps)
 {
     const LatencyTable &lat = ps.machine_.latencies();
@@ -186,32 +204,34 @@ TransformEngine::tryBusToMem(PartialSchedule &ps)
     for (NodeId p = 0; p < ps.ddg_.numNodes(); ++p) {
         if (!ps.placed_[p].scheduled)
             continue;
-        auto &vs = ps.values_[p];
+        const auto &vs = ps.values_[p];
         const int home = ps.placed_[p].cluster;
-        for (auto &[dest, t] : vs.transfers) {
+        for (auto &[dest, t] : ps.values_[p].transfers) {
             if (!t.viaBus)
                 continue;
-            auto dev_it = vs.events.find(dest);
-            if (dev_it == vs.events.end() || dev_it->second.empty())
+            const ReadEvents &dest_events = ps.inCluster(p, dest).events;
+            if (dest_events.empty())
                 continue;
-            int min_use = *dev_it->second.begin();
-            int write = ps.writeCycleOf(p);
-            int reload = vs.spillLd + lat.latency(Opcode::SpillLd);
+            const int min_use = dest_events.front();
 
+            // Earliest store, then the latest load before the use.
+            const ModuloReservationTable &home_mem =
+                ps.fu(home, FuClass::Mem);
+            const ModuloReservationTable &dest_mem =
+                ps.fu(dest, FuClass::Mem);
+            const PartialSchedule::ReadRanges ranges =
+                ps.homeReadRanges(vs, ps.writeCycleOf(p),
+                                  min_use - lat_ld - lat_st);
             int st = INT_MIN, ld = INT_MIN;
-            for (const auto &[lo, hi] :
-                 validReadRanges(ps, vs.spilled, vs.spillSt, reload,
-                                 write, min_use - lat_ld - lat_st)) {
+            for (int i = 0; i < ranges.n && st == INT_MIN; ++i) {
+                const auto [lo, hi] = ranges.r[i];
                 int cand_st = lo;
                 while (cand_st <= hi) {
-                    cand_st = PartialSchedule::findSlot(
-                        ps.fu(home, FuClass::Mem), cand_st, hi, occ_st,
-                        {}, INT_MIN, 0);
+                    cand_st = home_mem.firstFit(cand_st, hi, occ_st);
                     if (cand_st == INT_MIN)
                         break;
-                    int cand_ld = PartialSchedule::findSlot(
-                        ps.fu(dest, FuClass::Mem), min_use - lat_ld,
-                        cand_st + lat_st, occ_ld, {}, INT_MIN, 0);
+                    int cand_ld = dest_mem.firstFit(
+                        min_use - lat_ld, cand_st + lat_st, occ_ld);
                     if (cand_ld != INT_MIN) {
                         st = cand_st;
                         ld = cand_ld;
@@ -219,65 +239,13 @@ TransformEngine::tryBusToMem(PartialSchedule &ps)
                     }
                     ++cand_st;
                 }
-                if (st != INT_MIN)
-                    break;
             }
             if (st == INT_MIN)
                 continue;
-
-            // Register feasibility with the moved read and arrival.
-            std::multiset<int> home_ev = vs.events[home];
-            auto pos = home_ev.find(t.readCycle);
-            GPSCHED_ASSERT(pos != home_ev.end(),
-                           "transfer read missing from home events");
-            home_ev.erase(pos);
-            home_ev.insert(st);
-            std::vector<LiveSegment> home_after =
-                ps.segmentsFromState(write, home_ev, true, 0,
-                                     vs.spilled, vs.spillSt,
-                                     vs.spillLd);
-            std::vector<LiveSegment> dest_after = ps.segmentsFromState(
-                write, dev_it->second, false, ld + lat_ld, false, 0, 0);
-            std::vector<LiveSegment> home_before =
-                vs.registered.count(home) ? vs.registered[home]
-                                          : std::vector<LiveSegment>{};
-            std::vector<LiveSegment> dest_before =
-                vs.registered.count(dest) ? vs.registered[dest]
-                                          : std::vector<LiveSegment>{};
-            if (home == dest) {
-                GPSCHED_PANIC("transfer with home == dest");
-            }
-            if (!ps.regs_[home].fitsWithDiff(home_before, home_after))
-                continue;
-            if (!ps.regs_[dest].fitsWithDiff(dest_before, dest_after))
-                continue;
-
-            FigureOfMerit before = ps.globalFom();
-            Transfer old = t;
-            ps.releaseTransfer(old);
-            Transfer repl{p, dest, false, 0, 0, st, ld, st,
-                          ld + lat_ld};
-            t = repl;
-            ps.reserveTransfer(repl);
-            auto &events = vs.events[home];
-            auto epos = events.find(old.readCycle);
-            GPSCHED_ASSERT(epos != events.end(), "stale read event");
-            events.erase(epos);
-            events.insert(st);
-            ps.setRegistered(p, home, home_after);
-            ps.setRegistered(p, dest, dest_after);
-
-            if (FigureOfMerit::better(ps.globalFom(), before, 0.0))
+            if (replaceTransfer(ps, p, t,
+                                Transfer{p, dest, false, 0, 0, st, ld,
+                                         st, ld + lat_ld}))
                 return true;
-
-            ps.setRegistered(p, home, home_before);
-            ps.setRegistered(p, dest, dest_before);
-            auto rpos = vs.events[home].find(st);
-            vs.events[home].erase(rpos);
-            vs.events[home].insert(old.readCycle);
-            ps.releaseTransfer(repl);
-            t = old;
-            ps.reserveTransfer(old);
         }
     }
     return false;
@@ -288,22 +256,18 @@ TransformEngine::tryMemToBus(PartialSchedule &ps)
 {
     if (ps.machine_.numBuses() == 0)
         return false;
-    const LatencyTable &lat = ps.machine_.latencies();
 
     for (NodeId p = 0; p < ps.ddg_.numNodes(); ++p) {
         if (!ps.placed_[p].scheduled)
             continue;
-        auto &vs = ps.values_[p];
-        const int home = ps.placed_[p].cluster;
-        for (auto &[dest, t] : vs.transfers) {
+        const auto &vs = ps.values_[p];
+        for (auto &[dest, t] : ps.values_[p].transfers) {
             if (t.viaBus)
                 continue;
-            auto dev_it = vs.events.find(dest);
-            if (dev_it == vs.events.end() || dev_it->second.empty())
+            const ReadEvents &dest_events = ps.inCluster(p, dest).events;
+            if (dest_events.empty())
                 continue;
-            int min_use = *dev_it->second.begin();
-            int write = ps.writeCycleOf(p);
-            int reload = vs.spillLd + lat.latency(Opcode::SpillLd);
+            const int min_use = dest_events.front();
 
             // Fastest class first (classes sort by ascending latency).
             int bus_class = -1;
@@ -312,13 +276,12 @@ TransformEngine::tryMemToBus(PartialSchedule &ps)
                              bus_cycle == INT_MIN;
                  ++bc) {
                 const int cls_lat = ps.machine_.busLatencyOf(bc);
-                for (const auto &[lo, hi] :
-                     validReadRanges(ps, vs.spilled, vs.spillSt,
-                                     reload, write,
-                                     min_use - cls_lat)) {
-                    bus_cycle = PartialSchedule::findSlot(
-                        ps.busMrts_[bc], lo, hi, cls_lat, {}, INT_MIN,
-                        0);
+                const PartialSchedule::ReadRanges ranges =
+                    ps.homeReadRanges(vs, ps.writeCycleOf(p),
+                                      min_use - cls_lat);
+                for (int i = 0; i < ranges.n; ++i) {
+                    const auto [lo, hi] = ranges.r[i];
+                    bus_cycle = ps.busMrts_[bc].firstFit(lo, hi, cls_lat);
                     if (bus_cycle != INT_MIN) {
                         bus_class = bc;
                         break;
@@ -328,57 +291,11 @@ TransformEngine::tryMemToBus(PartialSchedule &ps)
             if (bus_cycle == INT_MIN)
                 continue;
             const int lat_bus = ps.machine_.busLatencyOf(bus_class);
-
-            std::multiset<int> home_ev = vs.events[home];
-            auto pos = home_ev.find(t.readCycle);
-            GPSCHED_ASSERT(pos != home_ev.end(),
-                           "transfer read missing from home events");
-            home_ev.erase(pos);
-            home_ev.insert(bus_cycle);
-            std::vector<LiveSegment> home_after =
-                ps.segmentsFromState(write, home_ev, true, 0,
-                                     vs.spilled, vs.spillSt,
-                                     vs.spillLd);
-            std::vector<LiveSegment> dest_after = ps.segmentsFromState(
-                write, dev_it->second, false, bus_cycle + lat_bus,
-                false, 0, 0);
-            std::vector<LiveSegment> home_before =
-                vs.registered.count(home) ? vs.registered[home]
-                                          : std::vector<LiveSegment>{};
-            std::vector<LiveSegment> dest_before =
-                vs.registered.count(dest) ? vs.registered[dest]
-                                          : std::vector<LiveSegment>{};
-            if (!ps.regs_[home].fitsWithDiff(home_before, home_after))
-                continue;
-            if (!ps.regs_[dest].fitsWithDiff(dest_before, dest_after))
-                continue;
-
-            FigureOfMerit before = ps.globalFom();
-            Transfer old = t;
-            ps.releaseTransfer(old);
-            Transfer repl{p, dest, true, bus_class, bus_cycle, 0, 0,
-                          bus_cycle, bus_cycle + lat_bus};
-            t = repl;
-            ps.reserveTransfer(repl);
-            auto &events = vs.events[home];
-            auto epos = events.find(old.readCycle);
-            GPSCHED_ASSERT(epos != events.end(), "stale read event");
-            events.erase(epos);
-            events.insert(bus_cycle);
-            ps.setRegistered(p, home, home_after);
-            ps.setRegistered(p, dest, dest_after);
-
-            if (FigureOfMerit::better(ps.globalFom(), before, 0.0))
+            if (replaceTransfer(ps, p, t,
+                                Transfer{p, dest, true, bus_class,
+                                         bus_cycle, 0, 0, bus_cycle,
+                                         bus_cycle + lat_bus}))
                 return true;
-
-            ps.setRegistered(p, home, home_before);
-            ps.setRegistered(p, dest, dest_before);
-            auto rpos = vs.events[home].find(bus_cycle);
-            vs.events[home].erase(rpos);
-            vs.events[home].insert(old.readCycle);
-            ps.releaseTransfer(repl);
-            t = old;
-            ps.reserveTransfer(old);
         }
     }
     return false;
@@ -387,42 +304,51 @@ TransformEngine::tryMemToBus(PartialSchedule &ps)
 int
 TransformEngine::run(PartialSchedule &ps)
 {
+    using Action = PartialSchedule::TransformAction;
     const int num_clusters = ps.machine_.numClusters();
+    ArenaVector<Action> &actions = ps.actionScratch_;
     int applied = 0;
     for (int round = 0; round < 32; ++round) {
         // Rank candidate transformations by the utilization of the
         // resource they relieve, most saturated first.
-        struct Action
-        {
-            double saturation = 0.0;
-            int kind = 0; // 0 spill, 1 bus->mem, 2 mem->bus, 3 unspill
-            int cluster = 0;
+        actions.clear();
+        auto add = [&](double saturation, int kind, int cluster) {
+            actions.push_back({saturation, kind, cluster});
         };
-        std::vector<Action> actions;
         for (int c = 0; c < num_clusters; ++c) {
             double reg_sat = ps.regs_[c].numRegs() > 0
                                  ? 100.0 * ps.regs_[c].maxLive() /
                                        ps.regs_[c].numRegs()
                                  : 0.0;
-            actions.push_back({reg_sat, 0, c});
+            add(reg_sat, 0, c);
         }
         if (ps.busTotalSlots() > 0) {
             double bus_sat = 100.0 * ps.busUsedSlots() /
                              ps.busTotalSlots();
-            actions.push_back({bus_sat, 1, 0});
+            add(bus_sat, 1, 0);
         }
         for (int c = 0; c < num_clusters; ++c) {
             const auto &mem = ps.fu(c, FuClass::Mem);
             double mem_sat =
                 100.0 * mem.usedSlots() / mem.totalSlots();
-            actions.push_back({mem_sat, 2, c});
-            actions.push_back({mem_sat, 3, c});
+            add(mem_sat, 2, c);
+            add(mem_sat, 3, c);
         }
+        // A cluster without memory units ranks its memory actions by
+        // a NaN saturation, which compares false both ways, so where
+        // they land is the library stable_sort's doing: any other sort
+        // could reorder the tries. Its temporary buffer is the one
+        // allocation a round makes.
         std::stable_sort(actions.begin(), actions.end(),
                          [](const Action &a, const Action &b) {
                              return a.saturation > b.saturation;
                          });
 
+        // tryMemToBus ignores its cluster and a failed try leaves the
+        // schedule exactly as it was, so its later ranks in a round
+        // would repeat the same failing scan: it is tried once, at
+        // its first rank.
+        bool mem_to_bus_tried = false;
         bool any = false;
         for (const Action &a : actions) {
             bool ok = false;
@@ -434,6 +360,9 @@ TransformEngine::run(PartialSchedule &ps)
                 ok = tryBusToMem(ps);
                 break;
               case 2:
+                if (mem_to_bus_tried)
+                    continue;
+                mem_to_bus_tried = true;
                 ok = tryMemToBus(ps);
                 break;
               case 3:

@@ -50,6 +50,16 @@ class TransformEngine
      * of transformations applied.
      */
     static int run(PartialSchedule &ps);
+
+  private:
+    /**
+     * Replaces value @p p's transfer @p t with @p repl (same
+     * destination) when registers allow it and the global figure of
+     * merit strictly improves; otherwise leaves the schedule exactly
+     * as it was. Returns true when replaced.
+     */
+    static bool replaceTransfer(PartialSchedule &ps, NodeId p,
+                                Transfer &t, const Transfer &repl);
 };
 
 } // namespace gpsched

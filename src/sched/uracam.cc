@@ -1,6 +1,7 @@
 #include "sched/uracam.hh"
 
 #include <climits>
+#include <utility>
 #include <vector>
 
 #include "sched/sms_order.hh"
@@ -81,62 +82,46 @@ ModuloScheduler::placeNode(PartialSchedule &ps, NodeId v,
         to = std::min(late, early + span - 1);
     }
 
-    // Candidate clusters in policy order. A deviating PreferAssigned
-    // attempt considers everything but the assigned cluster (which
-    // the non-deviating attempts have already exhausted).
-    std::vector<int> clusters;
-    int assigned = -1;
+    // Candidate clusters in policy order: [first, last] without
+    // `skip`. A deviating PreferAssigned attempt considers everything
+    // but the assigned cluster (which the non-deviating attempts have
+    // already exhausted).
+    int first = 0, last = machine_.numClusters() - 1, skip = -1;
     if (policy != ClusterPolicy::FreeChoice) {
         GPSCHED_ASSERT(assignment != nullptr,
                        "partition required for this cluster policy");
-        assigned = assignment->clusterOf(v);
+        const int assigned = assignment->clusterOf(v);
+        if (policy == ClusterPolicy::PreferAssigned && deviate)
+            skip = assigned;
+        else
+            first = last = assigned;
     }
-    switch (policy) {
-      case ClusterPolicy::AssignedOnly:
-        clusters.push_back(assigned);
-        break;
-      case ClusterPolicy::PreferAssigned:
-        if (!deviate) {
-            clusters.push_back(assigned);
-        } else {
-            for (int c = 0; c < machine_.numClusters(); ++c) {
-                if (c != assigned)
-                    clusters.push_back(c);
-            }
-        }
-        break;
-      case ClusterPolicy::FreeChoice:
-        for (int c = 0; c < machine_.numClusters(); ++c)
-            clusters.push_back(c);
-        break;
-    }
+    const int num_candidates = last - first + 1 - (skip >= 0 ? 1 : 0);
 
     // One alternative partial schedule per cluster with resources;
     // the figure of merit picks the winner (Section 3.3.3). With a
     // single candidate the figure of merit decides nothing, so the
     // first feasible plan is committed directly.
     bool have_best = false;
-    PlacementPlan best;
     FigureOfMerit best_fom;
-    for (int c : clusters) {
-        PlacementPlan plan = ps.planInWindow(v, c, from, to);
-        if (!plan.feasible)
+    for (int c = first; c <= last; ++c) {
+        if (c == skip || !ps.planInWindow(v, c, from, to, candidate_))
             continue;
-        if (clusters.size() == 1) {
-            ps.apply(plan);
+        if (num_candidates == 1) {
+            ps.apply(candidate_);
             return true;
         }
-        FigureOfMerit fom = ps.insertionFom(plan);
+        FigureOfMerit fom = ps.insertionFom(candidate_);
         if (!have_best ||
             FigureOfMerit::better(fom, best_fom, kFomThreshold)) {
-            best = std::move(plan);
+            std::swap(best_, candidate_);
             best_fom = std::move(fom);
             have_best = true;
         }
     }
     if (!have_best)
         return false;
-    ps.apply(best);
+    ps.apply(best_);
     return true;
 }
 
@@ -148,8 +133,12 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
                    "schedule into a non-empty partial schedule");
     if (!sccs_)
         sccs_.emplace(computeSccs(ddg_));
-    DdgAnalysis analysis(ddg_, machine_.latencies(), ps.ii(), nullptr,
-                         &*sccs_);
+    if (analysis_)
+        analysis_->recompute(ps.ii());
+    else
+        analysis_.emplace(ddg_, machine_.latencies(), ps.ii(), nullptr,
+                          &*sccs_);
+    const DdgAnalysis &analysis = *analysis_;
     if (!analysis.feasible())
         return false;
 

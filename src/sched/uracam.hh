@@ -59,6 +59,10 @@ class ModuloScheduler
     /** References must outlive the scheduler. */
     ModuloScheduler(const Ddg &ddg, const MachineConfig &machine);
 
+    // The cached analysis points into the scheduler's own SCCs.
+    ModuloScheduler(const ModuloScheduler &) = delete;
+    ModuloScheduler &operator=(const ModuloScheduler &) = delete;
+
     /**
      * Attempts a complete schedule into the fresh schedule @p ps
      * (constructed for the same DDG/machine and the candidate II).
@@ -83,6 +87,17 @@ class ModuloScheduler
     // scheduler is only ever driven from a single compile thread.
     mutable std::optional<SccDecomposition> sccs_;
     mutable std::optional<SmsNodeSets> smsSets_;
+
+    /** Longest-path analysis, recomputed in place per attempt. */
+    mutable std::optional<DdgAnalysis> analysis_;
+
+    /**
+     * Placement plans reused by every placeNode() probe: the current
+     * cluster's candidate and the best so far, swapped when the
+     * candidate's figure of merit is better.
+     */
+    mutable PlacementPlan candidate_;
+    mutable PlacementPlan best_;
 
     /**
      * Places one node; returns false when no allowed cluster accepts

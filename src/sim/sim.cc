@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/gp_scheduler.hh"
+#include "graph/ddg.hh"
 #include "sched/schedule.hh"
 
 namespace gpsched::sim
@@ -12,10 +13,6 @@ namespace gpsched::sim
 
 namespace
 {
-
-/** Recorded cycles beyond this magnitude are garbage, not schedules;
- *  refusing them bounds the replay timeline allocation. */
-constexpr int kMaxCycleMagnitude = 1 << 20;
 
 /** Hard cap on the replay timeline length (cycles). */
 constexpr std::int64_t kMaxTimeline = std::int64_t{1} << 22;
@@ -198,11 +195,13 @@ struct Replayer
     bool
     checkShape()
     {
-        if (ii < 1 || ii > kMaxCycleMagnitude)
+        // Recorded cycles beyond maxCycleMagnitude are garbage, not
+        // schedules; refusing them bounds the replay timeline.
+        if (ii < 1 || ii > maxCycleMagnitude)
             return fault(SimFaultKind::MalformedSchedule, -1,
                          invalidNode, concat("bad II ", ii));
         auto inRange = [](int c) {
-            return c >= -kMaxCycleMagnitude && c <= kMaxCycleMagnitude;
+            return c >= -maxCycleMagnitude && c <= maxCycleMagnitude;
         };
         for (NodeId v = 0; v < n; ++v) {
             int c = clusterOf(v);

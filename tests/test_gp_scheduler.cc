@@ -176,6 +176,35 @@ TEST(LoopCompiler, CountOverflowIsATypedInvalidInputError)
     }
 }
 
+TEST(LoopCompiler, ScheduleBeyondTheCycleBoundIsATypedInvalidInputError)
+{
+    // A legal modulo schedule: an IAlu recurrence sets the II, and a
+    // chain of ten FAdds joined by 2^20-latency order edges places
+    // its later ops past cycle 2^20, beyond what the simulator
+    // replays.
+    Ddg far("far_cycles");
+    far.addNode(Opcode::IAlu, "a");
+    far.addNode(Opcode::IAlu, "b");
+    far.addEdge(0, 1, 4, 0, DepKind::Flow);
+    far.addEdge(1, 0, 4, 1, DepKind::Flow);
+    for (int i = 0; i < 10; ++i)
+        far.addNode(Opcode::FAdd, "");
+    for (NodeId v = 2; v < 11; ++v)
+        far.addEdge(v, v + 1, maxEdgeLatency, 0, DepKind::Order);
+    far.setTripCount(maxTripCount);
+
+    MachineConfig m = twoClusterConfig(32, 1);
+    try {
+        CompiledLoop r = LoopCompiler(m, SchedulerKind::Gp).compile(far);
+        ADD_FAILURE() << "compiled at II " << r.ii;
+    } catch (const CompileError &error) {
+        EXPECT_EQ(error.kind(), CompileErrorKind::InvalidInput);
+        EXPECT_NE(std::string(error.what()).find("recorded-cycle bound"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(LoopCompiler, FixedPartitionNeverDeviates)
 {
     // Indirect check: Fixed must never beat GP by more than noise on

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "graph/ddg_builder.hh"
 #include "machine/configs.hh"
 #include "sched/schedule.hh"
@@ -15,6 +19,64 @@
 
 using namespace gpsched;
 using namespace gpsched::testing;
+
+namespace
+{
+
+/** Global operator new calls in this test binary. */
+std::atomic<long> heapAllocations{0};
+
+void *
+countedAlloc(std::size_t size, std::size_t align)
+{
+    heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t bytes = size == 0 ? 1 : size;
+    void *p = align <= alignof(std::max_align_t)
+                  ? std::malloc(bytes)
+                  : std::aligned_alloc(align,
+                                       (bytes + align - 1) / align * align);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    return countedAlloc(size, alignof(std::max_align_t));
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -39,7 +101,8 @@ TEST(Schedule, PlaceSingleNode)
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
 
-    PlacementPlan plan = ps.planPlacement(0, 0, 5);
+    PlacementPlan plan;
+    ps.planPlacement(0, 0, 5, plan);
     ASSERT_TRUE(plan.feasible);
     EXPECT_EQ(plan.cycle, 5);
     ps.apply(plan);
@@ -55,10 +118,11 @@ TEST(Schedule, PrecedenceRejectsEarlyConsumer)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0)); // load at 0, result at 2
+    placeAt(ps, 0, 0, 0); // load at 0, result at 2
 
-    EXPECT_FALSE(ps.planPlacement(1, 0, 1).feasible);
-    PlacementPlan ok = ps.planPlacement(1, 0, 2);
+    EXPECT_FALSE(canPlace(ps, 1, 0, 1));
+    PlacementPlan ok;
+    ps.planPlacement(1, 0, 2, ok);
     EXPECT_TRUE(ok.feasible);
 }
 
@@ -68,11 +132,11 @@ TEST(Schedule, FuConflictRejectsOversubscribedSlot)
     Ddg g = parallelLoop(3, lat);
     MachineConfig m = twoClusterConfig(32, 1); // 2 INT units
     PartialSchedule ps(g, m, 1);               // single kernel slot
-    ps.apply(ps.planPlacement(0, 0, 0));
-    ps.apply(ps.planPlacement(1, 0, 0));
-    EXPECT_FALSE(ps.planPlacement(2, 0, 0).feasible);
-    EXPECT_FALSE(ps.planPlacement(2, 0, 7).feasible); // same slot
-    EXPECT_TRUE(ps.planPlacement(2, 1, 0).feasible);  // other cluster
+    placeAt(ps, 0, 0, 0);
+    placeAt(ps, 1, 0, 0);
+    EXPECT_FALSE(canPlace(ps, 2, 0, 0));
+    EXPECT_FALSE(canPlace(ps, 2, 0, 7)); // same slot
+    EXPECT_TRUE(canPlace(ps, 2, 1, 0));  // other cluster
 }
 
 TEST(Schedule, SameClusterNeedsNoTransfer)
@@ -81,8 +145,9 @@ TEST(Schedule, SameClusterNeedsNoTransfer)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0));
-    PlacementPlan plan = ps.planPlacement(1, 0, 2);
+    placeAt(ps, 0, 0, 0);
+    PlacementPlan plan;
+    ps.planPlacement(1, 0, 2, plan);
     ASSERT_TRUE(plan.feasible);
     EXPECT_TRUE(plan.transfers.empty());
     ps.apply(plan);
@@ -95,10 +160,11 @@ TEST(Schedule, CrossClusterAllocatesBusTransfer)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0)); // write at 2
+    placeAt(ps, 0, 0, 0); // write at 2
 
     // Consumer on cluster 1 at cycle 3: bus rides [2,3).
-    PlacementPlan plan = ps.planPlacement(1, 1, 3);
+    PlacementPlan plan;
+    ps.planPlacement(1, 1, 3, plan);
     ASSERT_TRUE(plan.feasible);
     ASSERT_EQ(plan.transfers.size(), 1u);
     const Transfer &t = plan.transfers[0].transfer;
@@ -119,9 +185,9 @@ TEST(Schedule, CrossClusterTooEarlyIsRejected)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0)); // write at 2
+    placeAt(ps, 0, 0, 0); // write at 2
     // Cycle 2 in another cluster: arrival >= 3 > use -> infeasible.
-    EXPECT_FALSE(ps.planPlacement(1, 1, 2).feasible);
+    EXPECT_FALSE(canPlace(ps, 1, 1, 2));
 }
 
 TEST(Schedule, SaturatedBusFallsBackToMemoryComm)
@@ -140,14 +206,16 @@ TEST(Schedule, SaturatedBusFallsBackToMemoryComm)
 
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 1);
-    ps.apply(ps.planPlacement(p1, 0, 0));
-    ps.apply(ps.planPlacement(p2, 0, 0));
-    PlacementPlan cp1 = ps.planInWindow(c1, 1, 1, 12);
+    placeAt(ps, p1, 0, 0);
+    placeAt(ps, p2, 0, 0);
+    PlacementPlan cp1;
+    ps.planInWindow(c1, 1, 1, 12, cp1);
     ASSERT_TRUE(cp1.feasible);
     ps.apply(cp1);
     EXPECT_EQ(ps.stats().busTransfers, 1);
 
-    PlacementPlan cp2 = ps.planInWindow(c2, 1, 1, 12);
+    PlacementPlan cp2;
+    ps.planInWindow(c2, 1, 1, 12, cp2);
     ASSERT_TRUE(cp2.feasible);
     ps.apply(cp2);
     // The single bus slot of the II=1 kernel is taken: the second
@@ -171,9 +239,9 @@ TEST(Schedule, TransferSharedBetweenConsumersInSameCluster)
 
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(p, 0, 0));
-    ps.apply(ps.planInWindow(c1, 1, 2, 10));
-    ps.apply(ps.planInWindow(c2, 1, 2, 10));
+    placeAt(ps, p, 0, 0);
+    placeInWindow(ps, c1, 1, 2, 10);
+    placeInWindow(ps, c2, 1, 2, 10);
     // One value, one destination cluster: a single transfer.
     EXPECT_EQ(ps.stats().busTransfers + ps.stats().memTransfers, 1);
     auto v = validateSchedule(g, m, ps);
@@ -193,13 +261,14 @@ TEST(Schedule, TransferReplacedWhenConsumerNeedsItEarlier)
 
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 4);
-    ps.apply(ps.planPlacement(p, 0, 0)); // write at 1
+    placeAt(ps, p, 0, 0); // write at 1
     // A late consumer first: the transfer may arrive late.
-    ps.apply(ps.planPlacement(late, 1, 8));
+    placeAt(ps, late, 1, 8);
     int arrival_before =
         ps.transfersOf(p).at(1).arrivalCycle;
     // An earlier consumer in the same cluster forces a re-placement.
-    PlacementPlan plan = ps.planPlacement(early, 1, 2);
+    PlacementPlan plan;
+    ps.planPlacement(early, 1, 2, plan);
     ASSERT_TRUE(plan.feasible);
     ps.apply(plan);
     int arrival_after = ps.transfersOf(p).at(1).arrivalCycle;
@@ -225,9 +294,9 @@ TEST(Schedule, RegisterPressureRejectsPlacement)
 
     MachineConfig m("tiny", 2, 4, 4, 4, 4, 1, 1); // 2 regs/cluster
     PartialSchedule ps(g, m, 4);
-    ps.apply(ps.planPlacement(p, 0, 0)); // write at 1
-    EXPECT_FALSE(ps.planPlacement(c, 0, 10).feasible);
-    EXPECT_TRUE(ps.planPlacement(c, 0, 4).feasible);
+    placeAt(ps, p, 0, 0); // write at 1
+    EXPECT_FALSE(canPlace(ps, c, 0, 10));
+    EXPECT_TRUE(canPlace(ps, c, 0, 4));
 }
 
 TEST(Schedule, SelfEdgeFeasibleOnlyWhenIiCoversLatency)
@@ -240,9 +309,9 @@ TEST(Schedule, SelfEdgeFeasibleOnlyWhenIiCoversLatency)
     MachineConfig m = twoClusterConfig(32, 1);
 
     PartialSchedule tight(g, m, 2);
-    EXPECT_FALSE(tight.planPlacement(acc, 0, 0).feasible);
+    EXPECT_FALSE(canPlace(tight, acc, 0, 0));
     PartialSchedule ok(g, m, 3);
-    EXPECT_TRUE(ok.planPlacement(acc, 0, 0).feasible);
+    EXPECT_TRUE(canPlace(ok, acc, 0, 0));
 }
 
 TEST(Schedule, PlanInWindowScansBothDirections)
@@ -251,13 +320,15 @@ TEST(Schedule, PlanInWindowScansBothDirections)
     Ddg g = parallelLoop(2, lat);
     MachineConfig m("one", 1, 1, 1, 1, 32, 0, 1); // 1 INT unit
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0));
+    placeAt(ps, 0, 0, 0);
     // Upward scan skips the busy slot 0.
-    PlacementPlan up = ps.planInWindow(1, 0, 0, 4);
+    PlacementPlan up;
+    ps.planInWindow(1, 0, 0, 4, up);
     ASSERT_TRUE(up.feasible);
     EXPECT_EQ(up.cycle, 1);
     // Downward scan from 4 finds 3 -> slot 1 free.
-    PlacementPlan down = ps.planInWindow(1, 0, 4, 0);
+    PlacementPlan down;
+    ps.planInWindow(1, 0, 4, 0, down);
     ASSERT_TRUE(down.feasible);
     EXPECT_EQ(down.cycle, 3);
 }
@@ -268,9 +339,9 @@ TEST(Schedule, NegativeCyclesWrapIntoKernel)
     Ddg g = parallelLoop(2, lat);
     MachineConfig m("one", 1, 1, 1, 1, 32, 0, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, -4)); // slot 0
-    EXPECT_FALSE(ps.planPlacement(1, 0, 0).feasible);
-    EXPECT_TRUE(ps.planPlacement(1, 0, -3).feasible);
+    placeAt(ps, 0, 0, -4); // slot 0
+    EXPECT_FALSE(canPlace(ps, 1, 0, 0));
+    EXPECT_TRUE(canPlace(ps, 1, 0, -3));
 }
 
 TEST(Schedule, ScheduleLengthSpansOverheadOps)
@@ -279,8 +350,8 @@ TEST(Schedule, ScheduleLengthSpansOverheadOps)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0));
-    ps.apply(ps.planInWindow(1, 1, 3, 10));
+    placeAt(ps, 0, 0, 0);
+    placeInWindow(ps, 1, 1, 3, 10);
     // load issues at 0, consumer at 3 finishing at 6; the transfer
     // sits in between.
     EXPECT_EQ(ps.scheduleLength(), 6);
@@ -292,9 +363,11 @@ TEST(Schedule, InsertionFomPrefersTransferFreePlacement)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0));
-    PlacementPlan local = ps.planPlacement(1, 0, 2);
-    PlacementPlan remote = ps.planPlacement(1, 1, 3);
+    placeAt(ps, 0, 0, 0);
+    PlacementPlan local;
+    ps.planPlacement(1, 0, 2, local);
+    PlacementPlan remote;
+    ps.planPlacement(1, 1, 3, remote);
     ASSERT_TRUE(local.feasible);
     ASSERT_TRUE(remote.feasible);
     FigureOfMerit fl = ps.insertionFom(local);
@@ -310,8 +383,8 @@ TEST(Schedule, GlobalFomReflectsUtilization)
     PartialSchedule ps(g, m, 2);
     FigureOfMerit empty = ps.globalFom();
     EXPECT_DOUBLE_EQ(empty.maxComponent(), 0.0);
-    ps.apply(ps.planPlacement(0, 0, 0));
-    ps.apply(ps.planInWindow(1, 1, 3, 10));
+    placeAt(ps, 0, 0, 0);
+    placeInWindow(ps, 1, 1, 3, 10);
     EXPECT_GT(ps.globalFom().maxComponent(), 0.0);
 }
 
@@ -334,8 +407,8 @@ TEST(Schedule, MaxLiveTracksValueLifetime)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 4);
-    ps.apply(ps.planPlacement(0, 0, 0)); // write at 2
-    ps.apply(ps.planPlacement(1, 0, 6)); // read at 6
+    placeAt(ps, 0, 0, 0); // write at 2
+    placeAt(ps, 1, 0, 6); // read at 6
     // Live [2,6]: 5 cycles over a 4-cycle kernel -> 2 registers at
     // one slot.
     EXPECT_EQ(ps.maxLive(0), 2);
@@ -350,11 +423,49 @@ TEST(Schedule, ValidatorRejectsIncompleteSchedules)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0));
+    placeAt(ps, 0, 0, 0);
     auto v = validateSchedule(g, m, ps);
     EXPECT_FALSE(v);
     EXPECT_NE(v.message.find("not scheduled"), std::string::npos)
         << v.message;
+}
+
+TEST(Schedule, WarmPlanProbesDoNotAllocate)
+{
+    // The probed FAdd reads two values from cluster 0 and feeds a
+    // consumer already placed there, so each probe plans transfers
+    // both ways, groups edges, builds pair changes and checks the
+    // register files: every scratch buffer the probe path owns.
+    LatencyTable lat;
+    DdgBuilder b("probe", lat);
+    NodeId p1 = b.op(Opcode::Load, "p1");
+    NodeId p2 = b.op(Opcode::IAlu, "p2");
+    NodeId x = b.op(Opcode::FAdd, "x");
+    NodeId y = b.op(Opcode::FMul, "y");
+    b.flow(p1, x);
+    b.flow(p2, x);
+    b.flow(x, y);
+    b.carried(x, x, 1);
+    Ddg g = b.tripCount(10).build();
+    MachineConfig m = twoClusterConfig(32, 1);
+    PartialSchedule ps(g, m, 4);
+    placeAt(ps, p1, 0, 0);
+    placeAt(ps, p2, 0, 0);
+    placeAt(ps, y, 0, 20);
+
+    PlacementPlan plan;
+    ASSERT_TRUE(ps.planInWindow(x, 1, 0, 12, plan));
+    ASSERT_EQ(plan.transfers.size(), 3u);
+    const int warm_cycle = plan.cycle;
+
+    const long before = heapAllocations.load();
+    constexpr int kProbes = 64;
+    int feasible = 0;
+    for (int i = 0; i < kProbes; ++i)
+        feasible += ps.planInWindow(x, 1, 0, 12, plan) ? 1 : 0;
+    EXPECT_EQ(heapAllocations.load() - before, 0);
+    EXPECT_EQ(feasible, kProbes);
+    EXPECT_EQ(plan.cycle, warm_cycle);
 }
 
 using ScheduleDeathTest = ::testing::Test;
@@ -375,6 +486,6 @@ TEST(ScheduleDeathTest, DoubleSchedulePanics)
     Ddg g = pairLoop(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0));
-    EXPECT_DEATH(ps.planPlacement(0, 0, 1), "");
+    placeAt(ps, 0, 0, 0);
+    EXPECT_DEATH(canPlace(ps, 0, 0, 1), "");
 }

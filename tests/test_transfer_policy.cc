@@ -198,10 +198,12 @@ transferClassAtGap(const MachineConfig &m, int gap,
     Ddg g = b.tripCount(4).build();
 
     PartialSchedule ps(g, m, /*ii=*/8, {}, transfer_cost);
-    PlacementPlan first = ps.planPlacement(p, 0, 0);
+    PlacementPlan first;
+    ps.planPlacement(p, 0, 0, first);
     EXPECT_TRUE(first.feasible);
     ps.apply(first);
-    PlacementPlan second = ps.planPlacement(c, 1, gap);
+    PlacementPlan second;
+    ps.planPlacement(c, 1, gap, second);
     EXPECT_TRUE(second.feasible);
     EXPECT_EQ(second.transfers.size(), 1u);
     if (second.transfers.empty())

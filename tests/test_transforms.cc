@@ -7,13 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "graph/ddg_builder.hh"
 #include "machine/configs.hh"
 #include "sched/schedule.hh"
 #include "sched/transforms.hh"
 #include "sched/validate.hh"
+#include "testing/fixtures.hh"
+#include "workload/specfp.hh"
 
 using namespace gpsched;
+using namespace gpsched::testing;
 
 namespace
 {
@@ -43,6 +50,48 @@ crossPair(const LatencyTable &lat)
     return b.tripCount(10).build();
 }
 
+/** Everything a failed transformation must leave as it was. */
+struct ScheduleSnapshot
+{
+    std::vector<double> fom;
+    ScheduleStats stats;
+    std::vector<std::map<int, Transfer>> transfers;
+    std::vector<std::tuple<bool, int, int>> spills;
+    std::vector<int> maxLive;
+    int length = 0;
+};
+
+ScheduleSnapshot
+snapshot(const PartialSchedule &ps)
+{
+    ScheduleSnapshot snap;
+    FigureOfMerit fom = ps.globalFom();
+    snap.fom.assign(fom.data(), fom.data() + fom.size());
+    snap.stats = ps.stats();
+    for (NodeId v = 0; v < ps.ddg().numNodes(); ++v) {
+        snap.transfers.push_back(ps.transfersOf(v));
+        SpillInfo spill = ps.spillOf(v);
+        snap.spills.emplace_back(spill.spilled, spill.storeCycle,
+                                 spill.loadCycle);
+    }
+    for (int c = 0; c < ps.machine().numClusters(); ++c)
+        snap.maxLive.push_back(ps.maxLive(c));
+    snap.length = ps.scheduleLength();
+    return snap;
+}
+
+void
+expectSameSchedule(const ScheduleSnapshot &before,
+                   const ScheduleSnapshot &after, const char *what)
+{
+    EXPECT_EQ(before.fom, after.fom) << what;
+    EXPECT_EQ(before.stats, after.stats) << what;
+    EXPECT_EQ(before.transfers, after.transfers) << what;
+    EXPECT_EQ(before.spills, after.spills) << what;
+    EXPECT_EQ(before.maxLive, after.maxLive) << what;
+    EXPECT_EQ(before.length, after.length) << what;
+}
+
 } // namespace
 
 TEST(Transforms, SpillSplitsLongLifetime)
@@ -53,8 +102,8 @@ TEST(Transforms, SpillSplitsLongLifetime)
     // of them, saturating the file and making the spill profitable.
     MachineConfig m("tiny", 2, 4, 4, 4, 16, 1, 1);
     PartialSchedule ps(g, m, 4);
-    ps.apply(ps.planPlacement(0, 0, 0));  // write at 1
-    ps.apply(ps.planPlacement(1, 0, 30)); // read at 30
+    placeAt(ps, 0, 0, 0);  // write at 1
+    placeAt(ps, 1, 0, 30); // read at 30
     int live_before = ps.maxLive(0);
     ASSERT_GE(live_before, 2);
 
@@ -79,8 +128,8 @@ TEST(Transforms, SpillNeedsAGap)
     Ddg g = b.tripCount(10).build();
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0)); // write at 1
-    ps.apply(ps.planPlacement(1, 0, 2)); // read at 2: 1-cycle life
+    placeAt(ps, 0, 0, 0); // write at 1
+    placeAt(ps, 1, 0, 2); // read at 2: 1-cycle life
     EXPECT_FALSE(ps.trySpill(0));
 }
 
@@ -90,8 +139,8 @@ TEST(Transforms, UnspillRestoresWhenRegistersAllow)
     Ddg g = longLifetimeLoop(lat);
     MachineConfig m("tiny", 2, 4, 4, 4, 16, 1, 1);
     PartialSchedule ps(g, m, 4);
-    ps.apply(ps.planPlacement(0, 0, 0));
-    ps.apply(ps.planPlacement(1, 0, 30));
+    placeAt(ps, 0, 0, 0);
+    placeAt(ps, 1, 0, 30);
     ASSERT_TRUE(ps.trySpill(0));
     int mem_with_spill = ps.memFreeSlots(0);
 
@@ -112,8 +161,8 @@ TEST(Transforms, BusToMemFreesTheBus)
     Ddg g = crossPair(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 3);
-    ps.apply(ps.planPlacement(0, 0, 0));       // write at 1
-    ps.apply(ps.planInWindow(1, 1, 10, 20));   // plenty of slack
+    placeAt(ps, 0, 0, 0);            // write at 1
+    placeInWindow(ps, 1, 1, 10, 20); // plenty of slack
     ASSERT_EQ(ps.stats().busTransfers, 1);
     int bus_free = ps.busFreeSlots();
 
@@ -131,8 +180,8 @@ TEST(Transforms, BusToMemRefusedWithoutSlack)
     Ddg g = crossPair(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 3);
-    ps.apply(ps.planPlacement(0, 0, 0)); // write at 1
-    ps.apply(ps.planPlacement(1, 1, 2)); // use at 2: bus is tight
+    placeAt(ps, 0, 0, 0); // write at 1
+    placeAt(ps, 1, 1, 2); // use at 2: bus is tight
     ASSERT_EQ(ps.stats().busTransfers, 1);
     // CommSt(1) + CommLd(2) needs 3 cycles between write and use;
     // only 1 exists.
@@ -158,12 +207,12 @@ TEST(Transforms, BusAndMemoryTradePressure)
     Ddg g = b.tripCount(10).build();
     MachineConfig m("narrow", 2, 2, 2, 1, 32, 1, 1);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(prods[0], 0, 0));
-    ps.apply(ps.planPlacement(prods[1], 0, 0));
-    ps.apply(ps.planPlacement(prods[2], 0, 1));
-    ps.apply(ps.planInWindow(cons[0], 1, 8, 16));
-    ps.apply(ps.planInWindow(cons[1], 1, 8, 16));
-    ps.apply(ps.planInWindow(cons[2], 1, 8, 16));
+    placeAt(ps, prods[0], 0, 0);
+    placeAt(ps, prods[1], 0, 0);
+    placeAt(ps, prods[2], 0, 1);
+    placeInWindow(ps, cons[0], 1, 8, 16);
+    placeInWindow(ps, cons[1], 1, 8, 16);
+    placeInWindow(ps, cons[2], 1, 8, 16);
     ASSERT_EQ(ps.stats().busTransfers, 2); // bus full at II=2
     ASSERT_EQ(ps.stats().memTransfers, 1);
 
@@ -187,8 +236,8 @@ TEST(Transforms, EngineStopsAtFixpoint)
     Ddg g = crossPair(lat);
     MachineConfig m = twoClusterConfig(32, 1);
     PartialSchedule ps(g, m, 3);
-    ps.apply(ps.planPlacement(0, 0, 0));
-    ps.apply(ps.planInWindow(1, 1, 10, 20));
+    placeAt(ps, 0, 0, 0);
+    placeInWindow(ps, 1, 1, 10, 20);
     int first = ps.runTransformations();
     int second = ps.runTransformations();
     // A second run right after convergence must do nothing.
@@ -217,15 +266,50 @@ TEST(Transforms, SpillEnablesFurtherPlacement)
     MachineConfig m("tiny", 2, 4, 4, 4, 24, 1, 1);
     PartialSchedule sched(g, m, 4);
     for (int i = 0; i < 3; ++i)
-        sched.apply(sched.planPlacement(ps_[i], 0, i));
-    sched.apply(sched.planPlacement(cs_[0], 0, 20));
-    sched.apply(sched.planPlacement(cs_[1], 0, 21));
-    ASSERT_FALSE(sched.planPlacement(cs_[2], 0, 22).feasible);
+        placeAt(sched, ps_[i], 0, i);
+    placeAt(sched, cs_[0], 0, 20);
+    placeAt(sched, cs_[1], 0, 21);
+    ASSERT_FALSE(canPlace(sched, cs_[2], 0, 22));
 
     ASSERT_GT(sched.runTransformations(), 0);
-    PlacementPlan retry = sched.planPlacement(cs_[2], 0, 22);
+    PlacementPlan retry;
+    sched.planPlacement(cs_[2], 0, 22, retry);
     EXPECT_TRUE(retry.feasible);
     sched.apply(retry);
     auto v = validateSchedule(g, m, sched);
     EXPECT_TRUE(v) << v.message;
+}
+
+TEST(Transforms, RejectedTransformationsRestoreTheSchedule)
+{
+    // The engine tries tryMemToBus once per round because a failed
+    // try (like every other failed transformation) leaves the
+    // schedule exactly as it was. Converged SPECfp95 schedules on the
+    // Table-1 machines give every kind of try candidates that it
+    // applies, measures and then takes back.
+    LatencyTable lat;
+    const Program program = specFp95Program("tomcatv", lat);
+    int rounds_checked = 0;
+    for (const MachineConfig &m : table1Configs()) {
+        for (const Ddg &g : program.loops) {
+            std::optional<PartialSchedule> ps = scheduleLoop(g, m);
+            if (!ps)
+                continue;
+            while (ps->runTransformations() > 0) {
+            }
+            const ScheduleSnapshot before = snapshot(*ps);
+            ASSERT_EQ(ps->runTransformations(), 0);
+            expectSameSchedule(before, snapshot(*ps), m.name().c_str());
+            ++rounds_checked;
+
+            for (int c = 0; c < m.numClusters(); ++c) {
+                EXPECT_FALSE(ps->trySpill(c));
+                EXPECT_FALSE(ps->tryUnspill(c));
+            }
+            EXPECT_FALSE(ps->tryBusToMem());
+            EXPECT_FALSE(ps->tryMemToBus());
+            expectSameSchedule(before, snapshot(*ps), m.name().c_str());
+        }
+    }
+    EXPECT_GT(rounds_checked, 0);
 }

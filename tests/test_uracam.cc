@@ -149,7 +149,7 @@ TEST(Uracam, ScheduleIntoDirtyScheduleDies)
     Ddg g = chainLoop(2, lat);
     MachineConfig m = unifiedConfig(32);
     PartialSchedule ps(g, m, 2);
-    ps.apply(ps.planPlacement(0, 0, 0));
+    placeAt(ps, 0, 0, 0);
     ModuloScheduler sched(g, m);
     EXPECT_DEATH(
         sched.schedule(ps, ClusterPolicy::FreeChoice, nullptr), "");

@@ -112,6 +112,33 @@ memHeavyLoop(int loads, const LatencyTable &lat)
     return b.tripCount(10).build();
 }
 
+void
+placeAt(PartialSchedule &ps, NodeId v, int cluster, int cycle)
+{
+    PlacementPlan plan;
+    ASSERT_TRUE(ps.planPlacement(v, cluster, cycle, plan))
+        << "node " << v << " at (" << cluster << ", " << cycle << ")";
+    ps.apply(plan);
+}
+
+void
+placeInWindow(PartialSchedule &ps, NodeId v, int cluster, int from,
+              int to)
+{
+    PlacementPlan plan;
+    ASSERT_TRUE(ps.planInWindow(v, cluster, from, to, plan))
+        << "node " << v << " in cluster " << cluster << " [" << from
+        << ", " << to << "]";
+    ps.apply(plan);
+}
+
+bool
+canPlace(const PartialSchedule &ps, NodeId v, int cluster, int cycle)
+{
+    PlacementPlan plan;
+    return ps.planPlacement(v, cluster, cycle, plan);
+}
+
 std::optional<PartialSchedule>
 scheduleLoop(const Ddg &ddg, const MachineConfig &machine,
              ClusterPolicy policy, const Partition *assignment,

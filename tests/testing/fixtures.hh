@@ -46,6 +46,20 @@ Ddg diamondLoop(const LatencyTable &lat);
 Ddg memHeavyLoop(int loads, const LatencyTable &lat);
 
 /**
+ * Probes @p v at (@p cluster, @p cycle) and applies the plan; the
+ * placement must be feasible.
+ */
+void placeAt(PartialSchedule &ps, NodeId v, int cluster, int cycle);
+
+/** placeAt() at the first feasible cycle from @p from to @p to. */
+void placeInWindow(PartialSchedule &ps, NodeId v, int cluster, int from,
+                   int to);
+
+/** True when @p v can issue at (@p cluster, @p cycle). */
+bool canPlace(const PartialSchedule &ps, NodeId v, int cluster,
+              int cycle);
+
+/**
  * Schedules @p ddg completely with the given policy, raising the II
  * from MII until one attempt succeeds (up to @p max_ii_slack above
  * the flat length). Returns std::nullopt when every II fails.
