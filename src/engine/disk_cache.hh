@@ -1,7 +1,7 @@
 /**
  * @file
  * Persistent LoopKey -> CompiledLoop store, layered under the
- * in-memory ResultCache by the engine so structural dedupe survives
+ * engine's in-memory result table so structural dedupe survives
  * across processes and runs.
  *
  * Layout on disk: a two-level sharded directory —

@@ -1,6 +1,7 @@
 #include "engine/engine.hh"
 
 #include <atomic>
+#include <chrono>
 
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -36,10 +37,6 @@ serialEngineOptions()
 
 namespace
 {
-
-/** Result-cache entries and lock stripes. */
-constexpr std::size_t kCacheCapacity = 1 << 16;
-constexpr std::size_t kCacheShards = 16;
 
 /** The counters an Engine keeps in its registry. */
 constexpr const char *kEngineCounters[] = {
@@ -79,7 +76,6 @@ Engine::Engine(EngineOptions options)
       // A 1-job engine runs inline on the submitting thread.
       pool_(jobs_ <= 1 ? 0 : jobs_,
             PoolTelemetry{options.metrics, options.trace, pid_}),
-      cache_(kCacheCapacity, kCacheShards),
       ownedMetrics_(options.metrics == nullptr
                         ? std::make_unique<MetricRegistry>()
                         : nullptr),
@@ -217,77 +213,61 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
         }
     }
 
+    // One lookup decides the job's path: the first job for a key
+    // inserts a pending entry and owns the compile; a later job finds
+    // the entry and reads its shared future, finished (a memory hit)
+    // or still pending (coalesced). A failed owner sets the exception
+    // and erases its entry in one critical section, so a ready entry
+    // always holds a result and every unique key compiles once.
     LoopKey key =
         makeLoopKey(*job.loop, *job.machine, job.kind, job.options);
+    std::promise<CompiledLoop> promise;
+    std::shared_future<CompiledLoop> entry;
+    const LoopKey *ownedKey = nullptr;
+    const bool ready = probeSpan("cache-probe", "cache", [&] {
+        std::lock_guard<std::mutex> lock(resultsMutex_);
+        auto [it, inserted] = results_.try_emplace(std::move(key));
+        if (inserted) {
+            it->second = promise.get_future().share();
+            // Elements never move; only this job erases this one.
+            ownedKey = &it->first;
+            return false;
+        }
+        entry = it->second;
+        return entry.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+    });
+
     CompiledLoop result;
-    if (probeSpan("cache-probe", "cache",
-                  [&] { return cache_.lookup(key, result); })) {
-        cacheHits_->add();
-        source = CompileSource::Memory;
+    if (ownedKey == nullptr) {
+        if (ready) {
+            cacheHits_->add();
+            source = CompileSource::Memory;
+        } else {
+            coalesced_->add();
+            source = CompileSource::Coalesced;
+        }
+        // The shared future carries the owner's exception; a
+        // duplicate awaiting a failed owner observes the same
+        // CompileError instead of hanging or crashing.
+        try {
+            result = entry.get();
+        } catch (const CompileError &error) {
+            return failWith(error);
+        }
         // Names are excluded from the fingerprint; report the
         // requesting loop's name, not the first-seen shape's.
         result.loopName = job.loop->name();
         return CompileResult::success(std::move(result));
     }
 
-    // Coalesce duplicates submitted concurrently: the first job for
-    // a key becomes the owner and compiles; later ones await its
-    // shared future. The owner publishes to the cache before
-    // retiring the in-flight entry, and the re-check below runs
-    // under the in-flight lock, so a key is compiled exactly once no
-    // matter how submissions interleave.
-    std::shared_future<CompiledLoop> pending;
-    std::promise<CompiledLoop> promise;
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        if (cache_.lookup(key, result)) {
-            cacheHits_->add();
-            source = CompileSource::Memory;
-            result.loopName = job.loop->name();
-            return CompileResult::success(std::move(result));
-        }
-        auto it = inflight_.find(key.canonical);
-        if (it != inflight_.end()) {
-            pending = it->second;
-        } else {
-            inflight_.emplace(key.canonical,
-                              promise.get_future().share());
-        }
-    }
-    if (pending.valid()) {
-        coalesced_->add();
-        source = CompileSource::Coalesced;
-        // The shared future carries the owner's exception; a
-        // duplicate awaiting a failed owner observes the same
-        // CompileError instead of hanging or crashing.
-        try {
-            result = pending.get();
-        } catch (const CompileError &error) {
-            return failWith(error);
-        }
-        result.loopName = job.loop->name();
-        return CompileResult::success(std::move(result));
-    }
-
-    // Publishes an owned result: into the in-memory cache first (so
-    // waiters released by the future, and late lookups, always see
-    // it), then to coalesced waiters, then retires the in-flight
-    // entry. Shared by the disk-hit and compile paths below so the
-    // ordering-sensitive sequence exists once.
-    auto publishAndRetire = [&] {
-        cache_.insert(key, result);
-        promise.set_value(result);
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        inflight_.erase(key.canonical);
-    };
-
     // This thread owns the key. Probe the persistent layer before
     // compiling; coalesced duplicates wait on the future either way,
     // so each key touches the disk at most once per process run.
     if (disk_ &&
         probeSpan("disk-lookup", "disk",
-                  [&] { return disk_->lookup(key, result); })) {
-        publishAndRetire();
+                  [&] { return disk_->lookup(*ownedKey, result); })) {
+        promise.set_value(result);
         source = CompileSource::Disk;
         result.loopName = job.loop->name();
         return CompileResult::success(std::move(result));
@@ -298,14 +278,13 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
         LoopCompiler compiler(*job.machine, job.kind, job.options);
         result = tracedCompile(compiler);
     } catch (...) {
-        // Propagate the failure to coalesced waiters and retire the
-        // in-flight entry, or this key would stay wedged forever.
-        // Nothing is published to either cache layer: errors are
-        // not negatively cached, so a retry of this key recompiles.
-        promise.set_exception(std::current_exception());
+        // Release coalesced waiters with the failure and erase the
+        // entry: errors are not negatively cached, so a retry of
+        // this key recompiles.
         {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(key.canonical);
+            std::lock_guard<std::mutex> lock(resultsMutex_);
+            promise.set_exception(std::current_exception());
+            results_.erase(results_.find(*ownedKey));
         }
         try {
             throw;
@@ -318,11 +297,11 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
     }
     if (disk_) {
         probeSpan("disk-store", "disk", [&] {
-            disk_->store(key, result);
+            disk_->store(*ownedKey, result);
             return true;
         });
     }
-    publishAndRetire();
+    promise.set_value(result);
     return CompileResult::success(std::move(result));
 }
 
@@ -365,8 +344,13 @@ Engine::exportStats(MetricRegistry &registry) const
             for (const char *name : DiskCache::kCounters)
                 copy(name);
     }
+    std::size_t tableSize;
+    {
+        std::lock_guard<std::mutex> lock(resultsMutex_);
+        tableSize = results_.size();
+    }
     registry.gauge("engine.cacheSize")
-        .set(static_cast<std::int64_t>(cache_.size()));
+        .set(static_cast<std::int64_t>(tableSize));
     CompileTrace totals = phaseTotals();
     if (totals.empty())
         return;

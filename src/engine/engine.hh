@@ -6,8 +6,8 @@
  * ten SPECfp95 programs under multiple schemes and machines — an
  * embarrassingly parallel batch of independent (loop, machine,
  * scheme, options) jobs. The engine runs such batches on a fixed
- * thread pool and memoizes results in a fingerprint-keyed LRU cache
- * (see loop_key.hh / result_cache.hh), so repeated loop shapes across
+ * thread pool and memoizes them in one result table keyed by the
+ * job's fingerprint (see loop_key.hh), so repeated loop shapes across
  * programs, schemes and parameter sweeps are compiled once.
  *
  * Results are returned in submission order, and every per-loop
@@ -18,8 +18,8 @@
  * Failures are per-loop, never per-batch: a job whose input is
  * rejected (CompileError, support/compile_error.hh) yields a
  * CompileResult carrying the diagnostic in its submission slot while
- * every other job completes normally. Failed compiles are never
- * published to the in-memory or persistent cache (errors are not
+ * every other job completes normally. Failed compiles leave no
+ * entry in the result table and nothing on disk (errors are not
  * negatively cached — a retry of the same key recompiles), and
  * duplicates coalesced onto a failing owner observe the owner's
  * error re-labelled with their own loop name.
@@ -41,7 +41,7 @@
 
 #include "core/gp_scheduler.hh"
 #include "engine/disk_cache.hh"
-#include "engine/result_cache.hh"
+#include "engine/loop_key.hh"
 #include "engine/thread_pool.hh"
 #include "graph/ddg.hh"
 #include "machine/machine.hh"
@@ -63,7 +63,7 @@ struct EngineOptions
 
     /**
      * Persistent cache directory (engine/disk_cache.hh), layered
-     * under the in-memory cache so results survive across runs and
+     * under the result table so results survive across runs and
      * processes. Empty disables the disk layer. Requires
      * cacheEnabled.
      */
@@ -117,9 +117,9 @@ struct EngineJob
 enum class CompileSource : std::uint8_t
 {
     Compiled, ///< compiled fresh on this engine
-    Memory,   ///< in-memory ResultCache hit
+    Memory,   ///< finished entry in the engine's result table
     Disk,     ///< persistent DiskCache hit
-    Coalesced ///< awaited an identical in-flight compilation
+    Coalesced ///< awaited a pending entry of the result table
 };
 
 /** Stable JSON name: "compiled" | "memory" | "disk" | "coalesced". */
@@ -175,12 +175,12 @@ struct CompileResult
 };
 
 /**
- * Thread-pool batch scheduler with a fingerprint result cache.
+ * Thread-pool batch scheduler with a fingerprint-keyed result table.
  *
  * Lifetime counters live in metrics() only:
  *  - engine.jobsSubmitted, engine.cacheHits, engine.cacheMisses
  *    (actual compilations: every unique key compiles once);
- *  - engine.coalesced: jobs that awaited an identical in-flight
+ *  - engine.coalesced: jobs that awaited an identical pending
  *    compilation instead of compiling;
  *  - engine.failed: jobs that returned a diagnostic (a coalesced
  *    duplicate observing its owner's failure counts too; failures
@@ -242,18 +242,17 @@ class Engine
     int jobs_;
     std::uint32_t pid_; ///< trace pid; must init before pool_
     ThreadPool pool_;
-    ResultCache cache_;
 
-    /** Persistent layer under the in-memory cache; may be null. */
+    /** Persistent layer under the result table; may be null. */
     std::unique_ptr<DiskCache> disk_;
 
-    /** Compilations currently running, keyed by canonical LoopKey.
-     *  A duplicate submission awaits the owner's shared future
-     *  instead of compiling; the owner publishes to the cache before
-     *  retiring its entry, so every unique key compiles once. */
-    std::mutex inflightMutex_;
-    std::unordered_map<std::string, std::shared_future<CompiledLoop>>
-        inflight_;
+    /** Every key this engine has seen, finished or still pending.
+     *  The first job for a key inserts the entry and owns it; any
+     *  later job reads the shared future, ready (a memory hit) or
+     *  pending (coalesced). A failed owner erases its entry. */
+    mutable std::mutex resultsMutex_;
+    std::unordered_map<LoopKey, std::shared_future<CompiledLoop>>
+        results_;
 
     /** Batch-aggregated phase totals (collectPhases/trace only). */
     mutable std::mutex totalsMutex_;

@@ -8,11 +8,11 @@
  *
  * Loop and node *names* are deliberately excluded: two structurally
  * identical loops compile to identical schedules, and excluding names
- * is what lets the result cache dedupe repeated loop shapes across
- * programs, schemes and sweeps. Equality compares the canonical
- * encoding byte for byte, so a cache keyed on LoopKey can never
- * return a wrong result due to a hash collision; the 64-bit digest
- * exists for shard selection and hash-table bucketing only.
+ * is what lets the engine's result table dedupe repeated loop shapes
+ * across programs, schemes and sweeps. Equality compares the
+ * canonical encoding byte for byte, so a table keyed on LoopKey can
+ * never return a wrong result due to a hash collision; the 64-bit
+ * digest exists for hash-table bucketing and disk file names only.
  */
 
 #ifndef GPSCHED_ENGINE_LOOP_KEY_HH
@@ -36,7 +36,7 @@ struct LoopKey
     /** Exact canonical encoding; equality of jobs iff equality here. */
     std::string canonical;
 
-    /** FNV-1a digest of @c canonical (sharding / bucketing). */
+    /** FNV-1a digest of @c canonical (bucketing, file names). */
     std::uint64_t digest = 0;
 
     bool operator==(const LoopKey &other) const

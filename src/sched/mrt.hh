@@ -84,9 +84,6 @@ class ModuloReservationTable
     /** Kernel length. */
     int ii() const { return ii_; }
 
-    /** Pool size. */
-    int numUnits() const { return numUnits_; }
-
     /** Busy unit-slots summed over the kernel. */
     int usedSlots() const { return used_; }
 

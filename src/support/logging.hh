@@ -9,7 +9,6 @@
  *             (bad configuration, inconsistent parameters); exits
  *             with a non-zero status.
  * warn()   -- something is questionable but execution continues.
- * inform() -- plain status output.
  */
 
 #ifndef GPSCHED_SUPPORT_LOGGING_HH

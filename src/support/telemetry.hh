@@ -13,16 +13,13 @@
  *    by PhaseScope at phase boundaries. A default-empty context
  *    makes every span a single TLS load + branch.
  *  - GPSCHED_PHASE_SPAN(Phase): the only thing pipeline code touches.
- *    Compiled out entirely when GPSCHED_NO_TELEMETRY is defined
- *    (CMake option GPSCHED_TELEMETRY=OFF), so the disabled build is
- *    bit-for-bit free of telemetry code in the hot path.
  *  - MetricRegistry: thread-safe named counters/gauges/histograms
  *    with a stable JSON dump; the only store of the engine, disk
  *    cache and thread-pool counters.
  *
  * Telemetry never influences scheduling decisions: all of this is
- * observation-only, and schedules are bit-identical with it on, off,
- * or compiled out (pinned by test_telemetry).
+ * observation-only, and schedules are bit-identical with it on or
+ * off (pinned by test_telemetry).
  */
 
 #ifndef GPSCHED_SUPPORT_TELEMETRY_HH
@@ -260,18 +257,11 @@ void writeCompileTracePhases(JsonWriter &json, const std::string &key,
 
 } // namespace gpsched
 
-// The span macro pipeline code uses. GPSCHED_NO_TELEMETRY (CMake
-// -DGPSCHED_TELEMETRY=OFF) compiles spans out entirely.
-#ifdef GPSCHED_NO_TELEMETRY
-#define GPSCHED_PHASE_SPAN(phase)                                      \
-    do {                                                               \
-    } while (false)
-#else
+// The span macro pipeline code uses.
 #define GPSCHED_PHASE_SPAN_CONCAT2(a, b) a##b
 #define GPSCHED_PHASE_SPAN_CONCAT(a, b) GPSCHED_PHASE_SPAN_CONCAT2(a, b)
 #define GPSCHED_PHASE_SPAN(phase)                                      \
     ::gpsched::PhaseScope GPSCHED_PHASE_SPAN_CONCAT(                   \
         gpschedPhaseSpan_, __LINE__)(::gpsched::CompilePhase::phase)
-#endif
 
 #endif // GPSCHED_SUPPORT_TELEMETRY_HH

@@ -52,22 +52,4 @@ threadCpuNanos()
     return clockNanos(CLOCK_THREAD_CPUTIME_ID);
 }
 
-void
-WallTimer::start()
-{
-    startNanos_ = monotonicNanos();
-}
-
-double
-WallTimer::elapsedSeconds() const
-{
-    return static_cast<double>(elapsedNanos()) * 1e-9;
-}
-
-std::uint64_t
-WallTimer::elapsedNanos() const
-{
-    return monotonicNanos() - startNanos_;
-}
-
 } // namespace gpsched

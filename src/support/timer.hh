@@ -2,9 +2,9 @@
  * @file
  * Time measurement for the Table-2 experiment and the telemetry
  * subsystem. CpuTimer uses the per-process CPU clock so measurements
- * exclude time the process spends descheduled; WallTimer uses the
- * monotonic clock so queue-wait and I/O intervals — invisible to the
- * CPU clock — are measurable too.
+ * exclude time the process spends descheduled; monotonicNanos reads
+ * the monotonic clock so queue-wait and I/O intervals — invisible to
+ * the CPU clock — are measurable too.
  */
 
 #ifndef GPSCHED_SUPPORT_TIMER_HH
@@ -29,27 +29,6 @@ class CpuTimer
     double startSeconds_ = 0.0;
 
     static double nowSeconds();
-};
-
-/**
- * Measures elapsed wall-clock time on the monotonic clock. Unlike
- * CpuTimer this advances while the thread sleeps or waits, which is
- * exactly what queue-wait / disk-I/O spans need.
- */
-class WallTimer
-{
-  public:
-    /** Starts (or restarts) the timer. */
-    void start();
-
-    /** Returns wall seconds elapsed since start(). */
-    double elapsedSeconds() const;
-
-    /** Returns wall nanoseconds elapsed since start(). */
-    std::uint64_t elapsedNanos() const;
-
-  private:
-    std::uint64_t startNanos_ = 0;
 };
 
 /** Monotonic (CLOCK_MONOTONIC) timestamp in nanoseconds. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * The parallel compilation engine: thread pool semantics, loop
- * fingerprinting, the sharded LRU result cache, JSON writer output,
+ * fingerprinting, JSON writer output,
  * and the engine facade's two headline guarantees — bit-identical
  * results regardless of worker count, and >90% cache hit rate when
  * a suite is recompiled.
@@ -16,13 +16,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
 #include "engine/engine.hh"
 #include "engine/loop_key.hh"
-#include "engine/result_cache.hh"
 #include "engine/thread_pool.hh"
 #include "machine/configs.hh"
 #include "serialize/record.hh"
@@ -272,101 +272,19 @@ TEST(LoopKey, EverySchedulingInputChangesTheKey)
                                      defaultOptions()));
 }
 
-// --- result cache --------------------------------------------------
-
-namespace
+TEST(LoopKey, DigestCollisionsDoNotConfuseKeys)
 {
-
-LoopKey
-keyOf(const std::string &tag)
-{
-    LoopKey key;
-    key.canonical = tag;
-    key.digest = fnv1a64(tag);
-    return key;
-}
-
-CompiledLoop
-resultOf(const std::string &name, int ii)
-{
-    CompiledLoop loop;
-    loop.loopName = name;
-    loop.ii = ii;
-    return loop;
-}
-
-} // namespace
-
-TEST(ResultCache, LookupReturnsInsertedValue)
-{
-    ResultCache cache(16, 4);
-    cache.insert(keyOf("a"), resultOf("a", 3));
-    CompiledLoop out;
-    ASSERT_TRUE(cache.lookup(keyOf("a"), out));
-    EXPECT_EQ(out.ii, 3);
-    EXPECT_FALSE(cache.lookup(keyOf("b"), out));
-    // One hit, one miss, and the miss inserted nothing.
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ResultCache, EvictsLeastRecentlyUsedWithinAShard)
-{
-    // One shard of capacity 2 makes LRU order observable.
-    ResultCache cache(2, 1);
-    cache.insert(keyOf("a"), resultOf("a", 1));
-    cache.insert(keyOf("b"), resultOf("b", 2));
-    CompiledLoop out;
-    ASSERT_TRUE(cache.lookup(keyOf("a"), out)); // refresh a
-    cache.insert(keyOf("c"), resultOf("c", 3)); // evicts b
-    EXPECT_TRUE(cache.lookup(keyOf("a"), out));
-    EXPECT_FALSE(cache.lookup(keyOf("b"), out));
-    EXPECT_TRUE(cache.lookup(keyOf("c"), out));
-    // Three insertions, two entries left: exactly one eviction.
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ResultCache, DigestCollisionsDoNotConfuseKeys)
-{
-    // Two distinct keys forced into the same shard and bucket by an
-    // identical digest: the canonical string must disambiguate.
-    LoopKey a = keyOf("first");
-    LoopKey b = keyOf("second");
-    b.digest = a.digest;
-    ResultCache cache(8, 2);
-    cache.insert(a, resultOf("first", 1));
-    cache.insert(b, resultOf("second", 2));
-    CompiledLoop out;
-    ASSERT_TRUE(cache.lookup(a, out));
-    EXPECT_EQ(out.ii, 1);
-    ASSERT_TRUE(cache.lookup(b, out));
-    EXPECT_EQ(out.ii, 2);
-}
-
-TEST(ResultCache, ConcurrentMixedUseIsSafe)
-{
-    ResultCache cache(64, 8);
-    ThreadPool pool(4);
-    std::atomic<int> hits{0};
-    std::atomic<int> misses{0};
-    for (int t = 0; t < 8; ++t) {
-        pool.submit([&] {
-            for (int i = 0; i < 200; ++i) {
-                LoopKey key = keyOf("k" + std::to_string(i % 50));
-                CompiledLoop out;
-                if (cache.lookup(key, out)) {
-                    ++hits;
-                } else {
-                    ++misses;
-                    cache.insert(key, resultOf("k", i));
-                }
-            }
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(hits + misses, 8 * 200);
-    // Every key's first lookup misses.
-    EXPECT_GE(misses.load(), 50);
-    EXPECT_LE(cache.size(), 64u);
+    // Two distinct keys forced into the same bucket by an identical
+    // digest: the canonical string must disambiguate.
+    LoopKey a{"first", fnv1a64("first")};
+    LoopKey b{"second", a.digest};
+    EXPECT_NE(a, b);
+    std::unordered_map<LoopKey, int> table;
+    table.emplace(a, 1);
+    table.emplace(b, 2);
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(table.at(a), 1);
+    EXPECT_EQ(table.at(b), 2);
 }
 
 // --- JSON writer ---------------------------------------------------
@@ -670,8 +588,8 @@ latencyMismatchLoop(const std::string &name)
  * The coalescing error path, run under TSan in CI: structurally
  * identical bad loops submitted concurrently share one in-flight
  * compile; the owner's CompileError must reach every coalesced
- * duplicate (patched to the duplicate's own loop name), the
- * in-flight entry must be retired, and the failure must never be
+ * duplicate (patched to the duplicate's own loop name), the owner
+ * must erase its table entry, and the failure must never be
  * cached — a retry recompiles (no negative caching).
  */
 TEST(Engine, CoalescedDuplicatesObserveTheOwnersError)
@@ -749,6 +667,12 @@ TEST(Engine, MixedBatchIsolatesTheFailure)
     // Diagnostics carry a file:line location for triage.
     EXPECT_NE(results[1].error->location().find(".cc:"),
               std::string::npos);
+
+    // The failed key leaves no entry behind: only the two good keys
+    // stay in the result table.
+    MetricRegistry exported;
+    engine.exportStats(exported);
+    EXPECT_EQ(exported.gauge("engine.cacheSize").value(), 2);
 }
 
 // --- the engine's counter store -------------------------------------
@@ -788,6 +712,8 @@ TEST(EngineMetrics, CallerRegistrySeesCountersWithoutExport)
     engine.exportStats(registry);
     EXPECT_EQ(count("engine.jobsSubmitted"), batch.size());
     EXPECT_EQ(count("engine.cacheMisses"), 2u);
+    // The table holds one entry per distinct key.
+    EXPECT_EQ(registry.gauge("engine.cacheSize").value(), 2);
 }
 
 /** Without a caller registry the counters still count, into the

@@ -125,9 +125,6 @@ TEST(PhaseScope, NoContextIsANoop)
 
 TEST(PhaseScope, AccumulatesIntoAmbientTrace)
 {
-#ifdef GPSCHED_NO_TELEMETRY
-    GTEST_SKIP() << "phase spans compiled out (GPSCHED_TELEMETRY=OFF)";
-#endif
     CompileTrace trace;
     TelemetryContext ctx;
     ctx.trace = &trace;
@@ -149,9 +146,6 @@ TEST(PhaseScope, AccumulatesIntoAmbientTrace)
 
 TEST(PhaseScope, ScopedContextRestoresOnExit)
 {
-#ifdef GPSCHED_NO_TELEMETRY
-    GTEST_SKIP() << "phase spans compiled out (GPSCHED_TELEMETRY=OFF)";
-#endif
     CompileTrace outer;
     TelemetryContext outerCtx;
     outerCtx.trace = &outer;
@@ -172,9 +166,6 @@ TEST(PhaseScope, ScopedContextRestoresOnExit)
 
 TEST(PhaseScope, TracedPhasesEmitChromeEvents)
 {
-#ifdef GPSCHED_NO_TELEMETRY
-    GTEST_SKIP() << "phase spans compiled out (GPSCHED_TELEMETRY=OFF)";
-#endif
     TraceSink sink;
     TelemetryContext ctx;
     ctx.sink = &sink;
@@ -258,12 +249,10 @@ TEST(EngineTelemetry, CollectPhasesPopulatesResultAndTotals)
     EXPECT_FALSE(fresh.trace.empty());
     EXPECT_EQ(fresh.trace.compiles, 1u);
     EXPECT_GE(fresh.trace.wallNanos, 0u);
-#ifndef GPSCHED_NO_TELEMETRY
     EXPECT_GE(
         fresh.trace.phase(CompilePhase::ModuloSchedule).count, 1u);
     EXPECT_GE(fresh.trace.phase(CompilePhase::Mii).count, 1u);
     EXPECT_GE(fresh.trace.phase(CompilePhase::Coarsen).count, 1u);
-#endif
 
     // A cache hit did no new work: its trace is empty, but the
     // engine-wide totals keep the original compile.
@@ -376,11 +365,9 @@ TEST(EngineTelemetry, ExportStatsMirrorsCountersAndPhases)
     EXPECT_EQ(registry.counter("engine.cacheHits").value(), 1u);
     EXPECT_EQ(registry.counter("engine.cacheMisses").value(), 2u);
     EXPECT_EQ(registry.counter("phase.compile.count").value(), 2u);
-#ifndef GPSCHED_NO_TELEMETRY
     EXPECT_GT(
         registry.counter("phase.moduloSchedule.wallMicros").value(),
         0u);
-#endif
 
     // Exports are snapshots: a second export must not double-count.
     engine.exportStats(registry);
