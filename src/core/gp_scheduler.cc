@@ -6,7 +6,6 @@
 #include "graph/ddg_analysis.hh"
 #include "sched/list_sched.hh"
 #include "sched/mii.hh"
-#include "support/arena.hh"
 #include "support/compile_error.hh"
 #include "support/logging.hh"
 #include "support/telemetry.hh"
@@ -181,18 +180,13 @@ LoopCompiler::compile(const Ddg &ddg) const
 
     const bool partitioned = kind_ != SchedulerKind::Uracam &&
                              machine_.numClusters() > 1;
-    // One arena per compile: every II attempt resets it (retaining
-    // the grown chunks), so the steady state of the II search does no
-    // heap allocation for schedule/partition scratch. Partition
-    // results stay heap-backed and survive resets.
-    CompileArena arena;
     GpPartitioner partitioner(machine_, options_.partitioner);
     GpPartitionResult part{Partition(ddg.numNodes(),
                                      machine_.numClusters()),
                            0,
                            {}};
     if (partitioned) {
-        part = partitioner.run(ddg, mii, &arena);
+        part = partitioner.run(ddg, mii);
         ++out.partitionRuns;
     }
 
@@ -207,16 +201,12 @@ LoopCompiler::compile(const Ddg &ddg) const
     int ii = mii;
     while (ii <= max_ii) {
         ++out.scheduleAttempts;
-        // No arena-backed object from the previous attempt is alive
-        // here: ps destructs at the end of each iteration and the
-        // mid-loop repartition below only appends to the arena.
-        arena.reset();
         PartialSchedule ps(ddg, machine_, ii,
                            partitioned
                                ? plannedMemOps(ddg, machine_,
                                                part.partition)
                                : std::vector<int>{},
-                           options_.transferCost, &arena);
+                           options_.transferCost);
         const Partition *assignment =
             partitioned ? &part.partition : nullptr;
         ClusterPolicy attempt_policy =
@@ -265,7 +255,7 @@ LoopCompiler::compile(const Ddg &ddg) const
         }
         if (kind_ == SchedulerKind::Gp && partitioned &&
             ii <= max_ii && recompute) {
-            part = partitioner.run(ddg, ii, &arena);
+            part = partitioner.run(ddg, ii);
             ++out.partitionRuns;
         }
     }

@@ -219,8 +219,10 @@ DiskCache::store(const LoopKey &key, const CompiledLoop &value)
             return;
         out.write(record.data(),
                   static_cast<std::streamsize>(record.size()));
+        // The final flush happens in close(); a short write there
+        // must not reach the rename below.
+        out.close();
         if (!out) {
-            out.close();
             fs::remove(temp, ec);
             return;
         }

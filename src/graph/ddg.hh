@@ -165,9 +165,6 @@ class Ddg
     /** Number of nodes executing on functional-unit class @p cls. */
     int numOps(FuClass cls) const;
 
-    /** Number of loads + stores. */
-    int numMemOps() const { return numOps(FuClass::Mem); }
-
     /** Sum of FU occupancy of ops of @p cls under @p latencies. */
     int totalOccupancy(FuClass cls, const LatencyTable &latencies) const;
 

@@ -175,15 +175,6 @@ MachineConfig::regsPerCluster() const
     return clusters_[0].regs;
 }
 
-int
-MachineConfig::issueWidthPerCluster() const
-{
-    GPSCHED_ASSERT(homogeneous(),
-                   "issueWidthPerCluster on heterogeneous machine '",
-                   name_, "'; use issueWidthOfCluster(c)");
-    return clusters_[0].issueWidth();
-}
-
 const BusDesc &
 MachineConfig::busClass(int i) const
 {
@@ -210,13 +201,6 @@ MachineConfig::busLatency() const
 }
 
 int
-MachineConfig::minBusLatency() const
-{
-    // Classes are sorted by ascending latency.
-    return buses_.empty() ? 1 : buses_.front().latency;
-}
-
-int
 MachineConfig::maxBusLatency() const
 {
     return buses_.empty() ? 1 : buses_.back().latency;
@@ -233,46 +217,15 @@ MachineConfig::expectedBusLatency() const
     //
     //   sum_i cap_i * lat_i / sum_i cap_i  =  numBuses / sum_i cap_i.
     //
-    // Exactly the class latency when one class exists, so homogeneous
-    // fabrics (every Table-1 machine) are unaffected by heuristics
-    // switching from minBusLatency() to this model.
+    // Exactly the class latency when one class exists, so on
+    // homogeneous fabrics (every Table-1 machine) this model and the
+    // fastest class's latency coincide.
     double capacity = 0.0;
     for (const BusDesc &bus : buses_)
         capacity += static_cast<double>(bus.count) / bus.latency;
     double expected = static_cast<double>(numBuses()) / capacity;
     int rounded = static_cast<int>(expected + 0.5);
     return std::max(1, rounded);
-}
-
-MachineConfig
-MachineConfig::withTotalRegs(int regs, const std::string &name) const
-{
-    GPSCHED_ASSERT(homogeneous(),
-                   "withTotalRegs on heterogeneous machine '", name_,
-                   "'");
-    const int num_clusters = numClusters();
-    if (regs < num_clusters || regs % num_clusters != 0)
-        GPSCHED_FATAL("total registers (", regs,
-                      ") must divide evenly among ", num_clusters,
-                      " clusters");
-    std::vector<ClusterDesc> clusters = clusters_;
-    for (ClusterDesc &cl : clusters)
-        cl.regs = regs / num_clusters;
-    MachineConfig copy(name, std::move(clusters), buses_);
-    copy.latencies_ = latencies_;
-    return copy;
-}
-
-MachineConfig
-MachineConfig::withBusLatency(int latency) const
-{
-    GPSCHED_ASSERT(buses_.size() == 1,
-                   "withBusLatency needs exactly one bus class");
-    std::vector<BusDesc> buses = buses_;
-    buses[0].latency = latency;
-    MachineConfig copy(name_, clusters_, std::move(buses));
-    copy.latencies_ = latencies_;
-    return copy;
 }
 
 MachineConfig

@@ -155,9 +155,6 @@ class MachineConfig
     /** Registers in one (any) cluster's register file. */
     int regsPerCluster() const;
 
-    /** Issue slots of one (any) cluster. */
-    int issueWidthPerCluster() const;
-
     // --- buses ---------------------------------------------------------
 
     /** Number of bus classes (0 only on unified machines). */
@@ -182,9 +179,6 @@ class MachineConfig
      */
     int busLatency() const;
 
-    /** Fastest bus latency (1 on bus-less machines; heuristics). */
-    int minBusLatency() const;
-
     /** Slowest bus latency (1 on bus-less machines; heuristics). */
     int maxBusLatency() const;
 
@@ -205,15 +199,6 @@ class MachineConfig
 
     /** Mutable access for configuration tweaks. */
     LatencyTable &latencies() { return latencies_; }
-
-    /**
-     * Returns a copy renamed to @p name with @p regs total registers
-     * (homogeneous machines only; regs must divide evenly).
-     */
-    MachineConfig withTotalRegs(int regs, const std::string &name) const;
-
-    /** Returns a copy with @p latency bus latency (single class only). */
-    MachineConfig withBusLatency(int latency) const;
 
     /** Returns a copy with @p buses replacing the bus classes. */
     MachineConfig withBusClasses(std::vector<BusDesc> buses,

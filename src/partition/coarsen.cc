@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "support/arena.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -27,7 +26,7 @@ struct CombEdge
  * order-independent, so results are bit-identical to the map path.
  */
 void
-combineEdges(ArenaVector<CombEdge> &comb, std::vector<MatchEdge> &out)
+combineEdges(std::vector<CombEdge> &comb, std::vector<MatchEdge> &out)
 {
     std::sort(comb.begin(), comb.end(),
               [](const CombEdge &x, const CombEdge &y) {
@@ -52,8 +51,7 @@ combineEdges(ArenaVector<CombEdge> &comb, std::vector<MatchEdge> &out)
 
 CoarseLevel
 CoarseningHierarchy::buildFinestLevel(
-    const Ddg &ddg, const std::vector<std::int64_t> &edge_weights,
-    CompileArena *arena)
+    const Ddg &ddg, const std::vector<std::int64_t> &edge_weights)
 {
     CoarseLevel level;
     const int n = ddg.numNodes();
@@ -64,7 +62,7 @@ CoarseningHierarchy::buildFinestLevel(
         level.coarseOf[v] = v;
     }
 
-    ArenaVector<CombEdge> comb(arena);
+    std::vector<CombEdge> comb;
     comb.reserve(ddg.numEdges());
     for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
         const auto &edge = ddg.edge(e);
@@ -80,8 +78,7 @@ CoarseningHierarchy::buildFinestLevel(
 
 CoarseLevel
 CoarseningHierarchy::contract(const CoarseLevel &level,
-                              const std::vector<int> &pair_of,
-                              CompileArena *arena)
+                              const std::vector<int> &pair_of)
 {
     const int n = level.numNodes();
     // Assign new ids: matched pairs share one id; the lower index of
@@ -119,7 +116,7 @@ CoarseningHierarchy::contract(const CoarseLevel &level,
     for (std::size_t orig = 0; orig < level.coarseOf.size(); ++orig)
         out.coarseOf[orig] = newId[level.coarseOf[orig]];
 
-    ArenaVector<CombEdge> comb(arena);
+    std::vector<CombEdge> comb;
     comb.reserve(level.edges.size());
     for (const auto &e : level.edges) {
         int a = newId[e.a];
@@ -135,15 +132,14 @@ CoarseningHierarchy::contract(const CoarseLevel &level,
 
 CoarseningHierarchy::CoarseningHierarchy(
     const Ddg &ddg, const std::vector<std::int64_t> &edge_weights,
-    int target_nodes, MatchingPolicy policy, Rng &rng,
-    CompileArena *arena)
+    int target_nodes, MatchingPolicy policy, Rng &rng)
 {
     GPSCHED_ASSERT(static_cast<int>(edge_weights.size()) ==
                        ddg.numEdges(),
                    "edge weight vector size mismatch");
     GPSCHED_ASSERT(target_nodes >= 1, "bad coarsening target");
 
-    levels_.push_back(buildFinestLevel(ddg, edge_weights, arena));
+    levels_.push_back(buildFinestLevel(ddg, edge_weights));
 
     while (levels_.back().numNodes() > target_nodes) {
         const CoarseLevel &level = levels_.back();
@@ -191,7 +187,7 @@ CoarseningHierarchy::CoarseningHierarchy(
             pairOf[bySize[1]] = bySize[0];
         }
 
-        levels_.push_back(contract(level, pairOf, arena));
+        levels_.push_back(contract(level, pairOf));
         GPSCHED_ASSERT(levels_.back().numNodes() <
                            levels_[levels_.size() - 2].numNodes(),
                        "coarsening made no progress");

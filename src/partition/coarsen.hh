@@ -25,8 +25,6 @@
 namespace gpsched
 {
 
-class CompileArena;
-
 /** One level of the coarsening hierarchy. */
 struct CoarseLevel
 {
@@ -58,14 +56,11 @@ class CoarseningHierarchy
      * @param edge_weights per-original-edge weight (Section 3.2.1)
      * @param policy matching policy for each step
      * @param rng randomness source (RandomMaximal policy only)
-     * @param arena optional per-compile arena for coarsening scratch
-     *        (edge-combining buffers); must outlive the constructor
-     *        call only — the hierarchy itself stays heap-backed.
      */
     CoarseningHierarchy(const Ddg &ddg,
                         const std::vector<std::int64_t> &edge_weights,
                         int target_nodes, MatchingPolicy policy,
-                        Rng &rng, CompileArena *arena = nullptr);
+                        Rng &rng);
 
     /** levels()[0] is the original graph; back() is the coarsest. */
     const std::vector<CoarseLevel> &levels() const { return levels_; }
@@ -77,11 +72,9 @@ class CoarseningHierarchy
     std::vector<CoarseLevel> levels_;
 
     static CoarseLevel buildFinestLevel(
-        const Ddg &ddg, const std::vector<std::int64_t> &edge_weights,
-        CompileArena *arena);
+        const Ddg &ddg, const std::vector<std::int64_t> &edge_weights);
     static CoarseLevel contract(const CoarseLevel &level,
-                                const std::vector<int> &pair_of,
-                                CompileArena *arena);
+                                const std::vector<int> &pair_of);
 };
 
 } // namespace gpsched

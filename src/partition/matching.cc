@@ -60,12 +60,24 @@ void
 augmentPairs(int num_vertices, const std::vector<MatchEdge> &edges,
              std::vector<int> &picked)
 {
-    // adjacency: for each vertex, candidate edge indices.
-    std::vector<std::vector<int>> adj(num_vertices);
+    // Adjacency, flattened: vertex v's candidate edge indices, in
+    // ascending order, are adjEdges[adjStart[v] .. adjStart[v + 1]).
+    // Three buffers instead of one growing vector per vertex.
+    std::vector<int> adjStart(num_vertices + 1, 0);
+    for (const auto &e : edges) {
+        if (e.a != e.b) {
+            ++adjStart[e.a + 1];
+            ++adjStart[e.b + 1];
+        }
+    }
+    std::partial_sum(adjStart.begin(), adjStart.end(),
+                     adjStart.begin());
+    std::vector<int> adjEdges(adjStart.back());
+    std::vector<int> adjFill(adjStart.begin(), adjStart.end() - 1);
     for (std::size_t i = 0; i < edges.size(); ++i) {
         if (edges[i].a != edges[i].b) {
-            adj[edges[i].a].push_back(static_cast<int>(i));
-            adj[edges[i].b].push_back(static_cast<int>(i));
+            adjEdges[adjFill[edges[i].a]++] = static_cast<int>(i);
+            adjEdges[adjFill[edges[i].b]++] = static_cast<int>(i);
         }
     }
 
@@ -91,7 +103,9 @@ augmentPairs(int num_vertices, const std::vector<MatchEdge> &edges,
             // the other endpoint and with both other ends free.
             auto bestAt = [&](int vertex, int avoid) {
                 int best = -1;
-                for (int cand : adj[vertex]) {
+                for (int k = adjStart[vertex]; k < adjStart[vertex + 1];
+                     ++k) {
+                    const int cand = adjEdges[k];
                     if (cand == dropIdx)
                         continue;
                     const auto &ce = edges[cand];

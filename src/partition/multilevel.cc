@@ -105,7 +105,7 @@ GpPartitioner::assignCapacityBalanced(const Ddg &ddg,
 }
 
 GpPartitionResult
-GpPartitioner::run(const Ddg &ddg, int ii, CompileArena *arena) const
+GpPartitioner::run(const Ddg &ddg, int ii) const
 {
     GPSCHED_ASSERT(ii >= 1, "partitioner needs II >= 1");
     const int clusters = machine_.numClusters();
@@ -141,7 +141,7 @@ GpPartitioner::run(const Ddg &ddg, int ii, CompileArena *arena) const
     {
         GPSCHED_PHASE_SPAN(Coarsen);
         hierarchyStorage.emplace(ddg, weights, clusters,
-                                 options_.matching, rng, arena);
+                                 options_.matching, rng);
     }
     const CoarseningHierarchy &hierarchy = *hierarchyStorage;
 
@@ -192,7 +192,7 @@ GpPartitioner::run(const Ddg &ddg, int ii, CompileArena *arena) const
     {
         GPSCHED_PHASE_SPAN(Refine);
         PartitionRefiner refiner(ddg, machine_, ii, weights,
-                                 options_.registerAware, arena, &sccs);
+                                 options_.registerAware, &sccs);
         const auto &levels = hierarchy.levels();
         for (auto it = levels.rbegin(); it != levels.rend(); ++it)
             refiner.refineLevel(*it, partition);

@@ -54,8 +54,6 @@ struct GpPartitionResult
     PartitionEstimate estimate;
 };
 
-class CompileArena;
-
 /** Multilevel cluster assignment for modulo scheduling. */
 class GpPartitioner
 {
@@ -64,14 +62,8 @@ class GpPartitioner
     explicit GpPartitioner(const MachineConfig &machine,
                            GpPartitionerOptions options = {});
 
-    /**
-     * Partitions @p ddg for initiation interval @p ii. @p arena, when
-     * given, backs the run's internal scratch (coarsening tables,
-     * refiner occupancy); the returned result is always heap-backed
-     * and survives an arena reset.
-     */
-    GpPartitionResult run(const Ddg &ddg, int ii,
-                          CompileArena *arena = nullptr) const;
+    /** Partitions @p ddg for initiation interval @p ii. */
+    GpPartitionResult run(const Ddg &ddg, int ii) const;
 
   private:
     const MachineConfig &machine_;

@@ -29,12 +29,10 @@ struct Change
 PartitionRefiner::PartitionRefiner(
     const Ddg &ddg, const MachineConfig &machine, int ii,
     const std::vector<std::int64_t> &static_weights,
-    bool register_aware, CompileArena *arena,
-    const SccDecomposition *sccs)
+    bool register_aware, const SccDecomposition *sccs)
     : ddg_(ddg), machine_(machine), ii_(ii),
       staticWeights_(static_weights),
-      estimator_(ddg, machine, ii, register_aware, sccs),
-      macroOcc_(arena), clusterOcc_(arena)
+      estimator_(ddg, machine, ii, register_aware, sccs)
 {
     GPSCHED_ASSERT(static_cast<int>(static_weights.size()) ==
                        ddg.numEdges(),

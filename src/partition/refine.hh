@@ -40,7 +40,6 @@
 #include "partition/coarsen.hh"
 #include "partition/estimator.hh"
 #include "partition/partition.hh"
-#include "support/arena.hh"
 
 namespace gpsched
 {
@@ -56,8 +55,6 @@ class PartitionRefiner
      * @param register_aware enables the register-pressure term of
      *        the estimator (paper Section 4.2 future work; off
      *        reproduces the paper).
-     * @param arena optional per-compile arena for the refiner's
-     *        scratch tables; must outlive the refiner (null = heap).
      * @param sccs optional precomputed SCC decomposition of @p ddg,
      *        shared with the refiner's estimator (null = the
      *        estimator computes its own).
@@ -66,7 +63,6 @@ class PartitionRefiner
                      int ii,
                      const std::vector<std::int64_t> &static_weights,
                      bool register_aware = false,
-                     CompileArena *arena = nullptr,
                      const SccDecomposition *sccs = nullptr);
 
     /**
@@ -89,14 +85,14 @@ class PartitionRefiner
      * within a level) so the passes' inner loops read a table
      * instead of re-walking member lists.
      */
-    mutable ArenaVector<int> macroOcc_;
+    mutable std::vector<int> macroOcc_;
 
     /**
      * Pass-local (cluster, FU class) occupancy table, flattened
      * cluster-major; reused across passes and levels so the steady
      * state allocates nothing.
      */
-    mutable ArenaVector<int> clusterOcc_;
+    mutable std::vector<int> clusterOcc_;
 
     /** Fills clusterOcc_ from @p partition. */
     void computeClusterOccupancy(const Partition &partition) const;

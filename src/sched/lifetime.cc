@@ -58,9 +58,8 @@ ReadEvents::lastAfterMove(int from, int to) const
     return std::max(rest, to);
 }
 
-LifetimeTracker::LifetimeTracker(int num_regs, int ii,
-                                 CompileArena *arena)
-    : numRegs_(num_regs), ii_(ii), live_(arena), scratch_(arena)
+LifetimeTracker::LifetimeTracker(int num_regs, int ii)
+    : numRegs_(num_regs), ii_(ii)
 {
     GPSCHED_ASSERT(num_regs >= 0, "negative register count");
     GPSCHED_ASSERT(ii >= 1, "II must be >= 1");

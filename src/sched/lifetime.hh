@@ -17,7 +17,6 @@
 #include <initializer_list>
 #include <vector>
 
-#include "support/arena.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -121,13 +120,8 @@ class ReadEvents
 class LifetimeTracker
 {
   public:
-    /**
-     * @param num_regs register-file size; @param ii kernel length;
-     * @param arena optional per-compile backing store for the count
-     *        tables (null = heap).
-     */
-    LifetimeTracker(int num_regs, int ii,
-                    CompileArena *arena = nullptr);
+    /** @param num_regs register-file size; @param ii kernel length. */
+    LifetimeTracker(int num_regs, int ii);
 
     /** Adds a live segment. */
     void add(const LiveSegment &seg);
@@ -146,7 +140,7 @@ class LifetimeTracker
     bool
     fitsWithDiff(const Removed &removed, const Added &added) const
     {
-        scratch_.assign(live_.data(), live_.size());
+        scratch_.assign(live_.begin(), live_.end());
         int *counts = scratch_.data();
         for (const LiveSegment &seg : removed)
             cover(seg, counts, ii_, -1);
@@ -174,14 +168,14 @@ class LifetimeTracker
     int numRegs_;
     int ii_;
     int used_ = 0;
-    ArenaVector<int> live_;
+    std::vector<int> live_;
 
     /**
      * fitsWithDiff() working copy (mutable: the query is pure).
      * Reassigned, never shrunk, per call; single-threaded like the
      * schedule that owns the tracker.
      */
-    mutable ArenaVector<int> scratch_;
+    mutable std::vector<int> scratch_;
 
     /** Applies +delta to every slot covered by @p seg. */
     void apply(const LiveSegment &seg, int delta);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 
-#include "support/arena.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -49,30 +48,24 @@ splitRange(int s0, int len, int ii, Lin parts[2])
 } // namespace
 
 void
-ModuloReservationTable::attachStorage(int total, CompileArena *arena)
+ModuloReservationTable::attachStorage(int total)
 {
     if (total <= kInlineWords) {
         planes_ = inline_;
-        return;
-    }
-    if (arena != nullptr) {
-        planes_ = arena->makeArray<std::uint64_t>(
-            static_cast<std::size_t>(total));
         return;
     }
     heap_.assign(static_cast<std::size_t>(total), 0);
     planes_ = heap_.data();
 }
 
-ModuloReservationTable::ModuloReservationTable(int num_units, int ii,
-                                               CompileArena *arena)
+ModuloReservationTable::ModuloReservationTable(int num_units, int ii)
     : numUnits_(num_units), ii_(ii)
 {
     GPSCHED_ASSERT(num_units >= 0, "negative unit count");
     GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
     words_ = (ii + 63) / 64;
     const int total = numUnits_ * words_;
-    attachStorage(total, arena);
+    attachStorage(total);
     std::fill(planes_, planes_ + total, 0);
 }
 
@@ -82,7 +75,7 @@ ModuloReservationTable::ModuloReservationTable(
       words_(other.words_)
 {
     const int total = numUnits_ * words_;
-    attachStorage(total, nullptr);
+    attachStorage(total);
     std::copy(other.planes_, other.planes_ + total, planes_);
 }
 
@@ -96,7 +89,7 @@ ModuloReservationTable::operator=(const ModuloReservationTable &other)
     used_ = other.used_;
     words_ = other.words_;
     const int total = numUnits_ * words_;
-    attachStorage(total, nullptr);
+    attachStorage(total);
     std::copy(other.planes_, other.planes_ + total, planes_);
     return *this;
 }

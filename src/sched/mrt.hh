@@ -37,8 +37,6 @@
 namespace gpsched
 {
 
-class CompileArena;
-
 /** Euclidean modulo: result always in [0, m). */
 inline int
 wrapSlot(int cycle, int m)
@@ -51,13 +49,8 @@ wrapSlot(int cycle, int m)
 class ModuloReservationTable
 {
   public:
-    /**
-     * @param num_units pool size; @param ii kernel length;
-     * @param arena optional backing for tables too large for the
-     *        inline buffer (per-compile arena; null = heap).
-     */
-    ModuloReservationTable(int num_units, int ii,
-                           CompileArena *arena = nullptr);
+    /** @param num_units pool size; @param ii kernel length. */
+    ModuloReservationTable(int num_units, int ii);
 
     ModuloReservationTable(const ModuloReservationTable &other);
     ModuloReservationTable &
@@ -100,8 +93,7 @@ class ModuloReservationTable
     /**
      * 128 inline bytes cover every pool the Table-1 presets and the
      * .machine corpus build (units * ceil(II/64) <= 16), keeping
-     * probe copies allocation-free; larger tables spill to the
-     * arena (or heap without one).
+     * probe copies allocation-free; larger tables spill to heap_.
      */
     static constexpr int kInlineWords = 16;
 
@@ -112,7 +104,7 @@ class ModuloReservationTable
 
     std::uint64_t *planes_; ///< numUnits_ planes of words_ words
     std::uint64_t inline_[kInlineWords];
-    std::vector<std::uint64_t> heap_; ///< overflow without an arena
+    std::vector<std::uint64_t> heap_; ///< overflow past inline_
 
     std::uint64_t *plane(int l) { return planes_ + l * words_; }
     const std::uint64_t *
@@ -122,7 +114,7 @@ class ModuloReservationTable
     }
 
     /** Points planes_ at storage for @p total words. */
-    void attachStorage(int total, CompileArena *arena);
+    void attachStorage(int total);
 
     /** Adds one busy unit to every slot in [s0, s0+len) mod II. */
     void incrementRange(int s0, int len);

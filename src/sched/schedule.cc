@@ -47,13 +47,9 @@ usedPct(int used, int total)
 PartialSchedule::PartialSchedule(const Ddg &ddg,
                                  const MachineConfig &machine, int ii,
                                  std::vector<int> planned_mem_per_cluster,
-                                 TransferCostPolicy transfer_cost,
-                                 CompileArena *arena)
+                                 TransferCostPolicy transfer_cost)
     : ddg_(ddg), machine_(machine), ii_(ii),
-      transferCost_(transfer_cost), crossInScratch_(arena),
-      crossOutScratch_(arena), ownEventsScratch_(arena),
-      touchedScratch_(arena), removedScratch_(arena),
-      addedScratch_(arena), actionScratch_(arena),
+      transferCost_(transfer_cost),
       plannedMemOps_(std::move(planned_mem_per_cluster))
 {
     GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
@@ -70,18 +66,17 @@ PartialSchedule::PartialSchedule(const Ddg &ddg,
     claimedBusScratch_.resize(machine_.numBusClasses());
     busMrts_.reserve(machine_.numBusClasses());
     for (int i = 0; i < machine_.numBusClasses(); ++i)
-        busMrts_.emplace_back(machine_.busClass(i).count, ii, arena);
+        busMrts_.emplace_back(machine_.busClass(i).count, ii);
     fuMrt_.reserve(num_clusters * numFuClasses);
     for (int c = 0; c < num_clusters; ++c) {
         for (int cls = 0; cls < numFuClasses; ++cls) {
             fuMrt_.emplace_back(
-                machine_.fuInCluster(c, static_cast<FuClass>(cls)),
-                ii, arena);
+                machine_.fuInCluster(c, static_cast<FuClass>(cls)), ii);
         }
     }
     regs_.reserve(num_clusters);
     for (int c = 0; c < num_clusters; ++c)
-        regs_.emplace_back(machine_.regsInCluster(c), ii, arena);
+        regs_.emplace_back(machine_.regsInCluster(c), ii);
     overheadMemOps_.assign(num_clusters, 0);
     origMemOpsTotal_ =
         ddg_.totalOccupancy(FuClass::Mem, machine_.latencies());
@@ -549,8 +544,8 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle,
     // Cross-cluster edges keyed by producer, grouped in
     // ascending node order. inEdges lists ascending edge ids, so
     // sorting the pairs keeps the edge order within a producer.
-    ArenaVector<KeyedEdge> &cross_in = crossInScratch_;
-    ArenaVector<int> &own_events = ownEventsScratch_; // reads of v
+    std::vector<KeyedEdge> &cross_in = crossInScratch_;
+    std::vector<int> &own_events = ownEventsScratch_; // reads of v
     cross_in.clear();
     own_events.clear();
     for (EdgeId eid : ddg_.inEdges(v)) {
@@ -617,7 +612,7 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle,
 
     // --- 4. outgoing values to already-scheduled consumers -------------
     // Edges keyed by destination cluster, grouped like cross_in above.
-    ArenaVector<KeyedEdge> &cross_out = crossOutScratch_;
+    std::vector<KeyedEdge> &cross_out = crossOutScratch_;
     cross_out.clear();
     auto use_of = [&](EdgeId eid) {
         const DdgEdge &e = ddg_.edge(eid);
@@ -666,7 +661,7 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle,
     // Flat (value, cluster) -> delta table: the handful of touched
     // pairs per plan makes a linear probe plus one final sort cheaper
     // than a std::map, with the same sorted-key iteration.
-    ArenaVector<PairDelta> &touched = touchedScratch_;
+    std::vector<PairDelta> &touched = touchedScratch_;
     touched.clear();
     auto touch = [&](NodeId val, int cl) -> PairDelta & {
         for (PairDelta &delta : touched) {
@@ -753,8 +748,8 @@ PartialSchedule::planPlacement(NodeId v, int cluster, int cycle,
     }
 
     // --- 6. register feasibility per cluster ---------------------------
-    ArenaVector<LiveSegment> &removed = removedScratch_;
-    ArenaVector<LiveSegment> &added = addedScratch_;
+    std::vector<LiveSegment> &removed = removedScratch_;
+    std::vector<LiveSegment> &added = addedScratch_;
     for (int c = 0; c < num_clusters; ++c) {
         removed.clear();
         added.clear();

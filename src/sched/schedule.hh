@@ -206,16 +206,12 @@ class PartialSchedule
      * @param transfer_cost bus-class transfer cost model (defaults
      *        to the slack-aware policy; irrelevant on single-bus-class
      *        machines, where both policies coincide)
-     * @param arena optional per-compile arena backing the reservation
-     *        tables and lifetime trackers; must outlive the schedule
-     *        and must not be reset while it is alive (null = heap)
      */
     PartialSchedule(const Ddg &ddg, const MachineConfig &machine,
                     int ii,
                     std::vector<int> planned_mem_per_cluster = {},
                     TransferCostPolicy transfer_cost =
-                        TransferCostPolicy::SlackAware,
-                    CompileArena *arena = nullptr);
+                        TransferCostPolicy::SlackAware);
 
     /** Initiation interval. */
     int ii() const { return ii_; }
@@ -412,21 +408,20 @@ class PartialSchedule
     /**
      * Probe scratch (mutable: planPlacement() and planTransfer() are
      * const feasibility probes). Cleared, never shrunk, on each call,
-     * so the steady state allocates nothing; arena-backed when the
-     * schedule has an arena. Safe because a PartialSchedule is only
-     * ever driven from one thread.
+     * so the steady state allocates nothing. Safe because a
+     * PartialSchedule is only ever driven from one thread.
      */
     mutable std::vector<std::vector<std::pair<int, int>>>
         claimedBusScratch_;
     mutable std::vector<std::pair<int, int>> claimedHomeMemScratch_;
     mutable std::vector<std::pair<int, int>> claimedDestMemScratch_;
-    mutable ArenaVector<KeyedEdge> crossInScratch_;
-    mutable ArenaVector<KeyedEdge> crossOutScratch_;
-    mutable ArenaVector<int> ownEventsScratch_;
-    mutable ArenaVector<PairDelta> touchedScratch_;
-    mutable ArenaVector<LiveSegment> removedScratch_;
-    mutable ArenaVector<LiveSegment> addedScratch_;
-    ArenaVector<TransformAction> actionScratch_;
+    mutable std::vector<KeyedEdge> crossInScratch_;
+    mutable std::vector<KeyedEdge> crossOutScratch_;
+    mutable std::vector<int> ownEventsScratch_;
+    mutable std::vector<PairDelta> touchedScratch_;
+    mutable std::vector<LiveSegment> removedScratch_;
+    mutable std::vector<LiveSegment> addedScratch_;
+    std::vector<TransformAction> actionScratch_;
 
     std::vector<PlacedOp> placed_;
     int numScheduled_ = 0;

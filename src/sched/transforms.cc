@@ -306,7 +306,7 @@ TransformEngine::run(PartialSchedule &ps)
 {
     using Action = PartialSchedule::TransformAction;
     const int num_clusters = ps.machine_.numClusters();
-    ArenaVector<Action> &actions = ps.actionScratch_;
+    std::vector<Action> &actions = ps.actionScratch_;
     int applied = 0;
     for (int round = 0; round < 32; ++round) {
         // Rank candidate transformations by the utilization of the

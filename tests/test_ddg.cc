@@ -79,7 +79,6 @@ TEST(Ddg, OpCountsByClass)
     EXPECT_EQ(g.numOps(FuClass::Mem), 2);
     EXPECT_EQ(g.numOps(FuClass::Fp), 1);
     EXPECT_EQ(g.numOps(FuClass::Int), 1);
-    EXPECT_EQ(g.numMemOps(), 2);
 }
 
 TEST(Ddg, TotalOccupancyUsesTable)

@@ -10,6 +10,7 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -18,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -464,6 +467,43 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     EXPECT_EQ(count("engine.failed"), 2u);
     EXPECT_EQ(count("disk.stores"), 1u);
     EXPECT_EQ(recordFiles(dir).size(), 1u);
+    fs::remove_all(dir);
+}
+
+/**
+ * A record whose final flush comes up short must never be published.
+ * The store runs in a death-test child whose file-size limit cuts
+ * the temp file's write at 16 bytes (SIGXFSZ ignored, so the write
+ * fails with EFBIG instead of killing the child); the child exits 0
+ * only when no record, no temp file and no store count were left
+ * behind.
+ */
+TEST(DiskCache, ShortWriteLeavesNoRecord)
+{
+    std::string dir = freshCacheDir("shortwrite");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    Ddg g = diamondLoop(lat);
+    CompiledLoop compiled =
+        LoopCompiler(m, SchedulerKind::Gp).compile(g);
+    LoopKey key = makeLoopKey(g, m, SchedulerKind::Gp, {});
+    ASSERT_GT(encodeCacheRecord(key, compiled).size(), 16u);
+
+    auto storeUnderLimit = [&] {
+        MetricRegistry registry;
+        DiskCache cache(dir, 0, &registry);
+        ::signal(SIGXFSZ, SIG_IGN);
+        const rlimit limit{16, 16}; // soft and hard, in bytes
+        if (::setrlimit(RLIMIT_FSIZE, &limit) != 0)
+            std::_Exit(3);
+        cache.store(key, compiled);
+        const bool clean = recordFiles(dir).empty() &&
+                           strayFiles(dir).empty() &&
+                           registry.counter("disk.stores").value() == 0;
+        std::_Exit(clean ? 0 : 1);
+    };
+    EXPECT_EXIT(storeUnderLimit(), ::testing::ExitedWithCode(0), "");
+    EXPECT_TRUE(recordFiles(dir).empty());
     fs::remove_all(dir);
 }
 

@@ -107,7 +107,6 @@ TEST(MachineConfig, TwoClusterPreset)
     EXPECT_FALSE(m.unified());
     EXPECT_EQ(m.numClusters(), 2);
     EXPECT_EQ(m.fuPerCluster(FuClass::Int), 2);
-    EXPECT_EQ(m.issueWidthPerCluster(), 6);
     EXPECT_EQ(m.totalIssueWidth(), 12);
     EXPECT_EQ(m.regsPerCluster(), 32);
     EXPECT_EQ(m.totalRegs(), 64);
@@ -136,24 +135,6 @@ TEST(MachineConfig, TotalFuSumsClusters)
     MachineConfig m = fourClusterConfig(32, 1, 1);
     EXPECT_EQ(m.totalFu(FuClass::Int), 4);
     EXPECT_EQ(m.totalFu(FuClass::Mem), 4);
-}
-
-TEST(MachineConfig, WithTotalRegsKeepsEverythingElse)
-{
-    MachineConfig m = twoClusterConfig(32, 1, 1);
-    MachineConfig m64 = m.withTotalRegs(64, "2c-64");
-    EXPECT_EQ(m64.totalRegs(), 64);
-    EXPECT_EQ(m64.regsPerCluster(), 32);
-    EXPECT_EQ(m64.numClusters(), m.numClusters());
-    EXPECT_EQ(m64.busLatency(), m.busLatency());
-    EXPECT_EQ(m64.name(), "2c-64");
-}
-
-TEST(MachineConfig, WithBusLatency)
-{
-    MachineConfig m = fourClusterConfig(32, 1, 1).withBusLatency(2);
-    EXPECT_EQ(m.busLatency(), 2);
-    EXPECT_EQ(m.numClusters(), 4);
 }
 
 TEST(MachineConfig, SummaryMentionsShape)

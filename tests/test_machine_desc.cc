@@ -79,7 +79,6 @@ TEST(MachineConfigGeneral, HeterogeneousAccessors)
     EXPECT_EQ(m.issueWidthOfCluster(0), 7);
     EXPECT_EQ(m.numBusClasses(), 2);
     EXPECT_EQ(m.numBuses(), 2);
-    EXPECT_EQ(m.minBusLatency(), 1);
     EXPECT_EQ(m.maxBusLatency(), 2);
 }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sched/mrt.hh"
-#include "support/arena.hh"
 
 using namespace gpsched;
 
@@ -296,10 +295,15 @@ TEST(MrtDifferential, RandomStreamsMatchReference)
     }
 }
 
-/** Copies must be deep: mutating one table leaves the other alone. */
+/**
+ * Copies must be deep: mutating one table leaves the other alone,
+ * whichever storage (inline words or heap overflow) either side
+ * uses, so copy-assignment must re-point the planes at the
+ * destination's own storage.
+ */
 TEST(MrtDifferential, CopyIsDeep)
 {
-    ModuloReservationTable a(2, 70); // two words per plane
+    ModuloReservationTable a(2, 70); // 2 units x 2 words: inline
     a.reserve(3, 5);
     ModuloReservationTable b = a;
     b.reserve(3, 5);
@@ -310,27 +314,41 @@ TEST(MrtDifferential, CopyIsDeep)
     a.release(3, 5);
     EXPECT_EQ(a.busyAt(3), 1);
     EXPECT_EQ(b.busyAt(3), 2);
-}
 
-/** Arena-backed tables behave identically to heap-backed ones. */
-TEST(MrtDifferential, ArenaBackedTableMatches)
-{
-    CompileArena arena;
     // 8 units x 3 words = 24 words: past the inline buffer.
-    ModuloReservationTable mrt(8, 130, &arena);
-    RefMrt ref(8, 130);
-    std::mt19937 rng(42);
-    std::uniform_int_distribution<int> cycleDist(-200, 400);
-    for (int step = 0; step < 200; ++step) {
-        const int cycle = cycleDist(rng);
-        const int occ = 1 + static_cast<int>(rng() % 200);
-        ASSERT_EQ(mrt.canReserve(cycle, occ),
-                  ref.canReserve(cycle, occ));
-        if (ref.canReserve(cycle, occ)) {
-            mrt.reserve(cycle, occ);
-            ref.reserve(cycle, occ);
-        }
-        const int at = cycleDist(rng);
-        ASSERT_EQ(mrt.busyAt(at), ref.busyAt(at));
-    }
+    ModuloReservationTable big(8, 130);
+    big.reserve(129, 4); // wraps into slots 129, 0, 1, 2
+    ModuloReservationTable bigCopy = big;
+    bigCopy.reserve(0, 130);
+    EXPECT_EQ(big.busyAt(0), 1);
+    EXPECT_EQ(big.usedSlots(), 4);
+    EXPECT_EQ(bigCopy.busyAt(0), 2);
+    EXPECT_EQ(bigCopy.busyAt(64), 1);
+
+    // Heap into inline: the destination grows its own overflow.
+    ModuloReservationTable small(1, 4);
+    small.reserve(0, 2);
+    small = big;
+    EXPECT_EQ(small.ii(), 130);
+    EXPECT_EQ(small.totalSlots(), 8 * 130);
+    EXPECT_EQ(small.busyAt(129), 1);
+    small.reserve(129, 1);
+    big.release(129, 4);
+    EXPECT_EQ(small.busyAt(129), 2);
+    EXPECT_EQ(small.busyAt(2), 1);
+    EXPECT_EQ(small.usedSlots(), 5);
+    EXPECT_EQ(big.usedSlots(), 0);
+
+    // Inline into heap: the destination returns to its inline words.
+    bigCopy = a;
+    EXPECT_EQ(bigCopy.ii(), 70);
+    EXPECT_EQ(bigCopy.totalSlots(), 2 * 70);
+    EXPECT_EQ(bigCopy.busyAt(3), 1);
+    bigCopy.reserve(3, 5);
+    a.release(3, 5);
+    EXPECT_EQ(bigCopy.busyAt(3), 2);
+    EXPECT_EQ(bigCopy.usedSlots(), 10);
+    EXPECT_EQ(a.usedSlots(), 0);
+    EXPECT_FALSE(bigCopy.canReserve(3, 1));
+    EXPECT_TRUE(a.canReserve(3, 1));
 }
