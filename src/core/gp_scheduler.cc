@@ -161,16 +161,22 @@ LoopCompiler::compile(const Ddg &ddg) const
     out.ops = checkedCount(ddg, "operations", ddg.numNodes(),
                            ddg.tripCount());
 
+    // The DDG is fixed for the whole compile, so one SCC
+    // decomposition serves the MII, the II bound, every partitioner
+    // run and the modulo scheduler.
+    SccDecomposition sccs;
     int mii = 0;
     int max_ii = 0;
     {
         GPSCHED_PHASE_SPAN(Mii);
-        mii = computeMii(ddg, machine_);
+        sccs = computeSccs(ddg);
+        mii = computeMii(ddg, machine_, &sccs);
         out.mii = mii;
 
         // List-scheduling bound: once II reaches the flat schedule
         // length, the kernel no longer overlaps iterations.
-        DdgAnalysis base(ddg, machine_.latencies(), mii);
+        DdgAnalysis base(ddg, machine_.latencies(), mii, nullptr,
+                         &sccs);
         GPSCHED_ASSERT(base.feasible(), "MII analysis infeasible");
         max_ii =
             std::min(kMaxIiHardCap,
@@ -186,7 +192,7 @@ LoopCompiler::compile(const Ddg &ddg) const
                            0,
                            {}};
     if (partitioned) {
-        part = partitioner.run(ddg, mii);
+        part = partitioner.run(ddg, mii, &sccs);
         ++out.partitionRuns;
     }
 
@@ -196,7 +202,7 @@ LoopCompiler::compile(const Ddg &ddg) const
     else if (kind_ == SchedulerKind::Gp)
         policy = ClusterPolicy::PreferAssigned;
 
-    ModuloScheduler scheduler(ddg, machine_);
+    ModuloScheduler scheduler(ddg, machine_, &sccs);
 
     int ii = mii;
     while (ii <= max_ii) {
@@ -255,7 +261,7 @@ LoopCompiler::compile(const Ddg &ddg) const
         }
         if (kind_ == SchedulerKind::Gp && partitioned &&
             ii <= max_ii && recompute) {
-            part = partitioner.run(ddg, ii);
+            part = partitioner.run(ddg, ii, &sccs);
             ++out.partitionRuns;
         }
     }

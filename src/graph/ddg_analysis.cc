@@ -164,12 +164,17 @@ DdgAnalysis::maxSlack() const
 }
 
 int
-recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency)
+recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency,
+       const SccDecomposition *sccs)
 {
     // Upper bound: any cycle's latency sum is at most the sum of all
     // edge latencies and its distance sum is >= 1.
     LatencyTable latencies; // node latencies do not affect feasibility
-    SccDecomposition sccs = computeSccs(ddg);
+    SccDecomposition own;
+    if (!sccs) {
+        own = computeSccs(ddg);
+        sccs = &own;
+    }
     long total = 1;
     for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
         total += ddg.edge(e).latency;
@@ -178,7 +183,7 @@ recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency)
     }
     int lo = 1;
     int hi = static_cast<int>(std::min<long>(total, 1 << 24));
-    DdgAnalysis probe(ddg, latencies, hi, extra_edge_latency, &sccs);
+    DdgAnalysis probe(ddg, latencies, hi, extra_edge_latency, sccs);
     GPSCHED_ASSERT(probe.feasible(), "no feasible II below upper bound");
     while (lo < hi) {
         int mid = lo + (hi - lo) / 2;

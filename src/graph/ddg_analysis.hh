@@ -146,11 +146,13 @@ class DdgAnalysis
 
 /**
  * Minimum II such that no cycle has positive effective latency
- * (RecMII). Returns 1 for acyclic graphs. @p extra_edge_latency as
- * in DdgAnalysis.
+ * (RecMII). Returns 1 for acyclic graphs. @p extra_edge_latency and
+ * @p sccs (a decomposition of @p ddg; null computes one) as in
+ * DdgAnalysis.
  */
 int recMii(const Ddg &ddg,
-           const std::vector<int> *extra_edge_latency = nullptr);
+           const std::vector<int> *extra_edge_latency = nullptr,
+           const SccDecomposition *sccs = nullptr);
 
 /**
  * RecMII recomputed after adding @p delta latency to a single edge,

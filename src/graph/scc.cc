@@ -30,9 +30,11 @@ computeSccs(const Ddg &ddg)
     std::vector<int> lowlink(n, 0);
     std::vector<bool> onStack(n, false);
     std::vector<NodeId> stack;
+    stack.reserve(n);
     int nextIndex = 0;
 
     std::vector<Frame> callStack;
+    callStack.reserve(n);
     for (NodeId root = 0; root < n; ++root) {
         if (index[root] != -1)
             continue;

@@ -6,8 +6,8 @@
  * Opcodes split into two groups. Program opcodes appear in the input
  * DDG; overhead opcodes (spill stores/loads, communication stores/
  * loads and bus copies) are introduced by the schedulers and never by
- * workloads. IPC accounting counts program ops only (see DESIGN.md,
- * substitution 4).
+ * workloads. IPC accounting counts program ops only (see
+ * docs/ARCHITECTURE.md, "Paper substitutions", 4).
  */
 
 #ifndef GPSCHED_MACHINE_OP_HH
@@ -135,8 +135,9 @@ struct OpTiming
 
 /**
  * Latency/occupancy table for every opcode. Defaults follow the
- * authors' companion papers (see DESIGN.md, substitution 3); bus-copy
- * latency lives in MachineConfig because it is a bus property.
+ * authors' companion papers (docs/ARCHITECTURE.md, "Paper
+ * substitutions", 3); bus-copy latency lives in MachineConfig
+ * because it is a bus property.
  */
 class LatencyTable
 {

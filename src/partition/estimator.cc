@@ -201,7 +201,7 @@ PartitionEstimator::evaluate(const Partition &partition) const
         }
     }
     if (iiFeas == -1) {
-        iiFeas = std::max(start, recMii(ddg_, &extra));
+        iiFeas = std::max(start, recMii(ddg_, &extra, sccs_));
         analyze(iiFeas);
     }
     const DdgAnalysis &analysis = *analysis_;

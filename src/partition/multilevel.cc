@@ -105,7 +105,8 @@ GpPartitioner::assignCapacityBalanced(const Ddg &ddg,
 }
 
 GpPartitionResult
-GpPartitioner::run(const Ddg &ddg, int ii) const
+GpPartitioner::run(const Ddg &ddg, int ii,
+                   const SccDecomposition *sccs) const
 {
     GPSCHED_ASSERT(ii >= 1, "partitioner needs II >= 1");
     const int clusters = machine_.numClusters();
@@ -114,7 +115,7 @@ GpPartitioner::run(const Ddg &ddg, int ii) const
         GpPartitionResult result{
             Partition(ddg.numNodes(), std::max(clusters, 1)), 0, {}};
         PartitionEstimator estimator(ddg, machine_, ii,
-                                     options_.registerAware);
+                                     options_.registerAware, sccs);
         result.estimate = estimator.evaluate(result.partition);
         result.iiBus = result.estimate.iiBus;
         return result;
@@ -123,7 +124,11 @@ GpPartitioner::run(const Ddg &ddg, int ii) const
     // The graph never changes within a run, so one SCC decomposition
     // serves the edge weights, the refiner's estimator and the final
     // estimate (Tarjan three times per run showed up in profiles).
-    const SccDecomposition sccs = computeSccs(ddg);
+    SccDecomposition own;
+    if (!sccs) {
+        own = computeSccs(ddg);
+        sccs = &own;
+    }
 
     // --- 1. edge weights at the input II -----------------------------
     // Heterogeneous bus fabrics weight cut edges by the expected
@@ -133,7 +138,7 @@ GpPartitioner::run(const Ddg &ddg, int ii) const
     std::vector<std::int64_t> weights =
         computeEdgeWeights(ddg, machine_.latencies(), ii,
                            machine_.expectedBusLatency(),
-                           options_.edgeWeights, &sccs);
+                           options_.edgeWeights, sccs);
 
     // --- 2. coarsen ---------------------------------------------------
     Rng rng(kCoarsenSeed);
@@ -192,7 +197,7 @@ GpPartitioner::run(const Ddg &ddg, int ii) const
     {
         GPSCHED_PHASE_SPAN(Refine);
         PartitionRefiner refiner(ddg, machine_, ii, weights,
-                                 options_.registerAware, &sccs);
+                                 options_.registerAware, sccs);
         const auto &levels = hierarchy.levels();
         for (auto it = levels.rbegin(); it != levels.rend(); ++it)
             refiner.refineLevel(*it, partition);
@@ -200,7 +205,7 @@ GpPartitioner::run(const Ddg &ddg, int ii) const
 
     GpPartitionResult result{partition, 0, {}};
     PartitionEstimator estimator(ddg, machine_, ii,
-                                 options_.registerAware, &sccs);
+                                 options_.registerAware, sccs);
     result.estimate = estimator.evaluate(partition);
     result.iiBus = result.estimate.iiBus;
     return result;

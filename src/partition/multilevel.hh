@@ -62,8 +62,12 @@ class GpPartitioner
     explicit GpPartitioner(const MachineConfig &machine,
                            GpPartitionerOptions options = {});
 
-    /** Partitions @p ddg for initiation interval @p ii. */
-    GpPartitionResult run(const Ddg &ddg, int ii) const;
+    /**
+     * Partitions @p ddg for initiation interval @p ii. @p sccs is
+     * @p ddg's SCC decomposition, computed per run when null.
+     */
+    GpPartitionResult run(const Ddg &ddg, int ii,
+                          const SccDecomposition *sccs = nullptr) const;
 
   private:
     const MachineConfig &machine_;

@@ -23,7 +23,8 @@ resMii(const Ddg &ddg, const MachineConfig &machine)
 }
 
 int
-computeMii(const Ddg &ddg, const MachineConfig &machine)
+computeMii(const Ddg &ddg, const MachineConfig &machine,
+           const SccDecomposition *sccs)
 {
     // A DDG's flow-edge latencies are baked in when the graph is
     // built (from whatever latency table the builder saw); the
@@ -55,7 +56,7 @@ computeMii(const Ddg &ddg, const MachineConfig &machine)
                 "workload was generated with)");
         }
     }
-    return std::max(resMii(ddg, machine), recMii(ddg));
+    return std::max(resMii(ddg, machine), recMii(ddg, nullptr, sccs));
 }
 
 } // namespace gpsched

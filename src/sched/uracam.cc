@@ -20,9 +20,12 @@ constexpr double kFomThreshold = 10.0;
 } // namespace
 
 ModuloScheduler::ModuloScheduler(const Ddg &ddg,
-                                 const MachineConfig &machine)
-    : ddg_(ddg), machine_(machine)
+                                 const MachineConfig &machine,
+                                 const SccDecomposition *sccs)
+    : ddg_(ddg), machine_(machine), sccs_(sccs)
 {
+    if (!sccs_)
+        sccs_ = &ownSccs_.emplace(computeSccs(ddg_));
 }
 
 bool
@@ -131,13 +134,11 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
 {
     GPSCHED_ASSERT(ps.numScheduled() == 0,
                    "schedule into a non-empty partial schedule");
-    if (!sccs_)
-        sccs_.emplace(computeSccs(ddg_));
     if (analysis_)
         analysis_->recompute(ps.ii());
     else
         analysis_.emplace(ddg_, machine_.latencies(), ps.ii(), nullptr,
-                          &*sccs_);
+                          sccs_);
     const DdgAnalysis &analysis = *analysis_;
     if (!analysis.feasible())
         return false;
@@ -153,7 +154,7 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
     };
 
     if (!smsSets_)
-        smsSets_.emplace(computeSmsNodeSets(ddg_, &*sccs_));
+        smsSets_.emplace(computeSmsNodeSets(ddg_, sccs_));
     std::vector<NodeId> order = smsOrder(ddg_, analysis, *smsSets_);
     for (NodeId v : order) {
         if (placeNode(ps, v, policy, assignment, analysis, false)) {

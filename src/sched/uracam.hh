@@ -56,10 +56,14 @@ enum class ClusterPolicy
 class ModuloScheduler
 {
   public:
-    /** References must outlive the scheduler. */
-    ModuloScheduler(const Ddg &ddg, const MachineConfig &machine);
+    /**
+     * References must outlive the scheduler. @p sccs is @p ddg's SCC
+     * decomposition; when null the scheduler computes its own.
+     */
+    ModuloScheduler(const Ddg &ddg, const MachineConfig &machine,
+                    const SccDecomposition *sccs = nullptr);
 
-    // The cached analysis points into the scheduler's own SCCs.
+    // The cached analysis points at the scheduler's SCCs.
     ModuloScheduler(const ModuloScheduler &) = delete;
     ModuloScheduler &operator=(const ModuloScheduler &) = delete;
 
@@ -82,10 +86,12 @@ class ModuloScheduler
     // The DDG is fixed for the scheduler's lifetime while the driver
     // probes many IIs, so the II-independent per-graph work (SCC
     // decomposition and the SMS node grouping with its per-recurrence
-    // RecMII searches) is computed once on first use and reused by
-    // every attempt. Lazily built in schedule(), hence mutable; one
+    // RecMII searches) is computed once and reused by every attempt.
+    // sccs_ is the caller's decomposition or points at ownSccs_. The
+    // SMS sets are built lazily in schedule(), hence mutable; one
     // scheduler is only ever driven from a single compile thread.
-    mutable std::optional<SccDecomposition> sccs_;
+    const SccDecomposition *sccs_;
+    std::optional<SccDecomposition> ownSccs_;
     mutable std::optional<SmsNodeSets> smsSets_;
 
     /** Longest-path analysis, recomputed in place per attempt. */

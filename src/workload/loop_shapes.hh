@@ -3,14 +3,15 @@
  * Parameterized innermost-loop DDG generators.
  *
  * These are the building blocks of the synthetic SPECfp95 suite
- * (DESIGN.md, substitution 1): each generator produces a loop shape
- * that appears in modulo-scheduling studies of that suite —
- * streaming kernels, stencils, reductions, first-order recurrences,
- * very wide independent blocks, integer address arithmetic — so the
- * schedulers face the same structural challenges (recurrence-limited
- * IIs, bus saturation, register pressure, memory-port saturation) as
- * in the paper's evaluation. A deterministic random generator
- * produces irregular bodies for property tests.
+ * (docs/ARCHITECTURE.md, "Paper substitutions", 1): each generator
+ * produces a loop shape that appears in modulo-scheduling studies
+ * of that suite — streaming kernels, stencils, reductions,
+ * first-order recurrences, very wide independent blocks, integer
+ * address arithmetic — so the schedulers face the same structural
+ * challenges (recurrence-limited IIs, bus saturation, register
+ * pressure, memory-port saturation) as in the paper's evaluation.
+ * A deterministic random generator produces irregular bodies for
+ * property tests.
  */
 
 #ifndef GPSCHED_WORKLOAD_LOOP_SHAPES_HH

@@ -1,6 +1,7 @@
 /**
  * @file
- * Synthetic SPECfp95 workload (DESIGN.md, substitution 1).
+ * Synthetic SPECfp95 workload (docs/ARCHITECTURE.md, "Paper
+ * substitutions", 1).
  *
  * The paper evaluates on the SPECfp95 innermost loops extracted by
  * the ICTINEO compiler with profiled trip counts. Neither the
