@@ -60,6 +60,14 @@ struct BenchOptions
     std::string cacheDir;
     bool replay = false;
     bool gatePolicy = false;
+
+    /** Where tables and --replay lines go: stderr when the JSON
+     *  report takes stdout, so that stream stays pure JSON. */
+    std::ostream &
+    text() const
+    {
+        return jsonPath == "-" ? std::cerr : std::cout;
+    }
 };
 
 /**
@@ -127,8 +135,8 @@ struct Run
             const std::string what = m.name() + " " + toString(kind);
             sim::ReplayReport replay =
                 sim::replaySuite(programs, result, m);
-            std::cout << "  replay [" << what
-                      << "]: " << replay.summary() << "\n";
+            options.text() << "  replay [" << what
+                           << "]: " << replay.summary() << "\n";
             if (!replay.ok()) {
                 const sim::ReplayMismatch &bad =
                     replay.mismatches.front();
@@ -505,9 +513,10 @@ benchCorpus(Run &run)
                   << slack_better << ")\n";
         report.status = 1;
     } else {
-        std::cout << "--gate-policy OK: " << slack_no_worse << "/"
-                  << multi_class << " machines no worse, "
-                  << slack_better << " strictly better\n";
+        run.options.text()
+            << "--gate-policy OK: " << slack_no_worse << "/"
+            << multi_class << " machines no worse, " << slack_better
+            << " strictly better\n";
     }
     return report;
 }
@@ -827,14 +836,14 @@ main(int argc, char **argv)
 
     int status = 0;
     for (const Experiment *e : rows) {
-        std::cout << "== " << e->name << ": " << e->description
-                  << "\n";
+        options.text() << "== " << e->name << ": "
+                       << e->description << "\n";
         Run run{options, benchSuite(options.smoke),
                 Engine(engineOptions(options)),
                 overrides.empty() ? e->machines() : overrides,
                 overrides.empty()};
         Report report = e->run(run);
-        printReport(std::cout, report);
+        printReport(options.text(), report);
         if (!options.jsonPath.empty()) {
             writeOutput(options.jsonPath, [&](std::ostream &os) {
                 writeReportJson(os, e->name, report, run.engine);

@@ -1,13 +1,13 @@
 #include "engine/disk_cache.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
-#include <vector>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "serialize/record.hh"
@@ -21,26 +21,13 @@ namespace gpsched
 namespace
 {
 
-constexpr const char *recordExtension = ".gpc";
-constexpr const char *tempPrefix = ".tmp-";
+constexpr const char *packExtension = ".gpp";
 
-/** Reads a whole file; false when it cannot be opened or read. */
-bool
-readFile(const fs::path &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad())
-        return false;
-    out = buffer.str();
-    return true;
-}
+/** Numbers the caches of this process, naming their packs apart. */
+std::atomic<std::uint64_t> cacheInstances{0};
 
-/** One record found by a store walk. */
-struct WalkEntry
+/** One pack file found in the store directory. */
+struct PackFile
 {
     fs::path path;
     std::uint64_t size = 0;
@@ -48,48 +35,41 @@ struct WalkEntry
 };
 
 /**
- * Collects every record (and, separately, leftover temp files) under
- * @p root. Filesystem races with concurrent engines are expected;
- * every stat uses the error_code overloads and skips on failure.
+ * Every pack under @p dir, oldest-mtime-first. Races with concurrent
+ * caches are expected: a pack whose stat fails is skipped.
  */
-void
-walkStore(const fs::path &root, std::vector<WalkEntry> &records,
-          std::vector<fs::path> &temps)
+std::vector<PackFile>
+listPacks(const std::string &dir)
 {
+    std::vector<PackFile> packs;
     std::error_code ec;
-    for (const fs::directory_entry &shard :
-         fs::directory_iterator(root, ec)) {
-        if (!shard.is_directory(ec))
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(dir, ec)) {
+        if (entry.path().extension() != packExtension)
             continue;
-        std::error_code shardEc;
-        for (const fs::directory_entry &entry :
-             fs::directory_iterator(shard.path(), shardEc)) {
-            const std::string name = entry.path().filename().string();
-            if (name.rfind(tempPrefix, 0) == 0) {
-                temps.push_back(entry.path());
-                continue;
-            }
-            if (entry.path().extension() != recordExtension)
-                continue;
-            std::error_code statEc;
-            WalkEntry record;
-            record.path = entry.path();
-            record.size = entry.file_size(statEc);
-            if (statEc)
-                continue;
-            record.mtime = entry.last_write_time(statEc);
-            if (statEc)
-                continue;
-            records.push_back(std::move(record));
-        }
+        std::error_code statEc;
+        PackFile pack;
+        pack.path = entry.path();
+        pack.size = entry.file_size(statEc);
+        if (!statEc)
+            pack.mtime = entry.last_write_time(statEc);
+        if (!statEc)
+            packs.push_back(std::move(pack));
     }
+    std::sort(packs.begin(), packs.end(),
+              [](const PackFile &a, const PackFile &b) {
+                  if (a.mtime != b.mtime)
+                      return a.mtime < b.mtime;
+                  return a.path < b.path;
+              });
+    return packs;
 }
 
 } // namespace
 
 DiskCache::DiskCache(std::string dir, std::uint64_t max_bytes,
                      MetricRegistry *metrics)
-    : dir_(std::move(dir)), maxBytes_(max_bytes),
+    : dir_(std::move(dir)),
       ownedMetrics_(metrics == nullptr
                         ? std::make_unique<MetricRegistry>()
                         : nullptr)
@@ -111,8 +91,7 @@ DiskCache::DiskCache(std::string dir, std::uint64_t max_bytes,
     }
     // Probe writability now: a cache that cannot store is a user
     // error worth a diagnostic at startup, not a silent no-op.
-    const fs::path probe =
-        fs::path(dir_) / (std::string(tempPrefix) + "probe");
+    const fs::path probe = fs::path(dir_) / ".probe";
     {
         std::ofstream out(probe, std::ios::binary);
         if (!out) {
@@ -122,54 +101,122 @@ DiskCache::DiskCache(std::string dir, std::uint64_t max_bytes,
     }
     fs::remove(probe, ec);
 
-    std::vector<WalkEntry> records;
-    std::vector<fs::path> temps;
-    walkStore(dir_, records, temps);
+    std::vector<PackFile> packs = listPacks(dir_);
     std::uint64_t total = 0;
-    for (const WalkEntry &record : records)
-        total += record.size;
-    approxBytes_.store(static_cast<std::int64_t>(total),
-                       std::memory_order_relaxed);
+    for (const PackFile &pack : packs)
+        total += pack.size;
+    for (std::size_t i = 0; i < packs.size(); ++i) {
+        const PackFile &pack = packs[i];
+        const bool over = (max_bytes > 0 && total > max_bytes) ||
+                          packs.size() - i > kMaxPacks;
+        if (over && fs::remove(pack.path, ec)) {
+            total -= pack.size;
+            compacted_->add();
+            continue;
+        }
+        const int fd =
+            ::open(pack.path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (fd < 0)
+            continue;
+        packs_.push_back(fd);
+        corruptEvicted_->add(scanPack(packs_.size() - 1, pack.size));
+    }
 }
 
-std::string
-DiskCache::shardDir(const LoopKey &key) const
+DiskCache::~DiskCache()
 {
-    return (fs::path(dir_) / hexDigest(key.digest >> 56, 2))
-        .string();
+    for (int fd : packs_)
+        ::close(fd);
 }
 
-std::string
-DiskCache::recordPath(const LoopKey &key) const
+std::uint64_t
+DiskCache::scanPack(std::size_t pack, std::uint64_t size)
 {
-    return (fs::path(shardDir(key)) /
-            (hexDigest(key.digest, 16) + recordExtension))
-        .string();
+    // The pack is read through this window, never held whole.
+    std::vector<char> window(64 << 10);
+    std::uint64_t start = 0;
+    std::uint64_t filled = 0;
+    // The @p n bytes at @p at (n within the window), or null past
+    // @p size: a writer may still be appending beyond it.
+    auto bytesAt = [&](std::uint64_t at,
+                       std::size_t n) -> const char * {
+        if (at < start || at + n > start + filled) {
+            const ssize_t got = ::pread(
+                packs_[pack], window.data(),
+                std::min<std::uint64_t>(window.size(), size - at),
+                static_cast<off_t>(at));
+            start = at;
+            filled = got > 0 ? static_cast<std::uint64_t>(got) : 0;
+        }
+        return at + n <= start + filled ? window.data() + (at - start)
+                                        : nullptr;
+    };
+
+    std::uint64_t rejected = 0;
+    for (std::uint64_t at = 0; at < size;) {
+        // The header plus the key's length prefix: every valid
+        // record is longer than that.
+        const char *head = bytesAt(at, recordHeaderSize + 4);
+        if (head == nullptr)
+            return rejected + 1;
+        ByteReader in(head, recordHeaderSize + 4);
+        const bool framed = in.u32() == diskRecordMagic &&
+                            in.u32() == recordFormatVersion &&
+                            in.u32() == keySchemaVersion;
+        const std::uint64_t payload = in.u64();
+        in.u64(); // checksum: verified by lookup
+        const std::uint64_t keyLength = in.u32();
+        if (!framed || payload > size - at - recordHeaderSize)
+            return rejected + 1;
+        // The key's digest follows its canonical string.
+        const char *digest =
+            keyLength + 12 <= payload
+                ? bytesAt(at + recordHeaderSize + 4 + keyLength, 8)
+                : nullptr;
+        if (digest != nullptr) {
+            index_[ByteReader(digest, 8).u64()] =
+                Slot{pack, at, recordHeaderSize + payload};
+        } else {
+            ++rejected;
+        }
+        at += recordHeaderSize + payload;
+    }
+    return rejected;
 }
 
 bool
 DiskCache::lookup(const LoopKey &key, CompiledLoop &out)
 {
-    const fs::path path = recordPath(key);
-    std::string bytes;
-    if (!readFile(path, bytes)) {
-        misses_->add();
-        return false;
+    Slot slot;
+    int fd;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key.digest);
+        if (it == index_.end()) {
+            misses_->add();
+            return false;
+        }
+        slot = it->second;
+        fd = packs_[slot.pack];
     }
 
+    std::string bytes(slot.length, '\0');
     LoopKey storedKey;
     CompiledLoop storedValue;
-    if (!decodeCacheRecord(bytes, storedKey, storedValue)) {
-        // Malformed, truncated or version-mismatched: evict so the
-        // slot is rewritten with a fresh record on the next store.
-        std::error_code ec;
-        fs::remove(path, ec);
-        if (!ec) {
-            approxBytes_.fetch_sub(
-                static_cast<std::int64_t>(bytes.size()),
-                std::memory_order_relaxed);
+    if (::pread(fd, bytes.data(), bytes.size(),
+                static_cast<off_t>(slot.offset)) !=
+            static_cast<ssize_t>(bytes.size()) ||
+        !decodeCacheRecord(bytes, storedKey, storedValue)) {
+        // Short, malformed or version-mismatched: drop it from the
+        // index (once, should lookups race) so the next store
+        // replaces it.
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key.digest);
+        if (it != index_.end() && it->second.pack == slot.pack &&
+            it->second.offset == slot.offset) {
+            index_.erase(it);
+            corruptEvicted_->add();
         }
-        corruptEvicted_->add();
         misses_->add();
         return false;
     }
@@ -179,11 +226,6 @@ DiskCache::lookup(const LoopKey &key, CompiledLoop &out)
         misses_->add();
         return false;
     }
-
-    // Touch for LRU-by-mtime compaction.
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-
     out = std::move(storedValue);
     hits_->add();
     return true;
@@ -193,120 +235,49 @@ void
 DiskCache::store(const LoopKey &key, const CompiledLoop &value)
 {
     const std::string record = encodeCacheRecord(key, value);
-    const fs::path shard = shardDir(key);
-    const fs::path path = recordPath(key);
-
-    std::error_code ec;
-    fs::create_directories(shard, ec);
-    if (ec)
-        return;
-
-    // Unique temp name per (process, cache object, store): crashed
-    // writers leave only temp files behind, never partial records,
-    // and concurrent processes sharing one directory can never open
-    // the same temp file.
-    const std::uint64_t seq =
-        tempSeq_.fetch_add(1, std::memory_order_relaxed);
-    const fs::path temp =
-        shard / (std::string(tempPrefix) +
-                 std::to_string(::getpid()) + "-" +
-                 hexDigest(reinterpret_cast<std::uintptr_t>(this),
-                           16) +
-                 "-" + std::to_string(seq));
-    {
-        std::ofstream out(temp, std::ios::binary);
-        if (!out)
-            return;
-        out.write(record.data(),
-                  static_cast<std::streamsize>(record.size()));
-        // The final flush happens in close(); a short write there
-        // must not reach the rename below.
-        out.close();
-        if (!out) {
-            fs::remove(temp, ec);
-            return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (own_ < 0) {
+        // O_EXCL: a pack left by an earlier process with this pid
+        // is never appended to; try the next name.
+        const std::string stem =
+            (fs::path(dir_) /
+             (std::to_string(::getpid()) + "-" +
+              std::to_string(cacheInstances.fetch_add(1)) + "-"))
+                .string();
+        int fd = -1;
+        for (int n = 0; fd < 0; ++n) {
+            fd = ::open((stem + std::to_string(n) + packExtension)
+                            .c_str(),
+                        O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+            if (fd < 0 && errno != EEXIST)
+                return;
         }
+        packs_.push_back(fd);
+        own_ = static_cast<int>(packs_.size() - 1);
     }
 
-    std::uint64_t replaced = 0;
-    const std::uint64_t oldSize = fs::file_size(path, ec);
-    if (!ec)
-        replaced = oldSize;
-
-    // rename(2) is atomic within a filesystem: readers see either
-    // the old complete record or the new complete record.
-    fs::rename(temp, path, ec);
-    if (ec) {
-        fs::remove(temp, ec);
+    const int fd = packs_[own_];
+    if (::pwrite(fd, record.data(), record.size(),
+                 static_cast<off_t>(ownEnd_)) !=
+        static_cast<ssize_t>(record.size())) {
+        // Cut the torn bytes off so no later scan meets them; the
+        // next store overwrites them should this fail too.
+        [[maybe_unused]] const int cut =
+            ::ftruncate(fd, static_cast<off_t>(ownEnd_));
         return;
     }
+    index_[key.digest] =
+        Slot{static_cast<std::size_t>(own_), ownEnd_, record.size()};
+    ownEnd_ += record.size();
     stores_->add();
-
-    const std::int64_t delta =
-        static_cast<std::int64_t>(record.size()) -
-        static_cast<std::int64_t>(replaced);
-    const std::int64_t approx =
-        approxBytes_.fetch_add(delta, std::memory_order_relaxed) +
-        delta;
-    if (maxBytes_ > 0 &&
-        approx > static_cast<std::int64_t>(maxBytes_))
-        compact();
-}
-
-void
-DiskCache::compact()
-{
-    std::lock_guard<std::mutex> lock(compactMutex_);
-
-    std::vector<WalkEntry> records;
-    std::vector<fs::path> temps;
-    walkStore(dir_, records, temps);
-
-    // Reap temp files abandoned by crashed writers. Anything older
-    // than an hour cannot belong to an in-flight store.
-    const auto now = fs::file_time_type::clock::now();
-    for (const fs::path &temp : temps) {
-        std::error_code ec;
-        const auto mtime = fs::last_write_time(temp, ec);
-        if (!ec && now - mtime > std::chrono::hours(1))
-            fs::remove(temp, ec);
-    }
-
-    std::uint64_t total = 0;
-    for (const WalkEntry &record : records)
-        total += record.size;
-
-    if (maxBytes_ > 0 && total > maxBytes_) {
-        std::sort(records.begin(), records.end(),
-                  [](const WalkEntry &a, const WalkEntry &b) {
-                      if (a.mtime != b.mtime)
-                          return a.mtime < b.mtime;
-                      return a.path < b.path;
-                  });
-        for (const WalkEntry &record : records) {
-            if (total <= maxBytes_)
-                break;
-            std::error_code ec;
-            fs::remove(record.path, ec);
-            if (ec)
-                continue;
-            total -= std::min(record.size, total);
-            compacted_->add();
-        }
-    }
-    approxBytes_.store(static_cast<std::int64_t>(total),
-                       std::memory_order_relaxed);
 }
 
 std::uint64_t
 DiskCache::residentBytes() const
 {
-    std::vector<WalkEntry> records;
-    std::vector<fs::path> temps;
-    walkStore(dir_, records, temps);
     std::uint64_t total = 0;
-    for (const WalkEntry &record : records)
-        total += record.size;
+    for (const PackFile &pack : listPacks(dir_))
+        total += pack.size;
     return total;
 }
 

@@ -4,44 +4,54 @@
  * engine's in-memory result table so structural dedupe survives
  * across processes and runs.
  *
- * Layout on disk: a two-level sharded directory —
+ * Layout on disk: append-only pack files,
  *
- *   <dir>/<hh>/<16-hex-digest>.gpc
+ *   <dir>/<pid>-<instance>-<n>.gpp
  *
- * where <hh> is the first byte of the key's FNV-1a digest in hex and
- * the file holds one self-verifying binary record
+ * each a plain concatenation of self-verifying binary records
  * (serialize/record.hh: magic, format + key-schema versions, size,
- * checksum, full key, full value). Reads re-verify everything and
- * compare the decoded key's canonical bytes against the requested
- * key, so neither a digest collision nor any form of corruption can
- * ever surface a wrong schedule: malformed records count as misses
- * and are evicted (unlinked) on sight.
+ * checksum, full key, full value). Every open cache creates its own
+ * pack (O_EXCL) on its first store and only ever appends to it, so
+ * no two writers share a file: a store is one pwrite, and one that
+ * fails or comes up short is cut back off the pack.
  *
- * Writes serialize into a hidden temp file in the destination shard
- * directory and publish with an atomic rename, so concurrent
- * engines — including separate processes — sharing one directory
- * never observe partial records.
+ * Opening scans the packs oldest-first through a bounded window
+ * and indexes each record's key digest to (pack, offset, length); a
+ * later record replaces an earlier one with the same digest. A
+ * header with a bad magic, a bad version or a length past EOF ends
+ * the scan of its pack, so a torn tail costs only itself. A lookup
+ * is an index probe (a miss makes no syscall) plus one pread, and
+ * still re-verifies the whole record and compares the decoded key's
+ * canonical bytes against the requested key, so neither a digest
+ * collision nor any form of corruption can surface a wrong
+ * schedule: a record that fails leaves the index and is a miss.
+ * Hits write nothing.
  *
- * Capacity is a byte budget: each store tracks the approximate
- * resident size, and crossing the budget triggers a compaction that
- * walks the store and unlinks records oldest-mtime-first until the
- * budget holds again. Hits touch their record's mtime, making the
- * policy LRU-by-mtime.
+ * Visibility: the index is built at open, so a record another live
+ * cache appends later is not seen. That costs a miss and a
+ * duplicate append, never a wrong schedule.
+ *
+ * Capacity is applied at open: whole packs are deleted
+ * oldest-mtime-first until the store fits its byte budget and holds
+ * at most kMaxPacks packs, so a cache keeps a bounded number of
+ * descriptors open however many runs have stored into the
+ * directory. A live cache's own pack grows until the next open.
  *
  * Counters (kCounters) live in the MetricRegistry the cache is
  * given: disk.hits, disk.misses, disk.stores, disk.corruptEvicted
- * (records unlinked because they failed verification) and
- * disk.compacted (records unlinked by budget compaction).
+ * (records the open scan rejected or a lookup failed to verify) and
+ * disk.compacted (packs deleted by the budget or the pack cap).
  */
 
 #ifndef GPSCHED_ENGINE_DISK_CACHE_HH
 #define GPSCHED_ENGINE_DISK_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "core/gp_scheduler.hh"
 #include "engine/loop_key.hh"
@@ -50,7 +60,7 @@
 namespace gpsched
 {
 
-/** Sharded on-disk record store keyed by LoopKey. */
+/** Append-only pack-file record store keyed by LoopKey. */
 class DiskCache
 {
   public:
@@ -59,8 +69,12 @@ class DiskCache
         "disk.hits", "disk.misses", "disk.stores",
         "disk.corruptEvicted", "disk.compacted"};
 
+    /** Most packs an opening cache keeps (and holds open). */
+    static constexpr std::size_t kMaxPacks = 128;
+
     /**
-     * Opens (creating if needed) the store rooted at @p dir.
+     * Opens (creating if needed) the store rooted at @p dir, applies
+     * the budget and the pack cap and indexes every remaining pack.
      * Fatal — a user error, not a crash — when the directory cannot
      * be created or written.
      *
@@ -70,53 +84,56 @@ class DiskCache
      */
     DiskCache(std::string dir, std::uint64_t max_bytes,
               MetricRegistry *metrics = nullptr);
+    ~DiskCache();
 
     DiskCache(const DiskCache &) = delete;
     DiskCache &operator=(const DiskCache &) = delete;
 
     /**
-     * Loads @p key's record if present and valid. Any malformed or
-     * mismatched-version record is evicted and reported as a miss.
+     * Loads @p key's record if indexed and valid. A record that
+     * fails verification leaves the index and is reported as a miss.
      */
     bool lookup(const LoopKey &key, CompiledLoop &out);
 
     /**
-     * Publishes @p key -> @p value atomically (write-then-rename).
-     * I/O failures are counted, never fatal: a cache store is always
-     * allowed to fail.
+     * Appends @p key -> @p value to this cache's pack. I/O failures
+     * publish and count nothing and are never fatal: a cache store
+     * is always allowed to fail.
      */
     void store(const LoopKey &key, const CompiledLoop &value);
 
-    /** Bytes currently resident (walks the store). */
+    /** Bytes currently resident (walks the directory). */
     std::uint64_t residentBytes() const;
 
     /** Root directory. */
     const std::string &dir() const { return dir_; }
 
   private:
-    /**
-     * Unlinks records oldest-mtime-first until the resident size is
-     * within budget. Runs when stores cross the budget.
-     */
-    void compact();
+    /** Where one record lives. */
+    struct Slot
+    {
+        std::size_t pack; ///< index into packs_
+        std::uint64_t offset;
+        std::uint64_t length;
+    };
 
-    std::string shardDir(const LoopKey &key) const;
-    std::string recordPath(const LoopKey &key) const;
+    /** Indexes the records of packs_[@p pack] (@p size bytes);
+     *  returns how many the scan rejected. */
+    std::uint64_t scanPack(std::size_t pack, std::uint64_t size);
 
     std::string dir_;
-    std::uint64_t maxBytes_;
 
-    /** Approximate resident bytes; re-synced by each compaction.
-     *  Signed so concurrent add/subtract races can transiently dip
-     *  below zero instead of wrapping. */
-    std::atomic<std::int64_t> approxBytes_{0};
-
-    /** Serializes compactions within this process. */
-    std::mutex compactMutex_;
-
-    /** Distinguishes concurrent stores' temp files (with the pid
-     *  and this-pointer; see store()). */
-    std::atomic<std::uint64_t> tempSeq_{0};
+    /** Guards index_, packs_, own_ and ownEnd_. Lookups pread
+     *  outside it, which is safe because no pack closes while the
+     *  cache lives. */
+    std::mutex mutex_;
+    std::unordered_map<std::uint64_t, Slot> index_;
+    /** Open descriptors of the indexed packs, then this cache's own. */
+    std::vector<int> packs_;
+    /** This cache's pack in packs_ (-1 before its first store) and
+     *  the end of its last complete record. */
+    int own_ = -1;
+    std::uint64_t ownEnd_ = 0;
 
     /** Counter store when no registry was given. */
     std::unique_ptr<MetricRegistry> ownedMetrics_;

@@ -69,7 +69,11 @@ struct EngineOptions
      */
     std::string cacheDir;
 
-    /** Disk-cache resident-size budget in bytes; 0 = unlimited. */
+    /**
+     * Disk-cache size budget in bytes, applied when the cache opens:
+     * whole packs are deleted oldest-first until the store fits.
+     * 0 = unlimited.
+     */
     std::uint64_t cacheMaxBytes = 256ull << 20;
 
     /**

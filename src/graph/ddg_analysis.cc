@@ -196,25 +196,4 @@ recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency,
     return lo;
 }
 
-int
-recMiiWithEdgeDelay(const Ddg &ddg, EdgeId e, int delta, int base_mii)
-{
-    GPSCHED_ASSERT(e >= 0 && e < ddg.numEdges(), "bad edge ", e);
-    GPSCHED_ASSERT(delta >= 0, "negative delay");
-    LatencyTable latencies;
-    SccDecomposition sccs = computeSccs(ddg);
-    std::vector<int> extra(ddg.numEdges(), 0);
-    extra[e] = delta;
-    // Adding delta to one edge can raise RecMII by at most delta
-    // (every cycle's distance sum is >= 1).
-    DdgAnalysis probe(ddg, latencies, base_mii, &extra, &sccs);
-    for (int ii = base_mii; ii <= base_mii + delta; ++ii) {
-        if (ii > base_mii)
-            probe.recompute(ii);
-        if (probe.feasible())
-            return ii;
-    }
-    GPSCHED_PANIC("recMiiWithEdgeDelay: no feasible II in bound");
-}
-
 } // namespace gpsched

@@ -154,14 +154,6 @@ int recMii(const Ddg &ddg,
            const std::vector<int> *extra_edge_latency = nullptr,
            const SccDecomposition *sccs = nullptr);
 
-/**
- * RecMII recomputed after adding @p delta latency to a single edge,
- * scanning upward from @p base_mii (cheap: the answer lies in
- * [base_mii, base_mii + delta]).
- */
-int recMiiWithEdgeDelay(const Ddg &ddg, EdgeId e, int delta,
-                        int base_mii);
-
 } // namespace gpsched
 
 #endif // GPSCHED_GRAPH_DDG_ANALYSIS_HH

@@ -1,6 +1,7 @@
 #include "sched/validate.hh"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -22,11 +23,11 @@ wrap(int cycle, int m)
     return r < 0 ? r + m : r;
 }
 
-/** Accumulates [from, to] (inclusive) into per-slot counts. */
+/** Accumulates [from, to] (inclusive) into the @p ii slot counts
+ *  at @p slots. */
 void
-cover(int from, int to, std::vector<int> &slots)
+cover(int from, int to, int ii, int *slots)
 {
-    const int ii = static_cast<int>(slots.size());
     int len = to - from + 1;
     int full = len / ii;
     int rem = len % ii;
@@ -437,8 +438,14 @@ struct Checker
     checkRegisters()
     {
         const int clusters = machine.numClusters();
-        std::vector<std::vector<int>> live(clusters,
-                                           std::vector<int>(ii, 0));
+        // live[c * ii + s]: values live in cluster c at kernel slot s.
+        std::vector<int> live(static_cast<std::size_t>(clusters) * ii,
+                              0);
+        auto slotsOf = [&](int c) { return &live[c * ii]; };
+        // The current value's latest read per cluster, or kNoRead
+        // when the cluster has none; reused across values.
+        constexpr int kNoRead = std::numeric_limits<int>::min();
+        std::vector<int> lastRead(clusters);
 
         for (NodeId v = 0; v < ddg.numNodes(); ++v) {
             if (!definesValue(ddg.node(v).opcode))
@@ -446,52 +453,48 @@ struct Checker
             const int home = clusterOf(v);
             const int write = writeCycle(v);
 
-            // Gather read events per cluster from consumers and
-            // transfers.
-            std::map<int, std::vector<int>> events;
+            // Read events per cluster from consumers and transfers.
+            std::fill(lastRead.begin(), lastRead.end(), kNoRead);
             for (EdgeId e : ddg.outEdges(v)) {
                 const DdgEdge &edge = ddg.edge(e);
                 if (!edge.isFlow())
                     continue;
-                events[clusterOf(edge.dst)].push_back(
-                    useCycle(e));
+                int &last = lastRead[clusterOf(edge.dst)];
+                last = std::max(last, useCycle(e));
             }
             for (const auto &[dest, t] : transfersOf(v))
-                events[home].push_back(t.readCycle);
+                lastRead[home] = std::max(lastRead[home], t.readCycle);
 
             // Home lifetime (with optional spill split).
             const SpillInfo &spill = sv.spill[v];
-            int home_last = write;
-            for (int t : events[home])
-                home_last = std::max(home_last, t);
+            const int home_last = std::max(write, lastRead[home]);
             if (!spill.spilled) {
-                cover(write, home_last, live[home]);
+                cover(write, home_last, ii, slotsOf(home));
             } else {
-                cover(write, spill.storeCycle, live[home]);
+                cover(write, spill.storeCycle, ii, slotsOf(home));
                 int reload =
                     spill.loadCycle + lat.latency(Opcode::SpillLd);
                 if (home_last >= reload)
-                    cover(reload, home_last, live[home]);
+                    cover(reload, home_last, ii, slotsOf(home));
             }
 
             // Destination lifetimes: arrival to last read.
             for (const auto &[dest, t] : transfersOf(v)) {
-                auto it = events.find(dest);
-                if (it == events.end() || it->second.empty()) {
+                if (dest < 0 || dest >= clusters ||
+                    lastRead[dest] == kNoRead) {
                     return fail("transfer of ", v, " to cluster ",
                                 dest, " has no consumer");
                 }
-                int last = *std::max_element(it->second.begin(),
-                                             it->second.end());
-                cover(t.arrivalCycle, std::max(last, t.arrivalCycle),
-                      live[dest]);
+                cover(t.arrivalCycle,
+                      std::max(lastRead[dest], t.arrivalCycle), ii,
+                      slotsOf(dest));
             }
         }
 
         for (int c = 0; c < clusters; ++c) {
             int max_live = 0;
             for (int s = 0; s < ii; ++s)
-                max_live = std::max(max_live, live[c][s]);
+                max_live = std::max(max_live, slotsOf(c)[s]);
             if (max_live > machine.regsInCluster(c)) {
                 return fail("cluster ", c, " MaxLive ", max_live,
                             " exceeds ", machine.regsInCluster(c),

@@ -141,22 +141,6 @@ TEST(Analysis, ExtraLatencyOnRecurrenceRaisesRecMii)
     EXPECT_EQ(recMii(g, &extra), 9);
 }
 
-TEST(Analysis, RecMiiWithEdgeDelayMatchesFullSearch)
-{
-    LatencyTable lat;
-    Ddg g = recurrenceLoop(lat);
-    int base = recMii(g);
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        for (int delta : {0, 1, 3}) {
-            std::vector<int> extra(g.numEdges(), 0);
-            extra[e] = delta;
-            EXPECT_EQ(recMiiWithEdgeDelay(g, e, delta, base),
-                      std::max(base, recMii(g, &extra)))
-                << "edge " << e << " delta " << delta;
-        }
-    }
-}
-
 TEST(Analysis, DepthAndHeightSpanScheduleLength)
 {
     LatencyTable lat;

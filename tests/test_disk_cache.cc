@@ -2,20 +2,25 @@
  * @file
  * The persistent compile cache: store/lookup round trips, the
  * acceptance-bar warm rerun (>= 90% disk hits, bit-identical
- * schedules), corruption robustness (truncation, bit flips, version
- * bumps — always a miss plus eviction, never a crash or a wrong
- * schedule), the size-budget compaction, and a two-engine
- * shared-directory stress run whose results must match a serial
- * cache-less compile while never leaving partial records behind.
+ * schedules, no write to the store), corruption robustness
+ * (truncation, bit flips, version bumps, garbage, a torn pack tail —
+ * always a miss plus eviction, never a crash or a wrong schedule),
+ * the size budget applied at open, and a two-engine shared-directory
+ * stress run whose results must match a serial cache-less compile
+ * while every pack stays a clean sequence of valid records.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -56,21 +61,21 @@ freshCacheDir(const std::string &tag)
     return dir.string();
 }
 
-/** Every record file currently in @p dir. */
+/** Every pack file currently in @p dir. */
 std::vector<fs::path>
-recordFiles(const std::string &dir)
+packFiles(const std::string &dir)
 {
     std::vector<fs::path> files;
     for (const fs::directory_entry &entry :
          fs::recursive_directory_iterator(dir)) {
         if (entry.is_regular_file() &&
-            entry.path().extension() == ".gpc")
+            entry.path().extension() == ".gpp")
             files.push_back(entry.path());
     }
     return files;
 }
 
-/** Every non-record (temp) file currently in @p dir. */
+/** Every non-pack file currently in @p dir. */
 std::vector<fs::path>
 strayFiles(const std::string &dir)
 {
@@ -78,8 +83,67 @@ strayFiles(const std::string &dir)
     for (const fs::directory_entry &entry :
          fs::recursive_directory_iterator(dir)) {
         if (entry.is_regular_file() &&
-            entry.path().extension() != ".gpc")
+            entry.path().extension() != ".gpp")
             files.push_back(entry.path());
+    }
+    return files;
+}
+
+std::string
+readBytes(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/**
+ * Splits the pack at @p path into its records by the payload size in
+ * each header. False when the bytes do not end exactly at a record
+ * boundary.
+ */
+bool
+splitPack(const fs::path &path, std::vector<std::string> &records)
+{
+    const std::string bytes = readBytes(path);
+    std::size_t at = 0;
+    while (bytes.size() - at >= recordHeaderSize) {
+        ByteReader header(bytes.data() + at, recordHeaderSize);
+        header.u32();
+        header.u32();
+        header.u32();
+        const std::uint64_t payload = header.u64();
+        if (payload > bytes.size() - at - recordHeaderSize)
+            return false;
+        records.push_back(
+            bytes.substr(at, recordHeaderSize + payload));
+        at += recordHeaderSize + payload;
+    }
+    return at == bytes.size();
+}
+
+/** Records in every pack of @p dir; each pack must split cleanly. */
+std::size_t
+recordCount(const std::string &dir)
+{
+    std::vector<std::string> records;
+    for (const fs::path &pack : packFiles(dir))
+        EXPECT_TRUE(splitPack(pack, records)) << pack;
+    return records.size();
+}
+
+/** Size and mtime of every file under @p dir, by path. */
+std::map<fs::path, std::pair<std::uintmax_t, fs::file_time_type>>
+storeSnapshot(const std::string &dir)
+{
+    std::map<fs::path, std::pair<std::uintmax_t, fs::file_time_type>>
+        files;
+    for (const fs::directory_entry &entry :
+         fs::recursive_directory_iterator(dir)) {
+        if (entry.is_regular_file())
+            files[entry.path()] = {entry.file_size(),
+                                   entry.last_write_time()};
     }
     return files;
 }
@@ -143,6 +207,8 @@ TEST(DiskCache, StoreThenLookupRoundTrips)
     CompiledLoop out;
     EXPECT_FALSE(cache.lookup(key, out));
     cache.store(key, compiled);
+    EXPECT_EQ(packFiles(dir).size(), 1u);
+    EXPECT_EQ(recordCount(dir), 1u);
     ASSERT_TRUE(cache.lookup(key, out));
     expectLoopsIdentical(compiled, out, "round trip");
 
@@ -183,7 +249,9 @@ TEST(DiskCache, WarmRerunHitsOverNinetyPercentBitIdentical)
     }
 
     // A fresh engine (fresh in-memory cache): every unique shape
-    // must now be served from disk.
+    // must now be served from disk, and hits write nothing.
+    const auto before = storeSnapshot(dir);
+    ASSERT_FALSE(before.empty());
     EngineOptions options;
     options.jobs = 2;
     options.cacheDir = dir;
@@ -202,6 +270,8 @@ TEST(DiskCache, WarmRerunHitsOverNinetyPercentBitIdentical)
     EXPECT_GT(diskHits, 0u);
     EXPECT_EQ(engine.metrics().counterValue("engine.cacheMisses"), 0u)
         << "nothing should recompile";
+    EXPECT_TRUE(storeSnapshot(dir) == before)
+        << "a warm batch changed a file of the store";
 
     ASSERT_EQ(cold.size(), warm.size());
     for (std::size_t i = 0; i < cold.size(); ++i) {
@@ -218,7 +288,8 @@ namespace
 
 /**
  * Compiles one loop through an engine bound to @p dir (publishing
- * one record), corrupts that record with @p corrupt, then verifies
+ * one record, alone in its pack), corrupts that pack with
+ * @p corrupt, then verifies
  * the corrupted store degrades to a miss: a fresh engine recompiles,
  * the result is bit-identical to a cache-less compile, and the loop
  * itself passes the independent schedule oracle.
@@ -250,9 +321,10 @@ corruptionScenario(const std::string &tag,
         engine.compileOne(
             EngineJob{&g, &m, SchedulerKind::Gp, {}});
     }
-    std::vector<fs::path> records = recordFiles(dir);
-    ASSERT_EQ(records.size(), 1u);
-    corrupt(records[0]);
+    std::vector<fs::path> packs = packFiles(dir);
+    ASSERT_EQ(packs.size(), 1u);
+    ASSERT_EQ(recordCount(dir), 1u);
+    corrupt(packs[0]);
 
     EngineOptions options;
     options.jobs = 1;
@@ -261,7 +333,8 @@ corruptionScenario(const std::string &tag,
     CompiledLoop recompiled = unwrapOne(engine.compileOne(
         EngineJob{&g, &m, SchedulerKind::Gp, {}}));
 
-    // The corrupted record was a miss (and was evicted), the loop
+    // The corrupted record was a miss (and was evicted: rejected by
+    // the open scan or by the lookup's verification), the loop
     // was recompiled, and the recompiled schedule is bit-identical
     // to the never-cached reference.
     const MetricRegistry &metrics = engine.metrics();
@@ -285,13 +358,7 @@ TEST(DiskCache, TruncatedRecordIsAMissAndEvicted)
 TEST(DiskCache, BitFlippedRecordIsAMissAndEvicted)
 {
     corruptionScenario("bitflip", [](const fs::path &path) {
-        std::string bytes;
-        {
-            std::ifstream in(path, std::ios::binary);
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            bytes = buffer.str();
-        }
+        std::string bytes = readBytes(path);
         ASSERT_GT(bytes.size(), recordHeaderSize);
         // Flip one payload byte (past the header) so the checksum
         // layer, not the framing, must catch it.
@@ -357,13 +424,7 @@ v1Record(const LoopKey &key, const CompiledLoop &loop)
 TEST(DiskCache, FormatV1RecordIsAMissAndEvicted)
 {
     corruptionScenario("v1", [](const fs::path &path) {
-        std::string bytes;
-        {
-            std::ifstream in(path, std::ios::binary);
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            bytes = buffer.str();
-        }
+        std::string bytes = readBytes(path);
         LoopKey key;
         CompiledLoop loop;
         ASSERT_TRUE(decodeCacheRecord(bytes, key, loop));
@@ -374,40 +435,159 @@ TEST(DiskCache, FormatV1RecordIsAMissAndEvicted)
     });
 }
 
-TEST(DiskCache, GarbageFileIsAMissAndEvicted)
+TEST(DiskCache, GarbagePackIsAMissAndEvicted)
 {
-    std::string dir = freshCacheDir("garbage");
+    corruptionScenario("garbage", [](const fs::path &path) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "not a cache record at all";
+    });
+}
+
+/**
+ * A live cache whose own pack is overwritten under it: the lookup's
+ * verification fails, the record leaves the index (counted once, in
+ * the registry the cache was given), and a new store is served again.
+ */
+TEST(DiskCache, RecordGarbledUnderALiveCacheIsEvictedOnce)
+{
+    std::string dir = freshCacheDir("garbled");
     LatencyTable lat;
     MachineConfig m = twoClusterConfig(32, 1);
     Ddg g = diamondLoop(lat);
     LoopKey key = makeLoopKey(g, m, SchedulerKind::Gp, {});
+    CompiledLoop compiled =
+        LoopCompiler(m, SchedulerKind::Gp).compile(g);
 
     MetricRegistry registry;
     DiskCache cache(dir, 0, &registry);
-    // Plant garbage exactly where this key's record would live.
-    LoopCompiler compiler(m, SchedulerKind::Gp);
-    cache.store(key, compiler.compile(g));
-    std::vector<fs::path> records = recordFiles(dir);
-    ASSERT_EQ(records.size(), 1u);
+    cache.store(key, compiled);
+    std::vector<fs::path> packs = packFiles(dir);
+    ASSERT_EQ(packs.size(), 1u);
     {
-        std::ofstream out(records[0],
-                          std::ios::binary | std::ios::trunc);
+        std::ofstream out(packs[0], std::ios::binary | std::ios::trunc);
         out << "not a cache record at all";
     }
 
     CompiledLoop out;
     EXPECT_FALSE(cache.lookup(key, out));
-    // The eviction is counted in the registry the cache was given.
+    EXPECT_FALSE(cache.lookup(key, out));
     EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 1u);
-    EXPECT_EQ(registry.counter("disk.misses").value(), 1u);
-    EXPECT_TRUE(recordFiles(dir).empty()) << "bad record not evicted";
+    EXPECT_EQ(registry.counter("disk.misses").value(), 2u);
+
+    cache.store(key, compiled);
+    ASSERT_TRUE(cache.lookup(key, out));
+    expectLoopsIdentical(compiled, out, "restored");
+    fs::remove_all(dir);
+}
+
+/**
+ * A pack whose last record was cut short (a writer died mid-append):
+ * the open scan keeps every earlier record, rejects the torn tail
+ * once, and new stores still work.
+ */
+TEST(DiskCache, TornPackTailKeepsEarlierRecords)
+{
+    std::string dir = freshCacheDir("torntail");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    std::vector<Ddg> loops;
+    std::vector<LoopKey> keys;
+    std::vector<CompiledLoop> compiled;
+    for (int n = 4; n < 10; ++n) {
+        loops.push_back(chainLoop(n, lat));
+        keys.push_back(
+            makeLoopKey(loops.back(), m, SchedulerKind::Gp, {}));
+        compiled.push_back(
+            LoopCompiler(m, SchedulerKind::Gp).compile(loops.back()));
+    }
+    const std::size_t stored = keys.size() - 1;
+    {
+        DiskCache cache(dir, 0);
+        for (std::size_t i = 0; i < stored; ++i)
+            cache.store(keys[i], compiled[i]);
+    }
+    std::vector<fs::path> packs = packFiles(dir);
+    ASSERT_EQ(packs.size(), 1u);
+    const std::string torn =
+        encodeCacheRecord(keys[stored], compiled[stored]);
+    {
+        std::ofstream out(packs[0], std::ios::binary | std::ios::app);
+        out.write(torn.data(),
+                  static_cast<std::streamsize>(torn.size() / 2));
+    }
+
+    MetricRegistry registry;
+    DiskCache cache(dir, 0, &registry);
+    EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 1u);
+    CompiledLoop out;
+    for (std::size_t i = 0; i < stored; ++i) {
+        ASSERT_TRUE(cache.lookup(keys[i], out)) << "record " << i;
+        expectLoopsIdentical(compiled[i], out,
+                             "record " + std::to_string(i));
+    }
+    EXPECT_FALSE(cache.lookup(keys[stored], out));
+    cache.store(keys[stored], compiled[stored]);
+    ASSERT_TRUE(cache.lookup(keys[stored], out));
+    expectLoopsIdentical(compiled[stored], out, "stored after");
+
+    DiskCache reopened(dir, 0);
+    for (std::size_t i = 0; i <= stored; ++i)
+        EXPECT_TRUE(reopened.lookup(keys[i], out)) << "record " << i;
+    fs::remove_all(dir);
+}
+
+/**
+ * The same key in two packs: the open scan reads the packs
+ * oldest-first and the newer record wins, so a bad record in an old
+ * pack never shadows the good one stored after it.
+ */
+TEST(DiskCache, NewerPackRecordReplacesOlder)
+{
+    std::string dir = freshCacheDir("newer");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    Ddg g = diamondLoop(lat);
+    LoopKey key = makeLoopKey(g, m, SchedulerKind::Gp, {});
+    CompiledLoop compiled =
+        LoopCompiler(m, SchedulerKind::Gp).compile(g);
+
+    DiskCache(dir, 0).store(key, compiled);
+    std::vector<fs::path> packs = packFiles(dir);
+    ASSERT_EQ(packs.size(), 1u);
+    const fs::path old = packs[0];
+    {
+        std::fstream io(old, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        io.seekp(-1, std::ios::end);
+        io.put('\x7f');
+    }
+    CompiledLoop out;
+    {
+        MetricRegistry registry;
+        DiskCache cache(dir, 0, &registry);
+        EXPECT_FALSE(cache.lookup(key, out));
+        EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 1u);
+        cache.store(key, compiled);
+    }
+    ASSERT_EQ(packFiles(dir).size(), 2u);
+    const auto now = fs::file_time_type::clock::now();
+    for (const fs::path &pack : packFiles(dir))
+        fs::last_write_time(pack, pack == old
+                                      ? now - std::chrono::seconds(10)
+                                      : now);
+
+    MetricRegistry registry;
+    DiskCache cache(dir, 0, &registry);
+    ASSERT_TRUE(cache.lookup(key, out));
+    expectLoopsIdentical(compiled, out, "newer record");
+    EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 0u);
     fs::remove_all(dir);
 }
 
 // --- fault injection at the cache boundary -------------------------
 
 /**
- * A failed compile must be invisible to both cache tiers: no .gpc
+ * A failed compile must be invisible to both cache tiers: no
  * record on disk, no in-memory entry, engine.failed counts it, a
  * rerun recompiles from scratch (no negative caching), and once the
  * input is fixed the same engine compiles, succeeds, and stores the
@@ -441,7 +621,7 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     };
     EXPECT_EQ(count("engine.failed"), 1u);
     EXPECT_EQ(count("disk.stores"), 0u);
-    EXPECT_TRUE(recordFiles(dir).empty())
+    EXPECT_EQ(recordCount(dir), 0u)
         << "a failed compile must never publish a record";
 
     // Retry: a fresh miss on both tiers, recompiled, same failure.
@@ -466,17 +646,17 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     EXPECT_GT(ok.ipc, 0.0);
     EXPECT_EQ(count("engine.failed"), 2u);
     EXPECT_EQ(count("disk.stores"), 1u);
-    EXPECT_EQ(recordFiles(dir).size(), 1u);
+    EXPECT_EQ(recordCount(dir), 1u);
     fs::remove_all(dir);
 }
 
 /**
- * A record whose final flush comes up short must never be published.
+ * A record whose append comes up short must never be published.
  * The store runs in a death-test child whose file-size limit cuts
- * the temp file's write at 16 bytes (SIGXFSZ ignored, so the write
- * fails with EFBIG instead of killing the child); the child exits 0
- * only when no record, no temp file and no store count were left
- * behind.
+ * the pack's write at 16 bytes (SIGXFSZ ignored, so the write comes
+ * up short instead of killing the child); the child exits 0 only
+ * when the pack was cut back to empty, no other file, no store count
+ * and no lookup hit were left behind.
  */
 TEST(DiskCache, ShortWriteLeavesNoRecord)
 {
@@ -497,48 +677,117 @@ TEST(DiskCache, ShortWriteLeavesNoRecord)
         if (::setrlimit(RLIMIT_FSIZE, &limit) != 0)
             std::_Exit(3);
         cache.store(key, compiled);
-        const bool clean = recordFiles(dir).empty() &&
-                           strayFiles(dir).empty() &&
-                           registry.counter("disk.stores").value() == 0;
+        bool clean = strayFiles(dir).empty() &&
+                     registry.counter("disk.stores").value() == 0;
+        for (const fs::path &pack : packFiles(dir))
+            clean = clean && fs::file_size(pack) == 0;
+        CompiledLoop out;
+        clean = clean && !cache.lookup(key, out);
         std::_Exit(clean ? 0 : 1);
     };
     EXPECT_EXIT(storeUnderLimit(), ::testing::ExitedWithCode(0), "");
-    EXPECT_TRUE(recordFiles(dir).empty());
+    EXPECT_EQ(recordCount(dir), 0u);
     fs::remove_all(dir);
 }
 
 // --- size budget ---------------------------------------------------
 
-TEST(DiskCache, CompactionEnforcesTheByteBudget)
+/**
+ * Four caches leave four packs; opening a fifth under a budget that
+ * fits only the two newest deletes the two oldest whole, counts them,
+ * and keeps serving the survivors' records.
+ */
+TEST(DiskCache, BudgetDeletesOldestPacksAtOpen)
 {
     std::string dir = freshCacheDir("budget");
     LatencyTable lat;
     MachineConfig m = fourClusterConfig(32, 1);
 
-    // Size one record, then budget for roughly four of them.
-    Ddg probe = chainLoop(8, lat);
-    LoopCompiler compiler(m, SchedulerKind::Gp);
-    CompiledLoop compiled = compiler.compile(probe);
-    LoopKey probeKey = makeLoopKey(probe, m, SchedulerKind::Gp, {});
-    const std::uint64_t recordSize =
-        encodeCacheRecord(probeKey, compiled).size();
-    const std::uint64_t budget = recordSize * 4;
+    std::vector<LoopKey> keys;
+    std::vector<fs::path> order; // packs, oldest first
+    for (int pack = 0; pack < 4; ++pack) {
+        DiskCache cache(dir, 0);
+        for (int n = 4 + 3 * pack; n < 7 + 3 * pack; ++n) {
+            Ddg g = chainLoop(n, lat); // distinct shapes, distinct keys
+            keys.push_back(makeLoopKey(g, m, SchedulerKind::Gp, {}));
+            cache.store(keys.back(),
+                        LoopCompiler(m, SchedulerKind::Gp).compile(g));
+        }
+        for (const fs::path &path : packFiles(dir)) {
+            if (std::find(order.begin(), order.end(), path) ==
+                order.end())
+                order.push_back(path);
+        }
+    }
+    ASSERT_EQ(order.size(), 4u);
+    // Spread the mtimes a second apart: creation order is age order.
+    const auto now = fs::file_time_type::clock::now();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const auto age = std::chrono::seconds(order.size() - i);
+        fs::last_write_time(order[i], now - age);
+    }
+    const std::uint64_t budget =
+        fs::file_size(order[2]) + fs::file_size(order[3]);
 
     MetricRegistry registry;
     DiskCache cache(dir, budget, &registry);
-    for (int n = 4; n < 20; ++n) {
-        Ddg g = chainLoop(n, lat); // distinct shapes, distinct keys
-        LoopCompiler c(m, SchedulerKind::Gp);
-        cache.store(makeLoopKey(g, m, SchedulerKind::Gp, {}),
-                    c.compile(g));
+    EXPECT_EQ(registry.counter("disk.compacted").value(), 2u);
+    EXPECT_LE(cache.residentBytes(), budget);
+    EXPECT_FALSE(fs::exists(order[0]));
+    EXPECT_FALSE(fs::exists(order[1]));
+    CompiledLoop out;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(cache.lookup(keys[i], out), i >= 6) << "key " << i;
+    fs::remove_all(dir);
+}
+
+/**
+ * However many caches have stored into a directory, an opening cache
+ * keeps only the kMaxPacks newest packs (each holds a descriptor)
+ * and can still store. Every cache of the fill opens under the cap
+ * too, so the fill leaves one pack over it.
+ */
+TEST(DiskCache, PackCountIsCappedAtOpen)
+{
+    std::string dir = freshCacheDir("packcap");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    Ddg g = diamondLoop(lat);
+    const LoopKey base = makeLoopKey(g, m, SchedulerKind::Gp, {});
+    const CompiledLoop compiled =
+        LoopCompiler(m, SchedulerKind::Gp).compile(g);
+    // Distinct keys for one value: the key's bytes are opaque here.
+    auto keyOf = [&](std::size_t i) {
+        LoopKey key;
+        key.canonical = base.canonical + std::to_string(i);
+        key.digest = fnv1a64(key.canonical);
+        return key;
+    };
+
+    const std::size_t stored = DiskCache::kMaxPacks + 1;
+    const auto now = fs::file_time_type::clock::now();
+    for (std::size_t i = 0; i < stored; ++i) {
+        DiskCache(dir, 0).store(keyOf(i), compiled);
+        // Creation order is age order, a second apart.
+        for (const fs::path &pack : packFiles(dir)) {
+            if (fs::last_write_time(pack) >
+                now - std::chrono::hours(1))
+                fs::last_write_time(
+                    pack, now - std::chrono::hours(2) +
+                              std::chrono::seconds(i));
+        }
     }
-    // Compaction kept the store within (about) the budget. Records
-    // differ slightly in size, so allow one record of slack.
-    EXPECT_LE(cache.residentBytes(), budget + recordSize);
-    // Compactions are counted in the registry the cache was given.
-    EXPECT_GT(registry.counter("disk.compacted").value(), 0u);
-    EXPECT_EQ(registry.counter("disk.stores").value(), 16u);
-    EXPECT_FALSE(recordFiles(dir).empty());
+    ASSERT_EQ(packFiles(dir).size(), stored);
+
+    MetricRegistry registry;
+    DiskCache cache(dir, 0, &registry);
+    EXPECT_EQ(registry.counter("disk.compacted").value(), 1u);
+    EXPECT_EQ(packFiles(dir).size(), DiskCache::kMaxPacks);
+    CompiledLoop out;
+    for (std::size_t i = 0; i < stored; ++i)
+        EXPECT_EQ(cache.lookup(keyOf(i), out), i >= 1) << "key " << i;
+    cache.store(keyOf(stored), compiled);
+    EXPECT_TRUE(cache.lookup(keyOf(stored), out));
     fs::remove_all(dir);
 }
 
@@ -547,9 +796,9 @@ TEST(DiskCache, CompactionEnforcesTheByteBudget)
 /**
  * Two engines — two in-memory caches, one shared directory — compile
  * an overlapping batch concurrently. Results must be bit-identical
- * to a serial cache-less run, and the store must contain only
- * complete, valid records afterwards (the atomic-rename guarantee);
- * run under TSan to audit the synchronization.
+ * to a serial cache-less run, and every pack must split into
+ * complete, valid records afterwards (one writer per pack); run
+ * under TSan to audit the synchronization.
  */
 TEST(DiskCache, ConcurrentEnginesSharingADirectoryStayExact)
 {
@@ -589,19 +838,21 @@ TEST(DiskCache, ConcurrentEnginesSharingADirectoryStayExact)
                              "engine B index " + std::to_string(i));
     }
 
-    // No partial records: no temp files remain and every record in
-    // the store decodes and verifies in full.
+    // No partial records: nothing but packs remains, and every pack
+    // splits end to end into records that decode and verify in full.
     EXPECT_TRUE(strayFiles(dir).empty());
-    std::vector<fs::path> records = recordFiles(dir);
-    EXPECT_FALSE(records.empty());
-    for (const fs::path &path : records) {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        LoopKey key;
-        CompiledLoop value;
-        EXPECT_TRUE(decodeCacheRecord(buffer.str(), key, value))
-            << path << " is not a complete valid record";
+    std::vector<fs::path> packs = packFiles(dir);
+    EXPECT_EQ(packs.size(), 2u);
+    for (const fs::path &path : packs) {
+        std::vector<std::string> records;
+        EXPECT_TRUE(splitPack(path, records)) << path;
+        EXPECT_FALSE(records.empty()) << path;
+        for (const std::string &record : records) {
+            LoopKey key;
+            CompiledLoop value;
+            EXPECT_TRUE(decodeCacheRecord(record, key, value))
+                << path << " holds an incomplete or invalid record";
+        }
     }
     fs::remove_all(dir);
 }
