@@ -41,7 +41,7 @@
 #include "support/logging.hh"
 #include "support/output.hh"
 #include "support/telemetry.hh"
-#include "support/timer.hh"
+#include "support/trace.hh"
 #include "workload/specfp.hh"
 
 using namespace gpsched;
@@ -366,11 +366,13 @@ table1(Run &run)
  * repetitions. Measurements stay serial and cache-less whatever
  * --jobs says: the metric is the scheduling time of one compiler
  * instance, which concurrency and caching would only distort. The
- * timer wraps the whole run, because per-loop timer reads quantize
- * to scheduler ticks on some kernels. The serial pipeline compiles
- * on this thread, so the ambient telemetry context attributes every
- * phase span of the run to the scheme's phase sums. The JSON report
- * has its own shape: the table's rows plus those phase sums.
+ * serial pipeline compiles on this thread (its one-job pool runs
+ * inline), so the thread CPU clock read before and after the whole
+ * run covers every compile — per-loop reads would quantize to
+ * scheduler ticks on some kernels — and the ambient telemetry
+ * context attributes every phase span of the run to the scheme's
+ * phase sums. The JSON report has its own shape: the table's rows
+ * plus those phase sums.
  */
 Report
 table2(Run &run)
@@ -393,11 +395,11 @@ table2(Run &run)
             TelemetryContext ctx;
             ctx.trace = &traces[s];
             ScopedTelemetryContext scoped(ctx);
-            CpuTimer timer;
-            timer.start();
+            std::uint64_t cpu0 = threadCpuNanos();
             for (int r = 0; r < reps; ++r)
                 compileSuite(run.suite, m, schemes[s]);
-            seconds[s] = timer.elapsedSeconds() / reps;
+            seconds[s] = static_cast<double>(threadCpuNanos() - cpu0) *
+                         1e-9 / reps;
         }
         table.addRow({m.name()},
                      {seconds[0], seconds[1], seconds[2],

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "support/stats.hh"
 
 namespace gpsched
 {
@@ -37,13 +36,19 @@ ipcOf(std::int64_t ops, std::int64_t cycles)
 double
 ipcGainPercent(double x, double baseline)
 {
-    return speedupPercent(x, baseline);
+    GPSCHED_ASSERT(baseline > 0.0, "ipcGainPercent needs baseline > 0");
+    return (x / baseline - 1.0) * 100.0;
 }
 
 double
 averageIpc(const std::vector<double> &program_ipcs)
 {
-    return arithmeticMean(program_ipcs);
+    if (program_ipcs.empty())
+        return 0.0;
+    double sum = 0.0;
+    for (double ipc : program_ipcs)
+        sum += ipc;
+    return sum / static_cast<double>(program_ipcs.size());
 }
 
 } // namespace gpsched

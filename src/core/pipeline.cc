@@ -31,12 +31,9 @@ aggregateProgram(const Program &program,
             result.failures.push_back(std::move(*item.error));
             continue;
         }
-        result.phases.merge(item.trace);
         CompiledLoop &compiled = item.loop;
         result.totalOps += compiled.ops;
         result.totalCycles += compiled.cycles;
-        if (!compiled.moduloScheduled)
-            ++result.listScheduled;
         result.loops.push_back(std::move(compiled));
     }
     result.ipc = ipcOf(result.totalOps, result.totalCycles);
@@ -99,7 +96,6 @@ compileSuite(Engine &engine, const std::vector<Program> &suite,
             aggregateProgram(program, std::move(loops));
         ipcs.push_back(pr.ipc);
         result.failedLoops += pr.failures.size();
-        result.phases.merge(pr.phases);
         result.programs.push_back(std::move(pr));
     }
     result.meanIpc = averageIpc(ipcs);

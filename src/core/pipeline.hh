@@ -32,7 +32,6 @@
 #include "graph/ddg.hh"
 #include "machine/machine.hh"
 #include "support/compile_error.hh"
-#include "support/telemetry.hh"
 
 namespace gpsched
 {
@@ -67,14 +66,6 @@ struct ProgramResult
 
     /** totalOps / totalCycles. */
     double ipc = 0.0;
-
-    /** Loops that fell back to list scheduling. */
-    int listScheduled = 0;
-
-    /** Phase breakdown summed over the loops this program actually
-     *  compiled (empty() unless the engine collected phases; cache
-     *  hits contribute nothing). */
-    CompileTrace phases;
 };
 
 /** Outcome of compiling a whole suite. */
@@ -88,9 +79,6 @@ struct SuiteResult
     /** Loops that failed across the whole suite (the per-program
      *  diagnostics live in ProgramResult::failures). */
     std::uint64_t failedLoops = 0;
-
-    /** Suite-wide phase breakdown (sum of the programs' phases). */
-    CompileTrace phases;
 };
 
 /** Compiles every loop of @p program serially (one-job engine). */

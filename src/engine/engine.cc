@@ -5,7 +5,6 @@
 
 #include "support/json.hh"
 #include "support/logging.hh"
-#include "support/timer.hh"
 
 namespace gpsched
 {
@@ -100,41 +99,36 @@ Engine::Engine(EngineOptions options)
 CompileResult
 Engine::runJob(const EngineJob &job)
 {
-    // compileMs and source are always recorded: two monotonic clock
+    // compileMs and source are always recorded: two trace-clock
     // reads per job, independent of the telemetry options.
-    std::uint64_t startNanos = monotonicNanos();
+    std::uint64_t startNanos = traceNowNanos();
     CompileSource source = CompileSource::Compiled;
-    CompileTrace trace;
-    CompileResult result = runJobImpl(job, source, trace);
+    CompileResult result = runJobImpl(job, source);
     result.source = source;
     result.compileMs =
-        static_cast<double>(monotonicNanos() - startNanos) * 1e-6;
-    result.trace = trace;
-    if (!trace.empty()) {
-        std::lock_guard<std::mutex> lock(totalsMutex_);
-        totals_.merge(trace);
-    }
+        static_cast<double>(traceNowNanos() - startNanos) * 1e-6;
     return result;
 }
 
 CompileResult
-Engine::runJobImpl(const EngineJob &job, CompileSource &source,
-                   CompileTrace &trace)
+Engine::runJobImpl(const EngineJob &job, CompileSource &source)
 {
     GPSCHED_ASSERT(job.loop != nullptr && job.machine != nullptr,
                    "engine job without loop or machine");
     jobsSubmitted_->add();
 
-    // Runs compiler.compile under the ambient telemetry context so
-    // GPSCHED_PHASE_SPAN sites attribute into this job's trace, and
+    // Runs compiler.compile under this job's telemetry context so
+    // GPSCHED_PHASE_SPAN sites attribute into a job-local trace,
     // brackets the whole compile for the "compile" Chrome span and
-    // the trace's whole-compile totals. With telemetry off this
-    // reduces to the plain compile call.
+    // the whole-compile totals, and merges the trace into
+    // phaseTotals(). With telemetry off this reduces to the plain
+    // compile call, whose spans reach the caller's ambient context.
     auto tracedCompile = [&](LoopCompiler &compiler) {
         TraceSink *sink = options_.trace;
         const bool collect = options_.collectPhases || sink != nullptr;
         if (!collect)
             return compiler.compile(*job.loop);
+        CompileTrace trace;
         TelemetryContext ctx;
         ctx.trace = &trace;
         ctx.sink = sink;
@@ -147,6 +141,10 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source,
             trace.wallNanos = wall1 - wall0;
             trace.cpuNanos = threadCpuNanos() - cpu0;
             trace.compiles = 1;
+            {
+                std::lock_guard<std::mutex> lock(totalsMutex_);
+                totals_.merge(trace);
+            }
             if (sink != nullptr) {
                 TraceEvent event;
                 event.name = "compile";

@@ -93,10 +93,11 @@ struct EngineOptions
     TraceSink *trace = nullptr;
 
     /**
-     * Record a per-compile phase breakdown (CompileResult::trace)
-     * and aggregate it into phaseTotals(). Implied by a non-null
-     * trace sink. Observation-only: schedules are bit-identical
-     * either way.
+     * Aggregate every compile's phase breakdown into phaseTotals(),
+     * the engine's one phase store. Implied by a non-null trace
+     * sink. Off, a compile's phase spans go to the caller's ambient
+     * TelemetryContext, if any. Observation-only: schedules are
+     * bit-identical either way.
      */
     bool collectPhases = false;
 };
@@ -133,7 +134,8 @@ const char *compileSourceName(CompileSource source);
  * Per-job outcome: either a schedule or a diagnostic, never both.
  * The batch analogue of "a result row": failures occupy their
  * submission slot so downstream consumers can match results to jobs
- * positionally.
+ * positionally. A result carries no phase breakdown; the engine's
+ * phaseTotals() is the one place phase times are kept.
  */
 struct CompileResult
 {
@@ -149,17 +151,10 @@ struct CompileResult
     /**
      * Wall time this job spent in the engine, milliseconds: compile
      * time for fresh compiles, probe/wait time for cache hits and
-     * coalesced duplicates. Always measured (two monotonic clock
+     * coalesced duplicates. Always measured (two traceNowNanos()
      * reads), independent of telemetry options.
      */
     double compileMs = 0.0;
-
-    /**
-     * Phase breakdown of this job's own compilation; empty() unless
-     * the engine ran with collectPhases/trace AND this job actually
-     * compiled (cache hits describe no new work).
-     */
-    CompileTrace trace;
 
     bool ok() const { return !error.has_value(); }
 
@@ -218,9 +213,9 @@ class Engine
     MetricRegistry &metrics() const { return *metrics_; }
 
     /**
-     * Batch-aggregated phase breakdown (every compile this engine
-     * ran with collectPhases/trace on). Empty when phase collection
-     * was off.
+     * Phase breakdown summed over every compile this engine ran
+     * with collectPhases/trace on; cache hits and coalesced
+     * duplicates add nothing. Empty when phase collection was off.
      */
     CompileTrace phaseTotals() const;
 
@@ -239,8 +234,7 @@ class Engine
   private:
     CompileResult runJob(const EngineJob &job);
     CompileResult runJobImpl(const EngineJob &job,
-                             CompileSource &source,
-                             CompileTrace &trace);
+                             CompileSource &source);
 
     EngineOptions options_;
     int jobs_;

@@ -5,7 +5,6 @@
 
 #include "support/logging.hh"
 #include "support/telemetry.hh"
-#include "support/timer.hh"
 #include "support/trace.hh"
 
 namespace gpsched

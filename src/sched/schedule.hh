@@ -260,31 +260,6 @@ class PartialSchedule
      */
     FigureOfMerit globalFom() const;
 
-    // --- transformations (Section 3.3.2; defined in transforms.cc) ---
-
-    /**
-     * Splits the lifetime of the best spill candidate in @p cluster
-     * across its widest idle gap (store after the early part, load
-     * before the late part). Returns true when applied.
-     */
-    bool trySpill(int cluster);
-
-    /** Removes one spill in @p cluster if registers allow. */
-    bool tryUnspill(int cluster);
-
-    /** Converts one bus transfer to a memory communication. */
-    bool tryBusToMem();
-
-    /** Converts one memory communication to a bus transfer. */
-    bool tryMemToBus();
-
-    /**
-     * Applies transformations while they improve the global figure
-     * of merit, starting with the most saturated resource
-     * (Section 3.3.3). Returns the number applied.
-     */
-    int runTransformations();
-
     // --- queries -------------------------------------------------------
 
     /**

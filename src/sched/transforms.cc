@@ -381,36 +381,4 @@ TransformEngine::run(PartialSchedule &ps)
     return applied;
 }
 
-// --- PartialSchedule forwarding ---------------------------------------
-
-bool
-PartialSchedule::trySpill(int cluster)
-{
-    return TransformEngine::trySpill(*this, cluster);
-}
-
-bool
-PartialSchedule::tryUnspill(int cluster)
-{
-    return TransformEngine::tryUnspill(*this, cluster);
-}
-
-bool
-PartialSchedule::tryBusToMem()
-{
-    return TransformEngine::tryBusToMem(*this);
-}
-
-bool
-PartialSchedule::tryMemToBus()
-{
-    return TransformEngine::tryMemToBus(*this);
-}
-
-int
-PartialSchedule::runTransformations()
-{
-    return TransformEngine::run(*this);
-}
-
 } // namespace gpsched

@@ -17,7 +17,7 @@
  * Every transformation is accepted only when it strictly improves the
  * global figure of merit, so chains of transformations terminate.
  * TransformEngine is the friend of PartialSchedule that implements
- * them; the PartialSchedule::trySpill() family forwards here.
+ * them; the scheduler and the tests call it directly.
  */
 
 #ifndef GPSCHED_SCHED_TRANSFORMS_HH

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sched/sms_order.hh"
+#include "sched/transforms.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -150,7 +151,7 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
     auto relieveNearCritical = [&ps]() {
         constexpr double nearCriticalPercent = 85.0;
         if (ps.globalFom().maxComponent() >= nearCriticalPercent)
-            ps.runTransformations();
+            TransformEngine::run(ps);
     };
 
     if (!smsSets_)
@@ -162,7 +163,7 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
             continue;
         }
         // Shift pressure between resource types and retry once.
-        if (ps.runTransformations() > 0 &&
+        if (TransformEngine::run(ps) > 0 &&
             placeNode(ps, v, policy, assignment, analysis, false))
             continue;
         // GP only: the assigned cluster is beyond saving at this II,

@@ -142,48 +142,4 @@ Histogram::buckets() const
     return out;
 }
 
-double
-arithmeticMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double x : xs)
-        sum += x;
-    return sum / static_cast<double>(xs.size());
-}
-
-double
-geometricMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double logSum = 0.0;
-    for (double x : xs) {
-        GPSCHED_ASSERT(x > 0.0, "geometricMean needs positive samples");
-        logSum += std::log(x);
-    }
-    return std::exp(logSum / static_cast<double>(xs.size()));
-}
-
-double
-harmonicMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double invSum = 0.0;
-    for (double x : xs) {
-        GPSCHED_ASSERT(x > 0.0, "harmonicMean needs positive samples");
-        invSum += 1.0 / x;
-    }
-    return static_cast<double>(xs.size()) / invSum;
-}
-
-double
-speedupPercent(double x, double baseline)
-{
-    GPSCHED_ASSERT(baseline > 0.0, "speedupPercent needs baseline > 0");
-    return (x / baseline - 1.0) * 100.0;
-}
-
 } // namespace gpsched

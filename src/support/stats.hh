@@ -1,8 +1,6 @@
 /**
  * @file
- * Small summary-statistics helpers used by the benches, metrics
- * aggregation and telemetry (arithmetic/geometric/harmonic means, a
- * thread-safe latency histogram).
+ * The thread-safe latency histogram behind the telemetry registry.
  */
 
 #ifndef GPSCHED_SUPPORT_STATS_HH
@@ -91,18 +89,6 @@ class Histogram
     double min_ = 0.0;
     double max_ = 0.0;
 };
-
-/** Arithmetic mean of @p xs; 0 for empty input. */
-double arithmeticMean(const std::vector<double> &xs);
-
-/** Geometric mean of positive @p xs; 0 for empty input. */
-double geometricMean(const std::vector<double> &xs);
-
-/** Harmonic mean of positive @p xs; 0 for empty input. */
-double harmonicMean(const std::vector<double> &xs);
-
-/** Relative speedup of @p x over @p baseline in percent. */
-double speedupPercent(double x, double baseline);
 
 } // namespace gpsched
 

@@ -4,7 +4,6 @@
 
 #include "support/json.hh"
 #include "support/logging.hh"
-#include "support/timer.hh"
 
 namespace gpsched
 {

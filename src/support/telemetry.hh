@@ -87,9 +87,10 @@ struct PhaseTotals
 };
 
 /**
- * Per-compile phase breakdown, attached to CompileResult (never to
- * CompiledLoop — traces describe one compilation, not the cached
- * artifact) and merged per batch/program.
+ * Phase breakdown of one compile or, via merge(), of many: the
+ * engine's phaseTotals() and a caller's ambient context both hold
+ * one. Never part of CompiledLoop — traces describe compilations,
+ * not the cached artifact.
  */
 struct CompileTrace
 {

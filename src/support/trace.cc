@@ -2,12 +2,32 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ctime>
 
 #include "support/json.hh"
-#include "support/timer.hh"
 
 namespace gpsched
 {
+
+namespace
+{
+
+std::uint64_t
+clockNanos(clockid_t id)
+{
+    timespec ts{};
+    clock_gettime(id, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ull +
+           static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+std::uint64_t
+monotonicNanos()
+{
+    return clockNanos(CLOCK_MONOTONIC);
+}
+
+} // namespace
 
 void
 TraceSink::complete(TraceEvent event)
@@ -131,6 +151,12 @@ traceNowNanos()
     // Two racing first callers can pin an anchor a hair after this
     // thread's read; saturate instead of wrapping.
     return now >= seen ? now - seen : 0;
+}
+
+std::uint64_t
+threadCpuNanos()
+{
+    return clockNanos(CLOCK_THREAD_CPUTIME_ID);
 }
 
 std::uint32_t

@@ -87,9 +87,18 @@ class TraceSink
 
 /**
  * Nanoseconds since the process-wide trace anchor (the first call's
- * monotonic timestamp). All trace events use this timebase.
+ * monotonic timestamp). All trace events and the engine's compileMs
+ * use this timebase; it is gpsched's one wall clock.
  */
 std::uint64_t traceNowNanos();
+
+/**
+ * Per-thread CPU time (CLOCK_THREAD_CPUTIME_ID) in nanoseconds,
+ * gpsched's one CPU clock. Phase spans use it rather than the
+ * process clock so concurrent compiles on other workers don't
+ * inflate a phase's CPU cost.
+ */
+std::uint64_t threadCpuNanos();
 
 /** Small dense id for the calling thread, stable for its lifetime. */
 std::uint32_t traceThreadId();

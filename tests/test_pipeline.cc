@@ -50,18 +50,6 @@ TEST(Pipeline, AggregatesLoops)
     EXPECT_EQ(r.name, "small");
 }
 
-TEST(Pipeline, ListScheduledCounter)
-{
-    LatencyTable lat;
-    Program prog = smallProgram(lat);
-    MachineConfig m = twoClusterConfig(32, 1);
-    ProgramResult r = compileProgram(prog, m, SchedulerKind::Uracam);
-    int fallback = 0;
-    for (const CompiledLoop &loop : r.loops)
-        fallback += !loop.moduloScheduled;
-    EXPECT_EQ(r.listScheduled, fallback);
-}
-
 TEST(Pipeline, SuiteMeanIpc)
 {
     LatencyTable lat;

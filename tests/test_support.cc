@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the support substrate: deterministic RNG, summary
- * statistics (running stats and histograms), table rendering, the
- * CPU/wall timers, and the command-line flag parser.
+ * Unit tests for the support substrate: deterministic RNG, the
+ * latency histogram, table rendering, the trace wall clock and the
+ * thread CPU clock, and the command-line flag parser.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@
 #include "support/random.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
-#include "support/timer.hh"
+#include "support/trace.hh"
 
 using namespace gpsched;
 
@@ -143,30 +143,6 @@ TEST(Rng, ForkIsIndependentOfParentUse)
         EXPECT_EQ(child2.next(), draws1[i]);
 }
 
-TEST(Means, Arithmetic)
-{
-    EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(arithmeticMean({}), 0.0);
-}
-
-TEST(Means, Geometric)
-{
-    EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-9);
-    EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
-}
-
-TEST(Means, Harmonic)
-{
-    EXPECT_NEAR(harmonicMean({1.0, 1.0}), 1.0, 1e-9);
-    EXPECT_NEAR(harmonicMean({2.0, 6.0}), 3.0, 1e-9);
-}
-
-TEST(Means, SpeedupPercent)
-{
-    EXPECT_NEAR(speedupPercent(1.23, 1.0), 23.0, 1e-9);
-    EXPECT_NEAR(speedupPercent(0.5, 1.0), -50.0, 1e-9);
-}
-
 TEST(TextTable, RendersHeadersAndRows)
 {
     TextTable table({"name", "value"});
@@ -188,37 +164,24 @@ TEST(TextTable, NumFormatsPrecision)
     EXPECT_EQ(TextTable::num(2.0, 0), "2");
 }
 
-TEST(CpuTimer, ElapsedIsNonNegativeAndGrows)
-{
-    CpuTimer timer;
-    timer.start();
-    double first = timer.elapsedSeconds();
-    EXPECT_GE(first, 0.0);
-    // Burn a little CPU so the clock must advance.
-    volatile double sink = 0.0;
-    for (int i = 0; i < 2000000; ++i)
-        sink = sink + std::sqrt(static_cast<double>(i));
-    EXPECT_GE(timer.elapsedSeconds(), first);
-}
-
 TEST(Clocks, SleepIsWallTimeNotCpuTime)
 {
     // The distinguishing contract: a sleeping thread accrues wall
     // time but (almost) no CPU time. Queue-wait spans depend on it.
-    std::uint64_t wall0 = monotonicNanos();
+    std::uint64_t wall0 = traceNowNanos();
     std::uint64_t cpu0 = threadCpuNanos();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    std::uint64_t wall = monotonicNanos() - wall0;
+    std::uint64_t wall = traceNowNanos() - wall0;
     std::uint64_t cpu = threadCpuNanos() - cpu0;
     EXPECT_GE(wall, 25u * 1000 * 1000);
     EXPECT_LT(cpu, wall / 2);
 }
 
-TEST(MonotonicNanos, NeverGoesBackwards)
+TEST(TraceNowNanos, NeverGoesBackwards)
 {
-    std::uint64_t last = monotonicNanos();
+    std::uint64_t last = traceNowNanos();
     for (int i = 0; i < 1000; ++i) {
-        std::uint64_t now = monotonicNanos();
+        std::uint64_t now = traceNowNanos();
         EXPECT_GE(now, last);
         last = now;
     }

@@ -23,7 +23,6 @@
 #include "engine/engine.hh"
 #include "machine/configs.hh"
 #include "support/telemetry.hh"
-#include "support/timer.hh"
 #include "support/trace.hh"
 #include "testing/fixtures.hh"
 
@@ -231,44 +230,67 @@ TEST(MetricRegistry, JsonDumpIsSortedAndComplete)
 
 // --- engine integration ---------------------------------------------
 
-TEST(EngineTelemetry, CollectPhasesPopulatesResultAndTotals)
+namespace
+{
+
+/** Every phase total of @p a equals @p b's. */
+void
+expectSameTotals(const CompileTrace &a, const CompileTrace &b)
+{
+    EXPECT_EQ(a.compiles, b.compiles);
+    EXPECT_EQ(a.wallNanos, b.wallNanos);
+    EXPECT_EQ(a.cpuNanos, b.cpuNanos);
+    for (std::size_t i = 0; i < kNumCompilePhases; ++i) {
+        EXPECT_EQ(a.phases[i].count, b.phases[i].count) << i;
+        EXPECT_EQ(a.phases[i].wallNanos, b.phases[i].wallNanos) << i;
+        EXPECT_EQ(a.phases[i].cpuNanos, b.phases[i].cpuNanos) << i;
+    }
+}
+
+} // namespace
+
+TEST(EngineTelemetry, CollectPhasesAddsOneCompilePerFreshCompile)
 {
     LatencyTable lat;
     MachineConfig m = fourClusterConfig(32, 1);
-    Ddg loop = gpsched::testing::diamondLoop(lat);
+    Ddg diamond = gpsched::testing::diamondLoop(lat);
+    Ddg recurrence = gpsched::testing::recurrenceLoop(lat);
 
     EngineOptions options;
     options.jobs = 1;
     options.collectPhases = true;
     Engine engine(options);
+    EXPECT_TRUE(engine.phaseTotals().empty());
 
     CompileResult fresh = engine.compileOne(
-        EngineJob{&loop, &m, SchedulerKind::Gp, {}});
+        EngineJob{&diamond, &m, SchedulerKind::Gp, {}});
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(fresh.source, CompileSource::Compiled);
-    EXPECT_FALSE(fresh.trace.empty());
-    EXPECT_EQ(fresh.trace.compiles, 1u);
-    EXPECT_GE(fresh.trace.wallNanos, 0u);
-    EXPECT_GE(
-        fresh.trace.phase(CompilePhase::ModuloSchedule).count, 1u);
-    EXPECT_GE(fresh.trace.phase(CompilePhase::Mii).count, 1u);
-    EXPECT_GE(fresh.trace.phase(CompilePhase::Coarsen).count, 1u);
+    CompileTrace first = engine.phaseTotals();
+    EXPECT_EQ(first.compiles, 1u);
+    EXPECT_GE(first.phase(CompilePhase::ModuloSchedule).count, 1u);
+    EXPECT_GE(first.phase(CompilePhase::Mii).count, 1u);
+    EXPECT_GE(first.phase(CompilePhase::Coarsen).count, 1u);
 
-    // A cache hit did no new work: its trace is empty, but the
-    // engine-wide totals keep the original compile.
+    // A memory hit did no new work: the totals do not move.
     CompileResult hit = engine.compileOne(
-        EngineJob{&loop, &m, SchedulerKind::Gp, {}});
+        EngineJob{&diamond, &m, SchedulerKind::Gp, {}});
     ASSERT_TRUE(hit.ok());
     EXPECT_EQ(hit.source, CompileSource::Memory);
-    EXPECT_TRUE(hit.trace.empty());
+    expectSameTotals(engine.phaseTotals(), first);
 
-    CompileTrace totals = engine.phaseTotals();
-    EXPECT_EQ(totals.compiles, 1u);
-    EXPECT_EQ(totals.phase(CompilePhase::Mii).count,
-              fresh.trace.phase(CompilePhase::Mii).count);
+    // A second fresh compile adds exactly one more.
+    CompileResult other = engine.compileOne(
+        EngineJob{&recurrence, &m, SchedulerKind::Gp, {}});
+    ASSERT_TRUE(other.ok());
+    EXPECT_EQ(other.source, CompileSource::Compiled);
+    CompileTrace second = engine.phaseTotals();
+    EXPECT_EQ(second.compiles, 2u);
+    EXPECT_GT(second.phase(CompilePhase::Mii).count,
+              first.phase(CompilePhase::Mii).count);
 }
 
-TEST(EngineTelemetry, PhasesOffLeavesTracesEmpty)
+TEST(EngineTelemetry, PhasesOffLeavesTotalsEmpty)
 {
     LatencyTable lat;
     MachineConfig m = fourClusterConfig(32, 1);
@@ -278,8 +300,43 @@ TEST(EngineTelemetry, PhasesOffLeavesTracesEmpty)
     CompileResult result = engine.compileOne(
         EngineJob{&loop, &m, SchedulerKind::Gp, {}});
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result.trace.empty());
     EXPECT_TRUE(engine.phaseTotals().empty());
+}
+
+TEST(EngineTelemetry, PhasesOffReachTheCallersContext)
+{
+    // table2_sched_time's contract: a serial engine without phase
+    // collection compiles on the calling thread, so the caller's
+    // ambient context sees every phase span, and a collecting
+    // engine shadows it with its own.
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    Ddg loop = gpsched::testing::diamondLoop(lat);
+
+    CompileTrace ambient;
+    TelemetryContext ctx;
+    ctx.trace = &ambient;
+    ScopedTelemetryContext scoped(ctx);
+
+    Engine serial(serialEngineOptions());
+    ASSERT_TRUE(serial
+                    .compileOne(
+                        EngineJob{&loop, &m, SchedulerKind::Gp, {}})
+                    .ok());
+    EXPECT_TRUE(serial.phaseTotals().empty());
+    EXPECT_GE(ambient.phase(CompilePhase::Mii).count, 1u);
+    EXPECT_GE(ambient.phase(CompilePhase::ModuloSchedule).count, 1u);
+
+    CompileTrace before = ambient;
+    EngineOptions options = serialEngineOptions();
+    options.collectPhases = true;
+    Engine collecting(options);
+    ASSERT_TRUE(collecting
+                    .compileOne(
+                        EngineJob{&loop, &m, SchedulerKind::Gp, {}})
+                    .ok());
+    EXPECT_EQ(collecting.phaseTotals().compiles, 1u);
+    expectSameTotals(ambient, before);
 }
 
 TEST(EngineTelemetry, CompileMsIsAlwaysMeasured)

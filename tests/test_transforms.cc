@@ -107,7 +107,7 @@ TEST(Transforms, SpillSplitsLongLifetime)
     int live_before = ps.maxLive(0);
     ASSERT_GE(live_before, 2);
 
-    ASSERT_TRUE(ps.trySpill(0));
+    ASSERT_TRUE(TransformEngine::trySpill(ps, 0));
     SpillInfo spill = ps.spillOf(0);
     EXPECT_TRUE(spill.spilled);
     EXPECT_GE(spill.storeCycle, 1);
@@ -130,7 +130,7 @@ TEST(Transforms, SpillNeedsAGap)
     PartialSchedule ps(g, m, 2);
     placeAt(ps, 0, 0, 0); // write at 1
     placeAt(ps, 1, 0, 2); // read at 2: 1-cycle life
-    EXPECT_FALSE(ps.trySpill(0));
+    EXPECT_FALSE(TransformEngine::trySpill(ps, 0));
 }
 
 TEST(Transforms, UnspillRestoresWhenRegistersAllow)
@@ -141,12 +141,12 @@ TEST(Transforms, UnspillRestoresWhenRegistersAllow)
     PartialSchedule ps(g, m, 4);
     placeAt(ps, 0, 0, 0);
     placeAt(ps, 1, 0, 30);
-    ASSERT_TRUE(ps.trySpill(0));
+    ASSERT_TRUE(TransformEngine::trySpill(ps, 0));
     int mem_with_spill = ps.memFreeSlots(0);
 
     // The engine only removes the spill when the global figure of
     // merit improves (registers must absorb the merged lifetime).
-    bool undone = ps.tryUnspill(0);
+    bool undone = TransformEngine::tryUnspill(ps, 0);
     if (undone) {
         EXPECT_FALSE(ps.spillOf(0).spilled);
         EXPECT_GT(ps.memFreeSlots(0), mem_with_spill);
@@ -166,7 +166,7 @@ TEST(Transforms, BusToMemFreesTheBus)
     ASSERT_EQ(ps.stats().busTransfers, 1);
     int bus_free = ps.busFreeSlots();
 
-    ASSERT_TRUE(ps.tryBusToMem());
+    ASSERT_TRUE(TransformEngine::tryBusToMem(ps));
     EXPECT_EQ(ps.stats().busTransfers, 0);
     EXPECT_EQ(ps.stats().memTransfers, 1);
     EXPECT_GT(ps.busFreeSlots(), bus_free);
@@ -185,7 +185,7 @@ TEST(Transforms, BusToMemRefusedWithoutSlack)
     ASSERT_EQ(ps.stats().busTransfers, 1);
     // CommSt(1) + CommLd(2) needs 3 cycles between write and use;
     // only 1 exists.
-    EXPECT_FALSE(ps.tryBusToMem());
+    EXPECT_FALSE(TransformEngine::tryBusToMem(ps));
 }
 
 TEST(Transforms, BusAndMemoryTradePressure)
@@ -217,13 +217,13 @@ TEST(Transforms, BusAndMemoryTradePressure)
     ASSERT_EQ(ps.stats().memTransfers, 1);
 
     // Bus saturated: mem->bus is infeasible outright.
-    EXPECT_FALSE(ps.tryMemToBus());
+    EXPECT_FALSE(TransformEngine::tryMemToBus(ps));
     // bus->mem would push both single-port memory pipes to 100%,
     // strictly worse than one saturated bus: the engine refuses, and
     // the strict-improvement rule is exactly what prevents the two
     // conversions from ping-ponging forever.
-    EXPECT_FALSE(ps.tryBusToMem());
-    EXPECT_EQ(ps.runTransformations(), 0);
+    EXPECT_FALSE(TransformEngine::tryBusToMem(ps));
+    EXPECT_EQ(TransformEngine::run(ps), 0);
     EXPECT_EQ(ps.stats().busTransfers, 2);
     EXPECT_EQ(ps.stats().memTransfers, 1);
     auto v = validateSchedule(g, m, ps);
@@ -238,8 +238,8 @@ TEST(Transforms, EngineStopsAtFixpoint)
     PartialSchedule ps(g, m, 3);
     placeAt(ps, 0, 0, 0);
     placeInWindow(ps, 1, 1, 10, 20);
-    int first = ps.runTransformations();
-    int second = ps.runTransformations();
+    int first = TransformEngine::run(ps);
+    int second = TransformEngine::run(ps);
     // A second run right after convergence must do nothing.
     EXPECT_EQ(second, 0);
     (void)first;
@@ -271,7 +271,7 @@ TEST(Transforms, SpillEnablesFurtherPlacement)
     placeAt(sched, cs_[1], 0, 21);
     ASSERT_FALSE(canPlace(sched, cs_[2], 0, 22));
 
-    ASSERT_GT(sched.runTransformations(), 0);
+    ASSERT_GT(TransformEngine::run(sched), 0);
     PlacementPlan retry;
     sched.planPlacement(cs_[2], 0, 22, retry);
     EXPECT_TRUE(retry.feasible);
@@ -295,19 +295,19 @@ TEST(Transforms, RejectedTransformationsRestoreTheSchedule)
             std::optional<PartialSchedule> ps = scheduleLoop(g, m);
             if (!ps)
                 continue;
-            while (ps->runTransformations() > 0) {
+            while (TransformEngine::run(*ps) > 0) {
             }
             const ScheduleSnapshot before = snapshot(*ps);
-            ASSERT_EQ(ps->runTransformations(), 0);
+            ASSERT_EQ(TransformEngine::run(*ps), 0);
             expectSameSchedule(before, snapshot(*ps), m.name().c_str());
             ++rounds_checked;
 
             for (int c = 0; c < m.numClusters(); ++c) {
-                EXPECT_FALSE(ps->trySpill(c));
-                EXPECT_FALSE(ps->tryUnspill(c));
+                EXPECT_FALSE(TransformEngine::trySpill(*ps, c));
+                EXPECT_FALSE(TransformEngine::tryUnspill(*ps, c));
             }
-            EXPECT_FALSE(ps->tryBusToMem());
-            EXPECT_FALSE(ps->tryMemToBus());
+            EXPECT_FALSE(TransformEngine::tryBusToMem(*ps));
+            EXPECT_FALSE(TransformEngine::tryMemToBus(*ps));
             expectSameSchedule(before, snapshot(*ps), m.name().c_str());
         }
     }
