@@ -204,15 +204,19 @@ LoopCompiler::compile(const Ddg &ddg) const
 
     ModuloScheduler scheduler(ddg, machine_, &sccs);
 
+    // One schedule serves every attempt: each one resets it, so its
+    // tables and probe scratch keep their storage across IIs.
+    std::vector<int> planned;
+    if (partitioned)
+        planned = plannedMemOps(ddg, machine_, part.partition);
+    PartialSchedule ps(ddg, machine_, mii, planned,
+                       options_.transferCost);
+
     int ii = mii;
     while (ii <= max_ii) {
         ++out.scheduleAttempts;
-        PartialSchedule ps(ddg, machine_, ii,
-                           partitioned
-                               ? plannedMemOps(ddg, machine_,
-                                               part.partition)
-                               : std::vector<int>{},
-                           options_.transferCost);
+        if (ii > mii)
+            ps.reset(ii, planned);
         const Partition *assignment =
             partitioned ? &part.partition : nullptr;
         ClusterPolicy attempt_policy =
@@ -263,6 +267,7 @@ LoopCompiler::compile(const Ddg &ddg) const
             ii <= max_ii && recompute) {
             part = partitioner.run(ddg, ii, &sccs);
             ++out.partitionRuns;
+            planned = plannedMemOps(ddg, machine_, part.partition);
         }
     }
 

@@ -200,13 +200,19 @@ DiskCache::lookup(const LoopKey &key, CompiledLoop &out)
         fd = packs_[slot.pack];
     }
 
-    std::string bytes(slot.length, '\0');
-    LoopKey storedKey;
-    CompiledLoop storedValue;
-    if (::pread(fd, bytes.data(), bytes.size(),
-                static_cast<off_t>(slot.offset)) !=
-            static_cast<ssize_t>(bytes.size()) ||
-        !decodeCacheRecord(bytes, storedKey, storedValue)) {
+    // One read buffer per thread, grown to the longest record it
+    // has read and reused, so a hit allocates nothing for the record
+    // bytes; the stored key is compared in place.
+    thread_local std::vector<char> bytes;
+    if (bytes.size() < slot.length)
+        bytes.resize(slot.length);
+    const RecordMatch match =
+        ::pread(fd, bytes.data(), slot.length,
+                static_cast<off_t>(slot.offset)) ==
+                static_cast<ssize_t>(slot.length)
+            ? matchCacheRecord(bytes.data(), slot.length, key, out)
+            : RecordMatch::Corrupt;
+    if (match == RecordMatch::Corrupt) {
         // Short, malformed or version-mismatched: drop it from the
         // index (once, should lookups race) so the next store
         // replaces it.
@@ -220,13 +226,12 @@ DiskCache::lookup(const LoopKey &key, CompiledLoop &out)
         misses_->add();
         return false;
     }
-    if (storedKey.canonical != key.canonical) {
+    if (match == RecordMatch::OtherKey) {
         // A full-digest collision: the record is valid, it is just
         // someone else's. Leave it in place.
         misses_->add();
         return false;
     }
-    out = std::move(storedValue);
     hits_->add();
     return true;
 }

@@ -20,11 +20,12 @@
  * later record replaces an earlier one with the same digest. A
  * header with a bad magic, a bad version or a length past EOF ends
  * the scan of its pack, so a torn tail costs only itself. A lookup
- * is an index probe (a miss makes no syscall) plus one pread, and
- * still re-verifies the whole record and compares the decoded key's
- * canonical bytes against the requested key, so neither a digest
- * collision nor any form of corruption can surface a wrong
- * schedule: a record that fails leaves the index and is a miss.
+ * is an index probe (a miss makes no syscall) plus one pread into a
+ * per-thread buffer, and still re-verifies the whole record and
+ * compares the stored key's canonical bytes, in place, against the
+ * requested key, so neither a digest collision nor any form of
+ * corruption can surface a wrong schedule: a corrupt record leaves
+ * the index and is a miss, and a colliding one is a miss that stays.
  * Hits write nothing.
  *
  * Visibility: the index is built at open, so a record another live
@@ -92,6 +93,8 @@ class DiskCache
     /**
      * Loads @p key's record if indexed and valid. A record that
      * fails verification leaves the index and is reported as a miss.
+     * @p key must be well-formed, as makeLoopKey builds it; @p out is
+     * unspecified after a miss.
      */
     bool lookup(const LoopKey &key, CompiledLoop &out);
 

@@ -1,60 +1,94 @@
 #include "engine/loop_key.hh"
 
-#include <type_traits>
-
 namespace gpsched
 {
 
 namespace
 {
 
+/** Zigzag: small magnitudes of either sign become small codes. */
+std::uint64_t
+zigzag(std::int64_t value)
+{
+    return (static_cast<std::uint64_t>(value) << 1) ^
+           static_cast<std::uint64_t>(value >> 63);
+}
+
 /**
- * Compact canonical encoder. Integers are rendered in decimal with a
- * one-character tag and a separator, so no two distinct field
- * sequences can collide.
+ * Canonical encoders. Every field is one zigzag LEB128 varint: seven
+ * bits per byte, low group first, the high bit set on every byte but
+ * the last, so a value in [-64, 63] takes one byte. No tag or
+ * separator is needed for the encoding to be injective. LEB128 is
+ * prefix-free, so a byte string splits into at most one sequence of
+ * values. And the fields a value stands for are fixed by the values
+ * before it: each array follows its count (n nodes, e edges, C
+ * clusters, B bus classes), and the FU-class and opcode tables have
+ * fixed lengths. So two jobs share a canonical string only if they
+ * agree on every field.
+ *
+ * makeLoopKey runs the field sequence twice: SizeEncoder measures
+ * it, then WriteEncoder fills a string of exactly that size.
  */
-class Encoder
+class SizeEncoder
 {
   public:
-    template <typename Int>
-    Encoder &
-    field(char tag, Int value,
-          std::enable_if_t<std::is_integral_v<Int>> * = nullptr)
+    void
+    field(std::int64_t value)
     {
-        out_ += tag;
-        out_ += std::to_string(value);
-        out_ += ';';
-        return *this;
+        std::uint64_t code = zigzag(value);
+        ++size_;
+        while (code >= 0x80) {
+            code >>= 7;
+            ++size_;
+        }
     }
 
-    std::string
-    take()
+    std::size_t size() const { return size_; }
+
+  private:
+    std::size_t size_ = 0;
+};
+
+class WriteEncoder
+{
+  public:
+    explicit WriteEncoder(char *out) : out_(out) {}
+
+    void
+    field(std::int64_t value)
     {
-        return std::move(out_);
+        std::uint64_t code = zigzag(value);
+        while (code >= 0x80) {
+            *out_++ = static_cast<char>(code | 0x80);
+            code >>= 7;
+        }
+        *out_++ = static_cast<char>(code);
     }
 
   private:
-    std::string out_;
+    char *out_;
 };
 
+template <typename Encoder>
 void
 encodeDdg(Encoder &enc, const Ddg &ddg)
 {
-    enc.field('n', ddg.numNodes());
-    enc.field('t', ddg.tripCount());
+    enc.field(ddg.numNodes());
+    enc.field(ddg.tripCount());
     for (NodeId v = 0; v < ddg.numNodes(); ++v)
-        enc.field('o', static_cast<int>(ddg.node(v).opcode));
-    enc.field('e', ddg.numEdges());
+        enc.field(static_cast<int>(ddg.node(v).opcode));
+    enc.field(ddg.numEdges());
     for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
         const DdgEdge &edge = ddg.edge(e);
-        enc.field('s', edge.src);
-        enc.field('d', edge.dst);
-        enc.field('l', edge.latency);
-        enc.field('i', edge.distance);
-        enc.field('k', static_cast<int>(edge.kind));
+        enc.field(edge.src);
+        enc.field(edge.dst);
+        enc.field(edge.latency);
+        enc.field(edge.distance);
+        enc.field(static_cast<int>(edge.kind));
     }
 }
 
+template <typename Encoder>
 void
 encodeMachine(Encoder &enc, const MachineConfig &machine)
 {
@@ -62,40 +96,49 @@ encodeMachine(Encoder &enc, const MachineConfig &machine)
     // cluster's FU mix or register file, or in any bus class, must
     // never alias. Cluster display names are excluded (they do not
     // affect scheduling), matching the loop-name exclusion policy.
-    enc.field('C', machine.numClusters());
+    enc.field(machine.numClusters());
     for (int c = 0; c < machine.numClusters(); ++c) {
-        for (int k = 0; k < numFuClasses; ++k) {
-            enc.field('F',
-                      machine.fuInCluster(c, static_cast<FuClass>(k)));
-        }
-        enc.field('R', machine.regsInCluster(c));
+        for (int k = 0; k < numFuClasses; ++k)
+            enc.field(machine.fuInCluster(c, static_cast<FuClass>(k)));
+        enc.field(machine.regsInCluster(c));
     }
-    enc.field('B', machine.numBusClasses());
+    enc.field(machine.numBusClasses());
     for (int i = 0; i < machine.numBusClasses(); ++i) {
-        enc.field('N', machine.busClass(i).count);
-        enc.field('L', machine.busClass(i).latency);
+        enc.field(machine.busClass(i).count);
+        enc.field(machine.busClass(i).latency);
     }
     const LatencyTable &lat = machine.latencies();
     for (int op = 0; op < numOpcodes; ++op) {
         const OpTiming &t = lat.timing(static_cast<Opcode>(op));
-        enc.field('a', t.latency);
-        enc.field('u', t.occupancy);
+        enc.field(t.latency);
+        enc.field(t.occupancy);
     }
 }
 
+template <typename Encoder>
 void
 encodeOptions(Encoder &enc, SchedulerKind kind,
               const LoopCompilerOptions &options)
 {
-    enc.field('K', static_cast<int>(kind));
-    enc.field('r', static_cast<int>(options.repartition));
-    enc.field('T', static_cast<int>(options.transferCost));
+    enc.field(static_cast<int>(kind));
+    enc.field(static_cast<int>(options.repartition));
+    enc.field(static_cast<int>(options.transferCost));
 
     const GpPartitionerOptions &part = options.partitioner;
-    enc.field('M', static_cast<int>(part.matching));
-    enc.field('w', part.edgeWeights.useDelayTerm ? 1 : 0);
-    enc.field('W', part.edgeWeights.useSlackTerm ? 1 : 0);
-    enc.field('G', part.registerAware ? 1 : 0);
+    enc.field(static_cast<int>(part.matching));
+    enc.field(part.edgeWeights.useDelayTerm ? 1 : 0);
+    enc.field(part.edgeWeights.useSlackTerm ? 1 : 0);
+    enc.field(part.registerAware ? 1 : 0);
+}
+
+template <typename Encoder>
+void
+encodeJob(Encoder &enc, const Ddg &ddg, const MachineConfig &machine,
+          SchedulerKind kind, const LoopCompilerOptions &options)
+{
+    encodeDdg(enc, ddg);
+    encodeMachine(enc, machine);
+    encodeOptions(enc, kind, options);
 }
 
 } // namespace
@@ -133,13 +176,13 @@ LoopKey
 makeLoopKey(const Ddg &ddg, const MachineConfig &machine,
             SchedulerKind kind, const LoopCompilerOptions &options)
 {
-    Encoder enc;
-    encodeDdg(enc, ddg);
-    encodeMachine(enc, machine);
-    encodeOptions(enc, kind, options);
+    SizeEncoder size;
+    encodeJob(size, ddg, machine, kind, options);
 
     LoopKey key;
-    key.canonical = enc.take();
+    key.canonical.resize(size.size());
+    WriteEncoder write(key.canonical.data());
+    encodeJob(write, ddg, machine, kind, options);
     key.digest = fnv1a64(key.canonical);
     return key;
 }

@@ -4,7 +4,10 @@
  * influence the schedule of a loop — DDG structure (opcodes, edges,
  * trip count), machine configuration (clusters, functional units,
  * registers, buses, the whole latency table), scheduler kind, and
- * every LoopCompilerOptions knob — encoded into one canonical string.
+ * every LoopCompilerOptions knob — encoded as one canonical byte
+ * string, a sequence of zigzag LEB128 varints (one byte for each
+ * value in [-64, 63]; see engine/loop_key.cc for why it is
+ * injective).
  *
  * Loop and node *names* are deliberately excluded: two structurally
  * identical loops compile to identical schedules, and excluding names
@@ -33,7 +36,7 @@ namespace gpsched
 /** Value key identifying one (loop, machine, scheme, options) job. */
 struct LoopKey
 {
-    /** Exact canonical encoding; equality of jobs iff equality here. */
+    /** Exact canonical bytes; equality of jobs iff equality here. */
     std::string canonical;
 
     /** FNV-1a digest of @c canonical (bucketing, file names). */

@@ -59,10 +59,18 @@ ReadEvents::lastAfterMove(int from, int to) const
 }
 
 LifetimeTracker::LifetimeTracker(int num_regs, int ii)
-    : numRegs_(num_regs), ii_(ii)
+    : numRegs_(num_regs)
 {
     GPSCHED_ASSERT(num_regs >= 0, "negative register count");
+    reset(ii);
+}
+
+void
+LifetimeTracker::reset(int ii)
+{
     GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
+    ii_ = ii;
+    used_ = 0;
     live_.assign(static_cast<std::size_t>(ii), 0);
 }
 

@@ -123,6 +123,10 @@ class LifetimeTracker
     /** @param num_regs register-file size; @param ii kernel length. */
     LifetimeTracker(int num_regs, int ii);
 
+    /** Drops every segment and resizes to kernel length @p ii,
+     *  keeping the tables' storage. */
+    void reset(int ii);
+
     /** Adds a live segment. */
     void add(const LiveSegment &seg);
 
@@ -166,7 +170,7 @@ class LifetimeTracker
 
   private:
     int numRegs_;
-    int ii_;
+    int ii_ = 0;
     int used_ = 0;
     std::vector<int> live_;
 

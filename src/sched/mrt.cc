@@ -59,10 +59,18 @@ ModuloReservationTable::attachStorage(int total)
 }
 
 ModuloReservationTable::ModuloReservationTable(int num_units, int ii)
-    : numUnits_(num_units), ii_(ii)
+    : numUnits_(num_units)
 {
     GPSCHED_ASSERT(num_units >= 0, "negative unit count");
+    reset(ii);
+}
+
+void
+ModuloReservationTable::reset(int ii)
+{
     GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
+    ii_ = ii;
+    used_ = 0;
     words_ = (ii + 63) / 64;
     const int total = numUnits_ * words_;
     attachStorage(total);

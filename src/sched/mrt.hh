@@ -56,6 +56,9 @@ class ModuloReservationTable
     ModuloReservationTable &
     operator=(const ModuloReservationTable &other);
 
+    /** Empties the table and resizes it to kernel length @p ii. */
+    void reset(int ii);
+
     /** True when @p occupancy slots starting at @p cycle fit. */
     bool canReserve(int cycle, int occupancy) const;
 
@@ -98,9 +101,9 @@ class ModuloReservationTable
     static constexpr int kInlineWords = 16;
 
     int numUnits_;
-    int ii_;
+    int ii_ = 0;
     int used_ = 0;
-    int words_; ///< 64-bit words per plane: ceil(ii / 64)
+    int words_ = 0; ///< 64-bit words per plane: ceil(ii / 64)
 
     std::uint64_t *planes_; ///< numUnits_ planes of words_ words
     std::uint64_t inline_[kInlineWords];

@@ -44,42 +44,63 @@ usedPct(int used, int total)
 
 } // namespace
 
-PartialSchedule::PartialSchedule(const Ddg &ddg,
-                                 const MachineConfig &machine, int ii,
-                                 std::vector<int> planned_mem_per_cluster,
-                                 TransferCostPolicy transfer_cost)
+PartialSchedule::PartialSchedule(
+    const Ddg &ddg, const MachineConfig &machine, int ii,
+    const std::vector<int> &planned_mem_per_cluster,
+    TransferCostPolicy transfer_cost)
     : ddg_(ddg), machine_(machine), ii_(ii),
-      transferCost_(transfer_cost),
-      plannedMemOps_(std::move(planned_mem_per_cluster))
+      transferCost_(transfer_cost)
 {
-    GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
     const int num_clusters = machine_.numClusters();
-    GPSCHED_ASSERT(plannedMemOps_.empty() ||
-                   static_cast<int>(plannedMemOps_.size()) ==
-                       num_clusters,
-                   "planned memory vector arity mismatch");
-
-    placed_.resize(ddg_.numNodes());
-    values_.resize(ddg_.numNodes());
-    valueInCluster_.resize(static_cast<std::size_t>(ddg_.numNodes()) *
-                           num_clusters);
     claimedBusScratch_.resize(machine_.numBusClasses());
     busMrts_.reserve(machine_.numBusClasses());
     for (int i = 0; i < machine_.numBusClasses(); ++i)
-        busMrts_.emplace_back(machine_.busClass(i).count, ii);
+        busMrts_.emplace_back(machine_.busClass(i).count, 1);
     fuMrt_.reserve(num_clusters * numFuClasses);
     for (int c = 0; c < num_clusters; ++c) {
         for (int cls = 0; cls < numFuClasses; ++cls) {
             fuMrt_.emplace_back(
-                machine_.fuInCluster(c, static_cast<FuClass>(cls)), ii);
+                machine_.fuInCluster(c, static_cast<FuClass>(cls)), 1);
         }
     }
     regs_.reserve(num_clusters);
     for (int c = 0; c < num_clusters; ++c)
-        regs_.emplace_back(machine_.regsInCluster(c), ii);
-    overheadMemOps_.assign(num_clusters, 0);
+        regs_.emplace_back(machine_.regsInCluster(c), 1);
     origMemOpsTotal_ =
         ddg_.totalOccupancy(FuClass::Mem, machine_.latencies());
+    reset(ii, planned_mem_per_cluster);
+}
+
+void
+PartialSchedule::reset(int ii,
+                       const std::vector<int> &planned_mem_per_cluster)
+{
+    GPSCHED_ASSERT(ii >= 1, "II must be >= 1");
+    const int num_clusters = machine_.numClusters();
+    GPSCHED_ASSERT(planned_mem_per_cluster.empty() ||
+                   static_cast<int>(planned_mem_per_cluster.size()) ==
+                       num_clusters,
+                   "planned memory vector arity mismatch");
+    ii_ = ii;
+    plannedMemOps_ = planned_mem_per_cluster;
+
+    placed_.assign(ddg_.numNodes(), PlacedOp{});
+    numScheduled_ = 0;
+    for (ModuloReservationTable &mrt : busMrts_)
+        mrt.reset(ii);
+    for (ModuloReservationTable &mrt : fuMrt_)
+        mrt.reset(ii);
+    for (LifetimeTracker &tracker : regs_)
+        tracker.reset(ii);
+    values_.assign(ddg_.numNodes(), ValueState{});
+    valueInCluster_.assign(
+        static_cast<std::size_t>(ddg_.numNodes()) * num_clusters,
+        ValueInCluster{});
+    overheadMemOps_.assign(num_clusters, 0);
+    overheadMemTotal_ = 0;
+    numBusTransfers_ = 0;
+    numMemTransfers_ = 0;
+    numSpills_ = 0;
 }
 
 ModuloReservationTable &

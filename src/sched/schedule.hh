@@ -209,9 +209,17 @@ class PartialSchedule
      */
     PartialSchedule(const Ddg &ddg, const MachineConfig &machine,
                     int ii,
-                    std::vector<int> planned_mem_per_cluster = {},
+                    const std::vector<int> &planned_mem_per_cluster = {},
                     TransferCostPolicy transfer_cost =
                         TransferCostPolicy::SlackAware);
+
+    /**
+     * Empties the schedule for a fresh attempt at @p ii, as if it
+     * were constructed anew with these arguments, but keeps the
+     * storage of its tables and probe scratch.
+     */
+    void reset(int ii,
+               const std::vector<int> &planned_mem_per_cluster = {});
 
     /** Initiation interval. */
     int ii() const { return ii_; }

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "support/logging.hh"
+
 namespace gpsched
 {
 
@@ -13,18 +15,41 @@ ByteWriter::u8(std::uint8_t value)
     buffer_.push_back(static_cast<char>(value));
 }
 
+namespace
+{
+
+/** The @p N little-endian bytes of @p value at @p out. */
+template <int N, typename Word>
+void
+storeLittleEndian(char *out, Word value)
+{
+    for (int i = 0; i < N; ++i)
+        out[i] = static_cast<char>(value >> (8 * i));
+}
+
+} // namespace
+
 void
 ByteWriter::u32(std::uint32_t value)
 {
-    for (int i = 0; i < 4; ++i)
-        u8(static_cast<std::uint8_t>(value >> (8 * i)));
+    char bytes[4];
+    storeLittleEndian<4>(bytes, value);
+    buffer_.append(bytes, sizeof(bytes));
 }
 
 void
 ByteWriter::u64(std::uint64_t value)
 {
-    for (int i = 0; i < 8; ++i)
-        u8(static_cast<std::uint8_t>(value >> (8 * i)));
+    char bytes[8];
+    storeLittleEndian<8>(bytes, value);
+    buffer_.append(bytes, sizeof(bytes));
+}
+
+void
+ByteWriter::patchU64(std::size_t at, std::uint64_t value)
+{
+    GPSCHED_ASSERT(at + 8 <= buffer_.size(), "patch past the end");
+    storeLittleEndian<8>(buffer_.data() + at, value);
 }
 
 void
@@ -135,16 +160,22 @@ ByteReader::f64()
     return value;
 }
 
-std::string
-ByteReader::str()
+std::string_view
+ByteReader::strView()
 {
     std::uint32_t size = u32();
     if (!claim(size))
-        return std::string();
-    std::string value(reinterpret_cast<const char *>(data_ + pos_),
-                      size);
+        return {};
+    std::string_view value(reinterpret_cast<const char *>(data_ + pos_),
+                           size);
     pos_ += size;
     return value;
+}
+
+std::string
+ByteReader::str()
+{
+    return std::string(strView());
 }
 
 } // namespace gpsched

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace gpsched
 {
@@ -48,6 +49,10 @@ class ByteWriter
 
     /** Raw bytes, no length prefix. */
     void raw(const void *data, std::size_t size);
+
+    /** Overwrites the 8 bytes at @p at, already written, with
+     *  @p value (a placeholder filled in once its value is known). */
+    void patchU64(std::size_t at, std::uint64_t value);
 
     const std::string &buffer() const { return buffer_; }
     std::string take() { return std::move(buffer_); }
@@ -86,6 +91,9 @@ class ByteReader
      * never trigger a huge allocation.
      */
     std::string str();
+
+    /** str() as a view into the input, which it must not outlive. */
+    std::string_view strView();
 
   private:
     /** Claims @p n bytes; false (and latches failure) on underflow. */

@@ -22,6 +22,28 @@ readCount(ByteReader &in, std::uint32_t &count)
     return in.ok() && count <= maxElements;
 }
 
+/**
+ * Reads and checks the header of the @p size-byte record at
+ * @p bytes (magic, both versions, exact payload size, checksum),
+ * leaving @p in at the payload.
+ */
+bool
+readFrame(ByteReader &in, const char *bytes, std::size_t size)
+{
+    if (in.u32() != diskRecordMagic)
+        return false;
+    if (in.u32() != recordFormatVersion)
+        return false;
+    if (in.u32() != keySchemaVersion)
+        return false;
+    const std::uint64_t payloadSize = in.u64();
+    const std::uint64_t checksum = in.u64();
+    if (!in.ok() || payloadSize != in.remaining())
+        return false;
+    return checksum ==
+           fnv1a64(bytes + recordHeaderSize, size - recordHeaderSize);
+}
+
 } // namespace
 
 // --- LoopKey -------------------------------------------------------
@@ -36,7 +58,7 @@ encodeLoopKey(ByteWriter &out, const LoopKey &key)
 bool
 decodeLoopKey(ByteReader &in, LoopKey &key)
 {
-    key.canonical = in.str();
+    key.canonical = in.strView();
     key.digest = in.u64();
     // The digest is derivable, so a mismatch means corruption.
     return in.ok() && key.digest == fnv1a64(key.canonical);
@@ -179,17 +201,20 @@ scheduleDigest(const SuiteResult &suite)
 std::string
 encodeCacheRecord(const LoopKey &key, const CompiledLoop &value)
 {
-    ByteWriter payload;
-    encodeLoopKey(payload, key);
-    encodeCompiledLoop(payload, value);
-
     ByteWriter record;
     record.u32(diskRecordMagic);
     record.u32(recordFormatVersion);
     record.u32(keySchemaVersion);
-    record.u64(payload.buffer().size());
-    record.u64(fnv1a64(payload.buffer()));
-    record.raw(payload.buffer().data(), payload.buffer().size());
+    record.u64(0); // payload size and checksum: patched below
+    record.u64(0);
+    encodeLoopKey(record, key);
+    encodeCompiledLoop(record, value);
+    const std::size_t payloadSize =
+        record.buffer().size() - recordHeaderSize;
+    record.patchU64(recordPayloadSizeOffset, payloadSize);
+    record.patchU64(recordChecksumOffset,
+                    fnv1a64(record.buffer().data() + recordHeaderSize,
+                            payloadSize));
     return record.take();
 }
 
@@ -198,25 +223,29 @@ decodeCacheRecord(const std::string &bytes, LoopKey &key,
                   CompiledLoop &value)
 {
     ByteReader in(bytes);
-    if (in.u32() != diskRecordMagic)
-        return false;
-    if (in.u32() != recordFormatVersion)
-        return false;
-    if (in.u32() != keySchemaVersion)
-        return false;
-    const std::uint64_t payloadSize = in.u64();
-    const std::uint64_t checksum = in.u64();
-    if (!in.ok() || payloadSize != in.remaining())
-        return false;
-    if (checksum != fnv1a64(bytes.data() + recordHeaderSize,
-                            payloadSize))
-        return false;
-    if (!decodeLoopKey(in, key))
-        return false;
-    if (!decodeCompiledLoop(in, value))
-        return false;
     // Trailing garbage means the record is not what it claims.
-    return in.atEnd();
+    return readFrame(in, bytes.data(), bytes.size()) &&
+           decodeLoopKey(in, key) && decodeCompiledLoop(in, value) &&
+           in.atEnd();
+}
+
+RecordMatch
+matchCacheRecord(const char *bytes, std::size_t size,
+                 const LoopKey &key, CompiledLoop &value)
+{
+    ByteReader in(bytes, size);
+    if (!readFrame(in, bytes, size))
+        return RecordMatch::Corrupt;
+    const std::string_view canonical = in.strView();
+    const std::uint64_t digest = in.u64();
+    if (!in.ok() || !decodeCompiledLoop(in, value) || !in.atEnd())
+        return RecordMatch::Corrupt;
+    if (digest == key.digest && canonical == key.canonical)
+        return RecordMatch::Match;
+    // The digest is derivable, so a mismatch means corruption.
+    return digest == fnv1a64(canonical.data(), canonical.size())
+               ? RecordMatch::OtherKey
+               : RecordMatch::Corrupt;
 }
 
 } // namespace gpsched

@@ -68,13 +68,17 @@ constexpr std::uint32_t recordFormatVersion = 2;
  * v3: the option encoding shrank to the scheme kind plus the six
  * options a bench varies; the tuning values that no driver set
  * became constants and left the key.
+ * v4: each field became one zigzag LEB128 varint, without the
+ * decimal digits, tags and separators of v1-v3.
  */
-constexpr std::uint32_t keySchemaVersion = 3;
+constexpr std::uint32_t keySchemaVersion = 4;
 
 /** Byte offsets of the header fields (for tests and tooling). */
 constexpr std::size_t recordMagicOffset = 0;
 constexpr std::size_t recordVersionOffset = 4;
 constexpr std::size_t recordKeySchemaOffset = 8;
+constexpr std::size_t recordPayloadSizeOffset = 12;
+constexpr std::size_t recordChecksumOffset = 20;
 constexpr std::size_t recordHeaderSize = 28;
 
 // --- field-level codecs --------------------------------------------
@@ -116,6 +120,28 @@ std::string encodeCacheRecord(const LoopKey &key,
  */
 bool decodeCacheRecord(const std::string &bytes, LoopKey &key,
                        CompiledLoop &value);
+
+/** How a cache record relates to the key a lookup asked for. */
+enum class RecordMatch
+{
+    Corrupt,  ///< decodeCacheRecord would reject the bytes
+    OtherKey, ///< valid, but stores another key (a digest collision)
+    Match,    ///< valid and stores the requested key; value decoded
+};
+
+/**
+ * The disk lookup's decoder: makes every check decodeCacheRecord
+ * makes on the @p size bytes at @p bytes, but compares the stored
+ * key with @p key in place instead of decoding a copy of it, so it
+ * allocates nothing beyond @p value's contents. @p key must be
+ * well-formed (digest == fnv1a64(canonical), as makeLoopKey builds
+ * it): then a stored key with equal canonical bytes and an equal
+ * digest is valid, and FNV runs over the stored key only when the
+ * bytes differ, to tell a collision from a corrupt digest. @p value
+ * is unspecified unless the result is Match.
+ */
+RecordMatch matchCacheRecord(const char *bytes, std::size_t size,
+                             const LoopKey &key, CompiledLoop &value);
 
 } // namespace gpsched
 

@@ -39,6 +39,7 @@
 #include "sched/validate.hh"
 #include "serialize/record.hh"
 #include "testing/fixtures.hh"
+#include "testing/heap_count.hh"
 #include "workload/specfp.hh"
 
 namespace fs = std::filesystem;
@@ -223,6 +224,39 @@ TEST(DiskCache, StoreThenLookupRoundTrips)
     DiskCache reopened(dir, 0);
     ASSERT_TRUE(reopened.lookup(key, out));
     expectLoopsIdentical(compiled, out, "reopened");
+    fs::remove_all(dir);
+}
+
+/**
+ * A warm hit allocates only the decoded value's own storage: the
+ * record is read into a reused per-thread buffer and the stored key
+ * is compared in place, never copied.
+ */
+TEST(DiskCache, WarmHitAllocatesOnlyTheValue)
+{
+    std::string dir = freshCacheDir("hitalloc");
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(32, 1);
+    Ddg g = memHeavyLoop(5, lat);
+    CompiledLoop compiled =
+        LoopCompiler(m, SchedulerKind::Gp).compile(g);
+    LoopKey key = makeLoopKey(g, m, SchedulerKind::Gp, {});
+
+    DiskCache cache(dir, 0);
+    cache.store(key, compiled);
+    CompiledLoop out;
+    ASSERT_TRUE(cache.lookup(key, out)); // grows the read buffer
+
+    // One allocation per non-empty vector of the value; the loop
+    // name fits the string's inline buffer.
+    ASSERT_LT(compiled.loopName.size(), 16u);
+    const long valueAllocations =
+        !compiled.placements.empty() + !compiled.transfers.empty() +
+        !compiled.spills.empty() + !compiled.partition.empty();
+    const long before = heapAllocations();
+    ASSERT_TRUE(cache.lookup(key, out));
+    EXPECT_EQ(heapAllocations() - before, valueAllocations);
+    expectLoopsIdentical(compiled, out, "warm hit");
     fs::remove_all(dir);
 }
 
@@ -477,6 +511,86 @@ TEST(DiskCache, RecordGarbledUnderALiveCacheIsEvictedOnce)
     cache.store(key, compiled);
     ASSERT_TRUE(cache.lookup(key, out));
     expectLoopsIdentical(compiled, out, "restored");
+    fs::remove_all(dir);
+}
+
+/**
+ * A record whose digest field disagrees with its canonical bytes,
+ * framed and checksummed as a writer would: only the digest is
+ * wrong. It indexes under that digest, so a lookup of the key that
+ * owns the digest reaches it, finds other canonical bytes, and must
+ * rule it corrupt (the digest does not hash its own key) rather
+ * than a collision: a miss that evicts it, counted once.
+ */
+TEST(DiskCache, CorruptDigestIsAMissAndEvictedOnce)
+{
+    std::string dir = freshCacheDir("baddigest");
+    LatencyTable lat;
+    MachineConfig m = twoClusterConfig(32, 1);
+    Ddg g = diamondLoop(lat);
+    const LoopKey stored = makeLoopKey(g, m, SchedulerKind::Gp, {});
+    const LoopKey asked = makeLoopKey(g, m, SchedulerKind::Uracam, {});
+    CompiledLoop compiled =
+        LoopCompiler(m, SchedulerKind::Gp).compile(g);
+    {
+        const std::string record =
+            encodeCacheRecord(LoopKey{stored.canonical, asked.digest},
+                              compiled);
+        std::ofstream out(fs::path(dir) / "crafted.gpp",
+                          std::ios::binary);
+        out.write(record.data(),
+                  static_cast<std::streamsize>(record.size()));
+    }
+
+    MetricRegistry registry;
+    DiskCache cache(dir, 0, &registry);
+    EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 0u)
+        << "the open scan does not hash keys";
+    CompiledLoop out;
+    EXPECT_FALSE(cache.lookup(asked, out));
+    EXPECT_FALSE(cache.lookup(asked, out));
+    EXPECT_FALSE(cache.lookup(stored, out));
+    EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 1u);
+    EXPECT_EQ(registry.counter("disk.misses").value(), 3u);
+    EXPECT_EQ(registry.counter("disk.hits").value(), 0u);
+    fs::remove_all(dir);
+}
+
+/**
+ * A genuine full-digest collision, simulated by a key with the
+ * stored record's digest but other canonical bytes: the record is
+ * valid, just someone else's, so the lookup is a miss that evicts
+ * nothing, and the stored key still hits afterwards.
+ */
+TEST(DiskCache, DigestCollisionIsAMissAndKeepsTheRecord)
+{
+    std::string dir = freshCacheDir("collision");
+    LatencyTable lat;
+    MachineConfig m = twoClusterConfig(32, 1);
+    Ddg g = diamondLoop(lat);
+    const LoopKey stored = makeLoopKey(g, m, SchedulerKind::Gp, {});
+    const LoopKey colliding{
+        makeLoopKey(g, m, SchedulerKind::Uracam, {}).canonical,
+        stored.digest};
+    CompiledLoop compiled =
+        LoopCompiler(m, SchedulerKind::Gp).compile(g);
+
+    MetricRegistry registry;
+    DiskCache cache(dir, 0, &registry);
+    cache.store(stored, compiled);
+    CompiledLoop out;
+    EXPECT_FALSE(cache.lookup(colliding, out));
+    EXPECT_EQ(registry.counter("disk.corruptEvicted").value(), 0u);
+    EXPECT_EQ(registry.counter("disk.misses").value(), 1u);
+    ASSERT_TRUE(cache.lookup(stored, out));
+    expectLoopsIdentical(compiled, out, "after the collision");
+    EXPECT_EQ(recordCount(dir), 1u);
+
+    // A cache opened afterwards sees the same verdicts.
+    DiskCache reopened(dir, 0);
+    EXPECT_FALSE(reopened.lookup(colliding, out));
+    ASSERT_TRUE(reopened.lookup(stored, out));
+    expectLoopsIdentical(compiled, out, "reopened");
     fs::remove_all(dir);
 }
 

@@ -272,6 +272,86 @@ TEST(LoopKey, EverySchedulingInputChangesTheKey)
                                      defaultOptions()));
 }
 
+namespace
+{
+
+/** Load -> FMul -> Store, the product carried one iteration. */
+Ddg
+pinnedLoop(std::int64_t trip_count)
+{
+    Ddg g("pinned");
+    NodeId ld = g.addNode(Opcode::Load);
+    NodeId mul = g.addNode(Opcode::FMul);
+    NodeId st = g.addNode(Opcode::Store);
+    g.addEdge(ld, mul, 2, 0, DepKind::Flow);
+    g.addEdge(mul, st, 4, 0, DepKind::Flow);
+    g.addEdge(mul, mul, 4, 1, DepKind::Flow);
+    g.setTripCount(trip_count);
+    return g;
+}
+
+std::string
+hexBytes(const std::string &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (unsigned char byte : bytes) {
+        out += digits[byte >> 4];
+        out += digits[byte & 0xf];
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(LoopKey, EncodingIsPinned)
+{
+    // One byte per field (zigzag LEB128: value v < 64 is 2v) except
+    // the trip count, 100 -> c8 01. Any change to these bytes must
+    // bump keySchemaVersion (serialize/record.hh), or a cache written
+    // by the old encoding would be read under the new one.
+    const std::string expected =
+        "06" "c801" "0c080e"               // n=3, trip 100, opcodes
+        "06" "0002040000" "0204080000"     // e=3, two edges
+        "0202080200"                       //   and the carried one
+        "04" "04040420" "04040420"         // C=2: FUs and regs
+        "02" "0202"                        // B=1: count, latency
+        "0202" "0402" "0c0c" "0602" "0802" // latency table
+        "1818" "0402" "0202" "0202" "0202"
+        "0402" "0202" "0402"
+        "04" "02" "02" "00" "02" "02" "00"; // kind and options
+    LoopKey key = makeLoopKey(pinnedLoop(100), twoClusterConfig(32, 1),
+                              SchedulerKind::Gp, defaultOptions());
+    EXPECT_EQ(hexBytes(key.canonical), expected);
+    EXPECT_EQ(hexDigest(key.digest), "5755d1b5561dcc94");
+    EXPECT_EQ(keySchemaVersion, 4u);
+}
+
+TEST(LoopKey, VarintBoundariesGiveDistinctKeys)
+{
+    // Values either side of the zigzag varint's one-, two- and
+    // three-byte boundaries (63/64, 8191/8192) and of plain LEB128's
+    // (127/128, 16383/16384). No field can hold a negative value:
+    // Ddg and LatencyTable reject them.
+    const MachineConfig m = twoClusterConfig(32, 1);
+    auto key = [&](std::int64_t trip) {
+        return makeLoopKey(pinnedLoop(trip), m, SchedulerKind::Gp,
+                           defaultOptions());
+    };
+    std::set<std::string> canonical;
+    for (std::int64_t trip : {63, 64, 127, 128, 8191, 8192, 16383, 16384})
+        EXPECT_TRUE(canonical.insert(key(trip).canonical).second)
+            << "trip count " << trip << " aliases another";
+    // The trip count's varint gains a byte exactly at 64 and 8192.
+    auto size = [&](std::int64_t trip) {
+        return key(trip).canonical.size();
+    };
+    EXPECT_EQ(size(64), size(63) + 1);
+    EXPECT_EQ(size(128), size(127));
+    EXPECT_EQ(size(8192), size(8191) + 1);
+    EXPECT_EQ(size(16384), size(16383));
+}
+
 TEST(LoopKey, DigestCollisionsDoNotConfuseKeys)
 {
     // Two distinct keys forced into the same bucket by an identical

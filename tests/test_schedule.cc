@@ -7,76 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "graph/ddg_builder.hh"
 #include "machine/configs.hh"
 #include "sched/schedule.hh"
 #include "sched/validate.hh"
 #include "testing/fixtures.hh"
+#include "testing/heap_count.hh"
 
 using namespace gpsched;
 using namespace gpsched::testing;
-
-namespace
-{
-
-/** Global operator new calls in this test binary. */
-std::atomic<long> heapAllocations{0};
-
-void *
-countedAlloc(std::size_t size, std::size_t align)
-{
-    heapAllocations.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t bytes = size == 0 ? 1 : size;
-    void *p = align <= alignof(std::max_align_t)
-                  ? std::malloc(bytes)
-                  : std::aligned_alloc(align,
-                                       (bytes + align - 1) / align * align);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    return countedAlloc(size, alignof(std::max_align_t));
-}
-
-void *
-operator new(std::size_t size, std::align_val_t align)
-{
-    return countedAlloc(size, static_cast<std::size_t>(align));
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -458,12 +397,12 @@ TEST(Schedule, WarmPlanProbesDoNotAllocate)
     ASSERT_EQ(plan.transfers.size(), 3u);
     const int warm_cycle = plan.cycle;
 
-    const long before = heapAllocations.load();
+    const long before = heapAllocations();
     constexpr int kProbes = 64;
     int feasible = 0;
     for (int i = 0; i < kProbes; ++i)
         feasible += ps.planInWindow(x, 1, 0, 12, plan) ? 1 : 0;
-    EXPECT_EQ(heapAllocations.load() - before, 0);
+    EXPECT_EQ(heapAllocations() - before, 0);
     EXPECT_EQ(feasible, kProbes);
     EXPECT_EQ(plan.cycle, warm_cycle);
 }

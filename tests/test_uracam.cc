@@ -6,6 +6,8 @@
  * checked by the independent validator.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "graph/ddg_analysis.hh"
@@ -219,6 +221,66 @@ TEST_P(UracamShapeSweep, SchedulesAndValidates)
     auto v = validateSchedule(g, m, *ps);
     EXPECT_TRUE(v) << g.name() << " on " << m.name() << ": "
                    << v.message;
+}
+
+namespace
+{
+
+/** Every placement, transfer, spill and statistic of two schedules. */
+void
+expectSameSchedule(const PartialSchedule &a, const PartialSchedule &b,
+                   const std::string &context)
+{
+    ASSERT_EQ(a.ii(), b.ii()) << context;
+    ASSERT_EQ(a.numScheduled(), b.numScheduled()) << context;
+    for (NodeId v = 0; v < a.ddg().numNodes(); ++v) {
+        ASSERT_EQ(a.isScheduled(v), b.isScheduled(v)) << context;
+        if (!a.isScheduled(v))
+            continue;
+        EXPECT_EQ(a.clusterOf(v), b.clusterOf(v)) << context;
+        EXPECT_EQ(a.cycleOf(v), b.cycleOf(v)) << context;
+        EXPECT_EQ(a.transfersOf(v), b.transfersOf(v)) << context;
+        const SpillInfo sa = a.spillOf(v), sb = b.spillOf(v);
+        EXPECT_EQ(sa.spilled, sb.spilled) << context;
+        EXPECT_EQ(sa.storeCycle, sb.storeCycle) << context;
+        EXPECT_EQ(sa.loadCycle, sb.loadCycle) << context;
+    }
+    EXPECT_TRUE(a.stats() == b.stats()) << context;
+    EXPECT_EQ(a.scheduleLength(), b.scheduleLength()) << context;
+    EXPECT_EQ(a.busUsedSlots(), b.busUsedSlots()) << context;
+    for (int c = 0; c < a.machine().numClusters(); ++c) {
+        EXPECT_EQ(a.maxLive(c), b.maxLive(c)) << context;
+        EXPECT_EQ(a.memFreeSlots(c), b.memFreeSlots(c)) << context;
+    }
+}
+
+} // namespace
+
+// A schedule reset after an attempt, successful or not, schedules
+// exactly like a freshly built one, whether the II grows or shrinks.
+TEST_P(UracamShapeSweep, ResetScheduleMatchesAFreshOne)
+{
+    auto [shape, machine] = GetParam();
+    LatencyTable lat;
+    Ddg g = makeShape(shape, lat);
+    MachineConfig m = makeMachine(machine);
+    const int mii = computeMii(g, m);
+    ModuloScheduler sched(g, m);
+    PartialSchedule reused(g, m, mii);
+    sched.schedule(reused, ClusterPolicy::FreeChoice, nullptr);
+    for (int ii : {mii + 1, mii, mii + 3}) {
+        reused.reset(ii);
+        PartialSchedule fresh(g, m, ii);
+        const bool a =
+            sched.schedule(reused, ClusterPolicy::FreeChoice, nullptr);
+        const bool b =
+            sched.schedule(fresh, ClusterPolicy::FreeChoice, nullptr);
+        const std::string context =
+            g.name() + " on " + m.name() + " at II " +
+            std::to_string(ii);
+        ASSERT_EQ(a, b) << context;
+        expectSameSchedule(reused, fresh, context);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
