@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/compile_error.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -184,7 +185,15 @@ recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency,
     int lo = 1;
     int hi = static_cast<int>(std::min<long>(total, 1 << 24));
     DdgAnalysis probe(ddg, latencies, hi, extra_edge_latency, sccs);
-    GPSCHED_ASSERT(probe.feasible(), "no feasible II below upper bound");
+    if (!probe.feasible()) {
+        // Bad input, not a bug: a cycle of total distance 0 asks an
+        // op to follow itself within one iteration at any II.
+        GPSCHED_COMPILE_ERROR(
+            CompileErrorKind::InvalidInput, ddg.name(), "loop '",
+            ddg.name(), "': no initiation interval up to ", hi,
+            " satisfies its dependence cycles (a cycle of total "
+            "distance 0 never does)");
+    }
     while (lo < hi) {
         int mid = lo + (hi - lo) / 2;
         probe.recompute(mid);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <sstream>
 #include <vector>
 
 #include "core/gp_scheduler.hh"
+#include "sched/schedule_image.hh"
+#include "support/logging.hh"
 #include "support/telemetry.hh"
 
 namespace gpsched
@@ -14,14 +14,6 @@ namespace gpsched
 
 namespace
 {
-
-/** Euclidean modulo. */
-int
-wrap(int cycle, int m)
-{
-    int r = cycle % m;
-    return r < 0 ? r + m : r;
-}
 
 /** Accumulates [from, to] (inclusive) into the @p ii slot counts
  *  at @p slots. */
@@ -31,167 +23,60 @@ cover(int from, int to, int ii, int *slots)
     int len = to - from + 1;
     int full = len / ii;
     int rem = len % ii;
-    for (int s = 0; s < ii; ++s)
+    for (int s = 0; full != 0 && s < ii; ++s)
         slots[s] += full;
-    for (int i = 0; i < rem; ++i)
-        slots[wrap(from + i, ii)] += 1;
+    for (int i = 0, s = (from % ii + ii) % ii; i < rem; ++i) {
+        slots[s] += 1;
+        s = s + 1 == ii ? 0 : s + 1;
+    }
 }
 
-/**
- * Uniform read-only image of a schedule, buildable from either a
- * live PartialSchedule or a recorded CompiledLoop. Shape problems
- * found while building (unscheduled nodes aside, which the checker
- * reports with its historical message) are stored in @c error.
- */
-struct ScheduleView
+/** A validation's storage, kept per thread across calls. */
+struct Scratch
 {
-    int ii = 0;
-    std::string error; ///< non-empty: malformed before checking
-
-    struct PlacedAt
-    {
-        bool scheduled = false;
-        int cluster = -1;
-        int cycle = 0;
-    };
-    std::vector<PlacedAt> place;               ///< by NodeId
-    std::vector<std::map<int, Transfer>> xfer; ///< by producer
-    std::vector<SpillInfo> spill;              ///< by producer
-    ScheduleStats stats;
-    bool hasMaxLive = false;     ///< bookkeeping recount available
-    std::vector<int> bookMaxLive; ///< per cluster when hasMaxLive
-
-    template <typename... Args>
-    void
-    shapeFail(Args &&...args)
-    {
-        if (!error.empty())
-            return;
-        std::ostringstream oss;
-        (oss << ... << std::forward<Args>(args));
-        error = oss.str();
-    }
+    ScheduleImage img;
+    std::vector<int> slots;    ///< per-row kernel-slot counts
+    std::vector<int> lastRead; ///< per cluster, for one value
 };
 
-ScheduleView
-makeView(const Ddg &ddg, const MachineConfig &machine,
-         const PartialSchedule &ps)
-{
-    ScheduleView view;
-    view.ii = ps.ii();
-    const int n = ddg.numNodes();
-    view.place.resize(n);
-    view.xfer.resize(n);
-    view.spill.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-        if (ps.isScheduled(v)) {
-            view.place[v] = {true, ps.clusterOf(v), ps.cycleOf(v)};
-        }
-        view.xfer[v] = ps.transfersOf(v);
-        view.spill[v] = ps.spillOf(v);
-    }
-    view.stats = ps.stats();
-    view.hasMaxLive = true;
-    view.bookMaxLive.resize(machine.numClusters());
-    for (int c = 0; c < machine.numClusters(); ++c)
-        view.bookMaxLive[c] = ps.maxLive(c);
-    return view;
-}
-
-ScheduleView
-makeView(const Ddg &ddg, const MachineConfig &machine,
-         const CompiledLoop &loop)
-{
-    ScheduleView view;
-    view.ii = loop.ii;
-    const int n = ddg.numNodes();
-    view.place.resize(n);
-    view.xfer.resize(n);
-    view.spill.resize(n);
-    if (!loop.moduloScheduled) {
-        view.shapeFail("loop not modulo scheduled "
-                       "(list-scheduling fallback carries no "
-                       "placements)");
-        return view;
-    }
-    if (loop.ii < 1) {
-        view.shapeFail("bad II ", loop.ii);
-        return view;
-    }
-    if (static_cast<int>(loop.placements.size()) != n) {
-        view.shapeFail("schedule records ", loop.placements.size(),
-                       " placements for ", n, " nodes");
-        return view;
-    }
-    for (NodeId v = 0; v < n; ++v)
-        view.place[v] = {true, loop.placements[v].cluster,
-                         loop.placements[v].cycle};
-    for (const Transfer &t : loop.transfers) {
-        if (t.producer < 0 || t.producer >= n) {
-            view.shapeFail("transfer from unknown node ", t.producer);
-            return view;
-        }
-        if (t.destCluster < 0 ||
-            t.destCluster >= machine.numClusters()) {
-            view.shapeFail("transfer of ", t.producer,
-                           " to bad cluster ", t.destCluster);
-            return view;
-        }
-        if (!view.xfer[t.producer].emplace(t.destCluster, t).second) {
-            view.shapeFail("duplicate transfer of ", t.producer,
-                           " to cluster ", t.destCluster);
-            return view;
-        }
-    }
-    for (const SpillRecord &s : loop.spills) {
-        if (s.node < 0 || s.node >= n) {
-            view.shapeFail("spill of unknown node ", s.node);
-            return view;
-        }
-        if (view.spill[s.node].spilled) {
-            view.shapeFail("duplicate spill of node ", s.node);
-            return view;
-        }
-        view.spill[s.node] = {true, s.storeCycle, s.loadCycle};
-    }
-    view.stats = loop.stats;
-    view.hasMaxLive = false; // CompiledLoop records no MaxLive
-    return view;
-}
+thread_local Scratch tlsScratch;
 
 struct Checker
 {
     const Ddg &ddg;
     const MachineConfig &machine;
-    const ScheduleView &sv;
-    const LatencyTable &lat;
-    int ii;
-    ValidationResult result;
-
-    Checker(const Ddg &d, const MachineConfig &m,
-            const ScheduleView &v)
-        : ddg(d), machine(m), sv(v), lat(m.latencies()), ii(v.ii)
-    {
-    }
+    Scratch &scratch;
+    const ScheduleStats &stats;
+    const PartialSchedule *book; ///< MaxLive bookkeeping, if any
+    const ScheduleImage &img = scratch.img;
+    const LatencyTable &lat = machine.latencies();
+    const int ii = img.ii;
+    ValidationResult result = {};
 
     template <typename... Args>
     bool
     fail(Args &&...args)
     {
-        std::ostringstream oss;
-        (oss << ... << std::forward<Args>(args));
-        result.valid = false;
-        result.message = oss.str();
+        result = {false, buildMessage(std::forward<Args>(args)...)};
         return false;
     }
 
-    int cycleOf(NodeId v) const { return sv.place[v].cycle; }
-    int clusterOf(NodeId v) const { return sv.place[v].cluster; }
+    int cycleOf(NodeId v) const { return img.place[v].cycle; }
+    int clusterOf(NodeId v) const { return img.place[v].cluster; }
 
-    const std::map<int, Transfer> &
-    transfersOf(NodeId v) const
+    /** The transfer of @p v to the lowest destination cluster that
+     *  @p bad holds for: the first one a walk in destination order
+     *  reports. */
+    template <typename Pred>
+    const Transfer *
+    firstByDest(NodeId v, Pred bad) const
     {
-        return sv.xfer[v];
+        const Transfer *first = nullptr;
+        for (const Transfer &t : img.transfersOf(v)) {
+            if (bad(t) && (!first || t.destCluster < first->destCluster))
+                first = &t;
+        }
+        return first;
     }
 
     int
@@ -212,7 +97,7 @@ struct Checker
     checkPlacements()
     {
         for (NodeId v = 0; v < ddg.numNodes(); ++v) {
-            if (!sv.place[v].scheduled)
+            if (v == img.unplaced)
                 return fail("node ", v, " not scheduled");
             int c = clusterOf(v);
             if (c < 0 || c >= machine.numClusters())
@@ -226,7 +111,7 @@ struct Checker
     bool
     readOk(NodeId p, int t) const
     {
-        const SpillInfo &spill = sv.spill[p];
+        const SpillInfo &spill = img.spill[p];
         if (!spill.spilled)
             return true;
         int reload =
@@ -263,14 +148,14 @@ struct Checker
                 continue;
             }
             // Cross-cluster value: must travel via a transfer.
-            const auto &transfers = transfersOf(edge.src);
-            auto it = transfers.find(clusterOf(edge.dst));
-            if (it == transfers.end()) {
+            const Transfer *found =
+                img.transferTo(edge.src, clusterOf(edge.dst));
+            if (!found) {
                 return fail("edge ", e, ": no transfer of ",
                             edge.src, " to cluster ",
                             clusterOf(edge.dst));
             }
-            const Transfer &t = it->second;
+            const Transfer &t = *found;
             if (t.readCycle < writeCycle(edge.src)) {
                 return fail("transfer of ", edge.src,
                             " reads before write: ", t.readCycle,
@@ -318,7 +203,7 @@ struct Checker
     checkSpills()
     {
         for (NodeId v = 0; v < ddg.numNodes(); ++v) {
-            const SpillInfo &spill = sv.spill[v];
+            const SpillInfo &spill = img.spill[v];
             if (!spill.spilled)
                 continue;
             if (!definesValue(ddg.node(v).opcode))
@@ -343,85 +228,76 @@ struct Checker
     checkResources()
     {
         const int clusters = machine.numClusters();
-        // (cluster, class) -> per-slot usage.
-        std::vector<std::vector<int>> fu(
-            clusters * numFuClasses, std::vector<int>(ii, 0));
-        // Per bus class -> per-slot usage.
-        std::vector<std::vector<int>> bus(
-            machine.numBusClasses(), std::vector<int>(ii, 0));
-        auto reserve = [&](int cluster, FuClass cls, int cycle,
-                           int occ) {
-            auto &slots =
-                fu[cluster * numFuClasses + static_cast<int>(cls)];
-            for (int i = 0; i < occ; ++i)
-                slots[wrap(cycle + i, ii)] += 1;
+        const int buses = machine.numBusClasses();
+        // Row (cluster, class) then row (bus class), ii slots each.
+        const int busRow = clusters * numFuClasses;
+        std::vector<int> &slots = scratch.slots;
+        slots.assign(static_cast<std::size_t>(busRow + buses) * ii, 0);
+        auto reserve = [&](int row, int cycle, int len) {
+            cover(cycle, cycle + len - 1, ii,
+                  &slots[static_cast<std::size_t>(row) * ii]);
+        };
+        auto fuRow = [](int cluster, FuClass cls) {
+            return cluster * numFuClasses + static_cast<int>(cls);
+        };
+        auto badBus = [buses](const Transfer &t) {
+            return t.viaBus && (t.busClass < 0 || t.busClass >= buses);
         };
 
         int bus_transfers = 0, mem_transfers = 0, spills = 0;
         for (NodeId v = 0; v < ddg.numNodes(); ++v) {
             const Opcode op = ddg.node(v).opcode;
-            reserve(clusterOf(v), fuClassOf(op), cycleOf(v),
+            const int home = clusterOf(v);
+            reserve(fuRow(home, fuClassOf(op)), cycleOf(v),
                     lat.occupancy(op));
-            for (const auto &[dest, t] : transfersOf(v)) {
+            if (const Transfer *t = firstByDest(v, badBus)) {
+                return fail("transfer of ", v,
+                            " rides unknown bus class ", t->busClass);
+            }
+            for (const Transfer &t : img.transfersOf(v)) {
                 if (t.viaBus) {
                     ++bus_transfers;
-                    if (t.busClass < 0 ||
-                        t.busClass >= machine.numBusClasses()) {
-                        return fail("transfer of ", v,
-                                    " rides unknown bus class ",
-                                    t.busClass);
-                    }
-                    int lat_bus = machine.busLatencyOf(t.busClass);
-                    for (int i = 0; i < lat_bus; ++i)
-                        bus[t.busClass][wrap(t.busCycle + i, ii)] += 1;
+                    reserve(busRow + t.busClass, t.busCycle,
+                            machine.busLatencyOf(t.busClass));
                 } else {
                     ++mem_transfers;
-                    reserve(clusterOf(v), FuClass::Mem, t.stCycle,
+                    reserve(fuRow(home, FuClass::Mem), t.stCycle,
                             lat.occupancy(Opcode::CommSt));
-                    reserve(dest, FuClass::Mem, t.ldCycle,
-                            lat.occupancy(Opcode::CommLd));
+                    reserve(fuRow(t.destCluster, FuClass::Mem),
+                            t.ldCycle, lat.occupancy(Opcode::CommLd));
                 }
             }
-            const SpillInfo &spill = sv.spill[v];
+            const SpillInfo &spill = img.spill[v];
             if (spill.spilled) {
                 ++spills;
-                reserve(clusterOf(v), FuClass::Mem,
-                        spill.storeCycle,
+                reserve(fuRow(home, FuClass::Mem), spill.storeCycle,
                         lat.occupancy(Opcode::SpillSt));
-                reserve(clusterOf(v), FuClass::Mem,
-                        spill.loadCycle,
+                reserve(fuRow(home, FuClass::Mem), spill.loadCycle,
                         lat.occupancy(Opcode::SpillLd));
             }
         }
 
-        for (int c = 0; c < clusters; ++c) {
-            for (int k = 0; k < numFuClasses; ++k) {
-                FuClass cls = static_cast<FuClass>(k);
-                int units = machine.fuInCluster(c, cls);
-                const auto &slots =
-                    fu[c * numFuClasses + k];
-                for (int s = 0; s < ii; ++s) {
-                    if (slots[s] > units) {
-                        return fail("cluster ", c, " ",
-                                    toString(cls), " over capacity ",
-                                    slots[s], "/", units,
-                                    " at kernel slot ", s);
-                    }
-                }
-            }
-        }
-        for (int bc = 0; bc < machine.numBusClasses(); ++bc) {
-            int count = machine.busClass(bc).count;
+        for (int row = 0; row < busRow + buses; ++row) {
+            const int cluster = row / numFuClasses;
+            const FuClass cls = static_cast<FuClass>(row % numFuClasses);
+            const int cap = row < busRow
+                                ? machine.fuInCluster(cluster, cls)
+                                : machine.busClass(row - busRow).count;
             for (int s = 0; s < ii; ++s) {
-                if (bus[bc][s] > count) {
-                    return fail("bus class ", bc, " over capacity ",
-                                bus[bc][s], "/", count, " at slot ",
-                                s);
+                const int used = slots[static_cast<std::size_t>(row) * ii + s];
+                if (used > cap && row < busRow) {
+                    return fail("cluster ", cluster, " ", toString(cls),
+                                " over capacity ", used, "/", cap,
+                                " at kernel slot ", s);
+                }
+                if (used > cap) {
+                    return fail("bus class ", row - busRow,
+                                " over capacity ", used, "/", cap,
+                                " at slot ", s);
                 }
             }
         }
 
-        const ScheduleStats &stats = sv.stats;
         if (stats.busTransfers != bus_transfers ||
             stats.memTransfers != mem_transfers ||
             stats.spills != spills) {
@@ -439,13 +315,17 @@ struct Checker
     {
         const int clusters = machine.numClusters();
         // live[c * ii + s]: values live in cluster c at kernel slot s.
-        std::vector<int> live(static_cast<std::size_t>(clusters) * ii,
-                              0);
+        std::vector<int> &live = scratch.slots;
+        live.assign(static_cast<std::size_t>(clusters) * ii, 0);
         auto slotsOf = [&](int c) { return &live[c * ii]; };
         // The current value's latest read per cluster, or kNoRead
         // when the cluster has none; reused across values.
         constexpr int kNoRead = std::numeric_limits<int>::min();
-        std::vector<int> lastRead(clusters);
+        std::vector<int> &lastRead = scratch.lastRead;
+        lastRead.resize(clusters);
+        auto unread = [&](const Transfer &t) {
+            return lastRead[t.destCluster] == kNoRead;
+        };
 
         for (NodeId v = 0; v < ddg.numNodes(); ++v) {
             if (!definesValue(ddg.node(v).opcode))
@@ -462,11 +342,11 @@ struct Checker
                 int &last = lastRead[clusterOf(edge.dst)];
                 last = std::max(last, useCycle(e));
             }
-            for (const auto &[dest, t] : transfersOf(v))
+            for (const Transfer &t : img.transfersOf(v))
                 lastRead[home] = std::max(lastRead[home], t.readCycle);
 
             // Home lifetime (with optional spill split).
-            const SpillInfo &spill = sv.spill[v];
+            const SpillInfo &spill = img.spill[v];
             const int home_last = std::max(write, lastRead[home]);
             if (!spill.spilled) {
                 cover(write, home_last, ii, slotsOf(home));
@@ -479,15 +359,14 @@ struct Checker
             }
 
             // Destination lifetimes: arrival to last read.
-            for (const auto &[dest, t] : transfersOf(v)) {
-                if (dest < 0 || dest >= clusters ||
-                    lastRead[dest] == kNoRead) {
-                    return fail("transfer of ", v, " to cluster ",
-                                dest, " has no consumer");
-                }
+            if (const Transfer *t = firstByDest(v, unread)) {
+                return fail("transfer of ", v, " to cluster ",
+                            t->destCluster, " has no consumer");
+            }
+            for (const Transfer &t : img.transfersOf(v)) {
                 cover(t.arrivalCycle,
-                      std::max(lastRead[dest], t.arrivalCycle), ii,
-                      slotsOf(dest));
+                      std::max(lastRead[t.destCluster], t.arrivalCycle),
+                      ii, slotsOf(t.destCluster));
             }
         }
 
@@ -500,26 +379,26 @@ struct Checker
                             " exceeds ", machine.regsInCluster(c),
                             " registers");
             }
-            if (sv.hasMaxLive && max_live != sv.bookMaxLive[c]) {
+            if (book && max_live != book->maxLive(c)) {
                 return fail("cluster ", c, " MaxLive recount ",
                             max_live, " != schedule's ",
-                            sv.bookMaxLive[c]);
+                            book->maxLive(c));
             }
         }
         return true;
     }
 };
 
+/** Runs every semantic check on the image in @p scratch. */
 ValidationResult
-check(const Ddg &ddg, const MachineConfig &machine,
-      const ScheduleView &view)
+check(const Ddg &ddg, const MachineConfig &machine, Scratch &scratch,
+      const ScheduleStats &stats, const PartialSchedule *book)
 {
-    if (!view.error.empty())
-        return {false, view.error};
-    Checker checker(ddg, machine, view);
+    Checker checker{ddg, machine, scratch, stats, book};
     checker.checkPlacements() && checker.checkDependences() &&
         checker.checkSpills() && checker.checkResources() &&
         checker.checkRegisters();
+    trimScratch(scratch.slots);
     return checker.result;
 }
 
@@ -530,7 +409,8 @@ validateSchedule(const Ddg &ddg, const MachineConfig &machine,
                  const PartialSchedule &schedule)
 {
     GPSCHED_PHASE_SPAN(Validate);
-    return check(ddg, machine, makeView(ddg, machine, schedule));
+    flattenSchedule(ddg, schedule, tlsScratch.img);
+    return check(ddg, machine, tlsScratch, schedule.stats(), &schedule);
 }
 
 ValidationResult
@@ -538,7 +418,13 @@ validateSchedule(const Ddg &ddg, const MachineConfig &machine,
                  const CompiledLoop &loop)
 {
     GPSCHED_PHASE_SPAN(Validate);
-    return check(ddg, machine, makeView(ddg, machine, loop));
+    if (!loop.moduloScheduled) {
+        return {false, "loop not modulo scheduled (list-scheduling "
+                       "fallback carries no placements)"};
+    }
+    if (auto f = flattenRecord(ddg, machine, loop, false, tlsScratch.img))
+        return {false, std::move(f->message)};
+    return check(ddg, machine, tlsScratch, loop.stats, nullptr);
 }
 
 } // namespace gpsched

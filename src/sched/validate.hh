@@ -19,7 +19,9 @@
  *  - the schedule's own bookkeeping (maxLive, stats) agrees with the
  *    recount.
  *
- * The validator shares no code with the scheduler's internal
+ * Past the record's shape, which both oracles check once while
+ * building their shared image (sched/schedule_image.hh), the
+ * validator shares no code with the scheduler's internal
  * bookkeeping or with the replay simulator (src/sim/), which is what
  * makes the three mutually meaningful oracles. It accepts either a
  * live PartialSchedule (full checks, including the bookkeeping

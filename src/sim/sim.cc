@@ -7,6 +7,8 @@
 #include "core/gp_scheduler.hh"
 #include "graph/ddg.hh"
 #include "sched/schedule.hh"
+#include "sched/schedule_image.hh"
+#include "support/logging.hh"
 
 namespace gpsched::sim
 {
@@ -17,122 +19,40 @@ namespace
 /** Hard cap on the replay timeline length (cycles). */
 constexpr std::int64_t kMaxTimeline = std::int64_t{1} << 22;
 
-/** Flat, source-agnostic image of a complete modulo schedule. */
-struct Image
+/** Cells [start, start + len) of a grid row in iteration 0, start
+ *  relative to the window's first cycle; j * II later in iteration j. */
+struct Interval
 {
-    int ii = 0;
-    std::vector<OpPlacement> place;           ///< by node
-    std::vector<std::vector<Transfer>> xfers; ///< by producer
-    std::vector<SpillInfo> spill;             ///< by node
+    int row, start, len;
 };
 
-template <typename... Args>
-std::string
-concat(Args &&...args)
+/** A replay's storage, kept per thread across replays. */
+struct Scratch
 {
-    std::ostringstream oss;
-    (oss << ... << std::forward<Args>(args));
-    return oss.str();
-}
-
-/** Shape-checks and flattens a CompiledLoop's schedule record. */
-std::optional<SimFault>
-buildImage(const Ddg &ddg, const MachineConfig &machine,
-           const CompiledLoop &loop, Image &out)
-{
-    const int n = ddg.numNodes();
-    auto malformed = [](NodeId node, std::string detail) {
-        return SimFault{SimFaultKind::MalformedSchedule, -1, node,
-                        std::move(detail)};
-    };
-    out.ii = loop.ii;
-    if (static_cast<int>(loop.placements.size()) != n) {
-        return malformed(invalidNode,
-                         concat("schedule records ",
-                                loop.placements.size(),
-                                " placements for ", n, " nodes"));
-    }
-    out.place = loop.placements;
-    out.xfers.assign(n, {});
-    out.spill.assign(n, {});
-    for (const Transfer &t : loop.transfers) {
-        if (t.producer < 0 || t.producer >= n) {
-            return malformed(t.producer,
-                             concat("transfer from unknown node ",
-                                    t.producer));
-        }
-        if (!definesValue(ddg.node(t.producer).opcode)) {
-            return malformed(t.producer,
-                             concat("transfer from non-defining "
-                                    "node ",
-                                    t.producer));
-        }
-        if (t.destCluster < 0 ||
-            t.destCluster >= machine.numClusters()) {
-            return malformed(t.producer,
-                             concat("transfer of ", t.producer,
-                                    " to bad cluster ",
-                                    t.destCluster));
-        }
-        for (const Transfer &prev : out.xfers[t.producer]) {
-            if (prev.destCluster == t.destCluster) {
-                return malformed(t.producer,
-                                 concat("duplicate transfer of ",
-                                        t.producer, " to cluster ",
-                                        t.destCluster));
-            }
-        }
-        out.xfers[t.producer].push_back(t);
-    }
-    for (const SpillRecord &s : loop.spills) {
-        if (s.node < 0 || s.node >= n)
-            return malformed(s.node, concat("spill of unknown node ",
-                                            s.node));
-        if (!definesValue(ddg.node(s.node).opcode)) {
-            return malformed(s.node,
-                             concat("spill of non-defining node ",
-                                    s.node));
-        }
-        if (out.spill[s.node].spilled)
-            return malformed(s.node, concat("duplicate spill of node ",
-                                            s.node));
-        out.spill[s.node] = {true, s.storeCycle, s.loadCycle};
-    }
-    return std::nullopt;
-}
-
-/** Flattens a complete PartialSchedule. */
-std::optional<SimFault>
-buildImage(const Ddg &ddg, const PartialSchedule &ps, Image &out)
-{
-    const int n = ddg.numNodes();
-    out.ii = ps.ii();
-    out.place.resize(n);
-    out.xfers.assign(n, {});
-    out.spill.assign(n, {});
-    for (NodeId v = 0; v < n; ++v) {
-        if (!ps.isScheduled(v)) {
-            return SimFault{SimFaultKind::MalformedSchedule, -1, v,
-                            concat("node ", v, " not scheduled")};
-        }
-        out.place[v] = {ps.clusterOf(v), ps.cycleOf(v)};
-        for (const auto &[dest, t] : ps.transfersOf(v))
-            out.xfers[v].push_back(t);
-        out.spill[v] = ps.spillOf(v);
-    }
-    return std::nullopt;
-}
+    ScheduleImage img;
+    /** Per resource row, timeline + 1 cells: first +1/-1 at interval
+     *  ends, then running counts. */
+    std::vector<int> grid;
+    std::vector<Interval> busy; ///< FU and bus intervals
+    std::vector<Interval> live; ///< register lifetimes
+};
 
 /** The replay engine proper. */
 struct Replayer
 {
     const Ddg &ddg;
     const MachineConfig &machine;
-    const LatencyTable &lat;
-    const Image &img;
-    const std::int64_t trip;
-    const int n;
-    const int ii;
+    Scratch &scratch;
+    const ScheduleImage &img = scratch.img;
+    const LatencyTable &lat = machine.latencies();
+    const std::int64_t trip = ddg.tripCount();
+    const int n = ddg.numNodes();
+    const int ii = img.ii;
+    const int clusters = machine.numClusters();
+    // Grid rows: FU classes per cluster, bus classes, register files.
+    const int busRows = clusters * numFuClasses;
+    const int liveRows = busRows + machine.numBusClasses();
+    const int rows = liveRows + clusters;
 
     int lo = 0;         ///< earliest frame event (issue) cycle
     int hiMetric = 0;   ///< latest frame finish (scheduleLength end)
@@ -141,18 +61,7 @@ struct Replayer
     std::int64_t K = 1; ///< iterations replayed
     std::int64_t timeline = 0;
 
-    std::vector<std::vector<int>> fuGrid;  ///< (cluster, class) major
-    std::vector<std::vector<int>> busGrid; ///< per bus class
-    std::vector<std::vector<int>> liveGrid; ///< per cluster
-
-    SimResult res;
-
-    Replayer(const Ddg &d, const MachineConfig &m, const Image &i,
-             std::int64_t trip_count)
-        : ddg(d), machine(m), lat(m.latencies()), img(i),
-          trip(trip_count), n(d.numNodes()), ii(i.ii)
-    {
-    }
+    SimResult res = {};
 
     bool
     fault(SimFaultKind kind, std::int64_t cycle, NodeId node,
@@ -199,45 +108,45 @@ struct Replayer
         // schedules; refusing them bounds the replay timeline.
         if (ii < 1 || ii > maxCycleMagnitude)
             return fault(SimFaultKind::MalformedSchedule, -1,
-                         invalidNode, concat("bad II ", ii));
+                         invalidNode, buildMessage("bad II ", ii));
         auto inRange = [](int c) {
             return c >= -maxCycleMagnitude && c <= maxCycleMagnitude;
         };
         for (NodeId v = 0; v < n; ++v) {
             int c = clusterOf(v);
-            if (c < 0 || c >= machine.numClusters()) {
+            if (c < 0 || c >= clusters) {
                 return fault(SimFaultKind::MalformedSchedule, -1, v,
-                             concat("node ", v, " in bad cluster ",
-                                    c));
+                             buildMessage("node ", v, " in bad cluster ",
+                                          c));
             }
             if (!inRange(cycleOf(v))) {
                 return fault(SimFaultKind::MalformedSchedule, -1, v,
-                             concat("node ", v, " at absurd cycle ",
-                                    cycleOf(v)));
+                             buildMessage("node ", v, " at absurd cycle ",
+                                          cycleOf(v)));
             }
-            for (const Transfer &t : img.xfers[v]) {
+            for (const Transfer &t : img.transfersOf(v)) {
                 if (t.viaBus && (t.busClass < 0 ||
                                  t.busClass >= machine.numBusClasses())) {
                     return fault(SimFaultKind::BadBusClass, -1, v,
-                                 concat("transfer of ", v,
-                                        " rides unknown bus class ",
-                                        t.busClass));
+                                 buildMessage("transfer of ", v,
+                                              " rides unknown bus class ",
+                                              t.busClass));
                 }
                 if (!inRange(t.busCycle) || !inRange(t.stCycle) ||
                     !inRange(t.ldCycle) || !inRange(t.readCycle) ||
                     !inRange(t.arrivalCycle)) {
                     return fault(SimFaultKind::MalformedSchedule, -1,
                                  v,
-                                 concat("transfer of ", v,
-                                        " at absurd cycles"));
+                                 buildMessage("transfer of ", v,
+                                              " at absurd cycles"));
                 }
             }
             const SpillInfo &s = img.spill[v];
             if (s.spilled &&
                 (!inRange(s.storeCycle) || !inRange(s.loadCycle))) {
                 return fault(SimFaultKind::MalformedSchedule, -1, v,
-                             concat("spill of ", v,
-                                    " at absurd cycles"));
+                             buildMessage("spill of ", v,
+                                          " at absurd cycles"));
             }
         }
         return true;
@@ -263,7 +172,7 @@ struct Replayer
             Opcode op = ddg.node(v).opcode;
             extend(cycleOf(v), cycleOf(v) + lat.latency(op),
                    cycleOf(v) + span(op));
-            for (const Transfer &t : img.xfers[v]) {
+            for (const Transfer &t : img.transfersOf(v)) {
                 if (t.viaBus) {
                     extend(t.busCycle, t.arrivalCycle,
                            t.busCycle +
@@ -297,146 +206,109 @@ struct Replayer
         if (timeline > kMaxTimeline) {
             return fault(SimFaultKind::MalformedSchedule, -1,
                          invalidNode,
-                         concat("replay window of ", timeline,
-                                " cycles exceeds the simulator cap"));
+                         buildMessage("replay window of ", timeline,
+                                      " cycles exceeds the simulator cap"));
         }
         return true;
     }
 
-    void
-    occupy(std::vector<int> &grid, std::int64_t start, int len)
-    {
-        GPSCHED_ASSERT(start >= 0 &&
-                           start + len <=
-                               static_cast<std::int64_t>(grid.size()),
-                       "replay grid out of range");
-        for (int i = 0; i < len; ++i)
-            grid[start + i] += 1;
-    }
-
-    /** Marks [from, to] (inclusive, absolute) live in @p grid. */
-    void
-    coverLive(std::vector<int> &grid, std::int64_t from,
-              std::int64_t to)
-    {
-        if (to < from)
-            return;
-        GPSCHED_ASSERT(from >= 0 &&
-                           to < static_cast<std::int64_t>(grid.size()),
-                       "replay live range out of range");
-        for (std::int64_t t = from; t <= to; ++t)
-            grid[t] += 1;
-    }
-
-    std::vector<int> &
-    fu(int cluster, FuClass cls)
-    {
-        return fuGrid[cluster * numFuClasses +
-                      static_cast<int>(cls)];
-    }
-
-    /** Issues every op, transfer and spill of the replay window,
-     *  checking each realized read against value availability. */
+    /** Checks every realized read, transfer and spill in replay
+     *  order. No check's outcome depends on the iteration j, so j
+     *  only runs the edges of distance j (the rest passed earlier),
+     *  and only iteration 0 runs the transfers and spills. */
     bool
-    replayIssues()
+    checkIssues()
     {
-        for (std::int64_t j = 0; j < K; ++j) {
-            for (NodeId v = 0; v < n; ++v) {
-                Opcode op = ddg.node(v).opcode;
-                occupy(fu(clusterOf(v), fuClassOf(op)),
-                       abs(j, cycleOf(v)), lat.occupancy(op));
-            }
+        for (std::int64_t j = 0; j < K && j <= maxDist; ++j) {
             for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
-                const DdgEdge &edge = ddg.edge(e);
-                const std::int64_t p = j - edge.distance;
-                if (p < 0)
-                    continue; // value from before the loop
-                const std::int64_t consume = abs(j, cycleOf(edge.dst));
-                const std::int64_t produce = abs(p, cycleOf(edge.src));
-                if (consume < produce + edge.latency) {
-                    return fault(
-                        SimFaultKind::DependenceViolation, consume,
-                        edge.dst,
-                        concat("node ", edge.dst, " issues at ",
-                               consume, " but node ", edge.src,
-                               " (latency ", edge.latency,
-                               ") issued at ", produce));
-                }
-                if (!edge.isFlow())
-                    continue;
-                if (clusterOf(edge.src) == clusterOf(edge.dst)) {
-                    const std::int64_t write =
-                        abs(p, writeFrame(edge.src));
-                    if (consume < write) {
-                        return fault(
-                            SimFaultKind::ReadBeforeWrite, consume,
-                            edge.dst,
-                            concat("node ", edge.dst, " reads ",
-                                   edge.src, " at ", consume,
-                                   " before its write at ", write));
-                    }
-                    // Frame-relative read time under the spill split.
-                    int read_frame =
-                        cycleOf(edge.dst) + ii * edge.distance;
-                    if (!homeReadOk(edge.src, read_frame)) {
-                        return fault(
-                            SimFaultKind::SpillGapRead, consume,
-                            edge.src,
-                            concat("node ", edge.dst,
-                                   " reads inside the spill gap of ",
-                                   edge.src));
-                    }
-                    continue;
-                }
-                const Transfer *t = nullptr;
-                for (const Transfer &cand : img.xfers[edge.src]) {
-                    if (cand.destCluster == clusterOf(edge.dst))
-                        t = &cand;
-                }
-                if (!t) {
-                    return fault(
-                        SimFaultKind::MissingTransfer, consume,
-                        edge.src,
-                        concat("no transfer of ", edge.src,
-                               " to cluster ",
-                               clusterOf(edge.dst)));
-                }
-                const std::int64_t arrive = abs(p, t->arrivalCycle);
-                if (consume < arrive) {
-                    return fault(
-                        SimFaultKind::ReadBeforeWrite, consume,
-                        edge.dst,
-                        concat("node ", edge.dst, " reads ",
-                               edge.src, " in cluster ",
-                               t->destCluster, " at ", consume,
-                               " before the transfer arrives at ",
-                               arrive));
-                }
+                if (ddg.edge(e).distance == j && !checkEdge(e, j))
+                    return false;
             }
-            for (NodeId v = 0; v < n; ++v) {
-                if (!replayTransfers(j, v) || !replaySpill(j, v))
+            for (NodeId v = 0; j == 0 && v < n; ++v) {
+                if (!checkTransfers(v) || !checkSpill(v))
                     return false;
             }
         }
         return true;
     }
 
+    /** Edge @p e read in iteration @p j (its producer's instance is
+     *  iteration j - distance >= 0). */
     bool
-    replayTransfers(std::int64_t j, NodeId v)
+    checkEdge(EdgeId e, std::int64_t j)
     {
-        for (const Transfer &t : img.xfers[v]) {
-            const std::int64_t read = abs(j, t.readCycle);
-            const std::int64_t write = abs(j, writeFrame(v));
+        const DdgEdge &edge = ddg.edge(e);
+        const std::int64_t p = j - edge.distance;
+        const std::int64_t consume = abs(j, cycleOf(edge.dst));
+        const std::int64_t produce = abs(p, cycleOf(edge.src));
+        if (consume < produce + edge.latency) {
+            return fault(SimFaultKind::DependenceViolation, consume,
+                         edge.dst,
+                         buildMessage("node ", edge.dst, " issues at ",
+                                      consume, " but node ", edge.src,
+                                      " (latency ", edge.latency,
+                                      ") issued at ", produce));
+        }
+        if (!edge.isFlow())
+            return true;
+        if (clusterOf(edge.src) == clusterOf(edge.dst)) {
+            const std::int64_t write = abs(p, writeFrame(edge.src));
+            if (consume < write) {
+                return fault(SimFaultKind::ReadBeforeWrite, consume,
+                             edge.dst,
+                             buildMessage("node ", edge.dst, " reads ",
+                                          edge.src, " at ", consume,
+                                          " before its write at ", write));
+            }
+            // Frame-relative read time under the spill split.
+            int read_frame = cycleOf(edge.dst) + ii * edge.distance;
+            if (!homeReadOk(edge.src, read_frame)) {
+                return fault(SimFaultKind::SpillGapRead, consume,
+                             edge.src,
+                             buildMessage("node ", edge.dst,
+                                          " reads inside the spill gap of ",
+                                          edge.src));
+            }
+            return true;
+        }
+        const Transfer *t =
+            img.transferTo(edge.src, clusterOf(edge.dst));
+        if (!t) {
+            return fault(SimFaultKind::MissingTransfer, consume,
+                         edge.src,
+                         buildMessage("no transfer of ", edge.src,
+                                      " to cluster ", clusterOf(edge.dst)));
+        }
+        const std::int64_t arrive = abs(p, t->arrivalCycle);
+        if (consume < arrive) {
+            return fault(SimFaultKind::ReadBeforeWrite, consume,
+                         edge.dst,
+                         buildMessage("node ", edge.dst, " reads ", edge.src,
+                                      " in cluster ", t->destCluster, " at ",
+                                      consume,
+                                      " before the transfer arrives at ",
+                                      arrive));
+        }
+        return true;
+    }
+
+    /** @p v's transfers, as issued in iteration 0. */
+    bool
+    checkTransfers(NodeId v)
+    {
+        for (const Transfer &t : img.transfersOf(v)) {
+            const std::int64_t read = abs(0, t.readCycle);
+            const std::int64_t write = abs(0, writeFrame(v));
             if (read < write) {
                 return fault(SimFaultKind::ReadBeforeWrite, read, v,
-                             concat("transfer of ", v, " reads at ",
-                                    read, " before its write at ",
-                                    write));
+                             buildMessage("transfer of ", v, " reads at ",
+                                          read, " before its write at ",
+                                          write));
             }
             if (!homeReadOk(v, t.readCycle)) {
                 return fault(SimFaultKind::SpillGapRead, read, v,
-                             concat("transfer of ", v,
-                                    " reads inside its spill gap"));
+                             buildMessage("transfer of ", v,
+                                          " reads inside its spill gap"));
             }
             if (t.viaBus) {
                 const int bus_lat = machine.busLatencyOf(t.busClass);
@@ -444,191 +316,239 @@ struct Replayer
                     t.arrivalCycle != t.busCycle + bus_lat) {
                     return fault(
                         SimFaultKind::InconsistentTransfer, read, v,
-                        concat("bus transfer of ", v,
-                               " has inconsistent timing"));
+                        buildMessage("bus transfer of ", v,
+                                     " has inconsistent timing"));
                 }
-                occupy(busGrid[t.busClass], abs(j, t.busCycle),
-                       bus_lat);
-            } else {
-                if (t.readCycle != t.stCycle ||
-                    t.ldCycle <
-                        t.stCycle + lat.latency(Opcode::CommSt) ||
-                    t.arrivalCycle !=
-                        t.ldCycle + lat.latency(Opcode::CommLd)) {
-                    return fault(
-                        SimFaultKind::InconsistentTransfer, read, v,
-                        concat("memory transfer of ", v,
-                               " has inconsistent timing"));
-                }
-                occupy(fu(clusterOf(v), FuClass::Mem),
-                       abs(j, t.stCycle),
-                       lat.occupancy(Opcode::CommSt));
-                occupy(fu(t.destCluster, FuClass::Mem),
-                       abs(j, t.ldCycle),
-                       lat.occupancy(Opcode::CommLd));
+            } else if (t.readCycle != t.stCycle ||
+                       t.ldCycle <
+                           t.stCycle + lat.latency(Opcode::CommSt) ||
+                       t.arrivalCycle !=
+                           t.ldCycle + lat.latency(Opcode::CommLd)) {
+                return fault(SimFaultKind::InconsistentTransfer, read,
+                             v,
+                             buildMessage("memory transfer of ", v,
+                                          " has inconsistent timing"));
             }
-            if (j == 0) {
-                bool consumed = false;
-                for (EdgeId e : ddg.outEdges(v)) {
-                    const DdgEdge &edge = ddg.edge(e);
-                    if (edge.isFlow() &&
-                        clusterOf(edge.dst) == t.destCluster)
-                        consumed = true;
-                }
-                if (!consumed) {
-                    return fault(
-                        SimFaultKind::UnusedTransfer,
-                        abs(j, t.arrivalCycle), v,
-                        concat("transfer of ", v, " to cluster ",
-                               t.destCluster, " has no consumer"));
-                }
+            auto consumes = [&](EdgeId e) {
+                const DdgEdge &edge = ddg.edge(e);
+                return edge.isFlow() && clusterOf(edge.dst) == t.destCluster;
+            };
+            const auto &out = ddg.outEdges(v);
+            if (std::none_of(out.begin(), out.end(), consumes)) {
+                return fault(SimFaultKind::UnusedTransfer,
+                             abs(0, t.arrivalCycle), v,
+                             buildMessage("transfer of ", v, " to cluster ",
+                                          t.destCluster, " has no consumer"));
             }
         }
         return true;
     }
 
     bool
-    replaySpill(std::int64_t j, NodeId v)
+    checkSpill(NodeId v)
     {
         const SpillInfo &s = img.spill[v];
         if (!s.spilled)
             return true;
         if (s.storeCycle < writeFrame(v)) {
-            return fault(SimFaultKind::BrokenSpill,
-                         abs(j, s.storeCycle), v,
-                         concat("spill store of ", v, " at frame ",
-                                s.storeCycle, " before its write at ",
-                                writeFrame(v)));
+            return fault(SimFaultKind::BrokenSpill, abs(0, s.storeCycle),
+                         v,
+                         buildMessage("spill store of ", v, " at frame ",
+                                      s.storeCycle, " before its write at ",
+                                      writeFrame(v)));
         }
         if (s.loadCycle + lat.latency(Opcode::SpillLd) <=
             s.storeCycle + lat.latency(Opcode::SpillSt)) {
-            return fault(SimFaultKind::BrokenSpill,
-                         abs(j, s.loadCycle), v,
-                         concat("spill of ", v,
-                                " reloads before the store "
-                                "completes"));
+            return fault(SimFaultKind::BrokenSpill, abs(0, s.loadCycle),
+                         v,
+                         buildMessage("spill of ", v,
+                                      " reloads before the store "
+                                      "completes"));
         }
-        occupy(fu(clusterOf(v), FuClass::Mem), abs(j, s.storeCycle),
-               lat.occupancy(Opcode::SpillSt));
-        occupy(fu(clusterOf(v), FuClass::Mem), abs(j, s.loadCycle),
-               lat.occupancy(Opcode::SpillLd));
         return true;
     }
 
-    /** Replays every value instance's register lifetime onto the
-     *  timeline (home segment, spill split, destination segments). */
+    /** One iteration's unit and bus occupancy: every op, transfer
+     *  half and spill half for its occupancy, every bus ride for
+     *  its class latency. */
     void
-    replayLifetimes()
+    collectBusy(std::vector<Interval> &out) const
     {
-        for (std::int64_t j = 0; j < K; ++j) {
-            for (NodeId v = 0; v < n; ++v) {
-                if (!definesValue(ddg.node(v).opcode))
-                    continue;
-                const int home = clusterOf(v);
-                const int write = writeFrame(v);
-
-                int home_last = write;
-                for (EdgeId e : ddg.outEdges(v)) {
-                    const DdgEdge &edge = ddg.edge(e);
-                    if (!edge.isFlow() ||
-                        clusterOf(edge.dst) != home)
-                        continue;
-                    if (j + edge.distance >= trip)
-                        continue; // consumer iteration never runs
-                    home_last = std::max(
-                        home_last,
-                        cycleOf(edge.dst) + ii * edge.distance);
-                }
-                for (const Transfer &t : img.xfers[v])
-                    home_last = std::max(home_last, t.readCycle);
-
-                const SpillInfo &s = img.spill[v];
-                if (!s.spilled) {
-                    coverLive(liveGrid[home], abs(j, write),
-                              abs(j, home_last));
+        out.clear();
+        auto add = [&](int row, int cycle, int len) {
+            out.push_back({row, cycle - lo, len});
+        };
+        auto fuRow = [](int cluster, FuClass cls) {
+            return cluster * numFuClasses + static_cast<int>(cls);
+        };
+        for (NodeId v = 0; v < n; ++v) {
+            Opcode op = ddg.node(v).opcode;
+            add(fuRow(clusterOf(v), fuClassOf(op)), cycleOf(v),
+                lat.occupancy(op));
+            for (const Transfer &t : img.transfersOf(v)) {
+                if (t.viaBus) {
+                    add(busRows + t.busClass, t.busCycle,
+                        machine.busLatencyOf(t.busClass));
                 } else {
-                    coverLive(liveGrid[home], abs(j, write),
-                              abs(j, s.storeCycle));
-                    int reload = s.loadCycle +
-                                 lat.latency(Opcode::SpillLd);
-                    if (home_last >= reload) {
-                        coverLive(liveGrid[home], abs(j, reload),
-                                  abs(j, home_last));
-                    }
+                    add(fuRow(clusterOf(v), FuClass::Mem), t.stCycle,
+                        lat.occupancy(Opcode::CommSt));
+                    add(fuRow(t.destCluster, FuClass::Mem), t.ldCycle,
+                        lat.occupancy(Opcode::CommLd));
                 }
-
-                for (const Transfer &t : img.xfers[v]) {
-                    int last = t.arrivalCycle;
-                    for (EdgeId e : ddg.outEdges(v)) {
-                        const DdgEdge &edge = ddg.edge(e);
-                        if (!edge.isFlow() ||
-                            clusterOf(edge.dst) != t.destCluster)
-                            continue;
-                        if (j + edge.distance >= trip)
-                            continue;
-                        last = std::max(last,
-                                        cycleOf(edge.dst) +
-                                            ii * edge.distance);
-                    }
-                    coverLive(liveGrid[t.destCluster],
-                              abs(j, t.arrivalCycle), abs(j, last));
-                }
+            }
+            const SpillInfo &s = img.spill[v];
+            if (s.spilled) {
+                add(fuRow(clusterOf(v), FuClass::Mem), s.storeCycle,
+                    lat.occupancy(Opcode::SpillSt));
+                add(fuRow(clusterOf(v), FuClass::Mem), s.loadCycle,
+                    lat.occupancy(Opcode::SpillLd));
             }
         }
     }
 
-    /** Earliest-cycle scan of every grid against its capacity. */
+    /** Latest frame read of @p v in cluster @p c by a consumer
+     *  iteration that runs (j + distance < trip), at least
+     *  @p floor. */
+    int
+    lastRead(NodeId v, int c, std::int64_t j, int floor) const
+    {
+        for (EdgeId e : ddg.outEdges(v)) {
+            const DdgEdge &edge = ddg.edge(e);
+            if (edge.isFlow() && clusterOf(edge.dst) == c &&
+                j + edge.distance < trip)
+                floor = std::max(floor,
+                                 cycleOf(edge.dst) + ii * edge.distance);
+        }
+        return floor;
+    }
+
+    /** Iteration @p j's register lifetimes: each value's home
+     *  segment (split around a spill) and destination segments. */
+    void
+    collectLive(std::int64_t j, std::vector<Interval> &out) const
+    {
+        out.clear();
+        auto cover = [&](int cluster, int from, int to) {
+            if (to >= from)
+                out.push_back({liveRows + cluster, from - lo,
+                               to - from + 1});
+        };
+        for (NodeId v = 0; v < n; ++v) {
+            if (!definesValue(ddg.node(v).opcode))
+                continue;
+            const int home = clusterOf(v);
+            const int write = writeFrame(v);
+            int home_last = lastRead(v, home, j, write);
+            for (const Transfer &t : img.transfersOf(v))
+                home_last = std::max(home_last, t.readCycle);
+
+            const SpillInfo &s = img.spill[v];
+            if (!s.spilled) {
+                cover(home, write, home_last);
+            } else {
+                cover(home, write, s.storeCycle);
+                cover(home, s.loadCycle + lat.latency(Opcode::SpillLd),
+                      home_last);
+            }
+            for (const Transfer &t : img.transfersOf(v)) {
+                cover(t.destCluster, t.arrivalCycle,
+                      lastRead(v, t.destCluster, j, t.arrivalCycle));
+            }
+        }
+    }
+
+    /** Adds iteration @p j's instances of @p items to the grid. */
+    void
+    stamp(const std::vector<Interval> &items, std::int64_t j)
+    {
+        int *grid = scratch.grid.data();
+        const std::int64_t stride = timeline + 1;
+        for (const Interval &it : items) {
+            const std::int64_t at = j * ii + it.start;
+            GPSCHED_ASSERT(at >= 0 && at + it.len <= timeline,
+                           "replay grid out of range");
+            grid[it.row * stride + at] += 1;
+            grid[it.row * stride + at + it.len] -= 1;
+        }
+    }
+
+    /** Replays every iteration's occupancy and lifetimes. A value's
+     *  last reads differ from iteration 0's only in the tail, where
+     *  some consumer iteration never runs (j + maxDist >= trip). */
+    void
+    replayGrid()
+    {
+        scratch.grid.assign(rows * (timeline + 1), 0);
+        collectBusy(scratch.busy);
+        for (std::int64_t j = 0; j < K; ++j) {
+            if (j == 0 || j + maxDist >= trip)
+                collectLive(j, scratch.live);
+            stamp(scratch.busy, j);
+            stamp(scratch.live, j);
+        }
+    }
+
+    int
+    capacity(int row) const
+    {
+        if (row >= liveRows)
+            return machine.regsInCluster(row - liveRows);
+        if (row >= busRows)
+            return machine.busClass(row - busRows).count;
+        auto cls = static_cast<FuClass>(row % numFuClasses);
+        return machine.fuInCluster(row / numFuClasses, cls);
+    }
+
+    /** Turns each row's interval ends into counts and checks every
+     *  row against its capacity; on an overflow, the earliest cycle
+     *  wins, and within it FU rows, then buses, then registers. */
     bool
     scanCapacities()
     {
-        const int clusters = machine.numClusters();
-        for (int c = 0; c < clusters; ++c) {
+        const std::int64_t stride = timeline + 1;
+        bool over = false;
+        for (int r = 0; r < rows; ++r) {
+            int *cell = scratch.grid.data() + r * stride;
+            int count = 0, peak = 0;
             for (std::int64_t t = 0; t < timeline; ++t) {
-                res.maxLive[c] =
-                    std::max(res.maxLive[c], liveGrid[c][t]);
+                count += cell[t];
+                cell[t] = count;
+                peak = std::max(peak, count);
             }
+            if (r >= liveRows)
+                res.maxLive[r - liveRows] = peak;
+            over = over || peak > capacity(r);
         }
-        for (std::int64_t t = 0; t < timeline; ++t) {
-            for (int c = 0; c < clusters; ++c) {
-                for (int k = 0; k < numFuClasses; ++k) {
-                    FuClass cls = static_cast<FuClass>(k);
-                    int used = fu(c, cls)[t];
-                    int units = machine.fuInCluster(c, cls);
-                    if (used > units) {
-                        return fault(
-                            cls == FuClass::Mem
-                                ? SimFaultKind::MemPortOverflow
-                                : SimFaultKind::FuOverflow,
-                            t, invalidNode,
-                            concat("cluster ", c, " ",
-                                   gpsched::toString(cls),
-                                   " over capacity ", used, "/",
-                                   units, " at cycle ", t));
-                    }
-                }
-            }
-            for (int bc = 0; bc < machine.numBusClasses(); ++bc) {
-                int used = busGrid[bc][t];
-                int count = machine.busClass(bc).count;
-                if (used > count) {
-                    return fault(SimFaultKind::BusOverflow, t,
-                                 invalidNode,
-                                 concat("bus class ", bc,
-                                        " over capacity ", used, "/",
-                                        count, " at cycle ", t));
-                }
-            }
-            for (int c = 0; c < clusters; ++c) {
-                int used = liveGrid[c][t];
-                int regs = machine.regsInCluster(c);
-                if (used > regs) {
+        for (std::int64_t t = 0; over && t < timeline; ++t) {
+            for (int r = 0; r < rows; ++r) {
+                const int used = scratch.grid[r * stride + t];
+                const int cap = capacity(r);
+                if (used <= cap)
+                    continue;
+                if (r >= liveRows) {
                     return fault(SimFaultKind::RegisterOverflow, t,
                                  invalidNode,
-                                 concat("cluster ", c, " holds ",
-                                        used, " live values in ",
-                                        regs, " registers at cycle ",
-                                        t));
+                                 buildMessage("cluster ", r - liveRows,
+                                              " holds ", used,
+                                              " live values in ", cap,
+                                              " registers at cycle ", t));
                 }
+                if (r >= busRows) {
+                    return fault(SimFaultKind::BusOverflow, t,
+                                 invalidNode,
+                                 buildMessage("bus class ", r - busRows,
+                                              " over capacity ", used,
+                                              "/", cap, " at cycle ", t));
+                }
+                FuClass cls = static_cast<FuClass>(r % numFuClasses);
+                return fault(cls == FuClass::Mem
+                                 ? SimFaultKind::MemPortOverflow
+                                 : SimFaultKind::FuOverflow,
+                             t, invalidNode,
+                             buildMessage("cluster ", r / numFuClasses,
+                                          " ", gpsched::toString(cls),
+                                          " over capacity ", used, "/",
+                                          cap, " at cycle ", t));
             }
         }
         return true;
@@ -637,23 +557,14 @@ struct Replayer
     SimResult
     run()
     {
-        res.maxLive.assign(machine.numClusters(), 0);
-        if (!checkShape() || !computeExtent()) {
+        res.maxLive.assign(clusters, 0);
+        if (!checkShape() || !computeExtent())
             return res;
-        }
         res.iterationsSimulated = K;
         res.replayed = true;
-        fuGrid.assign(machine.numClusters() * numFuClasses,
-                      std::vector<int>(timeline, 0));
-        busGrid.assign(machine.numBusClasses(),
-                       std::vector<int>(timeline, 0));
-        liveGrid.assign(machine.numClusters(),
-                        std::vector<int>(timeline, 0));
-        if (!replayIssues()) {
-            res.replayed = true;
+        if (!checkIssues())
             return res;
-        }
-        replayLifetimes();
+        replayGrid();
         if (!scanCapacities())
             return res;
 
@@ -678,12 +589,22 @@ struct Replayer
     }
 };
 
+thread_local Scratch tlsScratch;
+
+/** Replays the image in tlsScratch, unless its shape is broken. */
 SimResult
-faulted(const MachineConfig &machine, SimFault f)
+replayImage(const Ddg &ddg, const MachineConfig &machine,
+            std::optional<ShapeFault> shape)
 {
     SimResult res;
-    res.maxLive.assign(machine.numClusters(), 0);
-    res.fault = std::move(f);
+    if (shape) {
+        res.maxLive.assign(machine.numClusters(), 0);
+        res.fault = SimFault{SimFaultKind::MalformedSchedule, -1,
+                             shape->node, std::move(shape->message)};
+        return res;
+    }
+    res = Replayer{ddg, machine, tlsScratch}.run();
+    trimScratch(tlsScratch.grid);
     return res;
 }
 
@@ -746,25 +667,20 @@ simulate(const Ddg &ddg, const MachineConfig &machine,
             static_cast<double>(res.simCycles);
         return res;
     }
-    if (loop.ii < 1) {
-        return faulted(machine,
-                       {SimFaultKind::MalformedSchedule, -1,
-                        invalidNode, concat("bad II ", loop.ii)});
-    }
-    Image img;
-    if (auto f = buildImage(ddg, machine, loop, img))
-        return faulted(machine, std::move(*f));
-    return Replayer(ddg, machine, img, trip).run();
+    return replayImage(
+        ddg, machine,
+        flattenRecord(ddg, machine, loop, true, tlsScratch.img));
 }
 
 SimResult
 simulate(const Ddg &ddg, const MachineConfig &machine,
          const PartialSchedule &schedule)
 {
-    Image img;
-    if (auto f = buildImage(ddg, schedule, img))
-        return faulted(machine, std::move(*f));
-    return Replayer(ddg, machine, img, ddg.tripCount()).run();
+    flattenSchedule(ddg, schedule, tlsScratch.img);
+    std::optional<ShapeFault> shape;
+    if (NodeId v = tlsScratch.img.unplaced; v < ddg.numNodes())
+        shape = ShapeFault{v, buildMessage("node ", v, " not scheduled")};
+    return replayImage(ddg, machine, std::move(shape));
 }
 
 } // namespace gpsched::sim

@@ -31,11 +31,14 @@
  * no overflow. Total cycles are then extrapolated to the full trip
  * count analytically.
  *
- * Oracle-independence contract: this simulator shares no code with
- * the scheduler's bookkeeping (sched/schedule.cc) or with the static
- * validator (sched/validate.cc) — the validator folds one iteration
- * into II kernel slots, the simulator unrolls iterations onto an
- * absolute timeline. Agreement between the two (pinned by
+ * Oracle-independence contract: shape is shared, semantics are not.
+ * The simulator and the static validator (sched/validate.cc) read
+ * one flat image whose builder is the one record-shape check
+ * (sched/schedule_image.hh); past the shape, the simulator shares no
+ * code with the validator or with the scheduler's bookkeeping
+ * (sched/schedule.cc) — the validator folds one iteration into II
+ * kernel slots, the simulator unrolls iterations onto an absolute
+ * timeline. Agreement between the two (pinned by
  * tests/test_property.cc and tests/test_sim_mutation.cc) is what
  * makes either verdict trustworthy.
  */

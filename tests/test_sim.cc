@@ -4,18 +4,27 @@
  * compiled fixture loops replay to exactly the metrics the compiler
  * reported, the PartialSchedule overload agrees with the schedule's
  * own II, list-scheduled loops are cross-checked without a kernel
- * replay, and hand-built broken schedules trip the right SimFault.
+ * replay, hand-built broken schedules trip the right SimFault, a
+ * digest pins every replay output of the specfp suite and of short
+ * trip counts, and concurrent replays share no scratch.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "core/gp_scheduler.hh"
+#include "engine/loop_key.hh"
 #include "machine/configs.hh"
 #include "sched/validate.hh"
+#include "serialize/bytes.hh"
+#include "sim/replay.hh"
 #include "sim/sim.hh"
+#include "support/random.hh"
 #include "testing/fixtures.hh"
+#include "workload/loop_shapes.hh"
+#include "workload/specfp.hh"
 
 using namespace gpsched;
 using namespace gpsched::testing;
@@ -214,4 +223,196 @@ TEST(Sim, MalformedScheduleFaults)
     s = sim::simulate(g, m, badIi);
     ASSERT_FALSE(s.simOk);
     EXPECT_EQ(s.fault->kind, sim::SimFaultKind::MalformedSchedule);
+}
+
+namespace
+{
+
+/** Appends every replay output of @p s to @p out. */
+void
+digestResult(const sim::SimResult &s, ByteWriter &out)
+{
+    out.i32(s.achievedII);
+    out.i64(s.simCycles);
+    out.f64(s.achievedIpc);
+    out.i64(s.iterationsSimulated);
+    for (int live : s.maxLive)
+        out.i32(live);
+}
+
+} // namespace
+
+TEST(Sim, ReplayOutputsArePinned)
+{
+    // Every specfp record on the 12 perfbench machines (each Figure
+    // 2/3 clustered machine under all three schemes, plus URACAM on
+    // the unified machine of its register count), then short trips
+    // (1-4) with carried distances up to 3: there the last replayed
+    // iterations have consumers that never run (j + distance >=
+    // trip), which shortens the replayed lifetimes.
+    LatencyTable lat;
+    ByteWriter bytes;
+    int records = 0;
+    auto replay = [&](const Ddg &g, const MachineConfig &m,
+                      SchedulerKind kind) {
+        CompiledLoop loop = LoopCompiler(m, kind).compile(g);
+        sim::SimResult s = sim::simulate(g, m, loop);
+        ASSERT_TRUE(s.simOk)
+            << g.name() << " on " << m.name() << ": "
+            << (s.fault ? s.fault->toString() : "");
+        digestResult(s, bytes);
+        ++records;
+    };
+    const SchedulerKind schemes[] = {SchedulerKind::Uracam,
+                                     SchedulerKind::FixedPartition,
+                                     SchedulerKind::Gp};
+    const std::vector<MachineConfig> clustered = {
+        twoClusterConfig(32, 1),  twoClusterConfig(64, 1),
+        fourClusterConfig(32, 1), fourClusterConfig(64, 1),
+        fourClusterConfig(32, 2), fourClusterConfig(64, 2)};
+    for (const Program &program : specFp95Suite(lat)) {
+        for (const Ddg &g : program.loops) {
+            for (const MachineConfig &m : clustered) {
+                replay(g, unifiedConfig(m.totalRegs()),
+                       SchedulerKind::Uracam);
+                for (SchedulerKind kind : schemes)
+                    replay(g, m, kind);
+            }
+        }
+    }
+    EXPECT_EQ(records, 1536);
+
+    Rng master(0x7a11ULL);
+    int tailLoops = 0;
+    for (int i = 0; i < 24; ++i) {
+        Rng rng(master.next());
+        RandomLoopParams params;
+        params.numOps = 6 + i % 10;
+        params.carriedProb = 0.5;
+        params.maxDistance = 3;
+        params.tripCount = 1 + i % 4;
+        Ddg g = randomLoop("tail" + std::to_string(i), lat, rng, params);
+        for (EdgeId e = 0; e < g.numEdges(); ++e) {
+            if (g.edge(e).isFlow() &&
+                g.edge(e).distance >= g.tripCount()) {
+                ++tailLoops;
+                break;
+            }
+        }
+        for (const MachineConfig &m :
+             {twoClusterConfig(32, 1), fourClusterConfig(32, 2)}) {
+            for (SchedulerKind kind : schemes)
+                replay(g, m, kind);
+        }
+    }
+    EXPECT_GE(tailLoops, 8) << "too few loops reach the tail path";
+    EXPECT_EQ(hexDigest(fnv1a64(bytes.buffer())), "4d55476dda193101");
+}
+
+namespace
+{
+
+/** A clean record of two unconnected IAlu ops issued @p gap cycles
+ *  apart in clusters 0 and 1: a long replay timeline at II 1. */
+std::pair<Ddg, CompiledLoop>
+longTimelineRecord(const MachineConfig &m, int gap)
+{
+    Ddg g("long" + std::to_string(gap));
+    g.addNode(Opcode::IAlu);
+    g.addNode(Opcode::IAlu);
+    CompiledLoop loop = emptyLoop(g, 1);
+    loop.placements[0] = {0, 0};
+    loop.placements[1] = {1, gap};
+    loop.scheduleLength = gap + 1;
+    sim::SimResult s = sim::simulate(g, m, loop);
+    loop.cycles = s.simCycles;
+    loop.ipc = s.achievedIpc;
+    return {std::move(g), std::move(loop)};
+}
+
+bool
+sameVerdict(const sim::Verdict &a, const sim::Verdict &b)
+{
+    const sim::SimResult &x = a.sim, &y = b.sim;
+    bool sameFault = x.fault.has_value() == y.fault.has_value();
+    if (sameFault && x.fault) {
+        sameFault = x.fault->kind == y.fault->kind &&
+                    x.fault->cycle == y.fault->cycle &&
+                    x.fault->node == y.fault->node &&
+                    x.fault->detail == y.fault->detail;
+    }
+    return a.kind == b.kind && a.detail == b.detail &&
+           x.simOk == y.simOk && x.replayed == y.replayed &&
+           x.achievedII == y.achievedII &&
+           x.simCycles == y.simCycles &&
+           x.achievedIpc == y.achievedIpc &&
+           x.iterationsSimulated == y.iterationsSimulated &&
+           x.maxLive == y.maxLive && sameFault;
+}
+
+} // namespace
+
+TEST(Sim, ConcurrentVerificationMatchesSingleThread)
+{
+    // Both oracles keep per-thread scratch that grows with the
+    // record and is released above a size cap. Four threads verify
+    // interleaved records (short and long timelines, 2 and 4
+    // clusters, clean and faulty), so every thread's scratch grows
+    // and shrinks; each verdict must equal the single-thread one.
+    LatencyTable lat;
+    std::vector<MachineConfig> machines = {twoClusterConfig(32, 1),
+                                           fourClusterConfig(64, 2)};
+    struct Record
+    {
+        Ddg ddg;
+        CompiledLoop loop;
+        const MachineConfig *machine;
+    };
+    std::vector<Record> records;
+    for (const MachineConfig &m : machines) {
+        int gap = 0;
+        for (const Ddg &g : fixtureLoops(lat)) {
+            records.push_back(
+                {g, LoopCompiler(m, SchedulerKind::Gp).compile(g), &m});
+            gap += 10000;
+            auto [long_g, long_loop] = longTimelineRecord(m, gap);
+            records.push_back({long_g, long_loop, &m});
+        }
+        // Double-booked: both IAlu ops in cluster 0 at one slot.
+        auto [g, loop] = longTimelineRecord(m, 4);
+        loop.placements[1] = {0, 4};
+        records.push_back({g, loop, &m});
+    }
+
+    std::vector<sim::Verdict> expected;
+    for (const Record &r : records)
+        expected.push_back(
+            sim::verifyCompiled(r.ddg, *r.machine, r.loop));
+    EXPECT_FALSE(expected.back().ok());
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    std::vector<std::vector<sim::Verdict>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const std::size_t n = records.size();
+            got[t].resize(n * kRounds);
+            for (std::size_t i = 0; i < n * kRounds; ++i) {
+                const Record &r = records[(i + t) % n];
+                got[t][i] =
+                    sim::verifyCompiled(r.ddg, *r.machine, r.loop);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t) {
+        for (std::size_t i = 0; i < got[t].size(); ++i) {
+            std::size_t r = (i + t) % records.size();
+            EXPECT_TRUE(sameVerdict(got[t][i], expected[r]))
+                << "thread " << t << " record " << r << ": "
+                << got[t][i].detail << " vs " << expected[r].detail;
+        }
+    }
 }

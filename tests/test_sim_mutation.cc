@@ -12,13 +12,15 @@
  * Mutations exercised: shift one placement across a dependence, drop
  * a transfer, retime a transfer's arrival, swap a bus transfer onto
  * a different-latency (and an unknown) bus class, break a spill
- * split's store/reload ordering, and shrink a register file below
- * the measured peak pressure.
+ * split's store/reload ordering, shrink a register file below the
+ * measured peak pressure, and double-book a functional unit, a
+ * memory port and a bus.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -103,7 +105,7 @@ findLoop(const MachineConfig &machine, Pred pred)
     }
     for (const Ddg &g : candidates) {
         auto loop = goodLoop(g, machine);
-        if (loop.has_value() && pred(*loop))
+        if (loop.has_value() && pred(g, *loop))
             return std::make_pair(g, std::move(*loop));
     }
     return std::nullopt;
@@ -121,6 +123,103 @@ corpusMachine(const std::string &name)
     }
     ADD_FAILURE() << "corpus machine " << name << " missing";
     return twoClusterConfig(32, 1);
+}
+
+/** Euclidean modulo: the kernel slot of @p cycle. */
+int
+slotOf(int cycle, int ii)
+{
+    int r = cycle % ii;
+    return r < 0 ? r + ii : r;
+}
+
+/**
+ * Double-books a unit of class @p cls: moves a sink op of that class
+ * (no outgoing edge, so issuing later breaks no dependence) less than
+ * one II later, into the kernel slot of another op of its class and
+ * cluster. On a machine with one unit per class and cluster the two
+ * then need the one unit in the same cycle. False when @p loop has
+ * no such pair.
+ */
+bool
+doubleBookUnit(const Ddg &g, CompiledLoop &loop, FuClass cls)
+{
+    std::vector<OpPlacement> &place = loop.placements;
+    for (NodeId v = 0; v < g.numNodes(); ++v) {
+        if (fuClassOf(g.node(v).opcode) != cls || !g.outEdges(v).empty())
+            continue;
+        for (NodeId u = 0; u < g.numNodes(); ++u) {
+            if (u == v || fuClassOf(g.node(u).opcode) != cls ||
+                place[u].cluster != place[v].cluster)
+                continue;
+            int shift = slotOf(place[u].cycle - place[v].cycle, loop.ii);
+            if (shift != 0) {
+                place[v].cycle += shift;
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+/**
+ * Overbooks a one-bus class: moves one bus transfer, read, ride and
+ * arrival together, into the kernel slot of another transfer of its
+ * class, later if its consumers still find the value in time, else
+ * earlier if the producer has written it by then. False when no
+ * transfer of @p loop can move so.
+ */
+bool
+overbookBus(const Ddg &g, const MachineConfig &m, CompiledLoop &loop)
+{
+    const LatencyTable &lat = m.latencies();
+    for (Transfer &t : loop.transfers) {
+        for (const Transfer &other : loop.transfers) {
+            if (&other == &t || !t.viaBus || !other.viaBus ||
+                other.busClass != t.busClass)
+                continue;
+            int later = slotOf(other.busCycle - t.busCycle, loop.ii);
+            if (later == 0)
+                continue;
+            const OpPlacement &home = loop.placements[t.producer];
+            int write = home.cycle +
+                        lat.latency(g.node(t.producer).opcode);
+            int lastArrival = std::numeric_limits<int>::max();
+            for (EdgeId e : g.outEdges(t.producer)) {
+                const DdgEdge &edge = g.edge(e);
+                if (edge.isFlow() &&
+                    loop.placements[edge.dst].cluster == t.destCluster)
+                    lastArrival = std::min(
+                        lastArrival, loop.placements[edge.dst].cycle +
+                                         loop.ii * edge.distance);
+            }
+            for (int shift : {later, later - loop.ii}) {
+                if (t.arrivalCycle + shift <= lastArrival &&
+                    t.readCycle + shift >= write) {
+                    t.busCycle += shift;
+                    t.readCycle += shift;
+                    t.arrivalCycle += shift;
+                    return true;
+                }
+            }
+        }
+    }
+    return false;
+}
+
+/** Both oracles reject @p mutant for over-capacity: the simulator
+ *  with @p kind at @p cycle, the validator with @p message. */
+void
+expectOverCapacity(const Ddg &g, const MachineConfig &m,
+                   const CompiledLoop &mutant, sim::SimFaultKind kind,
+                   std::int64_t cycle, const std::string &message)
+{
+    sim::SimResult s = sim::simulate(g, m, mutant);
+    ASSERT_TRUE(s.fault.has_value()) << "the simulator accepted it";
+    EXPECT_EQ(s.fault->kind, kind) << s.fault->toString();
+    EXPECT_EQ(s.fault->cycle, cycle) << s.fault->toString();
+    EXPECT_EQ(validateSchedule(g, m, mutant).message, message);
+    expectBothReject(g, m, mutant, sim::toString(kind));
 }
 
 } // namespace
@@ -145,7 +244,7 @@ TEST(SimMutation, ShiftedPlacementRejected)
 TEST(SimMutation, DroppedTransferRejected)
 {
     MachineConfig m = twoClusterConfig(32, 1);
-    auto found = findLoop(m, [](const CompiledLoop &l) {
+    auto found = findLoop(m, [](const Ddg &, const CompiledLoop &l) {
         return !l.transfers.empty();
     });
     ASSERT_TRUE(found.has_value())
@@ -160,7 +259,7 @@ TEST(SimMutation, DroppedTransferRejected)
 TEST(SimMutation, RetimedTransferRejected)
 {
     MachineConfig m = twoClusterConfig(32, 1);
-    auto found = findLoop(m, [](const CompiledLoop &l) {
+    auto found = findLoop(m, [](const Ddg &, const CompiledLoop &l) {
         return !l.transfers.empty();
     });
     ASSERT_TRUE(found.has_value())
@@ -176,7 +275,7 @@ TEST(SimMutation, SwappedBusClassRejected)
 {
     MachineConfig m = corpusMachine("threetier-bus-4c");
     ASSERT_GE(m.numBusClasses(), 2);
-    auto found = findLoop(m, [](const CompiledLoop &l) {
+    auto found = findLoop(m, [](const Ddg &, const CompiledLoop &l) {
         for (const Transfer &t : l.transfers) {
             if (t.viaBus)
                 return true;
@@ -214,7 +313,7 @@ TEST(SimMutation, BrokenSpillSplitRejected)
 {
     LatencyTable lat;
     MachineConfig m = corpusMachine("regstarved-4c");
-    auto found = findLoop(m, [](const CompiledLoop &l) {
+    auto found = findLoop(m, [](const Ddg &, const CompiledLoop &l) {
         return !l.spills.empty();
     });
     ASSERT_TRUE(found.has_value())
@@ -280,4 +379,52 @@ TEST(SimMutation, ShrunkRegisterFileRejected)
     shrunk.latencies() = m.latencies();
 
     expectBothReject(g, shrunk, *loop, "shrunk register file");
+}
+
+TEST(SimMutation, DoubleBookedUnitRejected)
+{
+    // One unit per class and cluster: any two ops of one class in
+    // one cluster and kernel slot overflow it.
+    MachineConfig m = fourClusterConfig(32, 1);
+    auto found = findLoop(m, [](const Ddg &g, const CompiledLoop &l) {
+        CompiledLoop probe = l;
+        return l.spills.empty() &&
+               doubleBookUnit(g, probe, FuClass::Fp);
+    });
+    ASSERT_TRUE(found.has_value()) << "no FP pair to double-book";
+    auto &[g, mutant] = *found;
+    ASSERT_TRUE(doubleBookUnit(g, mutant, FuClass::Fp));
+    expectOverCapacity(g, m, mutant, sim::SimFaultKind::FuOverflow, 6,
+                       "cluster 3 FP over capacity 2/1 at kernel slot 0");
+}
+
+TEST(SimMutation, DoubleBookedMemoryPortRejected)
+{
+    MachineConfig m = fourClusterConfig(32, 1);
+    auto found = findLoop(m, [](const Ddg &g, const CompiledLoop &l) {
+        CompiledLoop probe = l;
+        return l.spills.empty() &&
+               doubleBookUnit(g, probe, FuClass::Mem);
+    });
+    ASSERT_TRUE(found.has_value()) << "no memory pair to double-book";
+    auto &[g, mutant] = *found;
+    ASSERT_TRUE(doubleBookUnit(g, mutant, FuClass::Mem));
+    expectOverCapacity(g, m, mutant, sim::SimFaultKind::MemPortOverflow,
+                       6, "cluster 3 MEM over capacity 2/1 at kernel slot 0");
+}
+
+TEST(SimMutation, OverbookedBusRejected)
+{
+    // One bus of latency 1: two transfers in one kernel slot need
+    // two buses.
+    MachineConfig m = fourClusterConfig(32, 1);
+    auto found = findLoop(m, [&m](const Ddg &g, const CompiledLoop &l) {
+        CompiledLoop probe = l;
+        return l.spills.empty() && overbookBus(g, m, probe);
+    });
+    ASSERT_TRUE(found.has_value()) << "no bus transfer to move";
+    auto &[g, mutant] = *found;
+    ASSERT_TRUE(overbookBus(g, m, mutant));
+    expectOverCapacity(g, m, mutant, sim::SimFaultKind::BusOverflow, 7,
+                       "bus class 0 over capacity 2/1 at slot 2");
 }
