@@ -161,22 +161,19 @@ LoopCompiler::compile(const Ddg &ddg) const
     out.ops = checkedCount(ddg, "operations", ddg.numNodes(),
                            ddg.tripCount());
 
-    // The DDG is fixed for the whole compile, so one SCC
-    // decomposition serves the MII, the II bound, every partitioner
-    // run and the modulo scheduler.
-    SccDecomposition sccs;
+    // RecMII is the first reader of the graph's SCC decomposition
+    // (Ddg::sccs()), so computing it, when this compile is the
+    // graph's first, falls in the Mii phase.
     int mii = 0;
     int max_ii = 0;
     {
         GPSCHED_PHASE_SPAN(Mii);
-        sccs = computeSccs(ddg);
-        mii = computeMii(ddg, machine_, &sccs);
+        mii = computeMii(ddg, machine_);
         out.mii = mii;
 
         // List-scheduling bound: once II reaches the flat schedule
         // length, the kernel no longer overlaps iterations.
-        DdgAnalysis base(ddg, machine_.latencies(), mii, nullptr,
-                         &sccs);
+        DdgAnalysis base(ddg, machine_.latencies(), mii);
         GPSCHED_ASSERT(base.feasible(), "MII analysis infeasible");
         max_ii =
             std::min(kMaxIiHardCap,
@@ -192,7 +189,7 @@ LoopCompiler::compile(const Ddg &ddg) const
                            0,
                            {}};
     if (partitioned) {
-        part = partitioner.run(ddg, mii, &sccs);
+        part = partitioner.run(ddg, mii);
         ++out.partitionRuns;
     }
 
@@ -202,7 +199,7 @@ LoopCompiler::compile(const Ddg &ddg) const
     else if (kind_ == SchedulerKind::Gp)
         policy = ClusterPolicy::PreferAssigned;
 
-    ModuloScheduler scheduler(ddg, machine_, &sccs);
+    ModuloScheduler scheduler(ddg, machine_);
 
     // One schedule serves every attempt: each one resets it, so its
     // tables and probe scratch keep their storage across IIs.
@@ -265,7 +262,7 @@ LoopCompiler::compile(const Ddg &ddg) const
         }
         if (kind_ == SchedulerKind::Gp && partitioned &&
             ii <= max_ii && recompute) {
-            part = partitioner.run(ddg, ii, &sccs);
+            part = partitioner.run(ddg, ii);
             ++out.partitionRuns;
             planned = plannedMemOps(ddg, machine_, part.partition);
         }

@@ -1,29 +1,9 @@
 #include "core/metrics.hh"
 
-#include <algorithm>
-
 #include "support/logging.hh"
 
 namespace gpsched
 {
-
-std::int64_t
-moduloLoopCycles(int ii, int schedule_length, std::int64_t niter)
-{
-    GPSCHED_ASSERT(ii >= 1 && niter >= 1,
-                   "bad modulo cycle parameters");
-    return std::max<std::int64_t>(
-        (niter - 1) * static_cast<std::int64_t>(ii) + schedule_length,
-        1);
-}
-
-std::int64_t
-listLoopCycles(int schedule_length, std::int64_t niter)
-{
-    GPSCHED_ASSERT(niter >= 1, "bad list cycle parameters");
-    return std::max<std::int64_t>(
-        niter * static_cast<std::int64_t>(schedule_length), 1);
-}
 
 double
 ipcOf(std::int64_t ops, std::int64_t cycles)

@@ -5,10 +5,10 @@
  * IPC counts original program operations only; overhead operations
  * (spill, communications) consume slots but are not "useful" work,
  * which keeps the unified configuration's IPC an upper bound for the
- * clustered ones. Modulo-scheduled loops run in
- * (niter - 1) * II + SL cycles — the SL term charges the prolog and
- * epilog, as the paper's IPC does. List-scheduled loops execute
- * iterations back to back.
+ * clustered ones. The cycles themselves come from LoopCompiler
+ * (core/gp_scheduler.hh): (niter - 1) * II + SL for a modulo
+ * schedule, the SL term charging the prolog and epilog as the
+ * paper's IPC does, and niter * SL for a list schedule.
  */
 
 #ifndef GPSCHED_CORE_METRICS_HH
@@ -19,13 +19,6 @@
 
 namespace gpsched
 {
-
-/** Cycles of a modulo-scheduled loop incl. prolog/epilog. */
-std::int64_t moduloLoopCycles(int ii, int schedule_length,
-                              std::int64_t niter);
-
-/** Cycles of a list-scheduled loop (non-overlapped iterations). */
-std::int64_t listLoopCycles(int schedule_length, std::int64_t niter);
 
 /** ops / cycles with a zero-cycle guard. */
 double ipcOf(std::int64_t ops, std::int64_t cycles);

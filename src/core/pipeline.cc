@@ -40,6 +40,16 @@ aggregateProgram(const Program &program,
     return result;
 }
 
+/** The engine-less overloads' engine: defaults with one job, which
+ *  runs inline on the calling thread. */
+EngineOptions
+oneJobOptions()
+{
+    EngineOptions options;
+    options.jobs = 1;
+    return options;
+}
+
 std::vector<EngineJob>
 jobsFor(const Program &program, const MachineConfig &machine,
         SchedulerKind kind, const LoopCompilerOptions &options)
@@ -106,7 +116,7 @@ ProgramResult
 compileProgram(const Program &program, const MachineConfig &machine,
                SchedulerKind kind, const LoopCompilerOptions &options)
 {
-    Engine engine(serialEngineOptions());
+    Engine engine(oneJobOptions());
     return compileProgram(engine, program, machine, kind, options);
 }
 
@@ -115,7 +125,7 @@ compileSuite(const std::vector<Program> &suite,
              const MachineConfig &machine, SchedulerKind kind,
              const LoopCompilerOptions &options)
 {
-    Engine engine(serialEngineOptions());
+    Engine engine(oneJobOptions());
     return compileSuite(engine, suite, machine, kind, options);
 }
 

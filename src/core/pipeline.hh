@@ -10,10 +10,10 @@
  * The Engine-taking overloads run the loops of a program — and, for
  * compileSuite, of the whole suite — as one concurrent batch and
  * reuse the engine's fingerprint cache; the engine-less overloads
- * keep the historical serial semantics by running on a private
- * one-job, cache-less engine. Aggregates are computed from results
- * in submission order, so every overload is bit-deterministic and
- * independent of the worker count.
+ * run serially on a private default engine with one job (loops of
+ * one shape repeated within the call compile once). Aggregates are
+ * computed from results in submission order, so every overload is
+ * bit-deterministic and independent of the worker count.
  *
  * Per-loop failures are skipped and reported, never fatal: a loop
  * the engine rejects (CompileError) is excluded from the aggregates,

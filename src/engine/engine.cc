@@ -25,15 +25,6 @@ compileSourceName(CompileSource source)
     GPSCHED_PANIC("invalid CompileSource ", static_cast<int>(source));
 }
 
-EngineOptions
-serialEngineOptions()
-{
-    EngineOptions options;
-    options.jobs = 1;
-    options.cacheEnabled = false;
-    return options;
-}
-
 namespace
 {
 
@@ -86,7 +77,7 @@ Engine::Engine(EngineOptions options)
       coalesced_(&metrics_->counter("engine.coalesced")),
       failed_(&metrics_->counter("engine.failed"))
 {
-    if (options_.cacheEnabled && !options_.cacheDir.empty()) {
+    if (!options_.cacheDir.empty()) {
         disk_ = std::make_unique<DiskCache>(
             options_.cacheDir, options_.cacheMaxBytes, metrics_);
     }
@@ -200,16 +191,6 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source)
         error.setLoopName(job.loop->name());
         return CompileResult::failure(std::move(error));
     };
-
-    if (!options_.cacheEnabled) {
-        try {
-            LoopCompiler compiler(*job.machine, job.kind,
-                                  job.options);
-            return CompileResult::success(tracedCompile(compiler));
-        } catch (const CompileError &error) {
-            return failWith(error);
-        }
-    }
 
     // One lookup decides the job's path: the first job for a key
     // inserts a pending entry and owns the compile; a later job finds

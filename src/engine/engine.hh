@@ -58,14 +58,10 @@ struct EngineOptions
      *  inline execution (no threads spawned). */
     int jobs = 0;
 
-    /** Memoize results keyed by loop fingerprint. */
-    bool cacheEnabled = true;
-
     /**
      * Persistent cache directory (engine/disk_cache.hh), layered
      * under the result table so results survive across runs and
-     * processes. Empty disables the disk layer. Requires
-     * cacheEnabled.
+     * processes. Empty disables the disk layer.
      */
     std::string cacheDir;
 
@@ -101,9 +97,6 @@ struct EngineOptions
      */
     bool collectPhases = false;
 };
-
-/** Serial, cache-less configuration (the legacy pipeline path). */
-EngineOptions serialEngineOptions();
 
 /** One unit of work: compile @p loop for @p machine with one scheme. */
 struct EngineJob

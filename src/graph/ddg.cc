@@ -1,5 +1,8 @@
 #include "graph/ddg.hh"
 
+#include <memory>
+
+#include "graph/scc.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -15,6 +18,7 @@ Ddg::addNode(Opcode opcode, std::string label)
     NodeId id = static_cast<NodeId>(nodes_.size());
     if (label.empty())
         label = toString(opcode) + std::to_string(id);
+    sccs_.reset();
     nodes_.push_back(DdgNode{opcode, std::move(label)});
     outEdges_.emplace_back();
     inEdges_.emplace_back();
@@ -36,6 +40,7 @@ Ddg::addEdge(NodeId src, NodeId dst, int latency, int distance,
                    "flow edge from non-defining op ",
                    toString(nodes_[src].opcode));
 
+    sccs_.reset();
     EdgeId id = static_cast<EdgeId>(edges_.size());
     edges_.push_back(DdgEdge{src, dst, latency, distance, kind});
     outEdges_[src].push_back(id);
@@ -80,6 +85,30 @@ Ddg::hasRecurrence() const
             return true;
     }
     return false;
+}
+
+const SccDecomposition &
+Ddg::sccs() const
+{
+    auto cached = sccs_.installed.load();
+    if (cached != nullptr)
+        return *cached;
+    auto fresh = std::make_unique<const SccDecomposition>(
+        computeSccs(*this));
+    if (sccs_.installed.compare_exchange_strong(cached, fresh.get()))
+        return *fresh.release();
+    return *cached; // another thread installed its copy first
+}
+
+void
+Ddg::SccCache::reset() noexcept
+{
+    // Only a decomposition already installed needs the store: a
+    // builder calls this once per node and edge.
+    if (auto old = installed.load()) {
+        installed.store(nullptr);
+        delete old;
+    }
 }
 
 } // namespace gpsched

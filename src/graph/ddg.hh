@@ -13,6 +13,7 @@
 #ifndef GPSCHED_GRAPH_DDG_HH
 #define GPSCHED_GRAPH_DDG_HH
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,6 +32,8 @@ using EdgeId = std::int32_t;
 
 /** Sentinel for "no node". */
 constexpr NodeId invalidNode = -1;
+
+struct SccDecomposition;
 
 /**
  * Bounds on loops read from outside the program, shared by the text
@@ -90,7 +93,8 @@ struct DdgEdge
 
 /**
  * Immutable-after-construction dependence graph of one loop,
- * together with its profiled trip count.
+ * together with its profiled trip count and, once asked for, its
+ * strongly connected components.
  */
 class Ddg
 {
@@ -171,13 +175,59 @@ class Ddg
     /** True when any edge is loop-carried. */
     bool hasRecurrence() const;
 
+    /**
+     * The graph's SCC decomposition (graph/scc.hh), which RecMII,
+     * every longest-path analysis, SMS ordering, the edge weights
+     * and the partition estimator read. Computed on first use and
+     * kept until addNode() or addEdge() changes the topology (a new
+     * trip count keeps it). Safe to call from several threads on one
+     * shared const graph: racing first uses each compute one, and
+     * the first to install it wins. A copy starts without one; a
+     * move takes it along and leaves the source without one.
+     */
+    const SccDecomposition &sccs() const;
+
   private:
+    /** Owner of the lazily installed decomposition. */
+    class SccCache
+    {
+      public:
+        SccCache() = default;
+        SccCache(const SccCache &) noexcept {}
+        SccCache(SccCache &&other) noexcept
+            : installed(other.installed.exchange(nullptr))
+        {
+        }
+        SccCache &
+        operator=(const SccCache &) noexcept
+        {
+            reset();
+            return *this;
+        }
+        SccCache &
+        operator=(SccCache &&other) noexcept
+        {
+            if (this != &other) {
+                reset();
+                installed = other.installed.exchange(nullptr);
+            }
+            return *this;
+        }
+        ~SccCache() { reset(); }
+
+        /** Drops the decomposition (not thread-safe). */
+        void reset() noexcept;
+
+        std::atomic<const SccDecomposition *> installed{nullptr};
+    };
+
     std::string name_;
     std::int64_t tripCount_ = 100;
     std::vector<DdgNode> nodes_;
     std::vector<DdgEdge> edges_;
     std::vector<std::vector<EdgeId>> outEdges_;
     std::vector<std::vector<EdgeId>> inEdges_;
+    mutable SccCache sccs_;
 };
 
 } // namespace gpsched

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/scc.hh"
 #include "support/compile_error.hh"
 #include "support/logging.hh"
 
@@ -10,10 +11,9 @@ namespace gpsched
 
 DdgAnalysis::DdgAnalysis(const Ddg &ddg, const LatencyTable &latencies,
                          int ii,
-                         const std::vector<int> *extra_edge_latency,
-                         const SccDecomposition *sccs)
+                         const std::vector<int> *extra_edge_latency)
     : ddg_(ddg), latencies_(latencies), ii_(ii),
-      extra_(extra_edge_latency), sccs_(sccs)
+      extra_(extra_edge_latency)
 {
     GPSCHED_ASSERT(!extra_ ||
                        static_cast<int>(extra_->size()) ==
@@ -29,17 +29,6 @@ DdgAnalysis::recompute(int ii)
     ii_ = ii;
     feasible_ = true;
     scheduleLength_ = 0;
-    if (sccs_) {
-        compute(*sccs_);
-    } else {
-        SccDecomposition own = computeSccs(ddg_);
-        compute(own);
-    }
-}
-
-void
-DdgAnalysis::compute(const SccDecomposition &sccs)
-{
     const int n = ddg_.numNodes();
     asap_.assign(n, 0);
     alap_.assign(n, 0);
@@ -48,6 +37,7 @@ DdgAnalysis::compute(const SccDecomposition &sccs)
 
     // Tarjan emits components in reverse topological order of the
     // condensation; iterate them backwards for a topological sweep.
+    const SccDecomposition &sccs = ddg_.sccs();
     const int nc = sccs.numComponents();
 
     // The relaxation loops below fetch each edge record once and
@@ -165,17 +155,11 @@ DdgAnalysis::maxSlack() const
 }
 
 int
-recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency,
-       const SccDecomposition *sccs)
+recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency)
 {
     // Upper bound: any cycle's latency sum is at most the sum of all
     // edge latencies and its distance sum is >= 1.
     LatencyTable latencies; // node latencies do not affect feasibility
-    SccDecomposition own;
-    if (!sccs) {
-        own = computeSccs(ddg);
-        sccs = &own;
-    }
     long total = 1;
     for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
         total += ddg.edge(e).latency;
@@ -184,7 +168,7 @@ recMii(const Ddg &ddg, const std::vector<int> *extra_edge_latency,
     }
     int lo = 1;
     int hi = static_cast<int>(std::min<long>(total, 1 << 24));
-    DdgAnalysis probe(ddg, latencies, hi, extra_edge_latency, sccs);
+    DdgAnalysis probe(ddg, latencies, hi, extra_edge_latency);
     if (!probe.feasible()) {
         // Bad input, not a bug: a cycle of total distance 0 asks an
         // op to follow itself within one iteration at any II.

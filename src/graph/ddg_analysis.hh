@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "graph/ddg.hh"
-#include "graph/scc.hh"
 #include "machine/op.hh"
 #include "support/logging.hh"
 
@@ -41,14 +40,12 @@ class DdgAnalysis
      * @param ii candidate initiation interval (>= 1)
      * @param extra_edge_latency optional per-edge additive latency
      *        (size must equal ddg.numEdges() when provided)
-     * @param sccs optional precomputed SCC decomposition of @p ddg;
-     *        callers that analyze the same graph repeatedly (the
-     *        partition estimator, RecMII searches) pass it to skip
-     *        recomputation
+     *
+     * The component sweep reads ddg.sccs(), so every analysis of one
+     * graph shares one decomposition.
      */
     DdgAnalysis(const Ddg &ddg, const LatencyTable &latencies, int ii,
-                const std::vector<int> *extra_edge_latency = nullptr,
-                const SccDecomposition *sccs = nullptr);
+                const std::vector<int> *extra_edge_latency = nullptr);
 
     /**
      * Reruns the analysis at @p ii, reusing its arrays. The extra
@@ -135,24 +132,19 @@ class DdgAnalysis
     const LatencyTable &latencies_;
     int ii_;
     const std::vector<int> *extra_;
-    const SccDecomposition *sccs_;
     bool feasible_ = true;
     int scheduleLength_ = 0;
     std::vector<int> asap_;
     std::vector<int> alap_;
-
-    void compute(const SccDecomposition &sccs);
 };
 
 /**
  * Minimum II such that no cycle has positive effective latency
- * (RecMII). Returns 1 for acyclic graphs. @p extra_edge_latency and
- * @p sccs (a decomposition of @p ddg; null computes one) as in
- * DdgAnalysis.
+ * (RecMII). Returns 1 for acyclic graphs. @p extra_edge_latency as
+ * in DdgAnalysis.
  */
 int recMii(const Ddg &ddg,
-           const std::vector<int> *extra_edge_latency = nullptr,
-           const SccDecomposition *sccs = nullptr);
+           const std::vector<int> *extra_edge_latency = nullptr);
 
 } // namespace gpsched
 

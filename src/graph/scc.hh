@@ -35,7 +35,8 @@ struct SccDecomposition
     }
 };
 
-/** Computes the SCCs of @p ddg. */
+/** Computes the SCCs of @p ddg. Analyses read Ddg::sccs(), which
+ *  calls this on the graph's first use and keeps the result. */
 SccDecomposition computeSccs(const Ddg &ddg);
 
 } // namespace gpsched

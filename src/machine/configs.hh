@@ -24,11 +24,15 @@ namespace gpsched
 /** Unified 12-issue machine (paper baseline). */
 MachineConfig unifiedConfig(int total_regs);
 
-/** 2-cluster machine, 1 bus of @p bus_latency cycles. */
+/**
+ * 2-cluster machine, @p num_buses buses of @p bus_latency cycles,
+ * named "2c-r<regs>-b<latency>", plus "-x<buses>" above one bus.
+ */
 MachineConfig twoClusterConfig(int total_regs, int bus_latency = 1,
                                int num_buses = 1);
 
-/** 4-cluster machine, 1 bus of @p bus_latency cycles. */
+/** 4-cluster machine ("4c-..."); buses and name as in
+ *  twoClusterConfig. */
 MachineConfig fourClusterConfig(int total_regs, int bus_latency = 1,
                                 int num_buses = 1);
 

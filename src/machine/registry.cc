@@ -12,22 +12,8 @@ namespace gpsched
 
 MachineRegistry::MachineRegistry()
 {
-    for (const MachineConfig &preset : table1Configs()) {
-        // Route every preset through the description layer: write,
-        // parse back, and insist on exact equality. Registry users
-        // therefore always exercise the same code path as user
-        // `.machine` files, and a writer/parser regression cannot
-        // silently skew the paper reproduction.
-        MachineParseError error;
-        std::optional<MachineConfig> parsed =
-            parseMachineDescText(machineDescText(preset), &error);
-        GPSCHED_ASSERT(parsed.has_value(),
-                       "preset '", preset.name(),
-                       "' failed to round-trip: ", error.toString());
-        GPSCHED_ASSERT(*parsed == preset, "preset '", preset.name(),
-                       "' changed across a description round-trip");
-        add(std::move(*parsed));
-    }
+    for (MachineConfig &preset : table1Configs())
+        add(std::move(preset));
 }
 
 const MachineRegistry &
@@ -114,6 +100,15 @@ MachineRegistry::at(int i) const
 std::vector<MachineConfig>
 MachineRegistry::resolveDirectory(const std::string &dir) const
 {
+    std::vector<MachineConfig> machines;
+    for (const std::string &file : machineFilesIn(dir))
+        machines.push_back(resolve(file));
+    return machines;
+}
+
+std::vector<std::string>
+machineFilesIn(const std::string &dir)
+{
     namespace fs = std::filesystem;
     std::error_code ec;
     fs::directory_iterator it(dir, ec);
@@ -127,11 +122,7 @@ MachineRegistry::resolveDirectory(const std::string &dir) const
             files.push_back(entry.path());
     }
     std::sort(files.begin(), files.end());
-    std::vector<MachineConfig> machines;
-    machines.reserve(files.size());
-    for (const fs::path &file : files)
-        machines.push_back(resolve(file.string()));
-    return machines;
+    return {files.begin(), files.end()};
 }
 
 } // namespace gpsched

@@ -1,9 +1,8 @@
 /**
  * @file
- * Named machine registry: serves the paper's Table-1 presets — each
- * routed through the `.machine` description layer, so the text format
- * is exercised on every lookup path — and resolves user-supplied
- * names or `.machine` file paths for the CLI and bench drivers.
+ * Named machine registry: serves the paper's Table-1 presets and
+ * resolves user-supplied names or `.machine` file paths for the CLI
+ * and bench drivers.
  */
 
 #ifndef GPSCHED_MACHINE_REGISTRY_HH
@@ -21,12 +20,8 @@ namespace gpsched
 class MachineRegistry
 {
   public:
-    /**
-     * Builds a registry holding every Table-1 preset
-     * (machine/configs.hh), each one serialized to `.machine` text
-     * and parsed back — the registry fails fast if the description
-     * layer ever stops round-tripping the presets exactly.
-     */
+    /** Builds a registry holding every Table-1 preset
+     *  (machine/configs.hh). */
     MachineRegistry();
 
     /** Shared read-only instance with the built-in presets. */
@@ -55,13 +50,8 @@ class MachineRegistry
     MachineConfig resolve(const std::string &name_or_path) const;
 
     /**
-     * Resolves every `.machine` file directly under @p dir, sorted
-     * by filename so results are stable across filesystems — the
-     * shared discovery path of the bench_corpus sweep and the
-     * property tests' corpus coverage, so the two can never drift.
-     * Fatal when @p dir cannot be read or a file fails to parse;
-     * returns an empty vector for a directory without `.machine`
-     * files.
+     * Resolves every file machineFilesIn(@p dir) lists, in its order.
+     * Fatal when a file fails to parse.
      */
     std::vector<MachineConfig>
     resolveDirectory(const std::string &dir) const;
@@ -75,6 +65,16 @@ class MachineRegistry
   private:
     std::vector<MachineConfig> configs_;
 };
+
+/**
+ * Paths of the `.machine` files directly under @p dir, sorted by
+ * file name so results are stable across filesystems: the one
+ * directory listing of resolveDirectory (the bench_corpus sweep, the
+ * property tests' corpus coverage) and the fuzz machine list, so
+ * they can never drift. Fatal when @p dir cannot be read; empty for
+ * a directory without `.machine` files.
+ */
+std::vector<std::string> machineFilesIn(const std::string &dir);
 
 } // namespace gpsched
 

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "graph/ddg_analysis.hh"
+#include "graph/scc.hh"
 #include "support/logging.hh"
 
 namespace gpsched
@@ -14,19 +15,19 @@ namespace
 {
 
 /**
- * delay(e) given a precomputed base analysis and SCC decomposition;
- * @p extra is an all-zero scratch vector restored before returning,
- * and @p probe the analysis over @p extra, built on first use and
- * recomputed in place by later calls.
+ * delay(e) given a precomputed base analysis; @p extra is an
+ * all-zero scratch vector restored before returning, and @p probe
+ * the analysis over @p extra, built on first use and recomputed in
+ * place by later calls.
  */
 std::int64_t
 edgeDelayWithBase(const Ddg &ddg, const LatencyTable &latencies,
                   EdgeId e, int ii, int bus_latency,
-                  const DdgAnalysis &base, const SccDecomposition &sccs,
-                  std::vector<int> &extra,
+                  const DdgAnalysis &base, std::vector<int> &extra,
                   std::optional<DdgAnalysis> &probe)
 {
     const auto &edge = ddg.edge(e);
+    const SccDecomposition &sccs = ddg.sccs();
     const bool same_scc = sccs.componentOf[edge.src] ==
                           sccs.componentOf[edge.dst];
 
@@ -53,7 +54,7 @@ edgeDelayWithBase(const Ddg &ddg, const LatencyTable &latencies,
             if (probe)
                 probe->recompute(new_ii);
             else
-                probe.emplace(ddg, latencies, new_ii, &extra, &sccs);
+                probe.emplace(ddg, latencies, new_ii, &extra);
             if (probe->feasible()) {
                 path_growth =
                     probe->scheduleLength() - base.scheduleLength();
@@ -77,28 +78,20 @@ std::int64_t
 edgeDelay(const Ddg &ddg, const LatencyTable &latencies, EdgeId e,
           int ii, int bus_latency)
 {
-    SccDecomposition sccs = computeSccs(ddg);
-    DdgAnalysis base(ddg, latencies, ii, nullptr, &sccs);
+    DdgAnalysis base(ddg, latencies, ii);
     GPSCHED_ASSERT(base.feasible(), "edgeDelay at infeasible II ", ii);
     std::vector<int> extra(ddg.numEdges(), 0);
     std::optional<DdgAnalysis> probe;
     return edgeDelayWithBase(ddg, latencies, e, ii, bus_latency, base,
-                             sccs, extra, probe);
+                             extra, probe);
 }
 
 std::vector<std::int64_t>
 computeEdgeWeights(const Ddg &ddg, const LatencyTable &latencies,
                    int ii, int bus_latency,
-                   const EdgeWeightOptions &options,
-                   const SccDecomposition *shared_sccs)
+                   const EdgeWeightOptions &options)
 {
-    SccDecomposition own_sccs;
-    if (!shared_sccs) {
-        own_sccs = computeSccs(ddg);
-        shared_sccs = &own_sccs;
-    }
-    const SccDecomposition &sccs = *shared_sccs;
-    DdgAnalysis base(ddg, latencies, ii, nullptr, &sccs);
+    DdgAnalysis base(ddg, latencies, ii);
     GPSCHED_ASSERT(base.feasible(),
                    "edge weights requested at infeasible II ", ii);
 
@@ -117,7 +110,7 @@ computeEdgeWeights(const Ddg &ddg, const LatencyTable &latencies,
         if (options.useDelayTerm) {
             std::int64_t delay =
                 edgeDelayWithBase(ddg, latencies, e, ii, bus_latency,
-                                  base, sccs, extra, probe);
+                                  base, extra, probe);
             weight += delay > cap / (maxsl + 1) ? cap
                                                 : delay * (maxsl + 1);
         }

@@ -34,8 +34,6 @@
 namespace gpsched
 {
 
-struct SccDecomposition;
-
 /** Term toggles for the edge-weight ablation bench. */
 struct EdgeWeightOptions
 {
@@ -49,14 +47,12 @@ struct EdgeWeightOptions
  * with several bus classes the partitioner passes
  * MachineConfig::expectedBusLatency() — the capacity-weighted mean
  * over the classes — which reduces to the single class's latency on
- * homogeneous fabrics. @p sccs optionally shares a precomputed SCC
- * decomposition of @p ddg (null = compute one internally).
+ * homogeneous fabrics.
  */
 std::vector<std::int64_t>
 computeEdgeWeights(const Ddg &ddg, const LatencyTable &latencies,
                    int ii, int bus_latency,
-                   const EdgeWeightOptions &options = {},
-                   const SccDecomposition *sccs = nullptr);
+                   const EdgeWeightOptions &options = {});
 
 /**
  * The delay(e) component alone (execution-time growth from adding

@@ -36,19 +36,12 @@ saturatingMulAdd(std::int64_t a, std::int64_t b, std::int64_t c)
 
 PartitionEstimator::PartitionEstimator(const Ddg &ddg,
                                        const MachineConfig &machine,
-                                       int ii, bool register_aware,
-                                       const SccDecomposition *sccs)
+                                       int ii, bool register_aware)
     : ddg_(ddg), machine_(machine), ii_(ii),
       registerAware_(register_aware),
       extraScratch_(ddg.numEdges(), 0)
 {
     GPSCHED_ASSERT(ii >= 1, "estimator needs II >= 1");
-    if (sccs) {
-        sccs_ = sccs;
-    } else {
-        ownSccs_ = computeSccs(ddg);
-        sccs_ = &ownSccs_;
-    }
 }
 
 int
@@ -190,7 +183,7 @@ PartitionEstimator::evaluate(const Partition &partition) const
         if (analysis_)
             analysis_->recompute(ii);
         else
-            analysis_.emplace(ddg_, lat, ii, &extra, sccs_);
+            analysis_.emplace(ddg_, lat, ii, &extra);
     };
     int iiFeas = -1;
     for (int ii = start; ii <= start + 4; ++ii) {
@@ -201,7 +194,7 @@ PartitionEstimator::evaluate(const Partition &partition) const
         }
     }
     if (iiFeas == -1) {
-        iiFeas = std::max(start, recMii(ddg_, &extra, sccs_));
+        iiFeas = std::max(start, recMii(ddg_, &extra));
         analyze(iiFeas);
     }
     const DdgAnalysis &analysis = *analysis_;

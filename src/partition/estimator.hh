@@ -29,7 +29,6 @@
 
 #include "graph/ddg.hh"
 #include "graph/ddg_analysis.hh"
-#include "graph/scc.hh"
 #include "machine/machine.hh"
 #include "partition/partition.hh"
 
@@ -92,16 +91,11 @@ class PartitionEstimator
      *        evaluates the partitioner *without* this heuristic and
      *        names it as future work (Section 4.2); it is off by
      *        default.
-     * @param sccs optional precomputed SCC decomposition of @p ddg
-     *        (must outlive the estimator). The partitioner builds
-     *        several estimators per run over one immutable graph;
-     *        sharing the decomposition avoids repeating Tarjan.
      */
     PartitionEstimator(const Ddg &ddg, const MachineConfig &machine,
-                       int ii, bool register_aware = false,
-                       const SccDecomposition *sccs = nullptr);
+                       int ii, bool register_aware = false);
 
-    // sccs_ and the cached analysis point into the estimator itself.
+    // The cached analysis points into the estimator's scratch.
     PartitionEstimator(const PartitionEstimator &) = delete;
     PartitionEstimator &operator=(const PartitionEstimator &) = delete;
 
@@ -129,12 +123,6 @@ class PartitionEstimator
     const MachineConfig &machine_;
     int ii_;
     bool registerAware_;
-
-    /** Own SCC decomposition; empty when the caller shared one. */
-    SccDecomposition ownSccs_;
-
-    /** Decomposition in use: &ownSccs_ or the caller's. */
-    const SccDecomposition *sccs_;
 
     /** Scratch per-edge communication delays, reused per evaluate. */
     mutable std::vector<int> extraScratch_;

@@ -105,8 +105,7 @@ GpPartitioner::assignCapacityBalanced(const Ddg &ddg,
 }
 
 GpPartitionResult
-GpPartitioner::run(const Ddg &ddg, int ii,
-                   const SccDecomposition *sccs) const
+GpPartitioner::run(const Ddg &ddg, int ii) const
 {
     GPSCHED_ASSERT(ii >= 1, "partitioner needs II >= 1");
     const int clusters = machine_.numClusters();
@@ -115,19 +114,10 @@ GpPartitioner::run(const Ddg &ddg, int ii,
         GpPartitionResult result{
             Partition(ddg.numNodes(), std::max(clusters, 1)), 0, {}};
         PartitionEstimator estimator(ddg, machine_, ii,
-                                     options_.registerAware, sccs);
+                                     options_.registerAware);
         result.estimate = estimator.evaluate(result.partition);
         result.iiBus = result.estimate.iiBus;
         return result;
-    }
-
-    // The graph never changes within a run, so one SCC decomposition
-    // serves the edge weights, the refiner's estimator and the final
-    // estimate (Tarjan three times per run showed up in profiles).
-    SccDecomposition own;
-    if (!sccs) {
-        own = computeSccs(ddg);
-        sccs = &own;
     }
 
     // --- 1. edge weights at the input II -----------------------------
@@ -138,7 +128,7 @@ GpPartitioner::run(const Ddg &ddg, int ii,
     std::vector<std::int64_t> weights =
         computeEdgeWeights(ddg, machine_.latencies(), ii,
                            machine_.expectedBusLatency(),
-                           options_.edgeWeights, sccs);
+                           options_.edgeWeights);
 
     // --- 2. coarsen ---------------------------------------------------
     Rng rng(kCoarsenSeed);
@@ -197,7 +187,7 @@ GpPartitioner::run(const Ddg &ddg, int ii,
     {
         GPSCHED_PHASE_SPAN(Refine);
         PartitionRefiner refiner(ddg, machine_, ii, weights,
-                                 options_.registerAware, sccs);
+                                 options_.registerAware);
         const auto &levels = hierarchy.levels();
         for (auto it = levels.rbegin(); it != levels.rend(); ++it)
             refiner.refineLevel(*it, partition);
@@ -205,7 +195,7 @@ GpPartitioner::run(const Ddg &ddg, int ii,
 
     GpPartitionResult result{partition, 0, {}};
     PartitionEstimator estimator(ddg, machine_, ii,
-                                 options_.registerAware, sccs);
+                                 options_.registerAware);
     result.estimate = estimator.evaluate(partition);
     result.iiBus = result.estimate.iiBus;
     return result;

@@ -62,12 +62,8 @@ class GpPartitioner
     explicit GpPartitioner(const MachineConfig &machine,
                            GpPartitionerOptions options = {});
 
-    /**
-     * Partitions @p ddg for initiation interval @p ii. @p sccs is
-     * @p ddg's SCC decomposition, computed per run when null.
-     */
-    GpPartitionResult run(const Ddg &ddg, int ii,
-                          const SccDecomposition *sccs = nullptr) const;
+    /** Partitions @p ddg for initiation interval @p ii. */
+    GpPartitionResult run(const Ddg &ddg, int ii) const;
 
   private:
     const MachineConfig &machine_;

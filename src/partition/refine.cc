@@ -29,10 +29,10 @@ struct Change
 PartitionRefiner::PartitionRefiner(
     const Ddg &ddg, const MachineConfig &machine, int ii,
     const std::vector<std::int64_t> &static_weights,
-    bool register_aware, const SccDecomposition *sccs)
+    bool register_aware)
     : ddg_(ddg), machine_(machine), ii_(ii),
       staticWeights_(static_weights),
-      estimator_(ddg, machine, ii, register_aware, sccs)
+      estimator_(ddg, machine, ii, register_aware)
 {
     GPSCHED_ASSERT(static_cast<int>(static_weights.size()) ==
                        ddg.numEdges(),

@@ -55,15 +55,11 @@ class PartitionRefiner
      * @param register_aware enables the register-pressure term of
      *        the estimator (paper Section 4.2 future work; off
      *        reproduces the paper).
-     * @param sccs optional precomputed SCC decomposition of @p ddg,
-     *        shared with the refiner's estimator (null = the
-     *        estimator computes its own).
      */
     PartitionRefiner(const Ddg &ddg, const MachineConfig &machine,
                      int ii,
                      const std::vector<std::int64_t> &static_weights,
-                     bool register_aware = false,
-                     const SccDecomposition *sccs = nullptr);
+                     bool register_aware = false);
 
     /**
      * Runs both passes on @p partition, moving whole macro-nodes of

@@ -23,8 +23,7 @@ resMii(const Ddg &ddg, const MachineConfig &machine)
 }
 
 int
-computeMii(const Ddg &ddg, const MachineConfig &machine,
-           const SccDecomposition *sccs)
+computeMii(const Ddg &ddg, const MachineConfig &machine)
 {
     // A DDG's flow-edge latencies are baked in when the graph is
     // built (from whatever latency table the builder saw); the
@@ -56,7 +55,7 @@ computeMii(const Ddg &ddg, const MachineConfig &machine,
                 "workload was generated with)");
         }
     }
-    return std::max(resMii(ddg, machine), recMii(ddg, nullptr, sccs));
+    return std::max(resMii(ddg, machine), recMii(ddg));
 }
 
 } // namespace gpsched

@@ -17,22 +17,18 @@
 namespace gpsched
 {
 
-struct SccDecomposition;
-
 /** Resource-limited minimum II over machine-wide resources. */
 int resMii(const Ddg &ddg, const MachineConfig &machine);
 
 /**
  * max(resMii, recMii); the paper's MII input to partitioning.
- * @p sccs is @p ddg's SCC decomposition, computed here when null.
  *
  * Throws CompileError (kind InvalidInput) when a flow edge of
  * @p ddg promises less latency than @p machine's opcode table
  * provides — such a loop cannot be scheduled consistently, and the
  * rejection is recoverable per loop (see support/compile_error.hh).
  */
-int computeMii(const Ddg &ddg, const MachineConfig &machine,
-               const SccDecomposition *sccs = nullptr);
+int computeMii(const Ddg &ddg, const MachineConfig &machine);
 
 } // namespace gpsched
 

@@ -63,19 +63,14 @@ reachability(const Ddg &ddg, const std::vector<bool> &from,
 } // namespace
 
 SmsNodeSets
-computeSmsNodeSets(const Ddg &ddg, const SccDecomposition *shared_sccs)
+computeSmsNodeSets(const Ddg &ddg)
 {
     const int n = ddg.numNodes();
     SmsNodeSets result;
     if (n == 0)
         return result;
 
-    SccDecomposition own_sccs;
-    if (!shared_sccs) {
-        own_sccs = computeSccs(ddg);
-        shared_sccs = &own_sccs;
-    }
-    const SccDecomposition &sccs = *shared_sccs;
+    const SccDecomposition &sccs = ddg.sccs();
 
     // --- build the priority-ordered list of node sets -----------------
     struct NodeSet

@@ -31,7 +31,6 @@
 
 #include "graph/ddg.hh"
 #include "graph/ddg_analysis.hh"
-#include "graph/scc.hh"
 
 namespace gpsched
 {
@@ -43,12 +42,8 @@ struct SmsNodeSets
     std::vector<std::vector<NodeId>> sets;
 };
 
-/**
- * Computes the SMS node sets of @p ddg. @p sccs optionally shares a
- * precomputed SCC decomposition (null = compute one internally).
- */
-SmsNodeSets computeSmsNodeSets(const Ddg &ddg,
-                               const SccDecomposition *sccs = nullptr);
+/** Computes the SMS node sets of @p ddg from its SCCs. */
+SmsNodeSets computeSmsNodeSets(const Ddg &ddg);
 
 /**
  * Computes the SMS scheduling order of all nodes of @p ddg using the

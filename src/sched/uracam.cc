@@ -21,12 +21,9 @@ constexpr double kFomThreshold = 10.0;
 } // namespace
 
 ModuloScheduler::ModuloScheduler(const Ddg &ddg,
-                                 const MachineConfig &machine,
-                                 const SccDecomposition *sccs)
-    : ddg_(ddg), machine_(machine), sccs_(sccs)
+                                 const MachineConfig &machine)
+    : ddg_(ddg), machine_(machine)
 {
-    if (!sccs_)
-        sccs_ = &ownSccs_.emplace(computeSccs(ddg_));
 }
 
 bool
@@ -138,8 +135,7 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
     if (analysis_)
         analysis_->recompute(ps.ii());
     else
-        analysis_.emplace(ddg_, machine_.latencies(), ps.ii(), nullptr,
-                          sccs_);
+        analysis_.emplace(ddg_, machine_.latencies(), ps.ii());
     const DdgAnalysis &analysis = *analysis_;
     if (!analysis.feasible())
         return false;
@@ -155,7 +151,7 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
     };
 
     if (!smsSets_)
-        smsSets_.emplace(computeSmsNodeSets(ddg_, sccs_));
+        smsSets_.emplace(computeSmsNodeSets(ddg_));
     std::vector<NodeId> order = smsOrder(ddg_, analysis, *smsSets_);
     for (NodeId v : order) {
         if (placeNode(ps, v, policy, assignment, analysis, false)) {

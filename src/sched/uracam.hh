@@ -35,7 +35,6 @@
 
 #include "graph/ddg.hh"
 #include "graph/ddg_analysis.hh"
-#include "graph/scc.hh"
 #include "machine/machine.hh"
 #include "partition/partition.hh"
 #include "sched/schedule.hh"
@@ -56,16 +55,8 @@ enum class ClusterPolicy
 class ModuloScheduler
 {
   public:
-    /**
-     * References must outlive the scheduler. @p sccs is @p ddg's SCC
-     * decomposition; when null the scheduler computes its own.
-     */
-    ModuloScheduler(const Ddg &ddg, const MachineConfig &machine,
-                    const SccDecomposition *sccs = nullptr);
-
-    // The cached analysis points at the scheduler's SCCs.
-    ModuloScheduler(const ModuloScheduler &) = delete;
-    ModuloScheduler &operator=(const ModuloScheduler &) = delete;
+    /** References must outlive the scheduler. */
+    ModuloScheduler(const Ddg &ddg, const MachineConfig &machine);
 
     /**
      * Attempts a complete schedule into the fresh schedule @p ps
@@ -84,14 +75,11 @@ class ModuloScheduler
     const MachineConfig &machine_;
 
     // The DDG is fixed for the scheduler's lifetime while the driver
-    // probes many IIs, so the II-independent per-graph work (SCC
-    // decomposition and the SMS node grouping with its per-recurrence
-    // RecMII searches) is computed once and reused by every attempt.
-    // sccs_ is the caller's decomposition or points at ownSccs_. The
-    // SMS sets are built lazily in schedule(), hence mutable; one
-    // scheduler is only ever driven from a single compile thread.
-    const SccDecomposition *sccs_;
-    std::optional<SccDecomposition> ownSccs_;
+    // probes many IIs, so the II-independent SMS node grouping (with
+    // its per-recurrence RecMII searches) is computed once and
+    // reused by every attempt. It is built lazily in schedule(),
+    // hence mutable; one scheduler is only ever driven from a single
+    // compile thread.
     mutable std::optional<SmsNodeSets> smsSets_;
 
     /** Longest-path analysis, recomputed in place per attempt. */

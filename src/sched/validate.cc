@@ -7,7 +7,6 @@
 #include "core/gp_scheduler.hh"
 #include "sched/schedule_image.hh"
 #include "support/logging.hh"
-#include "support/telemetry.hh"
 
 namespace gpsched
 {
@@ -408,7 +407,6 @@ ValidationResult
 validateSchedule(const Ddg &ddg, const MachineConfig &machine,
                  const PartialSchedule &schedule)
 {
-    GPSCHED_PHASE_SPAN(Validate);
     flattenSchedule(ddg, schedule, tlsScratch.img);
     return check(ddg, machine, tlsScratch, schedule.stats(), &schedule);
 }
@@ -417,7 +415,6 @@ ValidationResult
 validateSchedule(const Ddg &ddg, const MachineConfig &machine,
                  const CompiledLoop &loop)
 {
-    GPSCHED_PHASE_SPAN(Validate);
     if (!loop.moduloScheduled) {
         return {false, "loop not modulo scheduled (list-scheduling "
                        "fallback carries no placements)"};

@@ -26,8 +26,6 @@ compilePhaseName(CompilePhase phase)
         return "transferPlanning";
       case CompilePhase::ListSchedule:
         return "listSchedule";
-      case CompilePhase::Validate:
-        return "validate";
       case CompilePhase::NumPhases:
         break;
     }

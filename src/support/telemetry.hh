@@ -52,7 +52,6 @@ enum class CompilePhase : std::uint8_t
     ModuloSchedule,   ///< per-II modulo scheduling attempts
     TransferPlanning, ///< bus transfer planning (inside ModuloSchedule)
     ListSchedule,     ///< acyclic list-scheduling fallback
-    Validate,         ///< schedule validation oracle
     NumPhases
 };
 

@@ -362,22 +362,8 @@ fuzzMachines(const std::string &machinesDir)
         machines.push_back({preset.name(), preset});
     if (machinesDir.empty())
         return machines;
-
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::directory_iterator it(machinesDir, ec);
-    if (ec) {
-        GPSCHED_FATAL("cannot read machine directory '", machinesDir,
-                      "': ", ec.message());
-    }
-    std::vector<fs::path> files;
-    for (const auto &entry : it) {
-        if (entry.path().extension() == ".machine")
-            files.push_back(entry.path());
-    }
-    std::sort(files.begin(), files.end());
-    for (const fs::path &file : files)
-        machines.push_back({file.string(), registry.resolve(file.string())});
+    for (const std::string &file : machineFilesIn(machinesDir))
+        machines.push_back({file, registry.resolve(file)});
     return machines;
 }
 

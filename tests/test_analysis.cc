@@ -154,20 +154,6 @@ TEST(Analysis, DepthAndHeightSpanScheduleLength)
     }
 }
 
-TEST(Analysis, CachedSccGivesIdenticalResults)
-{
-    LatencyTable lat;
-    Ddg g = diamondLoop(lat);
-    SccDecomposition sccs = computeSccs(g);
-    DdgAnalysis fresh(g, lat, 3);
-    DdgAnalysis cached(g, lat, 3, nullptr, &sccs);
-    ASSERT_EQ(fresh.feasible(), cached.feasible());
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-        EXPECT_EQ(fresh.asap(v), cached.asap(v));
-        EXPECT_EQ(fresh.alap(v), cached.alap(v));
-    }
-}
-
 // Property sweep: for a family of IIs, feasibility is monotone (once
 // feasible, always feasible for larger IIs) and ASAP respects every
 // edge constraint.

@@ -6,7 +6,7 @@
  * (truncation, bit flips, version bumps, garbage, a torn pack tail —
  * always a miss plus eviction, never a crash or a wrong schedule),
  * the size budget applied at open, and a two-engine shared-directory
- * stress run whose results must match a serial cache-less compile
+ * stress run whose results must match a serial compile without it
  * while every pack stays a clean sequence of valid records.
  */
 
@@ -910,7 +910,7 @@ TEST(DiskCache, PackCountIsCappedAtOpen)
 /**
  * Two engines — two in-memory caches, one shared directory — compile
  * an overlapping batch concurrently. Results must be bit-identical
- * to a serial cache-less run, and every pack must split into
+ * to a serial run without the disk, and every pack must split into
  * complete, valid records afterwards (one writer per pack); run
  * under TSan to audit the synchronization.
  */
@@ -923,8 +923,8 @@ TEST(DiskCache, ConcurrentEnginesSharingADirectoryStayExact)
     MachineConfig m = fourClusterConfig(32, 1);
     std::vector<EngineJob> batch = suiteBatch(suite, m);
 
-    // Serial cache-less reference.
-    Engine reference(serialEngineOptions());
+    // Serial reference without the disk.
+    Engine reference(oneJobOptions());
     std::vector<CompiledLoop> expected =
         unwrapAll(reference.compileBatch(batch));
 

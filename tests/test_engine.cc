@@ -455,19 +455,65 @@ TEST(Engine, CacheHitPatchesTheRequestedLoopName)
     EXPECT_EQ(engine.metrics().counterValue("engine.cacheHits"), 1u);
 }
 
-TEST(Engine, SerialOptionsDisableCacheAndThreads)
+TEST(Engine, OneJobEngineRunsInlineAndMemoizes)
 {
-    Engine engine(serialEngineOptions());
+    Engine engine(gpsched::testing::oneJobOptions());
     EXPECT_EQ(engine.jobs(), 1);
     LatencyTable lat;
     MachineConfig m = twoClusterConfig(32, 1);
     Ddg loop = gpsched::testing::diamondLoop(lat);
     EngineJob job{&loop, &m, SchedulerKind::Gp, {}};
-    engine.compileOne(job);
-    engine.compileOne(job);
-    EXPECT_EQ(engine.metrics().counterValue("engine.cacheHits"), 0u);
+    CompileResult first = engine.compileOne(job);
+    CompileResult second = engine.compileOne(job);
+    EXPECT_EQ(first.source, CompileSource::Compiled);
+    EXPECT_EQ(second.source, CompileSource::Memory);
+    EXPECT_EQ(scheduleDigest(first.loop), scheduleDigest(second.loop));
+    EXPECT_EQ(engine.metrics().counterValue("engine.cacheHits"), 1u);
     EXPECT_EQ(engine.metrics().counterValue("engine.jobsSubmitted"),
               2u);
+}
+
+/**
+ * A graph computes its SCC decomposition on first use and shares it
+ * with every later reader (Ddg::sccs()). Here 4 workers start on
+ * graphs that have none yet, with each loop's six jobs (2 machines
+ * x 3 schemes) side by side in the batch, so several workers race
+ * on each loop's first use. Every schedule must equal the 1-worker
+ * run's. CI's nightly TSan step runs this test.
+ */
+TEST(Engine, ConcurrentFirstUseOfSharedSccsMatchesSerial)
+{
+    LatencyTable lat;
+    std::vector<Program> suite = specFp95Suite(lat);
+    suite.resize(3);
+    const MachineConfig machines[] = {twoClusterConfig(32, 1),
+                                      fourClusterConfig(32, 1)};
+
+    auto digestAt = [&](int jobs) {
+        // A copied graph starts without a decomposition.
+        std::vector<Program> fresh = suite;
+        std::vector<EngineJob> batch;
+        for (const Program &program : fresh) {
+            for (const Ddg &loop : program.loops) {
+                for (const MachineConfig &m : machines) {
+                    for (SchedulerKind kind :
+                         {SchedulerKind::Uracam,
+                          SchedulerKind::FixedPartition,
+                          SchedulerKind::Gp})
+                        batch.push_back(EngineJob{&loop, &m, kind, {}});
+                }
+            }
+        }
+        EngineOptions options;
+        options.jobs = jobs;
+        Engine engine(options);
+        std::uint64_t digest = 0;
+        for (const CompiledLoop &loop : gpsched::testing::unwrapAll(
+                 engine.compileBatch(batch)))
+            digest = scheduleDigest(loop, digest);
+        return digest;
+    };
+    EXPECT_EQ(digestAt(4), digestAt(1));
 }
 
 /**
@@ -603,9 +649,11 @@ TEST(ThreadPool, EveryWorkerRunsATaskConcurrently)
  * depends on what else the machine runs (CI's skip audit runs it
  * explicitly): on a >= 4-core machine, compiling the full suite with
  * jobs=hardware_concurrency must be >= 3x faster than jobs=1.
- * Caching is disabled so both sides do identical work, and each side
- * takes its best of three runs to shrug off scheduler noise. Skipped
- * on smaller machines, where the bound cannot hold.
+ * Every run compiles a fresh copy of the suite (no SCCs computed
+ * yet) on a fresh engine (an empty result table), so both sides do
+ * identical work, and each side takes its best of three runs to
+ * shrug off scheduler noise. Skipped on smaller machines, where the
+ * bound cannot hold.
  */
 TEST(Engine, DISABLED_ParallelSpeedupOnMultiCore)
 {
@@ -620,12 +668,12 @@ TEST(Engine, DISABLED_ParallelSpeedupOnMultiCore)
     auto bestSeconds = [&](int jobs) {
         EngineOptions options;
         options.jobs = jobs;
-        options.cacheEnabled = false;
-        Engine engine(options);
         double best = std::numeric_limits<double>::max();
         for (int rep = 0; rep < 3; ++rep) {
+            std::vector<Program> fresh = suite;
+            Engine engine(options);
             auto start = std::chrono::steady_clock::now();
-            compileSuite(engine, suite, m, SchedulerKind::Gp);
+            compileSuite(engine, fresh, m, SchedulerKind::Gp);
             std::chrono::duration<double> elapsed =
                 std::chrono::steady_clock::now() - start;
             best = std::min(best, elapsed.count());

@@ -221,7 +221,7 @@ TEST(CompileReport, EveryCompiledRowCarriesItsVerdict)
 {
     CompileReport report = simulatedReport(kSample, false);
     report.repeat = 2;
-    Engine engine(serialEngineOptions());
+    Engine engine(oneJobOptions());
     compileAll(engine, report);
     ASSERT_EQ(report.results.size(), 6u); // 2 loops x 3 schemes
     EXPECT_FALSE(report.failed());
@@ -244,7 +244,7 @@ TEST(CompileReport, ParseAndCompileFailuresBecomeErrorRows)
     ASSERT_FALSE(broken.parsed());
     EXPECT_EQ(broken.parseError->kind(), CompileErrorKind::Parse);
     EXPECT_EQ(broken.parseError->loopName(), "broken_parse");
-    Engine engine(serialEngineOptions());
+    Engine engine(oneJobOptions());
     compileAll(engine, report);
     EXPECT_TRUE(report.failed());
 
@@ -266,6 +266,6 @@ TEST(CompileReport, WithoutKeepGoingTheFirstCompileFailureThrows)
     CompileReport report = simulatedReport(kMixed, true);
     report.inputs.erase(report.inputs.begin() + 1); // the parse failure
     report.keepGoing = false;
-    Engine engine(serialEngineOptions());
+    Engine engine(oneJobOptions());
     EXPECT_THROW(compileAll(engine, report), CompileError);
 }

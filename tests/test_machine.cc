@@ -124,6 +124,18 @@ TEST(MachineConfig, FourClusterPreset)
     EXPECT_EQ(m.busLatency(), 2);
 }
 
+TEST(MachineConfig, PresetNamesCarryTheBusCount)
+{
+    // One bus keeps the paper's Table-1 names; more buses append
+    // "-x<N>", as fig_buses' scaled machines do, so presets that
+    // differ only in their bus count never share a name.
+    EXPECT_EQ(unifiedConfig(32).name(), "unified-r32");
+    EXPECT_EQ(twoClusterConfig(32, 1, 1).name(), "2c-r32-b1");
+    EXPECT_EQ(fourClusterConfig(64, 1, 1).name(), "4c-r64-b1");
+    EXPECT_EQ(fourClusterConfig(64, 1, 2).name(), "4c-r64-b1-x2");
+    EXPECT_EQ(twoClusterConfig(32, 2, 3).name(), "2c-r32-b2-x3");
+}
+
 TEST(MachineConfig, AllPresetsAreTwelveIssue)
 {
     for (const MachineConfig &m : table1Configs())

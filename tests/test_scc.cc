@@ -139,3 +139,49 @@ TEST(Scc, EmptyGraph)
     SccDecomposition sccs = computeSccs(g);
     EXPECT_EQ(sccs.numComponents(), 0);
 }
+
+TEST(Scc, GraphKeepsItsDecompositionUntilTheTopologyChanges)
+{
+    Ddg g = chain3();
+    const SccDecomposition &first = g.sccs();
+    EXPECT_EQ(first.componentOf, computeSccs(g).componentOf);
+    EXPECT_EQ(&g.sccs(), &first);
+
+    // SCCs depend on topology only: a new trip count keeps them.
+    g.setTripCount(7);
+    EXPECT_EQ(&g.sccs(), &first);
+
+    // Closing the chain into a cycle drops them.
+    g.addEdge(2, 0, 1, 1);
+    EXPECT_EQ(g.sccs().numComponents(), 1);
+    EXPECT_TRUE(g.sccs().isRecurrence[0]);
+
+    NodeId extra = g.addNode(Opcode::Load);
+    EXPECT_EQ(g.sccs().numComponents(), 2);
+    EXPECT_FALSE(g.sccs().isRecurrence[g.sccs().componentOf[extra]]);
+}
+
+TEST(Scc, CopiedGraphComputesItsOwnDecompositionAndMovedOneKeepsIt)
+{
+    Ddg g = chain3();
+    const SccDecomposition &original = g.sccs();
+    Ddg copy = g;
+    EXPECT_NE(&copy.sccs(), &original);
+    EXPECT_EQ(copy.sccs().componentOf, original.componentOf);
+
+    // Assigning over a graph drops the decomposition it held.
+    Ddg cycle;
+    NodeId a = cycle.addNode(Opcode::FMul);
+    cycle.addEdge(a, a, 4, 1);
+    ASSERT_TRUE(cycle.sccs().isRecurrence[0]);
+    cycle = g;
+    EXPECT_EQ(cycle.sccs().numComponents(), 3);
+    EXPECT_FALSE(cycle.sccs().isRecurrence[0]);
+
+    // A move takes the decomposition along; the source has none.
+    Ddg moved = std::move(g);
+    EXPECT_EQ(&moved.sccs(), &original);
+    g = chain3();
+    g.addEdge(2, 0, 1, 1);
+    EXPECT_EQ(g.sccs().numComponents(), 1);
+}

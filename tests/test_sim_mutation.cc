@@ -13,8 +13,9 @@
  * a transfer, retime a transfer's arrival, swap a bus transfer onto
  * a different-latency (and an unknown) bus class, break a spill
  * split's store/reload ordering, shrink a register file below the
- * measured peak pressure, and double-book a functional unit, a
- * memory port and a bus.
+ * measured peak pressure, double-book a functional unit, a memory
+ * port and a bus, move a read into a spill gap, and add a transfer
+ * nothing reads.
  */
 
 #include <gtest/gtest.h>
@@ -207,12 +208,117 @@ overbookBus(const Ddg &g, const MachineConfig &m, CompiledLoop &loop)
     return false;
 }
 
-/** Both oracles reject @p mutant for over-capacity: the simulator
- *  with @p kind at @p cycle, the validator with @p message. */
+/**
+ * Moves a read into a spill gap: a consumer of a spilled value in
+ * the value's cluster, which reads it once the reload is back,
+ * issues earlier so that it reads in the gap's last cycle instead.
+ * Only a consumer whose every other operand is still there in time
+ * (dependence latency, and a transfer's arrival) may move. False
+ * when @p loop has no such consumer.
+ */
+bool
+readInSpillGap(const Ddg &g, const MachineConfig &m, CompiledLoop &loop)
+{
+    const int reload = m.latencies().latency(Opcode::SpillLd);
+    for (const SpillRecord &s : loop.spills) {
+        const int back = s.loadCycle + reload;
+        const int home = loop.placements[s.node].cluster;
+        for (EdgeId e : g.outEdges(s.node)) {
+            const DdgEdge &edge = g.edge(e);
+            const OpPlacement &at = loop.placements[edge.dst];
+            const int use = at.cycle + loop.ii * edge.distance;
+            if (!edge.isFlow() || at.cluster != home || use < back ||
+                back - 1 <= s.storeCycle)
+                continue;
+            const int cycle = at.cycle - (use - (back - 1));
+            bool ready = true;
+            for (EdgeId f : g.inEdges(edge.dst)) {
+                const DdgEdge &in = g.edge(f);
+                const int read = cycle + loop.ii * in.distance;
+                const OpPlacement &src = loop.placements[in.src];
+                ready &= read >= src.cycle + in.latency;
+                for (const Transfer &t : loop.transfers) {
+                    if (in.isFlow() && t.producer == in.src &&
+                        t.destCluster == at.cluster)
+                        ready &= read >= t.arrivalCycle;
+                }
+            }
+            if (ready) {
+                loop.placements[edge.dst].cycle = cycle;
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+/**
+ * Adds a transfer nothing reads: a copy of a bus transfer sent to a
+ * cluster where no consumer of its value issues, inserted in record
+ * order and counted in the record's stats. The copy rides in its
+ * original's kernel slot, so that transfer must be the only one of
+ * its bus class there. False when @p loop has no such transfer.
+ */
+bool
+addUnusedTransfer(const Ddg &g, const MachineConfig &m,
+                  CompiledLoop &loop)
+{
+    for (const Transfer &t : loop.transfers) {
+        const int slot = slotOf(t.busCycle, loop.ii);
+        auto sharesSlot = [&](const Transfer &other) {
+            return &other != &t && other.viaBus &&
+                   other.busClass == t.busClass &&
+                   slotOf(other.busCycle, loop.ii) == slot;
+        };
+        if (!t.viaBus || std::any_of(loop.transfers.begin(),
+                                     loop.transfers.end(), sharesSlot))
+            continue;
+        for (int c = 0; c < m.numClusters(); ++c) {
+            bool reached = c == loop.placements[t.producer].cluster;
+            for (EdgeId e : g.outEdges(t.producer)) {
+                const DdgEdge &edge = g.edge(e);
+                reached |= edge.isFlow() &&
+                           loop.placements[edge.dst].cluster == c;
+            }
+            for (const Transfer &other : loop.transfers)
+                reached |= other.producer == t.producer &&
+                           other.destCluster == c;
+            if (reached)
+                continue;
+            Transfer extra = t;
+            extra.destCluster = c;
+            auto later = [&](const Transfer &other) {
+                return other.producer > extra.producer ||
+                       (other.producer == extra.producer &&
+                        other.destCluster > c);
+            };
+            loop.transfers.insert(
+                std::find_if(loop.transfers.begin(),
+                             loop.transfers.end(), later),
+                extra);
+            ++loop.stats.busTransfers;
+            return true;
+        }
+    }
+    return false;
+}
+
+/** True when the replay of @p loop stops short of its trip count,
+ *  where the two oracles see the same steady state. */
+bool
+deeperThanReplay(const Ddg &g, const MachineConfig &m,
+                 const CompiledLoop &loop)
+{
+    return sim::simulate(g, m, loop).iterationsSimulated <
+           g.tripCount();
+}
+
+/** Both oracles reject @p mutant: the simulator with @p kind at
+ *  @p cycle, the validator with @p message. */
 void
-expectOverCapacity(const Ddg &g, const MachineConfig &m,
-                   const CompiledLoop &mutant, sim::SimFaultKind kind,
-                   std::int64_t cycle, const std::string &message)
+expectRejectedAs(const Ddg &g, const MachineConfig &m,
+                 const CompiledLoop &mutant, sim::SimFaultKind kind,
+                 std::int64_t cycle, const std::string &message)
 {
     sim::SimResult s = sim::simulate(g, m, mutant);
     ASSERT_TRUE(s.fault.has_value()) << "the simulator accepted it";
@@ -394,8 +500,8 @@ TEST(SimMutation, DoubleBookedUnitRejected)
     ASSERT_TRUE(found.has_value()) << "no FP pair to double-book";
     auto &[g, mutant] = *found;
     ASSERT_TRUE(doubleBookUnit(g, mutant, FuClass::Fp));
-    expectOverCapacity(g, m, mutant, sim::SimFaultKind::FuOverflow, 6,
-                       "cluster 3 FP over capacity 2/1 at kernel slot 0");
+    expectRejectedAs(g, m, mutant, sim::SimFaultKind::FuOverflow, 6,
+                     "cluster 3 FP over capacity 2/1 at kernel slot 0");
 }
 
 TEST(SimMutation, DoubleBookedMemoryPortRejected)
@@ -409,8 +515,8 @@ TEST(SimMutation, DoubleBookedMemoryPortRejected)
     ASSERT_TRUE(found.has_value()) << "no memory pair to double-book";
     auto &[g, mutant] = *found;
     ASSERT_TRUE(doubleBookUnit(g, mutant, FuClass::Mem));
-    expectOverCapacity(g, m, mutant, sim::SimFaultKind::MemPortOverflow,
-                       6, "cluster 3 MEM over capacity 2/1 at kernel slot 0");
+    expectRejectedAs(g, m, mutant, sim::SimFaultKind::MemPortOverflow,
+                     6, "cluster 3 MEM over capacity 2/1 at kernel slot 0");
 }
 
 TEST(SimMutation, OverbookedBusRejected)
@@ -425,6 +531,38 @@ TEST(SimMutation, OverbookedBusRejected)
     ASSERT_TRUE(found.has_value()) << "no bus transfer to move";
     auto &[g, mutant] = *found;
     ASSERT_TRUE(overbookBus(g, m, mutant));
-    expectOverCapacity(g, m, mutant, sim::SimFaultKind::BusOverflow, 7,
-                       "bus class 0 over capacity 2/1 at slot 2");
+    expectRejectedAs(g, m, mutant, sim::SimFaultKind::BusOverflow, 7,
+                     "bus class 0 over capacity 2/1 at slot 2");
+}
+
+TEST(SimMutation, ReadInsideSpillGapRejected)
+{
+    MachineConfig m = corpusMachine("regstarved-4c");
+    auto found = findLoop(m, [&m](const Ddg &g, const CompiledLoop &l) {
+        CompiledLoop probe = l;
+        return deeperThanReplay(g, m, l) && readInSpillGap(g, m, probe);
+    });
+    ASSERT_TRUE(found.has_value())
+        << "no consumer of a spilled value to move into its gap";
+    auto &[g, mutant] = *found;
+    ASSERT_TRUE(readInSpillGap(g, m, mutant));
+    expectRejectedAs(g, m, mutant, sim::SimFaultKind::SpillGapRead, 36,
+                     "edge 14 reads inside the spill gap of 9 at 36");
+}
+
+TEST(SimMutation, TransferWithoutConsumerRejected)
+{
+    // Two buses: the added transfer shares a kernel slot with its
+    // original without overbooking the class.
+    MachineConfig m = fourClusterConfig(32, 1, 2);
+    auto found = findLoop(m, [&m](const Ddg &g, const CompiledLoop &l) {
+        CompiledLoop probe = l;
+        return deeperThanReplay(g, m, l) &&
+               addUnusedTransfer(g, m, probe);
+    });
+    ASSERT_TRUE(found.has_value()) << "no transfer to copy";
+    auto &[g, mutant] = *found;
+    ASSERT_TRUE(addUnusedTransfer(g, m, mutant));
+    expectRejectedAs(g, m, mutant, sim::SimFaultKind::UnusedTransfer, 6,
+                     "transfer of 3 to cluster 0 has no consumer");
 }

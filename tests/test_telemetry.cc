@@ -74,8 +74,6 @@ TEST(CompilePhase, NamesAreStable)
                  "transferPlanning");
     EXPECT_STREQ(compilePhaseName(CompilePhase::ListSchedule),
                  "listSchedule");
-    EXPECT_STREQ(compilePhaseName(CompilePhase::Validate),
-                 "validate");
 }
 
 TEST(CompilePhase, OnlyTransferPlanningIsTotalsOnly)
@@ -305,10 +303,9 @@ TEST(EngineTelemetry, PhasesOffLeavesTotalsEmpty)
 
 TEST(EngineTelemetry, PhasesOffReachTheCallersContext)
 {
-    // table2_sched_time's contract: a serial engine without phase
-    // collection compiles on the calling thread, so the caller's
-    // ambient context sees every phase span, and a collecting
-    // engine shadows it with its own.
+    // A one-job engine without phase collection compiles on the
+    // calling thread, so the caller's ambient context sees every
+    // phase span, and a collecting engine shadows it with its own.
     LatencyTable lat;
     MachineConfig m = fourClusterConfig(32, 1);
     Ddg loop = gpsched::testing::diamondLoop(lat);
@@ -318,7 +315,7 @@ TEST(EngineTelemetry, PhasesOffReachTheCallersContext)
     ctx.trace = &ambient;
     ScopedTelemetryContext scoped(ctx);
 
-    Engine serial(serialEngineOptions());
+    Engine serial(gpsched::testing::oneJobOptions());
     ASSERT_TRUE(serial
                     .compileOne(
                         EngineJob{&loop, &m, SchedulerKind::Gp, {}})
@@ -328,7 +325,7 @@ TEST(EngineTelemetry, PhasesOffReachTheCallersContext)
     EXPECT_GE(ambient.phase(CompilePhase::ModuloSchedule).count, 1u);
 
     CompileTrace before = ambient;
-    EngineOptions options = serialEngineOptions();
+    EngineOptions options = gpsched::testing::oneJobOptions();
     options.collectPhases = true;
     Engine collecting(options);
     ASSERT_TRUE(collecting

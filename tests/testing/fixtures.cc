@@ -37,6 +37,14 @@ unwrapOne(CompileResult result)
     return std::move(result.loop);
 }
 
+EngineOptions
+oneJobOptions()
+{
+    EngineOptions options;
+    options.jobs = 1;
+    return options;
+}
+
 Ddg
 chainLoop(int n, const LatencyTable &lat)
 {

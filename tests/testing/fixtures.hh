@@ -30,6 +30,9 @@ unwrapAll(std::vector<CompileResult> results);
 /** Unwraps one result, asserting it succeeded. */
 CompiledLoop unwrapOne(CompileResult result);
 
+/** Default engine options with one job (runs on the calling thread). */
+EngineOptions oneJobOptions();
+
 /** Linear chain of @p n IAlu ops (acyclic). */
 Ddg chainLoop(int n, const LatencyTable &lat);
 
