@@ -284,12 +284,6 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source)
     return CompileResult::success(std::move(result));
 }
 
-CompileResult
-Engine::compileOne(const EngineJob &job)
-{
-    return runJob(job);
-}
-
 std::vector<CompileResult>
 Engine::compileBatch(const std::vector<EngineJob> &batch)
 {

@@ -196,9 +196,6 @@ class Engine
     std::vector<CompileResult> compileBatch(
         const std::vector<EngineJob> &batch);
 
-    /** Compiles one job on the calling thread (cache still used). */
-    CompileResult compileOne(const EngineJob &job);
-
     /** Effective worker count (>= 1). */
     int jobs() const { return jobs_; }
 

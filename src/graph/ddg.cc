@@ -56,17 +56,6 @@ Ddg::setTripCount(std::int64_t niter)
 }
 
 int
-Ddg::numOps(FuClass cls) const
-{
-    int count = 0;
-    for (const auto &n : nodes_) {
-        if (fuClassOf(n.opcode) == cls)
-            ++count;
-    }
-    return count;
-}
-
-int
 Ddg::totalOccupancy(FuClass cls, const LatencyTable &latencies) const
 {
     int total = 0;
@@ -75,16 +64,6 @@ Ddg::totalOccupancy(FuClass cls, const LatencyTable &latencies) const
             total += latencies.occupancy(n.opcode);
     }
     return total;
-}
-
-bool
-Ddg::hasRecurrence() const
-{
-    for (const auto &e : edges_) {
-        if (e.loopCarried())
-            return true;
-    }
-    return false;
 }
 
 const SccDecomposition &

@@ -166,14 +166,8 @@ class Ddg
         return inEdges_[id];
     }
 
-    /** Number of nodes executing on functional-unit class @p cls. */
-    int numOps(FuClass cls) const;
-
     /** Sum of FU occupancy of ops of @p cls under @p latencies. */
     int totalOccupancy(FuClass cls, const LatencyTable &latencies) const;
-
-    /** True when any edge is loop-carried. */
-    bool hasRecurrence() const;
 
     /**
      * The graph's SCC decomposition (graph/scc.hh), which RecMII,

@@ -166,15 +166,6 @@ MachineConfig::fuPerCluster(FuClass cls) const
     return fuInCluster(0, cls);
 }
 
-int
-MachineConfig::regsPerCluster() const
-{
-    GPSCHED_ASSERT(homogeneous(),
-                   "regsPerCluster on heterogeneous machine '", name_,
-                   "'; use regsInCluster(c)");
-    return clusters_[0].regs;
-}
-
 const BusDesc &
 MachineConfig::busClass(int i) const
 {
@@ -189,15 +180,6 @@ MachineConfig::numBuses() const
     for (const BusDesc &bus : buses_)
         total += bus.count;
     return total;
-}
-
-int
-MachineConfig::busLatency() const
-{
-    GPSCHED_ASSERT(buses_.size() <= 1,
-                   "busLatency on multi-bus-class machine '", name_,
-                   "'; use busLatencyOf(i)");
-    return buses_.empty() ? 1 : buses_[0].latency;
 }
 
 int

@@ -152,9 +152,6 @@ class MachineConfig
     /** Functional units of @p cls in one (any) cluster. */
     int fuPerCluster(FuClass cls) const;
 
-    /** Registers in one (any) cluster's register file. */
-    int regsPerCluster() const;
-
     // --- buses ---------------------------------------------------------
 
     /** Number of bus classes (0 only on unified machines). */
@@ -171,13 +168,6 @@ class MachineConfig
 
     /** Latency (and occupancy) of a transfer on bus class @p i. */
     int busLatencyOf(int i) const { return busClass(i).latency; }
-
-    /**
-     * Latency of the single bus class (fatal when several classes
-     * exist; 1 on bus-less unified machines, matching the historical
-     * default).
-     */
-    int busLatency() const;
 
     /** Slowest bus latency (1 on bus-less machines; heuristics). */
     int maxBusLatency() const;

@@ -20,9 +20,9 @@
  * mnemonics of machine/op.hh ("ialu", "fmul", "load", ...).
  *
  * Parsing never aborts the process: malformed input yields a
- * MachineParseError with the offending file and line. The writer
- * emits a canonical form that parses back to an identical
- * MachineConfig (round-trip exactness is unit-tested).
+ * MachineParseError with the offending file and line. The tests'
+ * writer (tests/testing/machine_text.hh) emits a canonical form that
+ * parses back to an identical MachineConfig.
  */
 
 #ifndef GPSCHED_MACHINE_MACHINE_DESC_HH
@@ -57,11 +57,6 @@ std::optional<MachineConfig>
 parseMachineDesc(std::istream &in, const std::string &filename,
                  MachineParseError *error = nullptr);
 
-/** Parses @p text (diagnostics name it "<string>"). */
-std::optional<MachineConfig>
-parseMachineDescText(const std::string &text,
-                     MachineParseError *error = nullptr);
-
 /** Opens and parses @p path; unreadable files are a parse error. */
 std::optional<MachineConfig>
 parseMachineDescFile(const std::string &path,
@@ -69,12 +64,6 @@ parseMachineDescFile(const std::string &path,
 
 /** File parse for tools: fatal with the full diagnostic on failure. */
 MachineConfig loadMachineFile(const std::string &path);
-
-/** Writes @p machine in canonical `.machine` form. */
-void writeMachineDesc(std::ostream &os, const MachineConfig &machine);
-
-/** writeMachineDesc into a string. */
-std::string machineDescText(const MachineConfig &machine);
 
 } // namespace gpsched
 

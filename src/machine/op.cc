@@ -37,15 +37,6 @@ toString(Opcode op)
     }
 }
 
-Opcode
-opcodeFromString(const std::string &text)
-{
-    Opcode op;
-    if (!opcodeFromString(text, op))
-        GPSCHED_FATAL("unknown opcode mnemonic '", text, "'");
-    return op;
-}
-
 bool
 opcodeFromString(const std::string &text, Opcode &op)
 {

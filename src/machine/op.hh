@@ -64,11 +64,8 @@ constexpr int numOpcodes = static_cast<int>(Opcode::NumOpcodes);
 /** Returns a short printable mnemonic. */
 std::string toString(Opcode op);
 
-/** Parses a mnemonic produced by toString(); fatal on unknown text. */
-Opcode opcodeFromString(const std::string &text);
-
-/** Non-fatal parse: sets @p op and returns true iff @p text is a
- *  known mnemonic (for user-input paths that reject recoverably). */
+/** Parses a mnemonic produced by toString(): sets @p op and returns
+ *  true iff @p text is a known mnemonic. */
 bool opcodeFromString(const std::string &text, Opcode &op);
 
 /** True for opcodes that may appear in an input (workload) DDG. */

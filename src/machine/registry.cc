@@ -55,16 +55,6 @@ MachineRegistry::find(const std::string &name) const
     return nullptr;
 }
 
-MachineConfig
-MachineRegistry::get(const std::string &name) const
-{
-    const MachineConfig *config = find(name);
-    if (!config)
-        GPSCHED_FATAL("unknown machine '", name, "' (known: ",
-                      namesSummary(), ")");
-    return *config;
-}
-
 void
 MachineRegistry::add(MachineConfig config)
 {

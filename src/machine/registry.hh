@@ -36,9 +36,6 @@ class MachineRegistry
     /** Looks @p name up; nullptr when absent. */
     const MachineConfig *find(const std::string &name) const;
 
-    /** Looks @p name up; fatal (listing known names) when absent. */
-    MachineConfig get(const std::string &name) const;
-
     /** Registers @p config under its name; fatal on duplicates. */
     void add(MachineConfig config);
 

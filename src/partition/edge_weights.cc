@@ -74,18 +74,6 @@ edgeDelayWithBase(const Ddg &ddg, const LatencyTable &latencies,
 
 } // namespace
 
-std::int64_t
-edgeDelay(const Ddg &ddg, const LatencyTable &latencies, EdgeId e,
-          int ii, int bus_latency)
-{
-    DdgAnalysis base(ddg, latencies, ii);
-    GPSCHED_ASSERT(base.feasible(), "edgeDelay at infeasible II ", ii);
-    std::vector<int> extra(ddg.numEdges(), 0);
-    std::optional<DdgAnalysis> probe;
-    return edgeDelayWithBase(ddg, latencies, e, ii, bus_latency, base,
-                             extra, probe);
-}
-
 std::vector<std::int64_t>
 computeEdgeWeights(const Ddg &ddg, const LatencyTable &latencies,
                    int ii, int bus_latency,

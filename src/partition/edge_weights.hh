@@ -54,13 +54,6 @@ computeEdgeWeights(const Ddg &ddg, const LatencyTable &latencies,
                    int ii, int bus_latency,
                    const EdgeWeightOptions &options = {});
 
-/**
- * The delay(e) component alone (execution-time growth from adding
- * @p bus_latency to edge @p e at initiation interval @p ii).
- */
-std::int64_t edgeDelay(const Ddg &ddg, const LatencyTable &latencies,
-                       EdgeId e, int ii, int bus_latency);
-
 } // namespace gpsched
 
 #endif // GPSCHED_PARTITION_EDGE_WEIGHTS_HH

@@ -1,7 +1,6 @@
 #include "partition/estimator.hh"
 
 #include <algorithm>
-#include <climits>
 #include <limits>
 #include <optional>
 
@@ -42,72 +41,6 @@ PartitionEstimator::PartitionEstimator(const Ddg &ddg,
       extraScratch_(ddg.numEdges(), 0)
 {
     GPSCHED_ASSERT(ii >= 1, "estimator needs II >= 1");
-}
-
-int
-PartitionEstimator::occupancy(const Partition &partition, int cluster,
-                              FuClass cls) const
-{
-    const LatencyTable &lat = machine_.latencies();
-    int occ = 0;
-    for (NodeId v = 0; v < ddg_.numNodes(); ++v) {
-        if (partition.clusterOf(v) != cluster)
-            continue;
-        Opcode op = ddg_.node(v).opcode;
-        if (fuClassOf(op) == cls)
-            occ += lat.occupancy(op);
-    }
-    return occ;
-}
-
-double
-PartitionEstimator::utilization(const Partition &partition, int cluster,
-                                FuClass cls) const
-{
-    int occ = occupancy(partition, cluster, cls);
-    int slots = machine_.fuInCluster(cluster, cls) * ii_;
-    if (slots == 0) {
-        // A cluster without this unit class: empty is fine, any
-        // assigned occupancy is infinitely overloaded.
-        return occ > 0 ? std::numeric_limits<double>::infinity() : 0.0;
-    }
-    return static_cast<double>(occ) / static_cast<double>(slots);
-}
-
-bool
-PartitionEstimator::resourcesOk(const Partition &partition) const
-{
-    for (int c = 0; c < machine_.numClusters(); ++c) {
-        for (int k = 0; k < numFuClasses; ++k) {
-            FuClass cls = static_cast<FuClass>(k);
-            int slots = machine_.fuInCluster(c, cls) * ii_;
-            if (occupancy(partition, c, cls) > slots)
-                return false;
-        }
-    }
-    return true;
-}
-
-int
-PartitionEstimator::perClusterResMii(const Partition &partition) const
-{
-    int worst = 1;
-    for (int c = 0; c < machine_.numClusters(); ++c) {
-        for (int k = 0; k < numFuClasses; ++k) {
-            FuClass cls = static_cast<FuClass>(k);
-            int occ = occupancy(partition, c, cls);
-            int fus = machine_.fuInCluster(c, cls);
-            if (fus == 0) {
-                // No II makes a missing unit class feasible; resource
-                // rebalancing, not II growth, must fix this.
-                if (occ > 0)
-                    worst = std::max(worst, INT_MAX / 2);
-                continue;
-            }
-            worst = std::max(worst, (occ + fus - 1) / fus);
-        }
-    }
-    return worst;
 }
 
 PartitionEstimate

@@ -102,19 +102,6 @@ class PartitionEstimator
     /** Full estimate of @p partition. */
     PartitionEstimate evaluate(const Partition &partition) const;
 
-    /**
-     * Utilization of (cluster, FU class): occupancy of assigned ops
-     * divided by available slots (FUs * II). May exceed 1.
-     */
-    double utilization(const Partition &partition, int cluster,
-                       FuClass cls) const;
-
-    /** True when no (cluster, class) utilization exceeds 100%. */
-    bool resourcesOk(const Partition &partition) const;
-
-    /** Largest per-cluster ResMII induced by @p partition. */
-    int perClusterResMii(const Partition &partition) const;
-
     /** Input II the estimator was built for. */
     int ii() const { return ii_; }
 
@@ -132,10 +119,6 @@ class PartitionEstimator
 
     /** Scratch (cluster, FU class) occupancy, reused per evaluate. */
     mutable std::vector<int> occScratch_;
-
-    /** Occupancy of ops of @p cls assigned to @p cluster. */
-    int occupancy(const Partition &partition, int cluster,
-                  FuClass cls) const;
 };
 
 } // namespace gpsched

@@ -7,9 +7,8 @@
  * plain greedy heavy-edge matching), so the default policy here is
  * greedy-by-weight followed by a 2-augmentation local-search pass
  * that fixes the classic greedy mistakes (an edge blocking two
- * heavier neighbors). An exact exponential solver is provided for
- * small graphs and used by tests to bound the heuristic gap; a
- * random maximal policy exists for the matching ablation bench.
+ * heavier neighbors). A random maximal policy exists for the
+ * matching ablation bench.
  */
 
 #ifndef GPSCHED_PARTITION_MATCHING_HH
@@ -47,19 +46,6 @@ enum class MatchingPolicy
 std::vector<int> computeMatching(int num_vertices,
                                  const std::vector<MatchEdge> &edges,
                                  MatchingPolicy policy, Rng &rng);
-
-/**
- * Exact maximum-weight matching by branch and bound; exponential,
- * intended for graphs with <= ~20 vertices (tests only). Returns
- * selected edge indices.
- */
-std::vector<int>
-exactMaxWeightMatching(int num_vertices,
-                       const std::vector<MatchEdge> &edges);
-
-/** Sum of weights of the edges selected by @p matching. */
-std::int64_t matchingWeight(const std::vector<MatchEdge> &edges,
-                            const std::vector<int> &matching);
 
 } // namespace gpsched
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "support/logging.hh"
 
@@ -61,21 +60,6 @@ FigureOfMerit::better(const FigureOfMerit &a, const FigureOfMerit &b,
             return sa[i] < sb[i];
     }
     return a.sum() < b.sum();
-}
-
-std::string
-FigureOfMerit::toString() const
-{
-    const double *c = data();
-    std::ostringstream oss;
-    oss << "[";
-    for (std::size_t i = 0; i < size_; ++i) {
-        if (i)
-            oss << ", ";
-        oss << c[i];
-    }
-    oss << "]";
-    return oss.str();
 }
 
 } // namespace gpsched

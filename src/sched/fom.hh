@@ -19,7 +19,6 @@
 #define GPSCHED_SCHED_FOM_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "support/logging.hh"
@@ -81,9 +80,6 @@ class FigureOfMerit
      */
     static bool better(const FigureOfMerit &a, const FigureOfMerit &b,
                        double threshold);
-
-    /** Debug rendering. */
-    std::string toString() const;
 
   private:
     /** Inline capacity: covers machines up to ~7 clusters. */

@@ -141,10 +141,4 @@ LifetimeTracker::maxLive() const
                          : *std::max_element(live_.begin(), live_.end());
 }
 
-int
-LifetimeTracker::liveAt(int cycle) const
-{
-    return live_[wrapSlot(cycle, ii_)];
-}
-
 } // namespace gpsched

@@ -156,9 +156,6 @@ class LifetimeTracker
     /** Current maximum live count over kernel slots. */
     int maxLive() const;
 
-    /** Live count at kernel slot of @p cycle. */
-    int liveAt(int cycle) const;
-
     /** Sum of live counts over the kernel (register-cycles). */
     int usedRegCycles() const { return used_; }
 

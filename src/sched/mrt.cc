@@ -87,21 +87,6 @@ ModuloReservationTable::ModuloReservationTable(
     std::copy(other.planes_, other.planes_ + total, planes_);
 }
 
-ModuloReservationTable &
-ModuloReservationTable::operator=(const ModuloReservationTable &other)
-{
-    if (this == &other)
-        return *this;
-    numUnits_ = other.numUnits_;
-    ii_ = other.ii_;
-    used_ = other.used_;
-    words_ = other.words_;
-    const int total = numUnits_ * words_;
-    attachStorage(total);
-    std::copy(other.planes_, other.planes_ + total, planes_);
-    return *this;
-}
-
 bool
 ModuloReservationTable::rangeClear(int l, int s0, int len) const
 {
@@ -315,18 +300,6 @@ ModuloReservationTable::firstFit(int from, int to, int occupancy) const
             break;
     }
     return INT_MIN;
-}
-
-int
-ModuloReservationTable::busyAt(int cycle) const
-{
-    const int s = wrapSlot(cycle, ii_);
-    const int w = s >> 6;
-    const std::uint64_t bit = 1ull << (s & 63);
-    int count = 0;
-    while (count < numUnits_ && (plane(count)[w] & bit) != 0)
-        ++count;
-    return count;
 }
 
 } // namespace gpsched

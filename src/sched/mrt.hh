@@ -54,7 +54,7 @@ class ModuloReservationTable
 
     ModuloReservationTable(const ModuloReservationTable &other);
     ModuloReservationTable &
-    operator=(const ModuloReservationTable &other);
+    operator=(const ModuloReservationTable &other) = delete;
 
     /** Empties the table and resizes it to kernel length @p ii. */
     void reset(int ii);
@@ -88,9 +88,6 @@ class ModuloReservationTable
 
     /** totalSlots() - usedSlots(). */
     int freeSlots() const { return totalSlots() - used_; }
-
-    /** Busy units at kernel slot (cycle mod II). */
-    int busyAt(int cycle) const;
 
   private:
     /**

@@ -305,10 +305,4 @@ smsOrder(const Ddg &ddg, const DdgAnalysis &analysis,
     return order;
 }
 
-std::vector<NodeId>
-smsOrder(const Ddg &ddg, const DdgAnalysis &analysis)
-{
-    return smsOrder(ddg, analysis, computeSmsNodeSets(ddg));
-}
-
 } // namespace gpsched

@@ -53,10 +53,6 @@ std::vector<NodeId> smsOrder(const Ddg &ddg,
                              const DdgAnalysis &analysis,
                              const SmsNodeSets &sets);
 
-/** Convenience form: groups and sweeps in one call. */
-std::vector<NodeId> smsOrder(const Ddg &ddg,
-                             const DdgAnalysis &analysis);
-
 } // namespace gpsched
 
 #endif // GPSCHED_SCHED_SMS_ORDER_HH

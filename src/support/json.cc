@@ -209,22 +209,6 @@ JsonWriter::element(int value)
     return element(static_cast<std::int64_t>(value));
 }
 
-JsonWriter &
-JsonWriter::element(bool value)
-{
-    GPSCHED_ASSERT(!stack_.empty() && !stack_.back().isObject,
-                   "JSON element outside an array");
-    beginValue();
-    os_ << (value ? "true" : "false");
-    return *this;
-}
-
-bool
-JsonWriter::finished() const
-{
-    return done_ && stack_.empty();
-}
-
 std::string
 JsonWriter::quote(const std::string &text)
 {

@@ -56,10 +56,6 @@ class JsonWriter
     JsonWriter &element(double value);
     JsonWriter &element(std::int64_t value);
     JsonWriter &element(int value);
-    JsonWriter &element(bool value);
-
-    /** True once the top-level value is complete and balanced. */
-    bool finished() const;
 
     /** JSON string literal (quoted, escaped) for @p text. */
     static std::string quote(const std::string &text);

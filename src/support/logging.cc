@@ -55,10 +55,4 @@ warnImpl(const char *file, int line, const std::string &msg)
                            ")"));
 }
 
-void
-informImpl(const std::string &msg)
-{
-    writeLine(buildMessage("info: ", msg));
-}
-
 } // namespace gpsched

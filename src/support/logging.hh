@@ -31,9 +31,6 @@ namespace gpsched
 /** Prints a warning to stderr; execution continues. */
 void warnImpl(const char *file, int line, const std::string &msg);
 
-/** Prints an informational message to stderr. */
-void informImpl(const std::string &msg);
-
 /** Builds a message from stream-style arguments. */
 template <typename... Args>
 std::string
@@ -57,9 +54,6 @@ buildMessage(Args &&...args)
 #define GPSCHED_WARN(...)                                                  \
     ::gpsched::warnImpl(__FILE__, __LINE__,                                \
                         ::gpsched::buildMessage(__VA_ARGS__))
-
-#define GPSCHED_INFORM(...)                                                \
-    ::gpsched::informImpl(::gpsched::buildMessage(__VA_ARGS__))
 
 /**
  * Invariant check that stays active in release builds. Use for

@@ -93,27 +93,6 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-std::size_t
-Rng::nextWeighted(const std::vector<double> &weights)
-{
-    GPSCHED_ASSERT(!weights.empty(), "nextWeighted needs weights");
-    double total = 0.0;
-    for (double w : weights) {
-        GPSCHED_ASSERT(w >= 0.0, "weights must be non-negative");
-        total += w;
-    }
-    if (total <= 0.0)
-        return 0;
-    double target = nextDouble() * total;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (target < acc)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
 Rng
 Rng::fork()
 {

@@ -39,12 +39,6 @@ class Rng
     /** Returns true with probability @p p (clamped to [0,1]). */
     bool nextBool(double p);
 
-    /**
-     * Samples an index according to non-negative weights. An all-zero
-     * weight vector yields index 0.
-     */
-    std::size_t nextWeighted(const std::vector<double> &weights);
-
     /** Fisher-Yates shuffles @p values in place. */
     template <typename T>
     void

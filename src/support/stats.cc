@@ -23,35 +23,6 @@ Histogram::Histogram(double lowest, double growth, std::size_t buckets)
     counts_.assign(buckets + 1, 0);
 }
 
-Histogram::Histogram(const Histogram &other)
-{
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    bounds_ = other.bounds_;
-    counts_ = other.counts_;
-    count_ = other.count_;
-    sum_ = other.sum_;
-    min_ = other.min_;
-    max_ = other.max_;
-}
-
-Histogram &
-Histogram::operator=(const Histogram &other)
-{
-    if (this == &other)
-        return *this;
-    std::unique_lock<std::mutex> mine(mutex_, std::defer_lock);
-    std::unique_lock<std::mutex> theirs(other.mutex_,
-                                        std::defer_lock);
-    std::lock(mine, theirs);
-    bounds_ = other.bounds_;
-    counts_ = other.counts_;
-    count_ = other.count_;
-    sum_ = other.sum_;
-    min_ = other.min_;
-    max_ = other.max_;
-    return *this;
-}
-
 void
 Histogram::add(double x)
 {

@@ -22,7 +22,7 @@ namespace gpsched
  * construction — bucket i covers values <= lowest*growth^i, with a
  * final catch-all bucket — so concurrent add() never reallocates.
  * Every accessor takes an internal mutex, so one histogram can be
- * shared between engine worker threads; the type stays copyable.
+ * shared between engine worker threads.
  *
  * Percentile queries return the upper bound of the first bucket whose
  * cumulative count reaches the rank, clamped to the observed
@@ -40,8 +40,8 @@ class Histogram
      */
     explicit Histogram(double lowest = 1e-6, double growth = 2.0,
                        std::size_t buckets = 48);
-    Histogram(const Histogram &other);
-    Histogram &operator=(const Histogram &other);
+    Histogram(const Histogram &) = delete;
+    Histogram &operator=(const Histogram &) = delete;
 
     /** Adds one sample (negative samples clamp into bucket 0). */
     void add(double x);

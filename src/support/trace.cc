@@ -80,13 +80,6 @@ TraceSink::snapshot() const
     return events_;
 }
 
-std::size_t
-TraceSink::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return events_.size();
-}
-
 void
 TraceSink::writeJson(std::ostream &os) const
 {

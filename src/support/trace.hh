@@ -70,9 +70,6 @@ class TraceSink
     /** Copy of everything recorded so far. */
     std::vector<TraceEvent> snapshot() const;
 
-    /** Number of events recorded so far. */
-    std::size_t size() const;
-
     /**
      * Writes `{"traceEvents": [...]}` with events sorted by
      * timestamp (ts in fractional microseconds), so a validator can

@@ -306,14 +306,6 @@ generate(const std::string &name, const LatencyTable &lat,
 
 } // namespace
 
-Ddg
-fuzzLoop(const std::string &name, const LatencyTable &lat,
-         std::uint64_t seed)
-{
-    ShapeClass shape;
-    return generate(name, lat, seed, shape);
-}
-
 std::vector<std::uint64_t>
 corpusSeeds(std::uint64_t corpusSeed, int count)
 {

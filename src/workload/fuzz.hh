@@ -80,17 +80,11 @@ struct FuzzCase
 };
 
 /**
- * Generates one loop deterministically from @p seed: the shape class
- * and every knob are drawn from the seed alone, so a failure report
- * carrying the seed regenerates the exact graph.
- */
-Ddg fuzzLoop(const std::string &name, const LatencyTable &lat,
-             std::uint64_t seed);
-
-/**
  * Case @p index of the corpus keyed by @p corpusSeed. Case seeds are
  * drawn from one master stream, so corpora with the same seed share
- * a prefix: growing GPSCHED_FUZZ_LOOPS only appends cases.
+ * a prefix: growing GPSCHED_FUZZ_LOOPS only appends cases. The shape
+ * class and every knob are drawn from the case seed alone, so the
+ * corpus seed and index regenerate the exact graph.
  */
 FuzzCase corpusCase(std::uint64_t corpusSeed, int index,
                     const LatencyTable &lat);

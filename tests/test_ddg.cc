@@ -13,6 +13,7 @@
 #include "graph/ddg.hh"
 #include "graph/ddg_builder.hh"
 #include "graph/dot.hh"
+#include "graph/scc.hh"
 #include "graph/textio.hh"
 #include "support/compile_error.hh"
 
@@ -23,7 +24,6 @@ TEST(Ddg, EmptyGraph)
     Ddg g("empty");
     EXPECT_EQ(g.numNodes(), 0);
     EXPECT_EQ(g.numEdges(), 0);
-    EXPECT_FALSE(g.hasRecurrence());
     EXPECT_EQ(g.name(), "empty");
 }
 
@@ -63,22 +63,10 @@ TEST(Ddg, LoopCarriedAndRecurrence)
 {
     Ddg g;
     NodeId a = g.addNode(Opcode::FAdd);
-    EXPECT_FALSE(g.hasRecurrence());
+    EXPECT_FALSE(g.sccs().isRecurrence[g.sccs().componentOf[a]]);
     EdgeId e = g.addEdge(a, a, 3, 1);
     EXPECT_TRUE(g.edge(e).loopCarried());
-    EXPECT_TRUE(g.hasRecurrence());
-}
-
-TEST(Ddg, OpCountsByClass)
-{
-    Ddg g;
-    g.addNode(Opcode::Load);
-    g.addNode(Opcode::Store);
-    g.addNode(Opcode::FMul);
-    g.addNode(Opcode::IAlu);
-    EXPECT_EQ(g.numOps(FuClass::Mem), 2);
-    EXPECT_EQ(g.numOps(FuClass::Fp), 1);
-    EXPECT_EQ(g.numOps(FuClass::Int), 1);
+    EXPECT_TRUE(g.sccs().isRecurrence[g.sccs().componentOf[a]]);
 }
 
 TEST(Ddg, TotalOccupancyUsesTable)

@@ -352,8 +352,7 @@ corruptionScenario(const std::string &tag,
         options.jobs = 1;
         options.cacheDir = dir;
         Engine engine(options);
-        engine.compileOne(
-            EngineJob{&g, &m, SchedulerKind::Gp, {}});
+        compileOne(engine, EngineJob{&g, &m, SchedulerKind::Gp, {}});
     }
     std::vector<fs::path> packs = packFiles(dir);
     ASSERT_EQ(packs.size(), 1u);
@@ -364,8 +363,8 @@ corruptionScenario(const std::string &tag,
     options.jobs = 1;
     options.cacheDir = dir;
     Engine engine(options);
-    CompiledLoop recompiled = unwrapOne(engine.compileOne(
-        EngineJob{&g, &m, SchedulerKind::Gp, {}}));
+    CompiledLoop recompiled = unwrapOne(
+        compileOne(engine, EngineJob{&g, &m, SchedulerKind::Gp, {}}));
 
     // The corrupted record was a miss (and was evicted: rejected by
     // the open scan or by the lookup's verification), the loop
@@ -725,7 +724,7 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     Engine engine(options);
     EngineJob job{&bad, &m, SchedulerKind::Gp, {}};
 
-    CompileResult failed = engine.compileOne(job);
+    CompileResult failed = compileOne(engine, job);
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.error->kind(), CompileErrorKind::InvalidInput);
     EXPECT_EQ(failed.error->loopName(), "wounded");
@@ -739,7 +738,7 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
         << "a failed compile must never publish a record";
 
     // Retry: a fresh miss on both tiers, recompiled, same failure.
-    CompileResult again = engine.compileOne(job);
+    CompileResult again = compileOne(engine, job);
     ASSERT_FALSE(again.ok());
     EXPECT_EQ(count("engine.failed"), 2u);
     EXPECT_EQ(count("engine.cacheHits"), 0u);
@@ -755,8 +754,8 @@ TEST(DiskCache, FailedCompileLeavesNoRecordAndRetryRecompiles)
     fixed.addEdge(fmul, fadd, lat.latency(Opcode::FMul), 0,
                   DepKind::Flow);
     fixed.setTripCount(10);
-    CompiledLoop ok = unwrapOne(engine.compileOne(
-        EngineJob{&fixed, &m, SchedulerKind::Gp, {}}));
+    CompiledLoop ok = unwrapOne(
+        compileOne(engine, EngineJob{&fixed, &m, SchedulerKind::Gp, {}}));
     EXPECT_GT(ok.ipc, 0.0);
     EXPECT_EQ(count("engine.failed"), 2u);
     EXPECT_EQ(count("disk.stores"), 1u);

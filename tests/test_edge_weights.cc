@@ -56,8 +56,13 @@ TEST(EdgeWeights, DelayMatchesHandComputation)
     // raises II' from 7 to 8 -> delay = 9 * 1 + path growth.
     int mii = recMii(g);
     ASSERT_EQ(mii, 7);
-    std::int64_t d = edgeDelay(g, lat, 0, mii, 1);
-    EXPECT_GE(d, 9);
+    // Without the slack term, weight = 1 + delay * (maxsl + 1).
+    EdgeWeightOptions delay_only;
+    delay_only.useSlackTerm = false;
+    auto weights = computeEdgeWeights(g, lat, mii, 1, delay_only);
+    std::int64_t maxsl = DdgAnalysis(g, lat, mii).maxSlack();
+    ASSERT_EQ((weights[0] - 1) % (maxsl + 1), 0);
+    EXPECT_GE((weights[0] - 1) / (maxsl + 1), 9);
 }
 
 TEST(EdgeWeights, ZeroDelayEdgesRankedBySlack)

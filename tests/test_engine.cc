@@ -32,6 +32,7 @@
 #include "workload/specfp.hh"
 
 using namespace gpsched;
+using gpsched::testing::compileOne;
 
 // --- thread pool ---------------------------------------------------
 
@@ -385,14 +386,15 @@ TEST(JsonWriter, ProducesBalancedEscapedDocument)
     json.beginObject("empty");
     json.endObject();
     json.endObject();
-    EXPECT_TRUE(json.finished());
 
     std::string text = os.str();
+    EXPECT_EQ(text.substr(text.size() - 2), "}\n");
     EXPECT_NE(text.find("\"quote\\\" backslash\\\\ tab\\t\""),
               std::string::npos);
     EXPECT_NE(text.find("\"count\": 3"), std::string::npos);
     EXPECT_NE(text.find("\"ratio\": 0.25"), std::string::npos);
     EXPECT_NE(text.find("\"flag\": true"), std::string::npos);
+    EXPECT_NE(text.find("\"two\""), std::string::npos);
     EXPECT_NE(text.find("\"empty\": {}"), std::string::npos);
 }
 
@@ -446,9 +448,9 @@ TEST(Engine, CacheHitPatchesTheRequestedLoopName)
 
     Engine engine;
     CompiledLoop first = gpsched::testing::unwrapOne(
-        engine.compileOne(EngineJob{&a, &m, SchedulerKind::Gp, {}}));
+        compileOne(engine, EngineJob{&a, &m, SchedulerKind::Gp, {}}));
     CompiledLoop second = gpsched::testing::unwrapOne(
-        engine.compileOne(EngineJob{&b, &m, SchedulerKind::Gp, {}}));
+        compileOne(engine, EngineJob{&b, &m, SchedulerKind::Gp, {}}));
     EXPECT_EQ(first.loopName, "alpha");
     EXPECT_EQ(second.loopName, "beta");
     EXPECT_EQ(second.ii, first.ii);
@@ -463,8 +465,8 @@ TEST(Engine, OneJobEngineRunsInlineAndMemoizes)
     MachineConfig m = twoClusterConfig(32, 1);
     Ddg loop = gpsched::testing::diamondLoop(lat);
     EngineJob job{&loop, &m, SchedulerKind::Gp, {}};
-    CompileResult first = engine.compileOne(job);
-    CompileResult second = engine.compileOne(job);
+    CompileResult first = compileOne(engine, job);
+    CompileResult second = compileOne(engine, job);
     EXPECT_EQ(first.source, CompileSource::Compiled);
     EXPECT_EQ(second.source, CompileSource::Memory);
     EXPECT_EQ(scheduleDigest(first.loop), scheduleDigest(second.loop));

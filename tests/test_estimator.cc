@@ -10,6 +10,7 @@
 
 #include "graph/ddg_builder.hh"
 #include "machine/configs.hh"
+#include "machine/machine_desc.hh"
 #include "partition/estimator.hh"
 #include "testing/fixtures.hh"
 
@@ -25,9 +26,14 @@ TEST(Estimator, UtilizationCountsOccupancy)
 
     Partition all0(g.numNodes(), 2, 0);
     // 4 ops on 2 INT units over II=2: exactly 100%.
-    EXPECT_DOUBLE_EQ(est.utilization(all0, 0, FuClass::Int), 1.0);
-    EXPECT_DOUBLE_EQ(est.utilization(all0, 1, FuClass::Int), 0.0);
-    EXPECT_TRUE(est.resourcesOk(all0));
+    PartitionEstimate e = est.evaluate(all0);
+    EXPECT_EQ(e.peakUtilPermille, 1000);
+    EXPECT_TRUE(e.resourcesOk);
+
+    Partition split(g.numNodes(), 2, 0);
+    split.assign(0, 1);
+    split.assign(1, 1);
+    EXPECT_EQ(est.evaluate(split).peakUtilPermille, 500);
 }
 
 TEST(Estimator, OverloadDetected)
@@ -37,13 +43,12 @@ TEST(Estimator, OverloadDetected)
     MachineConfig m = twoClusterConfig(32, 1);
     PartitionEstimator est(g, m, 2);
     Partition all0(g.numNodes(), 2, 0);
-    EXPECT_FALSE(est.resourcesOk(all0));
     EXPECT_FALSE(est.evaluate(all0).resourcesOk);
 
     Partition split(g.numNodes(), 2, 0);
     split.assign(0, 1);
     split.assign(1, 1);
-    EXPECT_TRUE(est.resourcesOk(split));
+    EXPECT_TRUE(est.evaluate(split).resourcesOk);
 }
 
 TEST(Estimator, PerClusterResMii)
@@ -53,11 +58,33 @@ TEST(Estimator, PerClusterResMii)
     MachineConfig m = twoClusterConfig(32, 1);
     PartitionEstimator est(g, m, 1);
     Partition all0(g.numNodes(), 2, 0);
-    EXPECT_EQ(est.perClusterResMii(all0), 3); // 6 ops / 2 units
+    EXPECT_EQ(est.evaluate(all0).iiEff, 3); // 6 ops / 2 units
     Partition split(g.numNodes(), 2, 0);
     for (int i = 0; i < 3; ++i)
         split.assign(i, 1);
-    EXPECT_EQ(est.perClusterResMii(split), 2);
+    EXPECT_EQ(est.evaluate(split).iiEff, 2);
+}
+
+TEST(Estimator, MissingUnitClassIsOverloadAtAnyIi)
+{
+    LatencyTable lat;
+    Ddg g = recurrenceLoop(lat); // FMul + FAdd
+    // Only c0 has FP units.
+    MachineConfig m = loadMachineFile(
+        GPSCHED_SOURCE_DIR "/examples/machines/fpless_3c.machine");
+    PartitionEstimator est(g, m, 16);
+
+    Partition home(g.numNodes(), 3, 0);
+    PartitionEstimate ok = est.evaluate(home);
+    EXPECT_TRUE(ok.resourcesOk);
+    EXPECT_LT(ok.peakUtilPermille, 1000);
+
+    Partition stranded(g.numNodes(), 3, 0);
+    stranded.assign(1, 1); // an FP op on a cluster with no FP unit
+    PartitionEstimate e = est.evaluate(stranded);
+    EXPECT_FALSE(e.resourcesOk);
+    EXPECT_EQ(e.peakUtilPermille, 1000000);
+    EXPECT_GT(e.execTime, ok.execTime);
 }
 
 TEST(Estimator, ExecTimeUsesTripCount)
@@ -200,7 +227,7 @@ TEST(Estimator, RegisterOverflowPenalizesExecTime)
     PartitionEstimate pe = plain.evaluate(p);
     PartitionEstimate ae = aware.evaluate(p);
     ASSERT_FALSE(ae.regPressure.empty());
-    ASSERT_GT(ae.regPressure[0], m.regsPerCluster());
+    ASSERT_GT(ae.regPressure[0], m.regsInCluster(0));
     EXPECT_GT(ae.execTime, pe.execTime);
 }
 

@@ -103,14 +103,6 @@ TEST(Fom, BenefitTheWeakestPhilosophy)
     EXPECT_TRUE(FigureOfMerit::better(balanced, skewed, 10.0));
 }
 
-TEST(Fom, ToStringListsComponents)
-{
-    FigureOfMerit fom = make({1.5, 2.5});
-    std::string s = fom.toString();
-    EXPECT_NE(s.find("1.5"), std::string::npos);
-    EXPECT_NE(s.find("2.5"), std::string::npos);
-}
-
 using FomDeathTest = ::testing::Test;
 
 TEST(FomDeathTest, ArityMismatchPanics)

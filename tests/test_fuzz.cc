@@ -97,14 +97,16 @@ TEST(Fuzz, GeneratorIsDeterministic)
     LatencyTable lat;
     for (std::uint64_t seed :
          {std::uint64_t(1), std::uint64_t(42), kSeed}) {
-        Ddg a = fuzzLoop("l", lat, seed);
-        Ddg b = fuzzLoop("l", lat, seed);
-        EXPECT_EQ(render(a), render(b)) << "seed " << seed;
+        FuzzCase a = corpusCase(seed, 3, lat);
+        FuzzCase b = corpusCase(seed, 3, lat);
+        EXPECT_EQ(a.seed, b.seed) << "seed " << seed;
+        EXPECT_EQ(render(a.ddg), render(b.ddg)) << "seed " << seed;
     }
-    // Different seeds must not collapse to one graph.
+    // Different case seeds must not collapse to one graph (one index,
+    // so one loop name, under eight corpus seeds).
     std::set<std::string> distinct;
     for (std::uint64_t seed = 0; seed < 8; ++seed)
-        distinct.insert(render(fuzzLoop("l", lat, seed)));
+        distinct.insert(render(corpusCase(seed, 0, lat).ddg));
     EXPECT_GT(distinct.size(), 1u);
 }
 
@@ -123,7 +125,6 @@ TEST(Fuzz, CorpusSeedsArePrefixStable)
     FuzzCase c = corpusCase(kSeed, 5, lat);
     EXPECT_EQ(c.seed, longRun[5]);
     EXPECT_EQ(c.index, 5);
-    EXPECT_EQ(render(c.ddg), render(fuzzLoop(c.ddg.name(), lat, c.seed)));
 }
 
 TEST(Fuzz, WriteCorpusRoundTripsThroughTextio)

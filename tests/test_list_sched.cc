@@ -54,7 +54,7 @@ expectPrecedenceRespected(const Ddg &g, const ListScheduleResult &r,
         int min_delay = edge.latency;
         if (edge.isFlow() &&
             r.cluster[edge.src] != r.cluster[edge.dst]) {
-            min_delay += m.busLatency();
+            min_delay += m.busLatencyOf(0);
         }
         EXPECT_GE(r.cycle[edge.dst], r.cycle[edge.src] + min_delay)
             << "edge " << e;

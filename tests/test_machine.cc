@@ -16,8 +16,13 @@ TEST(Opcode, MnemonicRoundTrip)
 {
     for (int i = 0; i < numOpcodes; ++i) {
         Opcode op = static_cast<Opcode>(i);
-        EXPECT_EQ(opcodeFromString(toString(op)), op);
+        Opcode parsed = Opcode::NumOpcodes;
+        EXPECT_TRUE(opcodeFromString(toString(op), parsed));
+        EXPECT_EQ(parsed, op);
     }
+    Opcode unchanged = Opcode::IAlu;
+    EXPECT_FALSE(opcodeFromString("fmadd", unchanged));
+    EXPECT_EQ(unchanged, Opcode::IAlu);
 }
 
 TEST(Opcode, ProgramOpcodesAreTheEightIsaOps)
@@ -97,7 +102,7 @@ TEST(MachineConfig, UnifiedPreset)
     EXPECT_EQ(m.fuPerCluster(FuClass::Fp), 4);
     EXPECT_EQ(m.fuPerCluster(FuClass::Mem), 4);
     EXPECT_EQ(m.totalIssueWidth(), 12);
-    EXPECT_EQ(m.regsPerCluster(), 32);
+    EXPECT_EQ(m.regsInCluster(0), 32);
     EXPECT_EQ(m.totalRegs(), 32);
 }
 
@@ -108,10 +113,10 @@ TEST(MachineConfig, TwoClusterPreset)
     EXPECT_EQ(m.numClusters(), 2);
     EXPECT_EQ(m.fuPerCluster(FuClass::Int), 2);
     EXPECT_EQ(m.totalIssueWidth(), 12);
-    EXPECT_EQ(m.regsPerCluster(), 32);
+    EXPECT_EQ(m.regsInCluster(0), 32);
     EXPECT_EQ(m.totalRegs(), 64);
     EXPECT_EQ(m.numBuses(), 1);
-    EXPECT_EQ(m.busLatency(), 1);
+    EXPECT_EQ(m.busLatencyOf(0), 1);
 }
 
 TEST(MachineConfig, FourClusterPreset)
@@ -120,8 +125,8 @@ TEST(MachineConfig, FourClusterPreset)
     EXPECT_EQ(m.numClusters(), 4);
     EXPECT_EQ(m.fuPerCluster(FuClass::Int), 1);
     EXPECT_EQ(m.totalIssueWidth(), 12);
-    EXPECT_EQ(m.regsPerCluster(), 8);
-    EXPECT_EQ(m.busLatency(), 2);
+    EXPECT_EQ(m.regsInCluster(0), 8);
+    EXPECT_EQ(m.busLatencyOf(0), 2);
 }
 
 TEST(MachineConfig, PresetNamesCarryTheBusCount)
@@ -159,8 +164,11 @@ TEST(MachineConfig, SummaryMentionsShape)
 TEST(MachineConfig, RegistersSplitEvenly)
 {
     // The paper divides the total register file homogeneously.
-    EXPECT_EQ(twoClusterConfig(32, 1, 1).regsPerCluster(), 16);
-    EXPECT_EQ(fourClusterConfig(64, 1, 1).regsPerCluster(), 16);
+    for (const MachineConfig &m :
+         {twoClusterConfig(32, 1, 1), fourClusterConfig(64, 1, 1)}) {
+        for (int c = 0; c < m.numClusters(); ++c)
+            EXPECT_EQ(m.regsInCluster(c), 16) << m.name();
+    }
 }
 
 using ConfigDeathTest = ::testing::Test;

@@ -23,6 +23,7 @@
 #include "sched/validate.hh"
 #include "support/random.hh"
 #include "testing/fixtures.hh"
+#include "testing/machine_text.hh"
 #include "workload/loop_shapes.hh"
 #include "workload/specfp.hh"
 
@@ -291,7 +292,7 @@ TEST(MachineRegistry, DescriptionRoutedPresetsScheduleIdentically)
     const MachineRegistry &registry = MachineRegistry::builtin();
     for (const MachineConfig &preset :
          {twoClusterConfig(32, 1), fourClusterConfig(64, 2)}) {
-        MachineConfig routed = registry.get(preset.name());
+        MachineConfig routed = registry.resolve(preset.name());
         ASSERT_EQ(routed, preset);
         for (SchedulerKind kind :
              {SchedulerKind::Uracam, SchedulerKind::FixedPartition,

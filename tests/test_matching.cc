@@ -11,8 +11,10 @@
 
 #include "partition/matching.hh"
 #include "support/random.hh"
+#include "testing/matching_oracle.hh"
 
 using namespace gpsched;
+using namespace gpsched::testing;
 
 namespace
 {

@@ -154,6 +154,14 @@ describe(std::uint64_t seed, const MachineConfig &m)
            " ./tests/test_property --gtest_filter=" + filter;
 }
 
+/** The components of @p fom, as GoogleTest prints them. */
+std::string
+components(const FigureOfMerit &fom)
+{
+    return ::testing::PrintToString(
+        std::vector<double>(fom.data(), fom.data() + fom.size()));
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -262,9 +270,9 @@ TEST(Property, GpNeverTrailsFixedOnItsOwnPartition)
                     fixed->globalFom(), gp->globalFom(),
                     kFomThreshold))
                     << describe(seed, m) << ": Fixed FoM "
-                    << fixed->globalFom().toString()
+                    << components(fixed->globalFom())
                     << " beats GP FoM "
-                    << gp->globalFom().toString();
+                    << components(gp->globalFom());
             }
             ++compared;
         }

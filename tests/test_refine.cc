@@ -46,10 +46,10 @@ TEST(Refine, BalancePassClearsOverload)
     // All 8 INT ops in cluster 0 at II=2 overload its 2 INT units.
     Partition p(g.numNodes(), 2, 0);
     PartitionEstimator est(g, m, 2);
-    ASSERT_FALSE(est.resourcesOk(p));
+    ASSERT_FALSE(est.evaluate(p).resourcesOk);
 
     refiner.refineLevel(identityLevel(g), p);
-    EXPECT_TRUE(est.resourcesOk(p));
+    EXPECT_TRUE(est.evaluate(p).resourcesOk);
 }
 
 TEST(Refine, BalanceRespectsDestinationCapacity)
@@ -62,7 +62,7 @@ TEST(Refine, BalanceRespectsDestinationCapacity)
     Partition p(g.numNodes(), 4, 0);
     refiner.refineLevel(identityLevel(g), p);
     PartitionEstimator est(g, m, 2);
-    EXPECT_TRUE(est.resourcesOk(p));
+    EXPECT_TRUE(est.evaluate(p).resourcesOk);
     // No cluster may end with more than II * units = 2 ops.
     for (int c = 0; c < 4; ++c)
         EXPECT_LE(static_cast<int>(p.nodesIn(c).size()), 2);
@@ -77,7 +77,7 @@ TEST(Refine, EdgeImpactPullsChainTogether)
     g.setTripCount(100);
     MachineConfig m = twoClusterConfig(32, 1);
     std::vector<std::int64_t> weights =
-        computeEdgeWeights(g, lat, 1, m.busLatency());
+        computeEdgeWeights(g, lat, 1, m.expectedBusLatency());
     PartitionRefiner refiner(g, m, 1, weights);
 
     Partition p(g.numNodes(), 2, 0);
@@ -98,7 +98,7 @@ TEST(Refine, NoChangeOnAlreadyGoodPartition)
     Ddg g = chainLoop(4, lat);
     MachineConfig m = twoClusterConfig(32, 1);
     std::vector<std::int64_t> weights =
-        computeEdgeWeights(g, lat, 2, m.busLatency());
+        computeEdgeWeights(g, lat, 2, m.expectedBusLatency());
     PartitionRefiner refiner(g, m, 2, weights);
     Partition p(g.numNodes(), 2, 0); // whole chain together, fits
     Partition before = p;

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -565,4 +566,77 @@ TEST(SimMutation, TransferWithoutConsumerRejected)
     ASSERT_TRUE(addUnusedTransfer(g, m, mutant));
     expectRejectedAs(g, m, mutant, sim::SimFaultKind::UnusedTransfer, 6,
                      "transfer of 3 to cluster 0 has no consumer");
+}
+
+/**
+ * Every shape fault of flattenRecord (sched/schedule_image.hh), each
+ * a minimal edit of one pinned record: a transfer from an unknown or
+ * a non-defining node, to a bad cluster, or twice; a spill of an
+ * unknown or a non-defining node, or twice. Both oracles read the
+ * shape check, so the simulator stops before replaying and the
+ * validator reports the same message. Only the simulator rejects a
+ * non-defining node as a shape fault (rejectNonDefining); the
+ * validator's own checks reject those two records later.
+ */
+TEST(SimMutation, EveryShapeFaultRejected)
+{
+    MachineConfig m = corpusMachine("regstarved-4c");
+    auto found = findLoop(m, [&m](const Ddg &g, const CompiledLoop &l) {
+        return deeperThanReplay(g, m, l) && !l.transfers.empty() &&
+               !l.spills.empty();
+    });
+    ASSERT_TRUE(found.has_value()) << "no record with a transfer and "
+                                      "a spill";
+    auto &[g, loop] = *found;
+    NodeId store = 0;
+    while (store < g.numNodes() && definesValue(g.node(store).opcode))
+        ++store;
+    ASSERT_LT(store, g.numNodes()) << "no store in " << g.name();
+    const NodeId unknown = g.numNodes();
+
+    struct Row
+    {
+        const char *what;
+        std::function<void(CompiledLoop &)> edit;
+        const char *message;          ///< the shape fault
+        const char *validatorMessage; ///< null: the shape fault
+    };
+    const std::vector<Row> rows = {
+        {"transfer from an unknown node",
+         [&](CompiledLoop &l) { l.transfers.front().producer = unknown; },
+         "transfer from unknown node 32", nullptr},
+        {"transfer from a non-defining node",
+         [&](CompiledLoop &l) { l.transfers.front().producer = store; },
+         "transfer from non-defining node 8",
+         "edge 13: no transfer of 2 to cluster 0"},
+        {"transfer to a bad cluster",
+         [&](CompiledLoop &l) {
+             l.transfers.front().destCluster = m.numClusters();
+         },
+         "transfer of 2 to bad cluster 4", nullptr},
+        {"duplicate transfer",
+         [](CompiledLoop &l) {
+             l.transfers.push_back(l.transfers.front());
+         },
+         "duplicate transfer of 2 to cluster 0", nullptr},
+        {"spill of an unknown node",
+         [&](CompiledLoop &l) { l.spills.front().node = unknown; },
+         "spill of unknown node 32", nullptr},
+        {"spill of a non-defining node",
+         [&](CompiledLoop &l) { l.spills.front().node = store; },
+         "spill of non-defining node 8", "non-defining node 8 spilled"},
+        {"duplicate spill",
+         [](CompiledLoop &l) { l.spills.push_back(l.spills.front()); },
+         "duplicate spill of node 9", nullptr},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.what);
+        CompiledLoop mutant = loop;
+        row.edit(mutant);
+        expectRejectedAs(g, m, mutant, sim::SimFaultKind::MalformedSchedule,
+                         -1,
+                         row.validatorMessage ? row.validatorMessage
+                                              : row.message);
+        EXPECT_EQ(sim::simulate(g, m, mutant).fault->detail, row.message);
+    }
 }

@@ -29,7 +29,7 @@ orderOf(const Ddg &g, int ii)
     LatencyTable lat;
     DdgAnalysis a(g, lat, ii);
     EXPECT_TRUE(a.feasible());
-    return smsOrder(g, a);
+    return smsOrder(g, a, computeSmsNodeSets(g));
 }
 
 /** Position of each node in the order. */
@@ -190,7 +190,7 @@ TEST(SmsOrder, EmptyGraph)
     Ddg g;
     LatencyTable lat;
     DdgAnalysis a(g, lat, 1);
-    EXPECT_TRUE(smsOrder(g, a).empty());
+    EXPECT_TRUE(smsOrder(g, a, computeSmsNodeSets(g)).empty());
 }
 
 TEST(SmsOrder, WorksOnEveryLoopShape)

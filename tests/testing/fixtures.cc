@@ -37,6 +37,12 @@ unwrapOne(CompileResult result)
     return std::move(result.loop);
 }
 
+CompileResult
+compileOne(Engine &engine, const EngineJob &job)
+{
+    return std::move(engine.compileBatch({job}).front());
+}
+
 EngineOptions
 oneJobOptions()
 {

@@ -30,6 +30,10 @@ unwrapAll(std::vector<CompileResult> results);
 /** Unwraps one result, asserting it succeeded. */
 CompiledLoop unwrapOne(CompileResult result);
 
+/** Compiles @p job alone: a one-job batch, which a one-job engine
+ *  runs on the calling thread. */
+CompileResult compileOne(Engine &engine, const EngineJob &job);
+
 /** Default engine options with one job (runs on the calling thread). */
 EngineOptions oneJobOptions();
 
