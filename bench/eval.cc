@@ -368,9 +368,13 @@ table1(Run &run)
  * the scheduling time of one compiler instance, which concurrency
  * and the result cache (loops of one shape compile once) would only
  * distort. A loop the compiler rejects is skipped, as compileSuite
- * skips it. The thread CPU clock read before and after the whole
- * run covers every compile — per-loop reads would quantize to
- * scheduler ticks on some kernels — and the ambient telemetry
+ * skips it. Every repetition of every scheme compiles a fresh copy
+ * of the suite, made before its clock starts: a graph keeps the
+ * analyses it computed (RecMII, SMS sets, per-II orders), so
+ * compiling the same graphs again would charge them to whichever
+ * scheme ran first. The thread CPU clock read before and after each
+ * repetition covers every compile — per-loop reads would quantize
+ * to scheduler ticks on some kernels — and the ambient telemetry
  * context attributes every phase span of the run to the scheme's
  * phase sums. The JSON report has its own shape: the table's rows
  * plus those phase sums.
@@ -397,9 +401,11 @@ table2(Run &run)
             ctx.trace = &traces[s];
             ScopedTelemetryContext scoped(ctx);
             LoopCompiler compiler(m, schemes[s]);
-            std::uint64_t cpu0 = threadCpuNanos();
+            std::uint64_t cpu = 0;
             for (int r = 0; r < reps; ++r) {
-                for (const Program &program : run.suite) {
+                const std::vector<Program> fresh = run.suite;
+                std::uint64_t cpu0 = threadCpuNanos();
+                for (const Program &program : fresh) {
                     for (const Ddg &loop : program.loops) {
                         try {
                             compiler.compile(loop);
@@ -410,9 +416,9 @@ table2(Run &run)
                         }
                     }
                 }
+                cpu += threadCpuNanos() - cpu0;
             }
-            seconds[s] = static_cast<double>(threadCpuNanos() - cpu0) *
-                         1e-9 / reps;
+            seconds[s] = static_cast<double>(cpu) * 1e-9 / reps;
         }
         table.addRow({m.name()},
                      {seconds[0], seconds[1], seconds[2],

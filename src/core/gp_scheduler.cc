@@ -146,6 +146,88 @@ checkRecordedCycles(const Ddg &ddg, const CompiledLoop &loop)
 
 } // namespace
 
+LoopPrelude::LoopPrelude(const Ddg &ddg, const MachineConfig &machine,
+                         const GpPartitionerOptions &partitioner)
+    : ddg_(ddg), machine_(machine), partitioner_(partitioner)
+{
+}
+
+void
+LoopPrelude::computeBounds()
+{
+    // A throw inside call_once would leave the flag unset, and the
+    // next request would compute again; keeping the error instead
+    // computes once and hands it to every request.
+    std::call_once(boundsOnce_, [this] {
+        try {
+            mii_ = computeMii(ddg_, machine_);
+            // List-scheduling bound: once II reaches the flat
+            // schedule length, the kernel no longer overlaps
+            // iterations.
+            const LatencyTable &lat = machine_.latencies();
+            const IiAnalysis *at = ddg_.iiAnalysis(mii_, lat);
+            GPSCHED_ASSERT(at == nullptr || at->feasible,
+                           "MII analysis infeasible");
+            const int length =
+                at != nullptr
+                    ? at->scheduleLength
+                    : DdgAnalysis(ddg_, lat, mii_).scheduleLength();
+            maxIi_ = std::min(kMaxIiHardCap,
+                              std::max(mii_, length + kMaxIiSlack));
+        } catch (...) {
+            boundsError_ = std::current_exception();
+        }
+    });
+    if (boundsError_)
+        std::rethrow_exception(boundsError_);
+}
+
+int
+LoopPrelude::mii()
+{
+    computeBounds();
+    return mii_;
+}
+
+int
+LoopPrelude::maxIi()
+{
+    computeBounds();
+    return maxIi_;
+}
+
+void
+LoopPrelude::computePartition()
+{
+    const int ii = mii();
+    std::call_once(partitionOnce_, [this, ii] {
+        try {
+            GpPartitionResult result =
+                GpPartitioner(machine_, partitioner_).run(ddg_, ii);
+            partition_.emplace(std::move(result.partition));
+            iiBus_ = result.iiBus;
+        } catch (...) {
+            partitionError_ = std::current_exception();
+        }
+    });
+    if (partitionError_)
+        std::rethrow_exception(partitionError_);
+}
+
+const Partition &
+LoopPrelude::partitionAtMii()
+{
+    computePartition();
+    return *partition_;
+}
+
+int
+LoopPrelude::iiBusAtMii()
+{
+    computePartition();
+    return iiBus_;
+}
+
 LoopCompiler::LoopCompiler(const MachineConfig &machine,
                            SchedulerKind kind,
                            LoopCompilerOptions options)
@@ -156,43 +238,48 @@ LoopCompiler::LoopCompiler(const MachineConfig &machine,
 CompiledLoop
 LoopCompiler::compile(const Ddg &ddg) const
 {
+    LoopPrelude prelude(ddg, machine_, options_.partitioner);
+    return compile(ddg, prelude);
+}
+
+CompiledLoop
+LoopCompiler::compile(const Ddg &ddg, LoopPrelude &prelude) const
+{
+    GPSCHED_ASSERT(prelude.ddg().numNodes() == ddg.numNodes() &&
+                       prelude.machine().numClusters() ==
+                           machine_.numClusters() &&
+                       prelude.partitioner() == options_.partitioner,
+                   "prelude built for another loop, machine or "
+                   "partitioner");
     CompiledLoop out;
     out.loopName = ddg.name();
     out.ops = checkedCount(ddg, "operations", ddg.numNodes(),
                            ddg.tripCount());
 
-    // RecMII is the first reader of the graph's SCC decomposition
-    // (Ddg::sccs()), so computing it, when this compile is the
-    // graph's first, falls in the Mii phase.
+    // RecMII is the first reader of the graph's analyses, so
+    // computing them, when this compile is the graph's first, falls
+    // in the Mii phase; so does the prelude's first request.
     int mii = 0;
     int max_ii = 0;
     {
         GPSCHED_PHASE_SPAN(Mii);
-        mii = computeMii(ddg, machine_);
+        mii = prelude.mii();
+        max_ii = prelude.maxIi();
         out.mii = mii;
-
-        // List-scheduling bound: once II reaches the flat schedule
-        // length, the kernel no longer overlaps iterations.
-        DdgAnalysis base(ddg, machine_.latencies(), mii);
-        GPSCHED_ASSERT(base.feasible(), "MII analysis infeasible");
-        max_ii =
-            std::min(kMaxIiHardCap,
-                     std::max(mii, base.scheduleLength() +
-                                       kMaxIiSlack));
     }
 
     const bool partitioned = kind_ != SchedulerKind::Uracam &&
                              machine_.numClusters() > 1;
-    GpPartitioner partitioner(machine_, options_.partitioner);
-    GpPartitionResult part{Partition(ddg.numNodes(),
-                                     machine_.numClusters()),
-                           0,
-                           {}};
+    // The partition in force and its IIbus: the prelude's, until GP
+    // re-partitions into a partition of its own (IIbus > II).
+    const Partition *partition = nullptr;
+    int ii_bus = 0;
+    std::optional<GpPartitionResult> repartitioned;
     if (partitioned) {
-        part = partitioner.run(ddg, mii);
+        partition = &prelude.partitionAtMii();
+        ii_bus = prelude.iiBusAtMii();
         ++out.partitionRuns;
     }
-
     ClusterPolicy policy = ClusterPolicy::FreeChoice;
     if (kind_ == SchedulerKind::FixedPartition)
         policy = ClusterPolicy::AssignedOnly;
@@ -205,7 +292,7 @@ LoopCompiler::compile(const Ddg &ddg) const
     // tables and probe scratch keep their storage across IIs.
     std::vector<int> planned;
     if (partitioned)
-        planned = plannedMemOps(ddg, machine_, part.partition);
+        planned = plannedMemOps(ddg, machine_, *partition);
     PartialSchedule ps(ddg, machine_, mii, planned,
                        options_.transferCost);
 
@@ -214,15 +301,13 @@ LoopCompiler::compile(const Ddg &ddg) const
         ++out.scheduleAttempts;
         if (ii > mii)
             ps.reset(ii, planned);
-        const Partition *assignment =
-            partitioned ? &part.partition : nullptr;
         ClusterPolicy attempt_policy =
             partitioned ? policy : ClusterPolicy::FreeChoice;
         bool scheduled = false;
         {
             GPSCHED_PHASE_SPAN(ModuloSchedule);
             scheduled =
-                scheduler.schedule(ps, attempt_policy, assignment);
+                scheduler.schedule(ps, attempt_policy, partition);
         }
         if (scheduled) {
             out.moduloScheduled = true;
@@ -234,8 +319,7 @@ LoopCompiler::compile(const Ddg &ddg) const
             if (partitioned) {
                 out.partition.resize(ddg.numNodes());
                 for (NodeId v = 0; v < ddg.numNodes(); ++v)
-                    out.partition[v] =
-                        part.partition.clusterOf(v);
+                    out.partition[v] = partition->clusterOf(v);
             }
             out.cycles = std::max<std::int64_t>(
                 checkedCount(ddg, "cycles", ii, ddg.tripCount() - 1,
@@ -245,26 +329,32 @@ LoopCompiler::compile(const Ddg &ddg) const
             return out;
         }
         ++ii;
+        if (kind_ != SchedulerKind::Gp || !partitioned || ii > max_ii)
+            continue;
         // Figure 1(b): recompute the partition only when the bus
         // bound exceeds the new II — then a new partition can reduce
         // IIbus; otherwise keep the current one. The ablation
-        // policies force either extreme.
+        // policies force either extreme. A re-partition is this
+        // compile's own; only the one at the MII is shared.
         bool recompute = false;
         switch (options_.repartition) {
           case RepartitionPolicy::Never:
             break;
           case RepartitionPolicy::Selective:
-            recompute = part.iiBus > ii;
+            recompute = ii_bus > ii;
             break;
           case RepartitionPolicy::Always:
             recompute = true;
             break;
         }
-        if (kind_ == SchedulerKind::Gp && partitioned &&
-            ii <= max_ii && recompute) {
-            part = partitioner.run(ddg, ii);
+        if (recompute) {
+            repartitioned.emplace(
+                GpPartitioner(machine_, options_.partitioner)
+                    .run(ddg, ii));
+            partition = &repartitioned->partition;
+            ii_bus = repartitioned->iiBus;
             ++out.partitionRuns;
-            planned = plannedMemOps(ddg, machine_, part.partition);
+            planned = plannedMemOps(ddg, machine_, *partition);
         }
     }
 

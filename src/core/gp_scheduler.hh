@@ -29,6 +29,9 @@
 #define GPSCHED_CORE_GP_SCHEDULER_HH
 
 #include <cstdint>
+#include <exception>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -192,6 +195,70 @@ struct CompiledLoop
     std::vector<int> partition;
 };
 
+/**
+ * What the compiles of one loop on one machine share, whatever their
+ * scheme (Figure 1: the partition is computed at the MII before
+ * scheduling starts, and Fixed and GP both start from it): the MII,
+ * the II ceiling of the modulo search and the partition at the MII.
+ * Each is computed on its first request and at most once, and a
+ * CompileError it raises is rethrown to every later request.
+ * Thread-safe. A prelude is scratch state of one batch or one
+ * compile: never persisted and never part of a LoopKey.
+ */
+class LoopPrelude
+{
+  public:
+    /** The references must outlive the prelude. */
+    LoopPrelude(const Ddg &ddg, const MachineConfig &machine,
+                const GpPartitionerOptions &partitioner);
+
+    LoopPrelude(const LoopPrelude &) = delete;
+    LoopPrelude &operator=(const LoopPrelude &) = delete;
+
+    const Ddg &ddg() const { return ddg_; }
+    const MachineConfig &machine() const { return machine_; }
+    const GpPartitionerOptions &partitioner() const
+    {
+        return partitioner_;
+    }
+
+    /** max(ResMII, RecMII) (sched/mii.hh). */
+    int mii();
+
+    /**
+     * The largest II the modulo search tries before it falls back
+     * to list scheduling: the flat schedule length at the MII plus
+     * a small slack, capped.
+     */
+    int maxIi();
+
+    /** The partition at mii() (GpPartitioner::run). */
+    const Partition &partitionAtMii();
+
+    /** IIbus of partitionAtMii(). */
+    int iiBusAtMii();
+
+  private:
+    void computeBounds();
+    void computePartition();
+
+    const Ddg &ddg_;
+    const MachineConfig &machine_;
+    const GpPartitionerOptions &partitioner_;
+
+    std::once_flag boundsOnce_;
+    std::exception_ptr boundsError_;
+    int mii_ = 0;
+    int maxIi_ = 0;
+
+    // Only what a compile reads of the partitioner's result: a batch
+    // keeps one prelude per loop and machine until it ends.
+    std::once_flag partitionOnce_;
+    std::exception_ptr partitionError_;
+    std::optional<Partition> partition_;
+    int iiBus_ = 0;
+};
+
 /** Compiles loops for one machine with one scheme. */
 class LoopCompiler
 {
@@ -202,6 +269,16 @@ class LoopCompiler
 
     /** Compiles @p ddg and reports the outcome. */
     CompiledLoop compile(const Ddg &ddg) const;
+
+    /**
+     * Compiles @p ddg, reading the MII, the II ceiling and the
+     * partition at the MII from @p prelude, which must be built for
+     * @p ddg or a structurally identical loop, for this compiler's
+     * machine or an identical one, and for its partitioner options.
+     * The record equals compile(ddg)'s bit for bit; it still counts
+     * the MII partition in partitionRuns.
+     */
+    CompiledLoop compile(const Ddg &ddg, LoopPrelude &prelude) const;
 
     /** Scheme this compiler runs. */
     SchedulerKind kind() const { return kind_; }

@@ -87,14 +87,143 @@ Engine::Engine(EngineOptions options)
             "gpsched engine " + std::to_string(pid_));
 }
 
+class Engine::BatchPreludes
+{
+  public:
+    /** @p batch outlives this object, and so do its jobs, so a
+     *  prelude may keep references to a job's loop, machine and
+     *  options. */
+    explicit BatchPreludes(const std::vector<EngineJob> &batch)
+        : batch_(batch)
+    {
+    }
+
+    /**
+     * The prelude of @p job's loop, machine and partitioner options,
+     * created on first request. The first request of the batch also
+     * counts the batch's jobs per prelude; a batch served entirely
+     * from the caches never counts.
+     */
+    LoopPrelude &
+    of(const EngineJob &job)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!counted_.load())
+            count();
+        const Key key = keyOf(job);
+        Entry &entry = entries_.at(key);
+        if (!entry.prelude)
+            entry.prelude = std::make_unique<LoopPrelude>(
+                *key.loop, *key.machine, job.options.partitioner);
+        return *entry.prelude;
+    }
+
+    /**
+     * Marks @p job finished, whatever its path: the prelude of a
+     * key whose jobs have all finished is freed then, not at the end
+     * of the batch, so a large batch never holds every prelude at
+     * once. Jobs finished before the batch's first request were not
+     * counted down; their preludes live until the batch ends.
+     */
+    void
+    finished(const EngineJob &job)
+    {
+        if (!counted_.load())
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(keyOf(job));
+        if (it != entries_.end() && --it->second.pending == 0)
+            entries_.erase(it);
+    }
+
+  private:
+    /** A prelude's identity: the representatives of the job's loop
+     *  and machine, and its partitioner options. */
+    struct Key
+    {
+        const Ddg *loop;
+        const MachineConfig *machine;
+        GpPartitionerOptions partitioner;
+
+        bool operator==(const Key &other) const
+        {
+            return loop == other.loop && machine == other.machine &&
+                   partitioner == other.partitioner;
+        }
+    };
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &key) const noexcept
+        {
+            std::hash<const void *> hash;
+            return hash(key.loop) ^ (hash(key.machine) * 31);
+        }
+    };
+    struct Entry
+    {
+        /** Jobs of this key not yet finished. */
+        int pending = 0;
+        std::unique_ptr<LoopPrelude> prelude;
+    };
+
+    /**
+     * Picks the representatives, then counts the jobs per key.
+     * Structurally identical loops (machines) share the first of
+     * them in batch order as their representative (shapeBytes), so
+     * which of two identical jobs owns its LoopKey, which varies
+     * with the submission order and the worker count, never changes
+     * which preludes compute: the partitions a batch runs depend on
+     * its set of jobs alone.
+     */
+    void
+    count()
+    {
+        std::unordered_map<std::string, const Ddg *> loopShapes;
+        std::unordered_map<std::string, const MachineConfig *>
+            machineShapes;
+        auto represent = [](auto &representatives, auto &shapes,
+                            const auto *object) {
+            auto [it, added] =
+                representatives.try_emplace(object, object);
+            if (added)
+                it->second =
+                    shapes.try_emplace(shapeBytes(*object), object)
+                        .first->second;
+        };
+        for (const EngineJob &job : batch_) {
+            represent(loops_, loopShapes, job.loop);
+            represent(machines_, machineShapes, job.machine);
+            ++entries_[keyOf(job)].pending;
+        }
+        counted_.store(true);
+    }
+
+    Key
+    keyOf(const EngineJob &job) const
+    {
+        return Key{loops_.at(job.loop), machines_.at(job.machine),
+                   job.options.partitioner};
+    }
+
+    const std::vector<EngineJob> &batch_;
+    std::mutex mutex_;
+    std::atomic<bool> counted_{false};
+    std::unordered_map<const Ddg *, const Ddg *> loops_;
+    std::unordered_map<const MachineConfig *, const MachineConfig *>
+        machines_;
+    std::unordered_map<Key, Entry, KeyHash> entries_;
+};
+
 CompileResult
-Engine::runJob(const EngineJob &job)
+Engine::runJob(const EngineJob &job, BatchPreludes &preludes)
 {
     // compileMs and source are always recorded: two trace-clock
     // reads per job, independent of the telemetry options.
     std::uint64_t startNanos = traceNowNanos();
     CompileSource source = CompileSource::Compiled;
-    CompileResult result = runJobImpl(job, source);
+    CompileResult result = runJobImpl(job, preludes, source);
+    preludes.finished(job);
     result.source = source;
     result.compileMs =
         static_cast<double>(traceNowNanos() - startNanos) * 1e-6;
@@ -102,23 +231,26 @@ Engine::runJob(const EngineJob &job)
 }
 
 CompileResult
-Engine::runJobImpl(const EngineJob &job, CompileSource &source)
+Engine::runJobImpl(const EngineJob &job, BatchPreludes &preludes,
+                   CompileSource &source)
 {
     GPSCHED_ASSERT(job.loop != nullptr && job.machine != nullptr,
                    "engine job without loop or machine");
     jobsSubmitted_->add();
 
-    // Runs compiler.compile under this job's telemetry context so
-    // GPSCHED_PHASE_SPAN sites attribute into a job-local trace,
-    // brackets the whole compile for the "compile" Chrome span and
-    // the whole-compile totals, and merges the trace into
-    // phaseTotals(). With telemetry off this reduces to the plain
-    // compile call, whose spans reach the caller's ambient context.
+    // Runs compiler.compile on the job's prelude under this job's
+    // telemetry context so GPSCHED_PHASE_SPAN sites attribute into a
+    // job-local trace (the first job of a prelude gets its MII and
+    // partition phases), brackets the whole compile for the
+    // "compile" Chrome span and the whole-compile totals, and merges
+    // the trace into phaseTotals(). With telemetry off this reduces
+    // to the plain compile call, whose spans reach the caller's
+    // ambient context.
     auto tracedCompile = [&](LoopCompiler &compiler) {
         TraceSink *sink = options_.trace;
         const bool collect = options_.collectPhases || sink != nullptr;
         if (!collect)
-            return compiler.compile(*job.loop);
+            return compiler.compile(*job.loop, preludes.of(job));
         CompileTrace trace;
         TelemetryContext ctx;
         ctx.trace = &trace;
@@ -153,7 +285,8 @@ Engine::runJobImpl(const EngineJob &job, CompileSource &source)
             }
         };
         try {
-            CompiledLoop compiled = compiler.compile(*job.loop);
+            CompiledLoop compiled =
+                compiler.compile(*job.loop, preludes.of(job));
             finish(true);
             return compiled;
         } catch (...) {
@@ -288,9 +421,10 @@ std::vector<CompileResult>
 Engine::compileBatch(const std::vector<EngineJob> &batch)
 {
     std::vector<CompileResult> results(batch.size());
+    BatchPreludes preludes(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        pool_.submit([this, &batch, &results, i] {
-            results[i] = runJob(batch[i]);
+        pool_.submit([this, &batch, &results, &preludes, i] {
+            results[i] = runJob(batch[i], preludes);
         });
     }
     pool_.wait();

@@ -15,14 +15,20 @@
  * compiled with 1 job and with N jobs produces bit-identical
  * schedules.
  *
+ * Within one batch, the jobs of one loop on one machine share a
+ * LoopPrelude (core/gp_scheduler.hh): whatever their scheme, they
+ * compute the MII and the partition at the MII once. A prelude lives
+ * at most as long as its batch call.
+ *
  * Failures are per-loop, never per-batch: a job whose input is
  * rejected (CompileError, support/compile_error.hh) yields a
  * CompileResult carrying the diagnostic in its submission slot while
  * every other job completes normally. Failed compiles leave no
  * entry in the result table and nothing on disk (errors are not
  * negatively cached — a retry of the same key recompiles), and
- * duplicates coalesced onto a failing owner observe the owner's
- * error re-labelled with their own loop name.
+ * duplicates coalesced onto a failing owner, like the jobs sharing a
+ * failing prelude, observe the error re-labelled with their own loop
+ * name.
  */
 
 #ifndef GPSCHED_ENGINE_ENGINE_HH
@@ -222,8 +228,20 @@ class Engine
     const DiskCache *diskCache() const { return disk_.get(); }
 
   private:
-    CompileResult runJob(const EngineJob &job);
+    /**
+     * The LoopPreludes of one compileBatch call (engine.cc): one per
+     * (loop, machine, partitioner options) among the jobs that
+     * compile, structurally identical loops and machines counting as
+     * one, created by the first of them and freed once every job of
+     * its key has finished (at the latest with the batch), so the
+     * schemes of one loop on one machine compute its MII and its
+     * partition at the MII once.
+     */
+    class BatchPreludes;
+
+    CompileResult runJob(const EngineJob &job, BatchPreludes &preludes);
     CompileResult runJobImpl(const EngineJob &job,
+                             BatchPreludes &preludes,
                              CompileSource &source);
 
     EngineOptions options_;

@@ -26,8 +26,9 @@ zigzag(std::int64_t value)
  * fixed lengths. So two jobs share a canonical string only if they
  * agree on every field.
  *
- * makeLoopKey runs the field sequence twice: SizeEncoder measures
- * it, then WriteEncoder fills a string of exactly that size.
+ * makeLoopKey (and shapeBytes) run the field sequence twice:
+ * SizeEncoder measures it, then WriteEncoder fills a string of
+ * exactly that size.
  */
 class SizeEncoder
 {
@@ -172,7 +173,10 @@ hexDigest(std::uint64_t digest, int digits)
     return out;
 }
 
-LoopKey
+// Flattened: the encoders have a second caller (shapeBytes), which
+// would otherwise leave them out of line here, on the largest cost
+// of a warm cache hit.
+[[gnu::flatten]] LoopKey
 makeLoopKey(const Ddg &ddg, const MachineConfig &machine,
             SchedulerKind kind, const LoopCompilerOptions &options)
 {
@@ -185,6 +189,37 @@ makeLoopKey(const Ddg &ddg, const MachineConfig &machine,
     encodeJob(write, ddg, machine, kind, options);
     key.digest = fnv1a64(key.canonical);
     return key;
+}
+
+namespace
+{
+
+/** The canonical bytes @p encode writes: measured, then written. */
+template <typename Encode>
+std::string
+canonicalString(const Encode &encode)
+{
+    SizeEncoder size;
+    encode(size);
+    std::string out(size.size(), '\0');
+    WriteEncoder write(out.data());
+    encode(write);
+    return out;
+}
+
+} // namespace
+
+std::string
+shapeBytes(const Ddg &ddg)
+{
+    return canonicalString([&](auto &enc) { encodeDdg(enc, ddg); });
+}
+
+std::string
+shapeBytes(const MachineConfig &machine)
+{
+    return canonicalString(
+        [&](auto &enc) { encodeMachine(enc, machine); });
 }
 
 } // namespace gpsched

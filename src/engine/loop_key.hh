@@ -57,6 +57,15 @@ LoopKey makeLoopKey(const Ddg &ddg, const MachineConfig &machine,
                     SchedulerKind kind,
                     const LoopCompilerOptions &options);
 
+/**
+ * The canonical bytes a LoopKey encodes for @p ddg (structure and
+ * trip count, no names) or for @p machine: equal bytes, equal
+ * compiles. The engine uses them to treat structurally identical
+ * loops and machines of one batch as one.
+ */
+std::string shapeBytes(const Ddg &ddg);
+std::string shapeBytes(const MachineConfig &machine);
+
 /** FNV-1a over @p size bytes at @p data. */
 std::uint64_t fnv1a64(const char *data, std::size_t size);
 

@@ -34,6 +34,8 @@ using EdgeId = std::int32_t;
 constexpr NodeId invalidNode = -1;
 
 struct SccDecomposition;
+struct SmsNodeSets;
+struct IiAnalysis;
 
 /**
  * Bounds on loops read from outside the program, shared by the text
@@ -93,8 +95,8 @@ struct DdgEdge
 
 /**
  * Immutable-after-construction dependence graph of one loop,
- * together with its profiled trip count and, once asked for, its
- * strongly connected components.
+ * together with its profiled trip count and, once asked for, the
+ * analyses that depend on the graph alone.
  */
 class Ddg
 {
@@ -169,37 +171,69 @@ class Ddg
     /** Sum of FU occupancy of ops of @p cls under @p latencies. */
     int totalOccupancy(FuClass cls, const LatencyTable &latencies) const;
 
+    // The graph owns its machine-independent analyses: one slot,
+    // installed on the first call of any accessor below and kept
+    // until addNode() or addEdge() changes the topology (a new trip
+    // count keeps it). Every accessor is safe to call from several
+    // threads on one shared const graph: racing first uses each
+    // compute, the first to install wins, and the returned
+    // references stay valid until the topology changes. A copy
+    // starts without the slot; a move takes it along and leaves the
+    // source without one. The slot is never part of a graph's
+    // fingerprint (engine/loop_key.hh) and never persisted.
+
     /**
      * The graph's SCC decomposition (graph/scc.hh), which RecMII,
      * every longest-path analysis, SMS ordering, the edge weights
-     * and the partition estimator read. Computed on first use and
-     * kept until addNode() or addEdge() changes the topology (a new
-     * trip count keeps it). Safe to call from several threads on one
-     * shared const graph: racing first uses each compute one, and
-     * the first to install it wins. A copy starts without one; a
-     * move takes it along and leaves the source without one.
+     * and the partition estimator read.
      */
     const SccDecomposition &sccs() const;
 
+    /**
+     * The graph-only RecMII, recMii(*this) (graph/ddg_analysis.hh),
+     * computed on first use. Throws its CompileError on every call
+     * for a loop no II can satisfy.
+     */
+    int recMii() const;
+
+    /** The SMS node sets, computeSmsNodeSets(*this)
+     *  (sched/sms_order.hh), computed on first use. */
+    const SmsNodeSets &smsNodeSets() const;
+
+    /**
+     * The analysis a modulo-scheduling attempt at @p ii reads
+     * (sched/sms_order.hh: feasibility, ASAP, flat length and SMS
+     * order), computed on the first request for @p ii. Entries are
+     * kept for the node-latency table of the slot's first request
+     * only: for a table that differs from it this returns nullptr
+     * and the caller runs analyzeIi() itself. A lookup of an
+     * installed entry allocates nothing.
+     */
+    const IiAnalysis *iiAnalysis(int ii,
+                                 const LatencyTable &latencies) const;
+
   private:
-    /** Owner of the lazily installed decomposition. */
-    class SccCache
+    /** The slot's contents (ddg.cc). */
+    struct Analyses;
+
+    /** Owner of the lazily installed analyses. */
+    class AnalysisSlot
     {
       public:
-        SccCache() = default;
-        SccCache(const SccCache &) noexcept {}
-        SccCache(SccCache &&other) noexcept
+        AnalysisSlot() = default;
+        AnalysisSlot(const AnalysisSlot &) noexcept {}
+        AnalysisSlot(AnalysisSlot &&other) noexcept
             : installed(other.installed.exchange(nullptr))
         {
         }
-        SccCache &
-        operator=(const SccCache &) noexcept
+        AnalysisSlot &
+        operator=(const AnalysisSlot &) noexcept
         {
             reset();
             return *this;
         }
-        SccCache &
-        operator=(SccCache &&other) noexcept
+        AnalysisSlot &
+        operator=(AnalysisSlot &&other) noexcept
         {
             if (this != &other) {
                 reset();
@@ -207,13 +241,16 @@ class Ddg
             }
             return *this;
         }
-        ~SccCache() { reset(); }
+        ~AnalysisSlot() { reset(); }
 
-        /** Drops the decomposition (not thread-safe). */
+        /** Drops the analyses (not thread-safe). */
         void reset() noexcept;
 
-        std::atomic<const SccDecomposition *> installed{nullptr};
+        std::atomic<Analyses *> installed{nullptr};
     };
+
+    /** The slot's contents, installed on first use. */
+    Analyses &analyses() const;
 
     std::string name_;
     std::int64_t tripCount_ = 100;
@@ -221,7 +258,7 @@ class Ddg
     std::vector<DdgEdge> edges_;
     std::vector<std::vector<EdgeId>> outEdges_;
     std::vector<std::vector<EdgeId>> inEdges_;
-    mutable SccCache sccs_;
+    mutable AnalysisSlot analyses_;
 };
 
 } // namespace gpsched

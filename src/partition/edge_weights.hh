@@ -39,6 +39,12 @@ struct EdgeWeightOptions
 {
     bool useDelayTerm = true; ///< include delay(e)*(maxsl+1)
     bool useSlackTerm = true; ///< include maxsl - slack(e)
+
+    bool operator==(const EdgeWeightOptions &other) const
+    {
+        return useDelayTerm == other.useDelayTerm &&
+               useSlackTerm == other.useSlackTerm;
+    }
 };
 
 /**

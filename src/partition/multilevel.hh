@@ -44,6 +44,13 @@ struct GpPartitionerOptions
     /** Steer refinement away from register-overflowing partitions
      *  (the paper's Section-4.2 future-work heuristic). */
     bool registerAware = false;
+
+    bool operator==(const GpPartitionerOptions &other) const
+    {
+        return matching == other.matching &&
+               edgeWeights == other.edgeWeights &&
+               registerAware == other.registerAware;
+    }
 };
 
 /** Result of one partitioning run. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/ddg_analysis.hh"
 #include "support/compile_error.hh"
 #include "support/logging.hh"
 
@@ -55,7 +54,7 @@ computeMii(const Ddg &ddg, const MachineConfig &machine)
                 "workload was generated with)");
         }
     }
-    return std::max(resMii(ddg, machine), recMii(ddg));
+    return std::max(resMii(ddg, machine), ddg.recMii());
 }
 
 } // namespace gpsched

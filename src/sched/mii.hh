@@ -5,7 +5,8 @@
  * ResMII is resource-limited (total FU occupancy of each class over
  * the machine-wide units of that class — the partition-independent
  * lower bound the GP scheme feeds to the partitioner); RecMII is
- * recurrence-limited (graph/ddg_analysis).
+ * recurrence-limited (graph/ddg_analysis), read from the graph's
+ * analyses (Ddg::recMii()).
  */
 
 #ifndef GPSCHED_SCHED_MII_HH

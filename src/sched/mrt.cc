@@ -237,8 +237,11 @@ ModuloReservationTable::firstFit(int from, int to, int occupancy) const
         return INT_MIN;
     const int step = from <= to ? 1 : -1;
     if (occupancy >= ii_ || words_ > kInlineWords) {
-        // Multiplicity (or oversized-table) path: plain scan.
-        for (int c = from;; c += step) {
+        // Multiplicity (or oversized-table) path: plain scan. A
+        // verdict depends on the cycle's kernel slot alone, so the
+        // first II cycles decide the whole window.
+        int left = ii_;
+        for (int c = from; left > 0; c += step, --left) {
             if (canReserve(c, occupancy))
                 return c;
             if (c == to)

@@ -441,6 +441,11 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
     }
 
     // Communication through memory: earliest store, latest load.
+    // Only the earliest feasible store is worth a load probe. The
+    // load window [st + lat_st, use - lat_ld] only shrinks as st
+    // grows (the ranges ascend), and the destination's claims do not
+    // depend on st, so when no load fits after the earliest store,
+    // none fits after a later one.
     const ModuloReservationTable &home_mem = fu(home, FuClass::Mem);
     const ModuloReservationTable &dest_mem =
         fu(dest_cluster, FuClass::Mem);
@@ -448,23 +453,19 @@ PartialSchedule::planTransfer(NodeId producer, int dest_cluster,
         homeReadRanges(vs, ready, use - lat_ld - lat_st);
     for (int i = 0; i < mem_ranges.n; ++i) {
         const auto [lo, hi] = mem_ranges.r[i];
-        int st = lo;
-        while (st <= hi) {
-            st = findSlot(home_mem, st, hi, occ_st, claimed_home_mem,
-                          ign_home_cycle, ign_home_occ);
-            if (st == INT_MIN)
-                break;
-            int ld = findSlot(dest_mem, use - lat_ld, st + lat_st,
-                              occ_ld, claimed_dest_mem, ign_dest_cycle,
-                              ign_dest_occ);
-            if (ld != INT_MIN) {
-                out.transfer = Transfer{producer, dest_cluster, false,
-                                        0, 0, st, ld, st,
-                                        ld + lat_ld};
-                return true;
-            }
-            ++st;
-        }
+        const int st = findSlot(home_mem, lo, hi, occ_st,
+                                claimed_home_mem, ign_home_cycle,
+                                ign_home_occ);
+        if (st == INT_MIN)
+            continue;
+        const int ld = findSlot(dest_mem, use - lat_ld, st + lat_st,
+                                occ_ld, claimed_dest_mem,
+                                ign_dest_cycle, ign_dest_occ);
+        if (ld == INT_MIN)
+            return false;
+        out.transfer = Transfer{producer, dest_cluster, false, 0, 0,
+                                st, ld, st, ld + lat_ld};
+        return true;
     }
     return false;
 }

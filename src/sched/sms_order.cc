@@ -305,4 +305,21 @@ smsOrder(const Ddg &ddg, const DdgAnalysis &analysis,
     return order;
 }
 
+IiAnalysis
+analyzeIi(const Ddg &ddg, const LatencyTable &latencies, int ii)
+{
+    IiAnalysis out;
+    out.ii = ii;
+    DdgAnalysis analysis(ddg, latencies, ii);
+    out.feasible = analysis.feasible();
+    if (!out.feasible)
+        return out;
+    out.scheduleLength = analysis.scheduleLength();
+    out.asap.resize(ddg.numNodes());
+    for (NodeId v = 0; v < ddg.numNodes(); ++v)
+        out.asap[v] = analysis.asap(v);
+    out.order = smsOrder(ddg, analysis, ddg.smsNodeSets());
+    return out;
+}
+
 } // namespace gpsched

@@ -18,10 +18,11 @@
  *
  * The grouping (SCCs, per-recurrence RecMII, path augmentation) is a
  * property of the graph alone, while the sweep priorities depend on
- * the candidate II. Schedulers probe many IIs over one DDG, so the
- * grouping is exposed separately (computeSmsNodeSets) for reuse
- * across attempts — the per-recurrence RecMII subgraph searches
- * dominated scheduling profiles when recomputed per attempt.
+ * the candidate II and the node latencies. Neither depends on the
+ * machine's clusters or on the scheme, so the graph keeps them:
+ * Ddg::smsNodeSets() holds the grouping and Ddg::iiAnalysis() one
+ * IiAnalysis per II, which every attempt of every scheme on every
+ * machine with the same latency table reads.
  */
 
 #ifndef GPSCHED_SCHED_SMS_ORDER_HH
@@ -52,6 +53,35 @@ SmsNodeSets computeSmsNodeSets(const Ddg &ddg);
 std::vector<NodeId> smsOrder(const Ddg &ddg,
                              const DdgAnalysis &analysis,
                              const SmsNodeSets &sets);
+
+/**
+ * What a modulo-scheduling attempt at one II reads of the graph
+ * alone, for one node-latency table: whether the II satisfies every
+ * dependence cycle, the ASAP start of each node, the flat schedule
+ * length and the SMS order. Immutable once built.
+ */
+struct IiAnalysis
+{
+    int ii = 0;
+
+    /** False when a dependence cycle is positive at this II; the
+     *  fields below are then empty. */
+    bool feasible = false;
+
+    /** Flat (one-iteration) schedule length at ASAP. */
+    int scheduleLength = 0;
+
+    /** Earliest start of each node, indexed by NodeId. */
+    std::vector<int> asap;
+
+    /** SMS scheduling order of every node. */
+    std::vector<NodeId> order;
+};
+
+/** Analyzes @p ddg at @p ii under @p latencies, reading
+ *  ddg.smsNodeSets(). Ddg::iiAnalysis() keeps its results. */
+IiAnalysis analyzeIi(const Ddg &ddg, const LatencyTable &latencies,
+                     int ii);
 
 } // namespace gpsched
 

@@ -1,6 +1,7 @@
 #include "sched/uracam.hh"
 
 #include <climits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,7 +31,7 @@ bool
 ModuloScheduler::placeNode(PartialSchedule &ps, NodeId v,
                            ClusterPolicy policy,
                            const Partition *assignment,
-                           const DdgAnalysis &analysis,
+                           const IiAnalysis &analysis,
                            bool deviate) const
 {
     const int ii = ps.ii();
@@ -68,7 +69,7 @@ ModuloScheduler::placeNode(PartialSchedule &ps, NodeId v,
     const int span = ii + extra;
     int from, to;
     if (!any_pred && !any_succ) {
-        from = analysis.asap(v);
+        from = analysis.asap[v];
         to = from + ii - 1;
     } else if (any_pred && !any_succ) {
         from = early;
@@ -132,12 +133,14 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
 {
     GPSCHED_ASSERT(ps.numScheduled() == 0,
                    "schedule into a non-empty partial schedule");
-    if (analysis_)
-        analysis_->recompute(ps.ii());
-    else
-        analysis_.emplace(ddg_, machine_.latencies(), ps.ii());
-    const DdgAnalysis &analysis = *analysis_;
-    if (!analysis.feasible())
+    // The graph keeps one analysis per II for its first latency
+    // table; a machine with another table analyzes its own.
+    const LatencyTable &lat = machine_.latencies();
+    std::optional<IiAnalysis> local;
+    const IiAnalysis *analysis = ddg_.iiAnalysis(ps.ii(), lat);
+    if (analysis == nullptr)
+        analysis = &local.emplace(analyzeIi(ddg_, lat, ps.ii()));
+    if (!analysis->feasible)
         return false;
 
     // Section 3.3.3: after a placement the transformations are
@@ -150,17 +153,14 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
             TransformEngine::run(ps);
     };
 
-    if (!smsSets_)
-        smsSets_.emplace(computeSmsNodeSets(ddg_));
-    std::vector<NodeId> order = smsOrder(ddg_, analysis, *smsSets_);
-    for (NodeId v : order) {
-        if (placeNode(ps, v, policy, assignment, analysis, false)) {
+    for (NodeId v : analysis->order) {
+        if (placeNode(ps, v, policy, assignment, *analysis, false)) {
             relieveNearCritical();
             continue;
         }
         // Shift pressure between resource types and retry once.
         if (TransformEngine::run(ps) > 0 &&
-            placeNode(ps, v, policy, assignment, analysis, false))
+            placeNode(ps, v, policy, assignment, *analysis, false))
             continue;
         // GP only: the assigned cluster is beyond saving at this II,
         // so deviate from the partition (Figure 1, alternative (b)).
@@ -170,7 +170,7 @@ ModuloScheduler::schedule(PartialSchedule &ps, ClusterPolicy policy,
         // that trajectory either, because deviation only happens once
         // it is already dead at this II.
         if (policy == ClusterPolicy::PreferAssigned &&
-            placeNode(ps, v, policy, assignment, analysis, true)) {
+            placeNode(ps, v, policy, assignment, *analysis, true)) {
             relieveNearCritical();
             continue;
         }

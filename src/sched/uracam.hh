@@ -31,10 +31,7 @@
 #ifndef GPSCHED_SCHED_URACAM_HH
 #define GPSCHED_SCHED_URACAM_HH
 
-#include <optional>
-
 #include "graph/ddg.hh"
-#include "graph/ddg_analysis.hh"
 #include "machine/machine.hh"
 #include "partition/partition.hh"
 #include "sched/schedule.hh"
@@ -61,6 +58,8 @@ class ModuloScheduler
     /**
      * Attempts a complete schedule into the fresh schedule @p ps
      * (constructed for the same DDG/machine and the candidate II).
+     * Nodes are visited in the SMS order of the graph's analysis at
+     * that II (Ddg::iiAnalysis()).
      *
      * @param policy cluster-selection policy
      * @param assignment node-to-cluster map; required for
@@ -73,17 +72,6 @@ class ModuloScheduler
   private:
     const Ddg &ddg_;
     const MachineConfig &machine_;
-
-    // The DDG is fixed for the scheduler's lifetime while the driver
-    // probes many IIs, so the II-independent SMS node grouping (with
-    // its per-recurrence RecMII searches) is computed once and
-    // reused by every attempt. It is built lazily in schedule(),
-    // hence mutable; one scheduler is only ever driven from a single
-    // compile thread.
-    mutable std::optional<SmsNodeSets> smsSets_;
-
-    /** Longest-path analysis, recomputed in place per attempt. */
-    mutable std::optional<DdgAnalysis> analysis_;
 
     /**
      * Placement plans reused by every placeNode() probe: the current
@@ -101,7 +89,7 @@ class ModuloScheduler
      */
     bool placeNode(PartialSchedule &ps, NodeId v, ClusterPolicy policy,
                    const Partition *assignment,
-                   const DdgAnalysis &analysis,
+                   const IiAnalysis &analysis,
                    bool deviate) const;
 };
 

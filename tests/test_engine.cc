@@ -519,6 +519,130 @@ TEST(Engine, ConcurrentFirstUseOfSharedSccsMatchesSerial)
 }
 
 /**
+ * Within one batch the URACAM, Fixed and GP jobs of one loop on one
+ * machine share a LoopPrelude: each compile still opens its Mii
+ * phase, but the partitioner runs once, at the MII, and each record
+ * equals the one a one-job batch compiles on a fresh graph (Fixed
+ * and GP each still count the MII partition in partitionRuns).
+ */
+TEST(Engine, SchemesOfOneLoopShareOneMiiPartition)
+{
+    LatencyTable lat;
+    const Ddg loop = gpsched::testing::diamondLoop(lat);
+    const MachineConfig m = twoClusterConfig(32, 1);
+    const SchedulerKind kinds[] = {SchedulerKind::Uracam,
+                                   SchedulerKind::FixedPartition,
+                                   SchedulerKind::Gp};
+    std::vector<EngineJob> batch;
+    for (SchedulerKind kind : kinds)
+        batch.push_back(EngineJob{&loop, &m, kind, {}});
+
+    EngineOptions options = gpsched::testing::oneJobOptions();
+    options.collectPhases = true;
+    Engine engine(options);
+    std::vector<CompiledLoop> shared =
+        gpsched::testing::unwrapAll(engine.compileBatch(batch));
+    const CompileTrace phases = engine.phaseTotals();
+    EXPECT_EQ(phases.phase(CompilePhase::Mii).count, 3u);
+    EXPECT_EQ(phases.phase(CompilePhase::Coarsen).count, 1u);
+    EXPECT_EQ(phases.phase(CompilePhase::InitialPartition).count, 1u);
+    ASSERT_EQ(shared.size(), 3u);
+    EXPECT_EQ(shared[0].partitionRuns, 0);
+    EXPECT_EQ(shared[1].partitionRuns, 1);
+    EXPECT_EQ(shared[2].partitionRuns, 1);
+
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Ddg fresh = loop; // a copy computes its own analyses
+        Engine alone(gpsched::testing::oneJobOptions());
+        CompiledLoop one = gpsched::testing::unwrapOne(
+            compileOne(alone, EngineJob{&fresh, &m, kinds[i], {}}));
+        EXPECT_EQ(scheduleDigest(shared[i]), scheduleDigest(one))
+            << toString(kinds[i]);
+    }
+}
+
+/**
+ * Of two structurally identical jobs, the one first to reach the
+ * result table compiles, so the owners vary with the submission
+ * order (and, with workers, with timing). The partitions a batch
+ * runs must not: identical loops share one prelude, so the MII
+ * partition runs once in either order below, although with the
+ * first order the Fixed owner compiles loop a and the GP owner
+ * loop b.
+ */
+TEST(Engine, IdenticalLoopsShareOnePreludeWhateverTheOrder)
+{
+    LatencyTable lat;
+    const Ddg a = gpsched::testing::diamondLoop(lat);
+    const Ddg b = a;
+    const MachineConfig m = twoClusterConfig(32, 1);
+    const EngineJob aFixed{&a, &m, SchedulerKind::FixedPartition, {}};
+    const EngineJob aGp{&a, &m, SchedulerKind::Gp, {}};
+    const EngineJob bFixed{&b, &m, SchedulerKind::FixedPartition, {}};
+    const EngineJob bGp{&b, &m, SchedulerKind::Gp, {}};
+
+    for (const std::vector<EngineJob> &batch :
+         {std::vector<EngineJob>{aFixed, bGp, aGp, bFixed},
+          std::vector<EngineJob>{aFixed, aGp, bFixed, bGp}}) {
+        EngineOptions options = gpsched::testing::oneJobOptions();
+        options.collectPhases = true;
+        Engine engine(options);
+        std::vector<CompiledLoop> loops =
+            gpsched::testing::unwrapAll(engine.compileBatch(batch));
+        EXPECT_EQ(engine.metrics().counterValue("engine.cacheMisses"),
+                  2u);
+        EXPECT_EQ(engine.phaseTotals()
+                      .phase(CompilePhase::Coarsen)
+                      .count,
+                  1u);
+        for (const CompiledLoop &loop : loops)
+            EXPECT_EQ(loop.partitionRuns, 1);
+    }
+}
+
+/**
+ * The racing first uses of a batch's preludes and of the graphs'
+ * analyses (Ddg::iiAnalysis() and the rest of the graph's slot):
+ * 4 workers start on fresh graphs whose Fixed and GP jobs for each
+ * machine sit side by side, so two workers ask for each prelude's
+ * MII and MII partition at once while others ask for the same
+ * loop's per-II analyses. Every schedule must equal the 1-worker
+ * run's. CI's nightly TSan step runs this test.
+ */
+TEST(Engine, ConcurrentFirstUseOfSharedPreludesMatchesSerial)
+{
+    LatencyTable lat;
+    std::vector<Program> suite = specFp95Suite(lat);
+    suite.resize(3);
+    const MachineConfig machines[] = {twoClusterConfig(32, 1),
+                                      fourClusterConfig(32, 2)};
+
+    auto digestAt = [&](int jobs) {
+        std::vector<Program> fresh = suite;
+        std::vector<EngineJob> batch;
+        for (const Program &program : fresh) {
+            for (const Ddg &loop : program.loops) {
+                for (const MachineConfig &m : machines) {
+                    for (SchedulerKind kind :
+                         {SchedulerKind::FixedPartition,
+                          SchedulerKind::Gp})
+                        batch.push_back(EngineJob{&loop, &m, kind, {}});
+                }
+            }
+        }
+        EngineOptions options;
+        options.jobs = jobs;
+        Engine engine(options);
+        std::uint64_t digest = 0;
+        for (const CompiledLoop &loop : gpsched::testing::unwrapAll(
+                 engine.compileBatch(batch)))
+            digest = scheduleDigest(loop, digest);
+        return digest;
+    };
+    EXPECT_EQ(digestAt(4), digestAt(1));
+}
+
+/**
  * The determinism regression: the full synthetic SPECfp95 suite
  * compiled with jobs=1 and jobs=8 must produce bit-identical
  * compiled records (scheduleDigest: metrics, placements, transfers)
@@ -803,6 +927,45 @@ TEST(Engine, MixedBatchIsolatesTheFailure)
     MetricRegistry exported;
     engine.exportStats(exported);
     EXPECT_EQ(exported.gauge("engine.cacheSize").value(), 2);
+}
+
+/**
+ * A CompileError raised by a prelude's MII reaches every job that
+ * shares the prelude, each under its own job's loop name, while a
+ * job of another machine (another prelude) still compiles.
+ */
+TEST(Engine, PreludeErrorReachesEveryJobSharingIt)
+{
+    LatencyTable lat;
+    MachineConfig m = fourClusterConfig(64, 1);
+    Ddg bad = latencyMismatchLoop("bad");
+    Ddg good = gpsched::testing::diamondLoop(lat);
+
+    EngineOptions options;
+    options.jobs = 4;
+    Engine engine(options);
+    std::vector<EngineJob> batch = {
+        EngineJob{&bad, &m, SchedulerKind::Uracam, {}},
+        EngineJob{&bad, &m, SchedulerKind::FixedPartition, {}},
+        EngineJob{&good, &m, SchedulerKind::Gp, {}},
+        EngineJob{&bad, &m, SchedulerKind::Gp, {}},
+    };
+    std::vector<CompileResult> results = engine.compileBatch(batch);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_TRUE(results[2].ok());
+    for (std::size_t i : {0u, 1u, 3u}) {
+        ASSERT_FALSE(results[i].ok()) << "job " << i;
+        EXPECT_EQ(results[i].error->kind(),
+                  CompileErrorKind::InvalidInput);
+        EXPECT_EQ(results[i].error->loopName(), "bad");
+        EXPECT_EQ(std::string(results[i].error->what()),
+                  std::string(results[0].error->what()));
+        EXPECT_NE(std::string(results[i].error->what())
+                      .find("promises latency"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(engine.metrics().counterValue("engine.failed"), 3u);
+    EXPECT_EQ(engine.metrics().counterValue("engine.cacheMisses"), 4u);
 }
 
 // --- the engine's counter store -------------------------------------

@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for the Tarjan SCC decomposition and its recurrence
- * classification.
+ * classification, and for the slot that keeps a graph's analyses.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
+#include "graph/ddg_analysis.hh"
 #include "graph/scc.hh"
+#include "sched/sms_order.hh"
+#include "support/compile_error.hh"
+#include "testing/heap_count.hh"
 
 using namespace gpsched;
 
@@ -25,6 +30,15 @@ chain3()
     NodeId c = g.addNode(Opcode::IAlu);
     g.addEdge(a, b, 1);
     g.addEdge(b, c, 1);
+    return g;
+}
+
+/** Ring a -> b -> c -> a, carried on the closing edge: RecMII 3. */
+Ddg
+ring3()
+{
+    Ddg g = chain3();
+    g.addEdge(2, 0, 1, 1);
     return g;
 }
 
@@ -184,4 +198,114 @@ TEST(Scc, CopiedGraphComputesItsOwnDecompositionAndMovedOneKeepsIt)
     g = chain3();
     g.addEdge(2, 0, 1, 1);
     EXPECT_EQ(g.sccs().numComponents(), 1);
+}
+
+TEST(GraphAnalyses, SlotKeepsEveryAnalysisUntilTheTopologyChanges)
+{
+    LatencyTable lat;
+    Ddg g = ring3();
+    EXPECT_EQ(g.recMii(), 3);
+    EXPECT_EQ(g.recMii(), recMii(g));
+    const SmsNodeSets &sets = g.smsNodeSets();
+    EXPECT_EQ(sets.sets, computeSmsNodeSets(g).sets);
+
+    const IiAnalysis *at3 = g.iiAnalysis(3, lat);
+    ASSERT_NE(at3, nullptr);
+    DdgAnalysis reference(g, lat, 3);
+    EXPECT_TRUE(at3->feasible);
+    EXPECT_EQ(at3->ii, 3);
+    EXPECT_EQ(at3->scheduleLength, reference.scheduleLength());
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        EXPECT_EQ(at3->asap[v], reference.asap(v));
+    EXPECT_EQ(at3->order, smsOrder(g, reference, sets));
+    EXPECT_EQ(g.iiAnalysis(3, lat), at3);
+    const IiAnalysis *at4 = g.iiAnalysis(4, lat);
+    ASSERT_NE(at4, nullptr);
+    EXPECT_EQ(at4->ii, 4);
+    EXPECT_FALSE(g.iiAnalysis(2, lat)->feasible);
+
+    // A new trip count keeps every analysis.
+    g.setTripCount(7);
+    EXPECT_EQ(&g.smsNodeSets(), &sets);
+    EXPECT_EQ(g.iiAnalysis(3, lat), at3);
+    EXPECT_EQ(g.iiAnalysis(4, lat), at4);
+
+    // A slower carried edge drops them: RecMII grows to 7, so II 3
+    // no longer satisfies the ring.
+    g.addEdge(2, 0, 5, 1);
+    EXPECT_EQ(g.recMii(), 7);
+    EXPECT_FALSE(g.iiAnalysis(3, lat)->feasible);
+    EXPECT_TRUE(g.iiAnalysis(7, lat)->feasible);
+}
+
+TEST(GraphAnalyses, CopyStartsEmptyAndMoveCarriesTheSlot)
+{
+    LatencyTable lat;
+    Ddg g = ring3();
+    const SmsNodeSets &sets = g.smsNodeSets();
+    const IiAnalysis *at3 = g.iiAnalysis(3, lat);
+
+    Ddg copy = g;
+    EXPECT_NE(&copy.smsNodeSets(), &sets);
+    EXPECT_NE(copy.iiAnalysis(3, lat), at3);
+    EXPECT_EQ(copy.iiAnalysis(3, lat)->order, at3->order);
+
+    Ddg moved = std::move(g);
+    EXPECT_EQ(&moved.smsNodeSets(), &sets);
+    EXPECT_EQ(moved.iiAnalysis(3, lat), at3);
+}
+
+TEST(GraphAnalyses, EntriesAreKeptForTheFirstLatencyTableOnly)
+{
+    LatencyTable lat;
+    LatencyTable slow;
+    slow.setTiming(Opcode::IAlu, OpTiming{4, 1});
+
+    Ddg g = ring3();
+    const IiAnalysis *at3 = g.iiAnalysis(3, lat);
+    ASSERT_NE(at3, nullptr);
+    // An equal table is the same table; another one computes alone.
+    LatencyTable same;
+    EXPECT_EQ(g.iiAnalysis(3, same), at3);
+    EXPECT_EQ(g.iiAnalysis(3, slow), nullptr);
+    IiAnalysis local = analyzeIi(g, slow, 3);
+    EXPECT_TRUE(local.feasible);
+    EXPECT_EQ(local.scheduleLength,
+              DdgAnalysis(g, slow, 3).scheduleLength());
+    EXPECT_NE(local.scheduleLength, at3->scheduleLength);
+
+    // The first request decides the table.
+    Ddg other = ring3();
+    EXPECT_NE(other.iiAnalysis(3, slow), nullptr);
+    EXPECT_EQ(other.iiAnalysis(3, lat), nullptr);
+}
+
+TEST(GraphAnalyses, LookupOfInstalledAnalysesAllocatesNothing)
+{
+    using gpsched::testing::heapAllocations;
+    LatencyTable lat;
+    Ddg g = ring3();
+    g.recMii();
+    g.smsNodeSets();
+    g.iiAnalysis(3, lat);
+    g.iiAnalysis(4, lat);
+
+    const long before = heapAllocations();
+    EXPECT_EQ(g.recMii(), 3);
+    EXPECT_EQ(g.sccs().numComponents(), 1);
+    EXPECT_EQ(g.smsNodeSets().sets.size(), 1u);
+    EXPECT_EQ(g.iiAnalysis(3, lat)->ii, 3);
+    EXPECT_EQ(g.iiAnalysis(4, lat)->ii, 4);
+    EXPECT_EQ(heapAllocations() - before, 0);
+}
+
+TEST(GraphAnalyses, RecMiiErrorIsRaisedOnEveryCall)
+{
+    Ddg g;
+    NodeId a = g.addNode(Opcode::IAlu);
+    NodeId b = g.addNode(Opcode::IAlu);
+    g.addEdge(a, b, 1);
+    g.addEdge(b, a, 1); // distance 0: no II satisfies the cycle
+    EXPECT_THROW(g.recMii(), CompileError);
+    EXPECT_THROW(g.recMii(), CompileError);
 }
